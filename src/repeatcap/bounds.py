@@ -42,7 +42,7 @@ import numpy as np
 
 from repeatcap import tables
 from repeatcap.channels import Family
-from repeatcap.duals import DualVariant, build_dual, convexity_gap_scan, r_p
+from repeatcap.duals import _DELTA_SCANS, DualVariant, build_dual, convexity_gap_scan, r_p
 from repeatcap.numerics import QuadratureError, maximize_concave
 
 _LOG2 = math.log(2.0)
@@ -150,7 +150,6 @@ def _q_grid(p: float) -> np.ndarray:
 
 
 _SCAN_LOCK = threading.Lock()
-_DELTA_SCANS: dict[tuple[float, int], np.ndarray] = {}
 
 
 def _delta_scan(p: float, x_max: int = _EPS_SCAN_X_MAX) -> np.ndarray:
@@ -226,10 +225,10 @@ def deletion_delta(p: float, variant, rule: str = "recommended") -> float:
         raise ValueError(f"unknown delta rule {rule!r}")
     if variant is BoundVariant.GEOMDEL_TRUNC:
         return math.exp(-float(r_p(1.0, p)) / d)
-    if variant in (BoundVariant.GEOMDEL_CONV, BoundVariant.GEOMDEL_DELTA_D):
+    if variant is BoundVariant.GEOMDEL_DELTA_D:
+        return d
+    if variant is BoundVariant.GEOMDEL_CONV:
         delta1 = float(convexity_gap_scan(p, 1)[0])
-        if variant is BoundVariant.GEOMDEL_DELTA_D:
-            return d
         return min(math.exp(-(delta1 - 0.5) / d), 1.0)
     raise ValueError(f"delta rules do not apply to variant {variant}")
 

@@ -90,9 +90,34 @@ _DELETION_VARIANTS = (
 _LIMIT_VC = 2e-8
 
 
-def _blend(ys: np.ndarray, v, coeff, computed: np.ndarray, lim: np.ndarray) -> np.ndarray:
-    mask = float(v) * (1.0 + np.asarray(ys, dtype=float) * float(coeff)) < _LIMIT_VC
+def _blend(
+    ys: np.ndarray, vs: np.ndarray, coeff, computed: np.ndarray, lim: np.ndarray
+) -> np.ndarray:
+    mask = vs * (1.0 + np.asarray(ys, dtype=float) * float(coeff)) < _LIMIT_VC
     return np.where(mask, lim, computed)
+
+
+# The integrands below take v either as one node (a float; they return one
+# value per y) or as a (n, 1) column of nodes (they return an (n, len(ys))
+# array), which lets the quadrature evaluate a whole panel in one call.
+# Quantities that depend on v alone are computed per node with math and
+# then broadcast over y: numpy's vectorized expm1/log1p/exp round
+# differently from libm on a few percent of inputs, and the per-node scalars
+# must be the same in both calling forms for their results to agree bit for
+# bit.
+
+
+def _nodes(v) -> tuple[np.ndarray, list[float]]:
+    vs = np.asarray(v, dtype=float).reshape(-1, 1)
+    return vs, vs[:, 0].tolist()
+
+
+def _col(values) -> np.ndarray:
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
+def _shaped_like(v, f: np.ndarray) -> np.ndarray:
+    return f[0] if np.ndim(v) == 0 else f
 
 
 def _sticky_f1_limit(ys: np.ndarray, p: float) -> np.ndarray:
@@ -103,30 +128,32 @@ def _sticky_f2_limit(ys: np.ndarray, p: float) -> np.ndarray:
     return ys * (ys + 1.0) * p * p / 2.0
 
 
-def _sticky_f(ys: np.ndarray, v: float, p: float, which: int) -> np.ndarray:
+def _sticky_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
     """f_which(y, t(v)) * e^-v for the sticky Lambda integrals, vector over y."""
-    t = -math.expm1(-v)
+    vs, nodes = _nodes(v)
+    ts = [-math.expm1(-x) for x in nodes]
+    t = _col(ts)
     if which == 1:
-        log_ratio = -v - math.log1p(p * math.expm1(-v))  # log((1-t)/(1-pt))
-        num = -np.expm1(ys * log_ratio + v) + t * (1.0 - ys * (1.0 - p))
+        # log((1-t)/(1-pt))
+        log_ratio = _col([-x - math.log1p(p * math.expm1(-x)) for x in nodes])
+        num = -np.expm1(ys * log_ratio + vs) + t * (1.0 - ys * (1.0 - p))
         coeff = 1.0 - p
     else:
-        num = -np.expm1(-ys * math.log1p(p * t)) - t * ys * p
+        log_1pt = _col([math.log1p(p * tt) for tt in ts])
+        num = -np.expm1(-ys * log_1pt) - t * ys * p
         coeff = p
-    f = (num / (-t * v)) * math.exp(-v)
-    if v >= _LIMIT_VC:
-        return f
+    f = (num / (-t * vs)) * _col([math.exp(-x) for x in nodes])
+    if min(nodes) >= _LIMIT_VC:
+        return _shaped_like(v, f)
     lim = _sticky_f1_limit(ys, p) if which == 1 else _sticky_f2_limit(ys, p)
-    return _blend(ys, v, coeff, f, lim)
+    return _shaped_like(v, _blend(ys, vs, coeff, f, lim))
 
 
 def _dup_f_limit(ys: np.ndarray, p: float, k: float) -> np.ndarray:
     return k * k * (ys * (ys - 1.0) / (2.0 * (1.0 + p) ** 2) - ys * p / (1.0 + p) ** 3)
 
 
-def _dup_f(ys: np.ndarray, v: float, p: float, k: float) -> np.ndarray:
-    """Duplication Lambda integrand in v coordinates; k in {1, p, 1-p}."""
-    t = -math.expm1(-v)
+def _dup_log_w(t: float, p: float, k: float) -> float:
     # w is the root in (0, 1] of the quadratic in the integrand.  For small
     # t it is computed through w - 1 = -4kt(1-kt)/((B + sqrt(disc)) *
     # (sqrt(disc) + 1 - p)), B = 1 + p - 2kt, which is cancellation-free;
@@ -136,15 +163,22 @@ def _dup_f(ys: np.ndarray, v: float, p: float, k: float) -> np.ndarray:
     sq = math.sqrt(disc)
     if t < 0.5:
         u = -4.0 * k * t * (1.0 - k * t) / ((1.0 + p - 2.0 * k * t + sq) * (sq + 1.0 - p))
-        log_w = math.log1p(u)
-    else:
-        w = 2.0 * (1.0 - k * t) / (sq + 1.0 - p)
-        log_w = math.log(w) if w > 0.0 else -math.inf
+        return math.log1p(u)
+    w = 2.0 * (1.0 - k * t) / (sq + 1.0 - p)
+    return math.log(w) if w > 0.0 else -math.inf
+
+
+def _dup_f(ys: np.ndarray, v, p: float, k: float) -> np.ndarray:
+    """Duplication Lambda integrand in v coordinates; k in {1, p, 1-p}."""
+    vs, nodes = _nodes(v)
+    ts = [-math.expm1(-x) for x in nodes]
+    t = _col(ts)
+    log_w = _col([_dup_log_w(tt, p, k) for tt in ts])
     num = -np.expm1(ys * log_w) - t * ys * k / (1.0 + p)
-    f = (num / (-t * v)) * math.exp(-v)
-    if v >= _LIMIT_VC:
-        return f
-    return _blend(ys, v, k, f, _dup_f_limit(ys, p, k))
+    f = (num / (-t * vs)) * _col([math.exp(-x) for x in nodes])
+    if min(nodes) >= _LIMIT_VC:
+        return _shaped_like(v, f)
+    return _shaped_like(v, _blend(ys, vs, k, f, _dup_f_limit(ys, p, k)))
 
 
 def _trunc_f_limit(ys: np.ndarray, p: float, which: int) -> np.ndarray:
@@ -152,35 +186,40 @@ def _trunc_f_limit(ys: np.ndarray, p: float, which: int) -> np.ndarray:
     return 1.0 - 2.0 * ys * c + c * c * ys * (ys - 1.0) / 2.0
 
 
-def _trunc_f(ys: np.ndarray, v: float, p: float, which: int) -> np.ndarray:
+def _trunc_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
     """Truncated-deletion Lambda integrand on v in [0, log(1+2p)].
 
     The base w of the inner power is (1 - d e^v)/p (which=1) or
     ((1+p) - e^v)/p (which=2); both equal 1 - c*(e^v - 1) with c the same
     constant that multiplies y, both live in [-1, 1] on the domain (w2 hits
     -1 exactly at the right endpoint), and w1 crosses zero inside it when
-    p < 1/2.  While w > 0 the numerator is regrouped through expm1/log1p;
-    once w <= 0 integer powers are taken as signed powers of |w| (no small-v
-    cancellation is possible there).
+    p < 1/2.  Nodes with w > 0 regroup the numerator through expm1/log1p;
+    at nodes with w <= 0 integer powers are taken as signed powers of |w|
+    (no small-v cancellation is possible there).
     """
-    t = -math.expm1(-v)
-    tev = math.expm1(v)  # t * e^v
+    vs, nodes = _nodes(v)
+    t = _col([-math.expm1(-x) for x in nodes])
     c = (1.0 - p) / p if which == 1 else 1.0 / p
-    w = 1.0 - c * tev
-    if w > 0.0:
-        num = -np.expm1(ys * math.log1p(-c * tev) + v) + t * (1.0 - ys * c)
-    else:
-        aw = -w
-        log_aw = math.log(aw) if aw > 0.0 else -math.inf
+    tev = [math.expm1(x) for x in nodes]  # t * e^v
+    w = [1.0 - c * x for x in tev]
+    pos = np.array([wi > 0.0 for wi in w])
+    num = np.empty((len(nodes), ys.size))
+    if pos.any():
+        log_w = _col([math.log1p(-c * x) for x, wi in zip(tev, w) if wi > 0.0])
+        num[pos] = -np.expm1(ys * log_w + vs[pos]) + t[pos] * (1.0 - ys * c)
+    if not pos.all():
+        neg = ~pos
+        log_aw = _col([math.log(-wi) if wi < 0.0 else -math.inf for wi in w if not wi > 0.0])
         sgn = np.where(ys % 2 == 1, -1.0, 1.0)
         with np.errstate(invalid="ignore"):
             pw = sgn * np.exp(ys * log_aw)
         pw = np.where(ys == 0, 1.0, pw)
-        num = 1.0 + t - t * ys * c - pw * math.exp(v)
-    f = (num / (-t * v)) * math.exp(-v)
-    if v >= _LIMIT_VC:
-        return f
-    return _blend(ys, v, c, f, _trunc_f_limit(ys, p, which))
+        ev = _col([math.exp(x) for x, wi in zip(nodes, w) if not wi > 0.0])
+        num[neg] = 1.0 + t[neg] - t[neg] * ys * c - pw * ev
+    f = (num / (-t * vs)) * _col([math.exp(-x) for x in nodes])
+    if min(nodes) >= _LIMIT_VC:
+        return _shaped_like(v, f)
+    return _shaped_like(v, _blend(ys, vs, c, f, _trunc_f_limit(ys, p, which)))
 
 
 def _as_y_array(y) -> tuple[np.ndarray, bool]:
@@ -326,12 +365,17 @@ def r_p_envelope(p: float) -> float:
     return float(val)
 
 
+_TABLE_STEP = 1024
+
+
 class _STable:
     """Lazily grown table of the q-free log-weight part S(y), y = 1..n.
 
-    S(y) = g(y) - y * rate, so a dual's log-weight is S(y) + y log q.  The
-    table doubles in size on demand; growth is serialized by a lock so
-    DualDistribution instances can be shared across threads.
+    S(y) = g(y) - y * rate, so a dual's log-weight is S(y) + y log q.  A
+    request past the end grows the table to the requested size rounded up
+    to a multiple of _TABLE_STEP, so the table holds little more than the
+    series read (every entry costs quadrature); growth is serialized by a
+    lock so DualDistribution instances can be shared across threads.
     """
 
     def __init__(self, variant: DualVariant, p: float):
@@ -345,9 +389,7 @@ class _STable:
         if ymax > self._vals.size:
             with self._lock:
                 if ymax > self._vals.size:
-                    new_size = max(4096, self._vals.size)
-                    while new_size < ymax:
-                        new_size *= 2
+                    new_size = -(-ymax // _TABLE_STEP) * _TABLE_STEP
                     lo = self._vals.size + 1
                     block = np.arange(lo, new_size + 1, dtype=float)
                     self._vals = np.concatenate((self._vals, self._compute(block)))
@@ -374,7 +416,7 @@ class _STable:
         tol = _quad_tol(ys)
         if self.variant is DualVariant.STICKY_ZERO_GAP:
             stacked = lambda v: np.concatenate(
-                (_sticky_f(ys, v, p, 1), _sticky_f(ys, v, p, 2))
+                (_sticky_f(ys, v, p, 1), _sticky_f(ys, v, p, 2)), axis=-1
             )
             lims0 = np.concatenate((_sticky_f1_limit(ys, p), _sticky_f2_limit(ys, p)))
             val, _ = integrate_exp_tail(
@@ -388,7 +430,7 @@ class _STable:
             return gammaln(ys) - l1 - l2 - ys * h
         if self.variant is DualVariant.DUPLICATION_ZERO_GAP:
             ks = (1.0, p, 1.0 - p)
-            stacked = lambda v: np.concatenate([_dup_f(ys, v, p, k) for k in ks])
+            stacked = lambda v: np.concatenate([_dup_f(ys, v, p, k) for k in ks], axis=-1)
             lims0 = np.concatenate([_dup_f_limit(ys, p, k) for k in ks])
             val, _ = integrate_exp_tail(
                 stacked,
@@ -405,7 +447,7 @@ class _STable:
         if self.variant is DualVariant.GEOMDEL_TRUNCATED:
             v_t = math.log1p(2.0 * p)
             stacked = lambda v: np.concatenate(
-                (_trunc_f(ys, v, p, 1), _trunc_f(ys, v, p, 2))
+                (_trunc_f(ys, v, p, 1), _trunc_f(ys, v, p, 2)), axis=-1
             )
             lims0 = np.concatenate((_trunc_f_limit(ys, p, 1), _trunc_f_limit(ys, p, 2)))
             val, _ = integrate_mapped(
@@ -424,6 +466,9 @@ class _STable:
 
 
 _TABLES: dict[tuple[DualVariant, float], _STable] = {}
+# Convexity gap scans by (p, x_max).  bounds fills it around its own
+# convexity_gap_scan lookup; it lives here so clear_caches empties it too.
+_DELTA_SCANS: dict[tuple[float, int], np.ndarray] = {}
 _TABLES_LOCK = threading.Lock()
 
 
@@ -445,8 +490,10 @@ def _get_table(variant: DualVariant, p: float) -> _STable:
 
 
 def clear_caches() -> None:
+    """Empty every q-free cache: the S-tables and the gap scans."""
     with _TABLES_LOCK:
         _TABLES.clear()
+        _DELTA_SCANS.clear()
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Every integral in this package is, after a change of variables, of the form
 
     I = int_a^b F(v) dv,    F smooth on (a, b) with finite endpoint limits,
 
-but the raraw integrands arrive with removable 0/0 singularities (both the
+but the raw integrands arrive with removable 0/0 singularities (both the
 numerator and t*log(1-t) vanish at t = 0) and a slowly dying 1/log(1-t)
 factor at t = 1.  Direct quadrature in t loses 4+ digits near both ends, so
 callers are expected to substitute v = -log(1-t), which turns log(1-t) into
@@ -16,7 +16,9 @@ The quadrature rule is the 7-point Gauss / 15-point Kronrod pair with
 adaptive bisection.  All nodes are interior, so the integrand is never
 evaluated at panel endpoints; analytic endpoint limits supplied by the
 caller are used as substitutes if an evaluation adjacent to an endpoint
-fails to be finite.
+fails to be finite.  An integrand that accepts a (15, 1) column of nodes
+is evaluated once per panel (see QuadratureProblem); any other integrand,
+and any panel with a non-finite value, is evaluated node by node.
 
 Series are summed in log-space (streaming log-sum-exp) with a geometric
 tail bound term(Y)*r/(1-r) controlling truncation, which is valid because
@@ -93,6 +95,8 @@ _WEIGHTS7 = np.zeros(15)
 _WEIGHTS7[[1, 3, 5]] = _WG[:3]
 _WEIGHTS7[7] = _WG[3]
 _WEIGHTS7[[9, 11, 13]] = _WG[2::-1]
+# Rows: Kronrod (K15) and Gauss (G7) weights, applied in one product.
+_KG_WEIGHTS = np.stack((_WEIGHTS15, _WEIGHTS7))
 
 # Below this request, absolute tolerances are capped by the floating-point
 # resolution of the accumulated integral magnitude (about 100 ulp).
@@ -122,6 +126,15 @@ class QuadratureProblem:
     are the analytic limits of the integrand at lo and hi; they are only
     consulted if an evaluation next to an endpoint is non-finite, since the
     Kronrod nodes themselves never touch panel boundaries.
+
+    An integrand may also accept the 15 nodes of a panel at once, as a
+    (15, 1) column t, and return one row per node: shape (15, m) for an
+    m-vector integrand, (15,) for a scalar one.  integrate finds this out
+    by calling it: the column call must not raise TypeError or ValueError,
+    must have that shape, and its middle row must equal a scalar call at
+    the middle node.  Otherwise, and for every panel with a non-finite
+    value, the integrand is called once per node, so endpoint limits and
+    non-finite errors behave the same either way.
     """
 
     integrand: Callable
@@ -152,15 +165,49 @@ def _eval_node(problem: QuadratureProblem, t: float):
     raise QuadratureError(f"integrand returned a non-finite value at t = {t!r}")
 
 
-def _panel(problem: QuadratureProblem, a: float, b: float):
+def _panel_nodes(a: float, b: float) -> tuple[float, np.ndarray]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals = [_eval_node(problem, mid + half * x) for x in _NODES15]
-    stack = np.stack(vals, axis=0)
-    k15 = half * np.tensordot(_WEIGHTS15, stack, axes=(0, 0))
-    g7 = half * np.tensordot(_WEIGHTS7, stack, axes=(0, 0))
-    err = float(np.max(np.abs(k15 - g7)))
-    mag = float(np.max(np.abs(k15)))
+    return half, mid + half * _NODES15
+
+
+def _eval_column(problem: QuadratureProblem, ts: np.ndarray, shape: tuple):
+    """integrand at the node column ts as (15, *shape) values, or None when
+    it cannot take a column or returns another shape."""
+    try:
+        vals = np.asarray(problem.integrand(ts[:, None]), dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return vals if vals.shape == (15, *shape) else None
+
+
+def _probe_column(problem: QuadratureProblem, a: float, b: float):
+    """(value shape, first panel's node values) when the integrand evaluates
+    a node column as it evaluates single nodes (checked at the middle node
+    of panel [a, b]), else (None, None)."""
+    _, ts = _panel_nodes(a, b)
+    one = np.asarray(problem.integrand(float(ts[7])), dtype=float)
+    vals = _eval_column(problem, ts, one.shape)
+    if vals is None or not np.array_equal(vals[7], one, equal_nan=True):
+        return None, None
+    return one.shape, vals
+
+
+def _panel(problem: QuadratureProblem, a: float, b: float, shape=None, stack=None):
+    """K15 value, |K15 - G7| and |K15| of one panel.
+
+    shape is the value shape of a column-capable integrand (None: call it
+    node by node); stack, when given, holds the panel's node values.
+    """
+    half, ts = _panel_nodes(a, b)
+    if stack is None and shape is not None:
+        stack = _eval_column(problem, ts, shape)
+    if stack is None or not np.all(np.isfinite(stack)):
+        stack = np.stack([_eval_node(problem, float(t)) for t in ts], axis=0)
+    kg = half * (_KG_WEIGHTS @ stack.reshape(15, -1))
+    k15 = kg[0].reshape(stack.shape[1:]).copy()  # not a view pinning kg
+    err = float(np.max(np.abs(kg[0] - kg[1])))
+    mag = float(np.max(np.abs(kg[0])))
     return k15, err, mag
 
 
@@ -184,10 +231,12 @@ def integrate(
     else:
         inner = [float(x) for x in breakpoints if lo < x < hi]
         edges = sorted({lo, hi, *inner})
+    shape, stack = _probe_column(problem, edges[0], edges[1])
     heap = []
     counter = 0
     for a, b in zip(edges[:-1], edges[1:]):
-        k15, err, mag = _panel(problem, a, b)
+        k15, err, mag = _panel(problem, a, b, shape, stack)
+        stack = None
         heapq.heappush(heap, (-err, counter, a, b, k15, err, mag))
         counter += 1
     while True:
@@ -206,7 +255,7 @@ def integrate(
         _, _, a, b, _, _, _ = heapq.heappop(heap)
         m = 0.5 * (a + b)
         for aa, bb in ((a, m), (m, b)):
-            k15, err, mag = _panel(problem, aa, bb)
+            k15, err, mag = _panel(problem, aa, bb, shape)
             heapq.heappush(heap, (-err, counter, aa, bb, k15, err, mag))
             counter += 1
     value = _heap_sum(heap)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repeatcap import bounds
 from repeatcap.bounds import (
     BoundResult,
     BoundVariant,
@@ -110,6 +111,14 @@ def test_deletion_delta_rules():
     assert 0.0 < conv <= 1.0
     with pytest.raises(ValueError):
         deletion_delta(p, BoundVariant.GEOMDEL_CONV, "bogus")
+
+
+def test_delta_d_rule_needs_no_gap_scan(monkeypatch):
+    def no_scan(p, x_max):
+        raise AssertionError("delta-d must not scan the gap")
+
+    monkeypatch.setattr(bounds, "convexity_gap_scan", no_scan)
+    assert deletion_delta(0.9, "delta-d") == 1.0 - 0.9
 
 
 def test_objective_curve_consistency():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repeatcap import bounds, duals, numerics
 from repeatcap.channels import Family, RepeatChannel, output_mean
 from repeatcap.duals import (
     DualVariant,
@@ -335,3 +337,62 @@ def test_epsilon_inf_nonnegative():
 def test_series_fast_refusal_near_one():
     dual = build_dual(DualVariant.STICKY_ZERO_GAP, 0.3, 0.9999999)
     assert not dual.series_converged
+
+
+_QUADRATURE_VARIANTS = (
+    DualVariant.STICKY_ZERO_GAP,
+    DualVariant.DUPLICATION_ZERO_GAP,
+    DualVariant.GEOMDEL_TRUNCATED,
+)
+
+
+@pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
+@pytest.mark.parametrize("p", (0.3, 0.9))
+def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
+    # Chunks y = 1..1024 reach nodes v below _LIMIT_VC, where the Taylor
+    # limits blend in.  Both routes must give the same bits, build after build.
+    batched = [duals._STable(variant, p).upto(1024).copy() for _ in range(2)]
+    assert np.array_equal(batched[0], batched[1])
+
+    integrate = numerics.integrate
+    nodes = []
+
+    def per_node(problem, **kwargs):
+        inner = problem.integrand
+
+        def scalar_only(t):
+            if np.ndim(t) > 0:
+                raise TypeError("one node at a time")
+            nodes.append(t)
+            return inner(t)
+
+        return integrate(dataclasses.replace(problem, integrand=scalar_only), **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate", per_node)
+    reference = duals._STable(variant, p).upto(1024)
+    assert min(nodes) * 60.0 < duals._LIMIT_VC  # v = span * t, span <= 60
+    assert np.array_equal(batched[0], reference)
+
+
+def test_s_table_growth_path_within_tolerance():
+    one_call = duals._STable(DualVariant.STICKY_ZERO_GAP, 0.9).upto(20000)
+    stepped = duals._STable(DualVariant.STICKY_ZERO_GAP, 0.9)
+    for ymax in range(4097, 20000, 4097):
+        stepped.upto(ymax)
+    tol = duals._quad_tol(np.arange(1.0, 20001.0))
+    assert np.max(np.abs(stepped.upto(20000) - one_call)) <= tol
+
+
+def test_s_table_holds_what_the_series_reads():
+    duals.clear_caches()
+    bounds.compute_bound(Family.GEOMETRIC_STICKY, None, 0.3)
+    table = duals._TABLES[(DualVariant.STICKY_ZERO_GAP, 0.3)]
+    assert table._vals.size < 8192
+
+
+def test_clear_caches_empties_gap_scans():
+    bounds._delta_scan(0.5, 3)
+    assert bounds._DELTA_SCANS
+    duals.clear_caches()
+    assert not bounds._DELTA_SCANS
+    assert not duals._TABLES

@@ -9,6 +9,7 @@ import pytest
 
 from repeatcap.numerics import (
     OptimizeResult,
+    QuadratureError,
     QuadratureProblem,
     SeriesSpec,
     binary_entropy,
@@ -117,6 +118,39 @@ def test_integrate_vector_integrand():
     )
     assert np.allclose(val, [1.0, 0.5, 1.0 / 3.0], atol=1e-12)
     assert err <= 1e-10
+
+
+def _column_calls(integrand):
+    """integrand plus a list recording whether each call got a node column."""
+    calls = []
+
+    def recorded(t):
+        calls.append(np.ndim(t) > 0)
+        return integrand(t)
+
+    return recorded, calls
+
+
+def test_integrate_batched_endpoint_limit():
+    # NaN at the nodes next to t = 0 (the first panel is [0, 1e-12]); the
+    # endpoint limit (cos 0, 2 cos 0) stands in for them
+    integrand, calls = _column_calls(
+        lambda t: np.where(t < 1e-13, np.nan, np.cos(t)) * np.array([1.0, 2.0])
+    )
+    problem = QuadratureProblem(integrand, (0.0, 1.0), endpoint_limits=([1.0, 2.0], None))
+    val, err = integrate(problem, breakpoints=[1e-12])
+    assert np.allclose(val, [math.sin(1.0), 2.0 * math.sin(1.0)], rtol=0.0, atol=max(err, 1e-13))
+    assert sum(calls) > 1  # panels past the probe went in as columns
+
+
+def test_integrate_batched_interior_nan_raises():
+    integrand, calls = _column_calls(
+        lambda t: np.where(np.abs(t - 0.75) < 0.05, np.nan, np.cos(t)) * np.array([1.0, 2.0])
+    )
+    problem = QuadratureProblem(integrand, (0.0, 1.0), endpoint_limits=([1.0, 2.0], None))
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate(problem)
+    assert any(calls)
 
 
 def test_integrate_interval_validation():
