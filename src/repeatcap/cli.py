@@ -19,9 +19,11 @@ import sys
 import numpy as np
 
 from repeatcap.bounds import (
+    _CONSTRUCTIONS,
     BoundComputationError,
-    BoundVariant,
     SweepFailure,
+    _best,
+    _optimized,
     as_bound_variant,
     compute_bound,
     deletion_delta,
@@ -30,7 +32,7 @@ from repeatcap.bounds import (
     verify_tables,
 )
 from repeatcap.channels import Family, RepeatChannel
-from repeatcap.duals import DualVariant, build_dual, kl_gap_profile
+from repeatcap.duals import build_dual, kl_gap_profile
 from repeatcap.numerics import QuadratureError
 from repeatcap import records
 from repeatcap.simulate import SimConfig, run_monte_carlo
@@ -183,11 +185,6 @@ def _family(params: dict) -> Family:
     return _FAMILIES[token]
 
 
-def _variant_token(params: dict):
-    token = params.get("variant")
-    return None if token in (None, "auto") else as_bound_variant(token)
-
-
 def _write_csv(params: dict, header, rows) -> None:
     out = params.get("out")
     if out is None:
@@ -200,7 +197,7 @@ def _write_csv(params: dict, header, rows) -> None:
 def _cmd_bound(params: dict) -> int:
     _require(params, "family", "p")
     family = _family(params)
-    result = compute_bound(family, _variant_token(params), params["p"])
+    result = compute_bound(family, as_bound_variant(params["variant"]), params["p"])
     meta = None if params["no_meta"] else records.run_metadata(
         {"q_opt": 1e-7, "series_rel": 1e-12}
     )
@@ -212,19 +209,12 @@ def _cmd_bound(params: dict) -> int:
     return 0
 
 
-_DELETION_SWEEP_VARIANTS = (
-    BoundVariant.GEOMDEL_CONV,
-    BoundVariant.GEOMDEL_TRUNC,
-    BoundVariant.GEOMDEL_DELTA_D,
-)
-
-
 def _cmd_sweep(params: dict) -> int:
     if params["emit_inner"]:
         return _emit_inner(params)
     _require(params, "family", "p_start", "p_end", "steps")
     family = _family(params)
-    variant = _variant_token(params)
+    variant = as_bound_variant(params["variant"])
     p_start, p_end, steps = params["p_start"], params["p_end"], params["steps"]
     if not (0.0 < p_start < p_end < 1.0):
         raise ValueError(f"need 0 < p_start < p_end < 1, got {p_start}..{p_end}")
@@ -233,22 +223,17 @@ def _cmd_sweep(params: dict) -> int:
     ps = [float(x) for x in np.linspace(p_start, p_end, steps)]
     workers = _workers(len(ps))
 
-    if family is Family.GEOMETRIC_DELETION and variant is None:
+    if variant is None and len(_optimized(family)) > 1:
         # One row per optimized construction plus the reported min curve.
         per_variant = [
-            sweep(family, v, ps, max_workers=workers)
-            for v in _DELETION_SWEEP_VARIANTS
+            sweep(family, v, ps, max_workers=workers) for v in _optimized(family)
         ]
         results = []
-        for i, p in enumerate(ps):
-            trio = [col[i] for col in per_variant]
-            for res in trio:
-                results.append((None, res))
-            ok = [r for r in trio if not isinstance(r, SweepFailure)]
-            if ok:
-                results.append(("min", min(ok, key=lambda r: r.bound_nats)))
-            else:
-                results.append(("min", SweepFailure(p, None, "all variants failed")))
+        for p, at_p in zip(ps, zip(*per_variant)):
+            results += [(None, r) for r in at_p]
+            ok = [r for r in at_p if not isinstance(r, SweepFailure)]
+            best = _best(ok) if ok else SweepFailure(p, None, "all variants failed")
+            results.append(("min", best))
     else:
         results = [(None, r) for r in sweep(family, variant, ps, max_workers=workers)]
 
@@ -265,14 +250,11 @@ def _cmd_sweep(params: dict) -> int:
 def _emit_inner(params: dict) -> int:
     _require(params, "family", "p")
     family = _family(params)
-    variant = _variant_token(params)
+    variant = as_bound_variant(params["variant"])
     if variant is None:
-        if family is Family.GEOMETRIC_STICKY:
-            variant = BoundVariant.STICKY_EXACT
-        elif family is Family.ELEMENTARY_DUPLICATION:
-            variant = BoundVariant.DUPLICATION_EXACT
-        else:
+        if len(_optimized(family)) > 1:
             raise ValueError("--emit-inner for geomdel needs --variant conv|trunc|delta-d")
+        (variant,) = _optimized(family)
     q_points = params["q_points"]
     if q_points < 2:
         raise ValueError(f"q_points must be >= 2, got {q_points}")
@@ -318,14 +300,6 @@ def _cmd_verify(params: dict) -> int:
     return 0 if verification.all_passed else 1
 
 
-_KLGAP_DUALS = {
-    (Family.GEOMETRIC_STICKY, None): DualVariant.STICKY_ZERO_GAP,
-    (Family.ELEMENTARY_DUPLICATION, None): DualVariant.DUPLICATION_ZERO_GAP,
-    (Family.GEOMETRIC_DELETION, "conv"): DualVariant.GEOMDEL_CONVEXITY,
-    (Family.GEOMETRIC_DELETION, "trunc"): DualVariant.GEOMDEL_TRUNCATED,
-}
-
-
 def _cmd_klgap(params: dict) -> int:
     _require(params, "family", "p", "q")
     family = _family(params)
@@ -334,19 +308,16 @@ def _cmd_klgap(params: dict) -> int:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     rule = params["delta_rule"]
     if family is Family.GEOMETRIC_DELETION:
-        token = params["variant"] or "conv"
-        bound_variant = (BoundVariant.GEOMDEL_CONV if token == "conv"
-                         else BoundVariant.GEOMDEL_TRUNC)
-        delta = deletion_delta(p, bound_variant, rule or "recommended")
-        dual_variant = _KLGAP_DUALS[(family, token)]
+        variant = as_bound_variant(params["variant"] or "conv")
+        delta = deletion_delta(p, variant, rule or "recommended")
     else:
         if params["variant"] is not None:
             raise ValueError("--variant only applies to the geomdel family")
         if rule not in (None, "one"):
             raise ValueError("delta rules only apply to deletion duals")
+        (variant,) = _optimized(family)
         delta = 1.0
-        dual_variant = _KLGAP_DUALS[(family, None)]
-    dual = build_dual(dual_variant, p, q, delta=delta)
+    dual = build_dual(_CONSTRUCTIONS[variant].dual, p, q, delta=delta)
     if not dual.series_converged:
         raise BoundComputationError(
             f"dual series did not converge at q = {q} (too close to 1)"

@@ -37,7 +37,9 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -66,20 +68,6 @@ class DualVariant(enum.Enum):
     INVERSE_BINOMIAL = "inverse-binomial"
 
 
-_VARIANT_FAMILY = {
-    DualVariant.STICKY_ZERO_GAP: Family.GEOMETRIC_STICKY,
-    DualVariant.DUPLICATION_ZERO_GAP: Family.ELEMENTARY_DUPLICATION,
-    DualVariant.GEOMDEL_CONVEXITY: Family.GEOMETRIC_DELETION,
-    DualVariant.GEOMDEL_TRUNCATED: Family.GEOMETRIC_DELETION,
-    DualVariant.INVERSE_BINOMIAL: Family.GEOMETRIC_DELETION,
-}
-
-_DELETION_VARIANTS = (
-    DualVariant.GEOMDEL_CONVEXITY,
-    DualVariant.GEOMDEL_TRUNCATED,
-    DualVariant.INVERSE_BINOMIAL,
-)
-
 # The numerators all have the shape 1 (+ t) - t*y*c - exp(A); evaluated
 # literally they cancel to O(v^2) out of O(1) terms and lose half the
 # mantissa by v ~ 1e-8.  Regrouped as -expm1(A) + t*(1 - y*c) with A built
@@ -88,13 +76,6 @@ _DELETION_VARIANTS = (
 # v*(1 + y*c) drops below the crossover scale, where both errors are ~1e-8
 # relative and shrinking on either side.
 _LIMIT_VC = 2e-8
-
-
-def _blend(
-    ys: np.ndarray, vs: np.ndarray, coeff, computed: np.ndarray, lim: np.ndarray
-) -> np.ndarray:
-    mask = vs * (1.0 + np.asarray(ys, dtype=float) * float(coeff)) < _LIMIT_VC
-    return np.where(mask, lim, computed)
 
 
 # The integrands below take v either as one node (a float; they return one
@@ -116,15 +97,19 @@ def _col(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def _shaped_like(v, f: np.ndarray) -> np.ndarray:
+def _finish(v, ys, vs, nodes, t, num, coeff, limit) -> np.ndarray:
+    """f = num / (-t v) * e^-v shaped like v, with the Taylor limit limit()
+    taking over wherever v (1 + y coeff) drops below _LIMIT_VC."""
+    f = (num / (-t * vs)) * _col([math.exp(-x) for x in nodes])
+    if min(nodes) < _LIMIT_VC:
+        mask = vs * (1.0 + np.asarray(ys, dtype=float) * float(coeff)) < _LIMIT_VC
+        f = np.where(mask, limit(), f)
     return f[0] if np.ndim(v) == 0 else f
 
 
-def _sticky_f1_limit(ys: np.ndarray, p: float) -> np.ndarray:
-    return 1.0 + ys * (1.0 - p) * (ys * (1.0 - p) - 3.0 - p) / 2.0
-
-
-def _sticky_f2_limit(ys: np.ndarray, p: float) -> np.ndarray:
+def _sticky_f_limit(ys: np.ndarray, p: float, which: int) -> np.ndarray:
+    if which == 1:
+        return 1.0 + ys * (1.0 - p) * (ys * (1.0 - p) - 3.0 - p) / 2.0
     return ys * (ys + 1.0) * p * p / 2.0
 
 
@@ -142,11 +127,7 @@ def _sticky_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
         log_1pt = _col([math.log1p(p * tt) for tt in ts])
         num = -np.expm1(-ys * log_1pt) - t * ys * p
         coeff = p
-    f = (num / (-t * vs)) * _col([math.exp(-x) for x in nodes])
-    if min(nodes) >= _LIMIT_VC:
-        return _shaped_like(v, f)
-    lim = _sticky_f1_limit(ys, p) if which == 1 else _sticky_f2_limit(ys, p)
-    return _shaped_like(v, _blend(ys, vs, coeff, f, lim))
+    return _finish(v, ys, vs, nodes, t, num, coeff, lambda: _sticky_f_limit(ys, p, which))
 
 
 def _dup_f_limit(ys: np.ndarray, p: float, k: float) -> np.ndarray:
@@ -175,10 +156,7 @@ def _dup_f(ys: np.ndarray, v, p: float, k: float) -> np.ndarray:
     t = _col(ts)
     log_w = _col([_dup_log_w(tt, p, k) for tt in ts])
     num = -np.expm1(ys * log_w) - t * ys * k / (1.0 + p)
-    f = (num / (-t * vs)) * _col([math.exp(-x) for x in nodes])
-    if min(nodes) >= _LIMIT_VC:
-        return _shaped_like(v, f)
-    return _shaped_like(v, _blend(ys, vs, k, f, _dup_f_limit(ys, p, k)))
+    return _finish(v, ys, vs, nodes, t, num, k, lambda: _dup_f_limit(ys, p, k))
 
 
 def _trunc_f_limit(ys: np.ndarray, p: float, which: int) -> np.ndarray:
@@ -216,10 +194,89 @@ def _trunc_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
         pw = np.where(ys == 0, 1.0, pw)
         ev = _col([math.exp(x) for x, wi in zip(nodes, w) if not wi > 0.0])
         num[neg] = 1.0 + t[neg] - t[neg] * ys * c - pw * ev
-    f = (num / (-t * vs)) * _col([math.exp(-x) for x in nodes])
-    if min(nodes) >= _LIMIT_VC:
-        return _shaped_like(v, f)
-    return _shaped_like(v, _blend(ys, vs, c, f, _trunc_f_limit(ys, p, which)))
+    return _finish(v, ys, vs, nodes, t, num, c, lambda: _trunc_f_limit(ys, p, which))
+
+
+def _trunc_breaks(p: float) -> np.ndarray:
+    v_t = math.log1p(2.0 * p)
+    return np.unique(np.concatenate(([0.0], np.geomspace(1e-9, v_t, 50))))
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """The q-free facts of one dual variant.
+
+    S(y) = g(ys, p, lambdas) - drift(ys, p), each written in the operation
+    order the tables are built with.  The lambdas are the integrals of
+    f(ys, v, p, key) over v for each key in keys(p), with t -> 0 limits
+    f_limit(ys, p, key): over the exp tail [0, 60], or over [0, log(1+2p)]
+    for the truncated construction.  gap_limit is the KL-gap's x -> infinity
+    limit at delta = 1, weight_shift a constant added to every log-weight,
+    and s_table another variant whose S-table this one reads.
+    """
+
+    family: Family
+    g: Callable
+    drift: Callable
+    gap_limit: Callable[[float], float]
+    f: Callable | None = None
+    f_limit: Callable | None = None
+    keys: Callable[[float], tuple] = lambda p: ()
+    truncated: bool = False
+    weight_shift: Callable[[float], float] = lambda p: 0.0
+    s_table: DualVariant | None = None
+
+
+_CONVEXITY_SPEC = _Spec(
+    Family.GEOMETRIC_DELETION,
+    g=lambda ys, p, lam: gammaln(ys / p) - gammaln(ys + 1.0) - gammaln(ys * (1.0 - p) / p),
+    drift=lambda ys, p: ys * binary_entropy(p) / p,
+    gap_limit=lambda p: 0.5,
+)
+
+_SPECS = {
+    DualVariant.STICKY_ZERO_GAP: _Spec(
+        Family.GEOMETRIC_STICKY,
+        g=lambda ys, p, lam: gammaln(ys) - lam[0] - lam[1],
+        drift=lambda ys, p: ys * binary_entropy(p),
+        gap_limit=lambda p: 0.0,
+        f=_sticky_f,
+        f_limit=_sticky_f_limit,
+        keys=lambda p: (1, 2),
+    ),
+    DualVariant.DUPLICATION_ZERO_GAP: _Spec(
+        Family.ELEMENTARY_DUPLICATION,
+        g=lambda ys, p, lam: lam[0] - lam[1] - lam[2],
+        drift=lambda ys, p: ys * binary_entropy(p) / (1.0 + p),
+        gap_limit=lambda p: 0.0,
+        f=_dup_f,
+        f_limit=_dup_f_limit,
+        keys=lambda p: (1.0, p, 1.0 - p),
+    ),
+    DualVariant.GEOMDEL_CONVEXITY: _CONVEXITY_SPEC,
+    DualVariant.GEOMDEL_TRUNCATED: _Spec(
+        Family.GEOMETRIC_DELETION,
+        g=lambda ys, p, lam: lam[1] - lam[0] - gammaln(ys + 1.0),
+        drift=lambda ys, p: ys * (log_integral_li(1.0 / (1.0 + 2.0 * p)) + binary_entropy(p) / p),
+        gap_limit=lambda p: 0.0,
+        f=_trunc_f,
+        f_limit=_trunc_f_limit,
+        keys=lambda p: (1, 2),
+        truncated=True,
+    ),
+    # C(y/p - 1, y) = (1-p) C(y/p, y): the convexity table shifted by -log(1-p).
+    DualVariant.INVERSE_BINOMIAL: replace(
+        _CONVEXITY_SPEC,
+        gap_limit=lambda p: 0.5 - math.log1p(-p),
+        weight_shift=lambda p: -math.log1p(-p),
+        s_table=DualVariant.GEOMDEL_CONVEXITY,
+    ),
+}
+
+_VARIANT_FAMILY = {variant: spec.family for variant, spec in _SPECS.items()}
+_DELETION_VARIANTS = tuple(
+    v for v, family in _VARIANT_FAMILY.items() if family is Family.GEOMETRIC_DELETION
+)
 
 
 def _as_y_array(y) -> tuple[np.ndarray, bool]:
@@ -234,36 +291,79 @@ def _quad_tol(ys: np.ndarray) -> float:
     return 1e-10 * max(1.0, float(ys[-1]))
 
 
+def _scale_chunks(ys: np.ndarray):
+    # The integrands peak near v ~ 1/y, so a block spanning decades of y
+    # would force one panel set to resolve every scale at once (and pay
+    # extended precision across all of them).  Chunking ascending y
+    # geometrically keeps each integration call single-scale.
+    lo = 0
+    while lo < ys.size:
+        hi = lo + 1
+        while hi < ys.size and ys[hi] < 4.0 * ys[lo]:
+            hi += 1
+        yield ys[lo:hi]
+        lo = hi
+
+
+def _lambdas(spec: _Spec, ys: np.ndarray, p: float) -> list[np.ndarray]:
+    """The variant's Lambda integrals over one single-scale chunk of y,
+    stacked into one quadrature."""
+    keys = spec.keys(p)
+    if not keys:
+        return []
+    stacked = lambda v: np.concatenate([spec.f(ys, v, p, k) for k in keys], axis=-1)
+    lims0 = np.concatenate([spec.f_limit(ys, p, k) for k in keys])
+    if spec.truncated:
+        val, _ = integrate_mapped(
+            stacked,
+            0.0,
+            math.log1p(2.0 * p),
+            endpoint_limits=(lims0, None),
+            abs_tol=_quad_tol(ys),
+            breakpoints=_trunc_breaks(p),
+            max_panels=1024,
+        )
+    else:
+        val, _ = integrate_exp_tail(
+            stacked,
+            0.0,
+            endpoint_limits=(lims0, np.zeros(lims0.size)),
+            abs_tol=_quad_tol(ys),
+            max_panels=1024,
+        )
+    return np.split(val, len(keys))
+
+
+def _lambda_view(variant: DualVariant, y, p: float, name: str, y_min=1.0) -> tuple:
+    """The variant's Lambda integrals at y (a scalar, or an array in any
+    order), one per key, through the same chunked quadrature as the S-table."""
+    ys, scalar = _as_y_array(y)
+    if np.any(ys < y_min):
+        raise ValueError(f"{name} requires y >= {y_min:g}")
+    uniq, back = np.unique(ys, return_inverse=True)
+    chunks = [_lambdas(_SPECS[variant], chunk, p) for chunk in _scale_chunks(uniq)]
+    vals = [np.concatenate(parts)[back] for parts in zip(*chunks)]
+    return tuple(float(v[0]) for v in vals) if scalar else tuple(vals)
+
+
+def _g_view(variant: DualVariant, y, p: float, name: str):
+    ys, scalar = _as_y_array(y)
+    val = _SPECS[variant].g(ys, p, _lambda_view(variant, ys, p, name))
+    return float(val[0]) if scalar else val
+
+
 def lambda1_sticky(y, p: float):
     """Lambda_1(y) = int_0^1 f_1(y, t) dt for the sticky construction.
 
     Grows like log Gamma(y(1-p)); the t -> 0 limit of f_1 is
     1 + y(1-p)(y(1-p) - 3 - p)/2 and the t -> 1 limit is 0.
     """
-    ys, scalar = _as_y_array(y)
-    if np.any(ys < 1.0):
-        raise ValueError("lambda1_sticky requires y >= 1")
-    val, _ = integrate_exp_tail(
-        lambda v: _sticky_f(ys, v, p, 1),
-        0.0,
-        endpoint_limits=(_sticky_f1_limit(ys, p), np.zeros_like(ys)),
-        abs_tol=_quad_tol(ys),
-    )
-    return float(val[0]) if scalar else val
+    return _lambda_view(DualVariant.STICKY_ZERO_GAP, y, p, "lambda1_sticky")[0]
 
 
 def lambda2_sticky(y, p: float):
     """Lambda_2(y), companion to lambda1_sticky; grows like log Gamma(1+yp)."""
-    ys, scalar = _as_y_array(y)
-    if np.any(ys < 1.0):
-        raise ValueError("lambda2_sticky requires y >= 1")
-    val, _ = integrate_exp_tail(
-        lambda v: _sticky_f(ys, v, p, 2),
-        0.0,
-        endpoint_limits=(_sticky_f2_limit(ys, p), np.zeros_like(ys)),
-        abs_tol=_quad_tol(ys),
-    )
-    return float(val[0]) if scalar else val
+    return _lambda_view(DualVariant.STICKY_ZERO_GAP, y, p, "lambda2_sticky")[1]
 
 
 def g_sticky(y, p: float):
@@ -272,9 +372,7 @@ def g_sticky(y, p: float):
     Satisfies y h(p) - g(y) = (1/2) log y + O(1), which is what makes the
     dual weights q^y exp(g(y) - y h(p)) behave like q^y / sqrt(y).
     """
-    ys, scalar = _as_y_array(y)
-    val = gammaln(ys) - lambda1_sticky(ys, p) - lambda2_sticky(ys, p)
-    return float(val[0]) if scalar else val
+    return _g_view(DualVariant.STICKY_ZERO_GAP, y, p, "g_sticky")
 
 
 def lambdas_duplication(y, p: float):
@@ -283,51 +381,17 @@ def lambdas_duplication(y, p: float):
     The integrands extend continuously to [0, 1]; the t -> 0 limits are
     k^2 (y(y-1)/(2(1+p)^2) - y p/(1+p)^3) and the t -> 1 limits are 0.
     """
-    ys, scalar = _as_y_array(y)
-    if np.any(ys < 1.0):
-        raise ValueError("lambdas_duplication requires y >= 1")
-    out = []
-    for k in (1.0, p, 1.0 - p):
-        val, _ = integrate_exp_tail(
-            lambda v: _dup_f(ys, v, p, k),
-            0.0,
-            endpoint_limits=(_dup_f_limit(ys, p, k), np.zeros_like(ys)),
-            abs_tol=_quad_tol(ys),
-        )
-        out.append(float(val[0]) if scalar else val)
-    return tuple(out)
+    return _lambda_view(DualVariant.DUPLICATION_ZERO_GAP, y, p, "lambdas_duplication")
 
 
 def g_duplication(y, p: float):
     """g(y) = Lambda_1(y) - Lambda_2(y) - Lambda_3(y) for duplication."""
-    l1, l2, l3 = lambdas_duplication(y, p)
-    return l1 - l2 - l3
-
-
-def _trunc_breaks(p: float) -> np.ndarray:
-    v_t = math.log1p(2.0 * p)
-    return np.unique(np.concatenate(([0.0], np.geomspace(1e-9, v_t, 50))))
+    return _g_view(DualVariant.DUPLICATION_ZERO_GAP, y, p, "g_duplication")
 
 
 def lambda_trunc_geomdel(y, p: float):
     """The two truncated-deletion Lambda integrals over t in [0, 2p/(1+2p)]."""
-    ys, scalar = _as_y_array(y)
-    if np.any(ys < 0.0):
-        raise ValueError("lambda_trunc_geomdel requires y >= 0")
-    v_t = math.log1p(2.0 * p)
-    breaks = _trunc_breaks(p)
-    out = []
-    for which in (1, 2):
-        val, _ = integrate_mapped(
-            lambda v: _trunc_f(ys, v, p, which),
-            0.0,
-            v_t,
-            endpoint_limits=(_trunc_f_limit(ys, p, which), None),
-            abs_tol=_quad_tol(np.maximum(ys, 1.0)),
-            breakpoints=breaks,
-        )
-        out.append(float(val[0]) if scalar else val)
-    return tuple(out)
+    return _lambda_view(DualVariant.GEOMDEL_TRUNCATED, y, p, "lambda_trunc_geomdel", 0.0)
 
 
 def r_p(x, p: float):
@@ -396,73 +460,11 @@ class _STable:
         return self._vals[:ymax]
 
     def _compute(self, ys: np.ndarray) -> np.ndarray:
-        # The integrands peak near v ~ 1/y, so a block spanning decades of y
-        # would force one panel set to resolve every scale at once (and pay
-        # extended precision across all of them).  Chunking y geometrically
-        # keeps each integration call single-scale.
-        parts = []
-        lo = 0
-        while lo < ys.size:
-            hi = lo + 1
-            while hi < ys.size and ys[hi] < 4.0 * ys[lo]:
-                hi += 1
-            parts.append(self._compute_chunk(ys[lo:hi]))
-            lo = hi
-        return np.concatenate(parts)
-
-    def _compute_chunk(self, ys: np.ndarray) -> np.ndarray:
-        p = self.p
-        h = binary_entropy(p)
-        tol = _quad_tol(ys)
-        if self.variant is DualVariant.STICKY_ZERO_GAP:
-            stacked = lambda v: np.concatenate(
-                (_sticky_f(ys, v, p, 1), _sticky_f(ys, v, p, 2)), axis=-1
-            )
-            lims0 = np.concatenate((_sticky_f1_limit(ys, p), _sticky_f2_limit(ys, p)))
-            val, _ = integrate_exp_tail(
-                stacked,
-                0.0,
-                endpoint_limits=(lims0, np.zeros(2 * ys.size)),
-                abs_tol=tol,
-                max_panels=1024,
-            )
-            l1, l2 = val[: ys.size], val[ys.size :]
-            return gammaln(ys) - l1 - l2 - ys * h
-        if self.variant is DualVariant.DUPLICATION_ZERO_GAP:
-            ks = (1.0, p, 1.0 - p)
-            stacked = lambda v: np.concatenate([_dup_f(ys, v, p, k) for k in ks], axis=-1)
-            lims0 = np.concatenate([_dup_f_limit(ys, p, k) for k in ks])
-            val, _ = integrate_exp_tail(
-                stacked,
-                0.0,
-                endpoint_limits=(lims0, np.zeros(3 * ys.size)),
-                abs_tol=tol,
-                max_panels=1024,
-            )
-            l1, l2, l3 = np.split(val, 3)
-            return l1 - l2 - l3 - ys * h / (1.0 + p)
-        if self.variant is DualVariant.GEOMDEL_CONVEXITY:
-            d = 1.0 - p
-            return gammaln(ys / p) - gammaln(ys + 1.0) - gammaln(ys * d / p) - ys * h / p
-        if self.variant is DualVariant.GEOMDEL_TRUNCATED:
-            v_t = math.log1p(2.0 * p)
-            stacked = lambda v: np.concatenate(
-                (_trunc_f(ys, v, p, 1), _trunc_f(ys, v, p, 2)), axis=-1
-            )
-            lims0 = np.concatenate((_trunc_f_limit(ys, p, 1), _trunc_f_limit(ys, p, 2)))
-            val, _ = integrate_mapped(
-                stacked,
-                0.0,
-                v_t,
-                endpoint_limits=(lims0, None),
-                abs_tol=tol,
-                breakpoints=_trunc_breaks(p),
-                max_panels=1024,
-            )
-            l1, l2 = val[: ys.size], val[ys.size :]
-            li = log_integral_li(1.0 / (1.0 + 2.0 * p))
-            return l2 - l1 - gammaln(ys + 1.0) - ys * (li + h / p)
-        raise ValueError(f"no table for {self.variant!r}")
+        spec, p = _SPECS[self.variant], self.p
+        return np.concatenate([
+            spec.g(chunk, p, _lambdas(spec, chunk, p)) - spec.drift(chunk, p)
+            for chunk in _scale_chunks(ys)
+        ])
 
 
 _TABLES: dict[tuple[DualVariant, float], _STable] = {}
@@ -473,13 +475,7 @@ _TABLES_LOCK = threading.Lock()
 
 
 def _get_table(variant: DualVariant, p: float) -> _STable:
-    # The inverse binomial shares the convexity table: its weights differ
-    # by the constant log(1-p) (C(y/p - 1, y) = (1-p) C(y/p, y)).
-    kind = (
-        DualVariant.GEOMDEL_CONVEXITY
-        if variant is DualVariant.INVERSE_BINOMIAL
-        else variant
-    )
+    kind = _SPECS[variant].s_table or variant
     key = (kind, float(p))
     with _TABLES_LOCK:
         table = _TABLES.get(key)
@@ -524,9 +520,7 @@ class DualDistribution:
 
     @property
     def weight_shift(self) -> float:
-        if self.variant is DualVariant.INVERSE_BINOMIAL:
-            return -math.log1p(-self.p)
-        return 0.0
+        return _SPECS[self.variant].weight_shift(self.p)
 
     def log_weight(self, y):
         """log a(y) for y >= support_start (a(0) = 1 for deletion variants)."""
@@ -591,24 +585,15 @@ def build_dual(
     if variant not in _DELETION_VARIANTS and delta != 1.0:
         raise ValueError("mass modification at y = 0 requires support at y = 0")
     table = _get_table(variant, p)
+    dual = partial(DualDistribution, variant, float(p), float(q), float(delta), _table=table)
     # A weight series with geometric ratio q needs at least ~28/(1-q) terms
     # to push the relative tail under 1e-12 (the weights decay like
     # q^y / sqrt(y)); refuse upfront when even an underestimate of that
     # exceeds the cap, rather than paying for a doomed summation.
     if 25.0 / (1.0 - q) > hard_cap:
-        return DualDistribution(
-            variant=variant,
-            p=float(p),
-            q=float(q),
-            delta=float(delta),
-            log_normalizer=math.nan,
-            mean=math.nan,
-            truncation=(0, math.inf),
-            series_converged=False,
-            _table=table,
-        )
+        return dual(math.nan, math.nan, (0, math.inf), False)
     logq = math.log(q)
-    shift = -math.log1p(-p) if variant is DualVariant.INVERSE_BINOMIAL else 0.0
+    shift = _SPECS[variant].weight_shift(p)
 
     def log_term(ys: np.ndarray) -> np.ndarray:
         vals = table.upto(int(ys[-1]))
@@ -634,17 +619,11 @@ def build_dual(
         log_normalizer = float(np.logaddexp(math.log(delta), norm.log_sum))
     else:
         log_normalizer = norm.log_sum
-    mean = math.exp(mean_num.log_sum - log_normalizer)
-    return DualDistribution(
-        variant=variant,
-        p=float(p),
-        q=float(q),
-        delta=float(delta),
-        log_normalizer=log_normalizer,
-        mean=mean,
-        truncation=(max(norm.terms_used, mean_num.terms_used), norm.tail_bound),
-        series_converged=norm.converged and mean_num.converged,
-        _table=table,
+    return dual(
+        log_normalizer,
+        math.exp(mean_num.log_sum - log_normalizer),
+        (max(norm.terms_used, mean_num.terms_used), norm.tail_bound),
+        norm.converged and mean_num.converged,
     )
 
 
@@ -727,15 +706,6 @@ class KLGapProfile:
     limit_candidate: float | None = None
 
 
-_BASE_GAP_LIMIT = {
-    DualVariant.STICKY_ZERO_GAP: lambda p: 0.0,
-    DualVariant.DUPLICATION_ZERO_GAP: lambda p: 0.0,
-    DualVariant.GEOMDEL_CONVEXITY: lambda p: 0.5,
-    DualVariant.GEOMDEL_TRUNCATED: lambda p: 0.0,
-    DualVariant.INVERSE_BINOMIAL: lambda p: 0.5 - math.log1p(-p),
-}
-
-
 def kl_gap_profile(
     channel: RepeatChannel, dual: DualDistribution, x_max: int
 ) -> KLGapProfile:
@@ -746,7 +716,7 @@ def kl_gap_profile(
     slope = -math.log(dual.q)
     d = 1.0 - dual.p
     intercept = dual.log_normalizer
-    limit = _BASE_GAP_LIMIT[dual.variant](dual.p)
+    limit = _SPECS[dual.variant].gap_limit(dual.p)
     if dual.variant in _DELETION_VARIANTS:
         intercept -= d * math.log(dual.delta)
         limit -= d * math.log(dual.delta)

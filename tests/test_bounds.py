@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repeatcap import bounds
+from repeatcap import bounds, duals
 from repeatcap.bounds import (
     BoundResult,
     BoundVariant,
@@ -111,6 +111,21 @@ def test_deletion_delta_rules():
     assert 0.0 < conv <= 1.0
     with pytest.raises(ValueError):
         deletion_delta(p, BoundVariant.GEOMDEL_CONV, "bogus")
+    with pytest.raises(ValueError):
+        deletion_delta(0.5, "sticky", "one")
+    with pytest.raises(ValueError):
+        deletion_delta(0.5, None, "d")
+    with pytest.raises(ValueError):
+        deletion_delta(0.5, "elementary", "d")
+
+
+@pytest.mark.parametrize("variant", (BoundVariant.GEOMDEL_CONV, BoundVariant.GEOMDEL_TRUNC))
+@pytest.mark.parametrize("p", (0.3, 0.6, 0.9))
+def test_deletion_delta_is_the_optimized_delta(variant, p):
+    # deletion_delta scans the gap at x = 1 only; the bound reads x = 1 off
+    # its full scan.  Both go through the same balance rule.
+    optimized = bounds._pieces(p, variant).delta
+    assert abs(deletion_delta(p, variant, "recommended") - optimized) <= 1e-12
 
 
 def test_delta_d_rule_needs_no_gap_scan(monkeypatch):
@@ -119,6 +134,26 @@ def test_delta_d_rule_needs_no_gap_scan(monkeypatch):
 
     monkeypatch.setattr(bounds, "convexity_gap_scan", no_scan)
     assert deletion_delta(0.9, "delta-d") == 1.0 - 0.9
+
+
+def test_bench_hook_points(monkeypatch):
+    # The benchmark wraps bounds.convexity_gap_scan and reads the scan cache
+    # and duals._VARIANT_FAMILY; a cold auto deletion bound scans once.
+    duals.clear_caches()
+    calls = []
+    scan = bounds.convexity_gap_scan
+
+    def counted(p, x_max):
+        calls.append((p, x_max))
+        return scan(p, x_max)
+
+    monkeypatch.setattr(bounds, "convexity_gap_scan", counted)
+    compute_bound(Family.GEOMETRIC_DELETION, None, 0.5)
+    assert calls == [(0.5, 500)]
+    assert bounds._DELTA_SCANS is duals._DELTA_SCANS
+    for con in bounds._CONSTRUCTIONS.values():
+        if con.dual is not None:
+            assert duals._VARIANT_FAMILY[con.dual] is con.family
 
 
 def test_objective_curve_consistency():

@@ -5,10 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import pytest
 
 from oracles import R_P
+from repeatcap.bounds import deletion_delta
 from repeatcap.cli import main
 from repeatcap.records import parse_bound_csv
 
@@ -214,6 +216,17 @@ def test_klgap_trunc_delta_one_equals_remainder(capsys):
     gaps = {r[0]: float(r[1]) for r in rows[1:]}
     assert abs(gaps["1"] - R_P[(1, 0.3)]) < 1e-9
     assert abs(gaps["3"] - R_P[(3, 0.3)]) < 1e-9
+
+
+def test_klgap_geomdel_defaults_to_conv_recommended(capsys):
+    code, out, _ = run_cli(
+        capsys, "klgap", "--family", "geomdel", "--p", "0.6", "--q", "0.6",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[-1][0] == "limit"
+    want = 0.5 - 0.4 * math.log(deletion_delta(0.6, "conv"))
+    assert abs(float(rows[-1][1]) - want) <= 1e-12
 
 
 def test_klgap_x_max_one(capsys):
