@@ -13,7 +13,14 @@ capacity bound.  Concretely, with mu = E[Y^(q)] the dual mean and d = 1-p:
                                                              mu >= p/(1-p)
 
 each maximized over q in (0, 1), where infeasible q (dual mean below the
-reduction threshold) contribute objective value 0.  The sticky and
+reduction threshold) contribute objective value 0.  Each objective is
+quasi-concave in q on the feasible set: with theta = log q and
+Z = delta [deletion] + sum_y a(y) e^(theta y), log Z is convex in theta, so
+mu = (log Z)' increases with q, and F = log_norm - mu log q, the negative
+Legendre transform of log Z, is concave in mu; each value above is F (less
+a constant) over a positive affine function of mu.  So once a positive
+value descends it never rises again, and the q scan stops at the first
+sustained descent past the peak (numerics.maximize_concave).  The sticky and
 duplication duals have zero gap, so eps = 0 there.  The deletion bound
 comes in three flavors differing in the dual and its mass-at-zero rule:
 
@@ -141,8 +148,11 @@ def _validate_p(p: float) -> float:
 
 def _q_grid(p: float) -> np.ndarray:
     # The optimum sits near 1 for retentive channels (the mean constraint
-    # forces 1 - q = O(1 - p)), so a near-1 geometric cluster is appended
-    # once 1 - p is small; its floor keeps series lengths ~28/(1-q) sane.
+    # forces 1 - q = O(1 - p); 1 - q* = 2.6e-3 at p = 0.99), so once 1 - p
+    # is small a geometric cluster is appended that reaches 1 - q =
+    # 2e-2 (1 - p), floored at 2e-5.  The scan stops just past the peak,
+    # so the S-table, about 28/(1-q) terms for the largest q read, follows
+    # q* rather than the cluster's end.
     lo = max(2e-5, 2e-2 * (1.0 - p))
     parts = [np.linspace(0.01, 0.99, 64)]
     if lo < 1e-2:
@@ -333,7 +343,9 @@ def _objective(p: float, variant: BoundVariant, pieces: _Pieces) -> Callable[[fl
 def _optimize(p: float, variant: BoundVariant) -> BoundResult:
     pieces = _pieces(p, variant)
     objective = _objective(p, variant, pieces)
-    res = maximize_concave(objective, 1e-6, 1.0 - 1e-6, tol=1e-7, grid=_q_grid(p))
+    res = maximize_concave(
+        objective, 1e-6, 1.0 - 1e-6, tol=1e-7, grid=_q_grid(p), quasiconcave=True
+    )
     q_opt = float(res.arg)
     nats = float(res.value)
     at_opt = _dual_at(p, variant, pieces, q_opt)
@@ -354,7 +366,7 @@ def _optimize(p: float, variant: BoundVariant) -> BoundResult:
 
 
 def objective_curve(p: float, variant, q_values) -> list[float]:
-    """The concave function under the sup, in nats, at each q in q_values.
+    """The quasi-concave function under the sup, in nats, at each q in q_values.
 
     Zero marks the infeasible region (dual mean below the reduction
     threshold, or a series past the convergence guard).  Not defined for

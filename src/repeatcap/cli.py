@@ -255,6 +255,8 @@ def _emit_inner(params: dict) -> int:
         if len(_optimized(family)) > 1:
             raise ValueError("--emit-inner for geomdel needs --variant conv|trunc|delta-d")
         (variant,) = _optimized(family)
+    elif _CONSTRUCTIONS[variant].family is not family:
+        raise ValueError(f"variant {variant.value} does not belong to {family.value}")
     q_points = params["q_points"]
     if q_points < 2:
         raise ValueError(f"q_points must be >= 2, got {q_points}")

@@ -460,7 +460,11 @@ def _call_indexed(fn: Callable, ys: np.ndarray) -> np.ndarray:
 
 
 def sum_series(spec: SeriesSpec, block: int = 4096) -> SeriesResult:
-    """Sum the series in log-space; see SeriesSpec for the stopping rule."""
+    """Sum the series in log-space; see SeriesSpec for the stopping rule.
+
+    Terms are read in blocks that start at 256 and double up to block, so
+    a short series reads (and makes its caller tabulate) few terms.
+    """
     if spec.geometric_tail_ratio_bound is None:
         raise ValueError("SeriesSpec.geometric_tail_ratio_bound is required")
     log_rel = math.log(spec.rel_tol)
@@ -468,8 +472,10 @@ def sum_series(spec: SeriesSpec, block: int = 4096) -> SeriesResult:
     used = 0
     y = int(spec.start_index)
     last_tail = math.inf
+    size = min(256, block)
     while used < spec.hard_cap:
-        n = min(block, spec.hard_cap - used)
+        n = min(size, spec.hard_cap - used)
+        size = min(2 * size, block)
         ys = np.arange(y, y + n, dtype=np.int64)
         lt = _call_indexed(spec.log_term, ys)
         if np.any(np.isnan(lt)):
@@ -512,13 +518,26 @@ def maximize_concave(
     tol: float = 1e-7,
     *,
     grid: Sequence[float] | None = None,
+    quasiconcave: bool = False,
 ) -> OptimizeResult:
     """Maximize f on (lo, hi): grid scan, then golden-section refinement.
 
-    Concavity of the objectives here is an empirical observation, not a
-    theorem, so the scan checks unimodality.  If the grid shows several
-    local maxima, the top three are each refined and the best is returned,
-    with unimodal=False as a diagnostic.
+    Concavity is not assumed, so the scan checks unimodality.  If the
+    scanned grid shows several local maxima, the top three are each refined
+    and the best is returned, with unimodal=False as a diagnostic.
+
+    quasiconcave=True asserts that f, wherever it is positive, cannot rise
+    again once it has descended, and stops the scan after two consecutive
+    strict descents (each by more than the noise tolerance of the
+    unimodality check, 1e-13 * max(1, max |f|)) the first of which starts
+    from a positive value.  unimodal and the refinement then describe the
+    scanned part of the grid only.  The capacity objectives have this
+    property: with theta = log q and
+    Z = delta [deletion] + sum_y a(y) e^(theta y), log Z is convex in theta,
+    so the dual mean mu = (log Z)' increases with q, and
+    F(mu) = log Z - mu log q, the negative Legendre transform of log Z, is
+    concave in mu; F/(mu d), (1+p) F/mu and p (F - c)/(d (1+mu)) are then
+    quasi-concave in q on the feasible set.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -528,11 +547,21 @@ def maximize_concave(
         xs = np.array(sorted(x for x in grid if lo < x < hi), dtype=float)
         if xs.size < 2:
             raise ValueError("grid must contain at least 2 points inside (lo, hi)")
-    fs = np.array([f(float(x)) for x in xs], dtype=float)
-    n_evals = len(xs)
+    values: list[float] = []
+    scale = 1.0
+    for x in xs:
+        values.append(float(f(float(x))))
+        scale = max(scale, abs(values[-1]))
+        if quasiconcave and len(values) >= 3:
+            f0, f1, f2 = values[-3:]
+            noise = 1e-13 * scale
+            if f0 > 0.0 and f0 - f1 > noise and f1 - f2 > noise:
+                break
+    fs = np.array(values)
+    xs = xs[: fs.size]
+    n_evals = fs.size
 
     diffs = np.diff(fs)
-    scale = max(1.0, float(np.max(np.abs(fs))))
     sign = np.where(np.abs(diffs) <= 1e-13 * scale, 0, np.sign(diffs))
     nonzero = sign[sign != 0]
     descents = np.flatnonzero(np.diff(nonzero) != 0).size if nonzero.size else 0

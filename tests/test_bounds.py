@@ -25,6 +25,7 @@ from repeatcap.bounds import (
 )
 from repeatcap.channels import Family
 from repeatcap.duals import r_p
+from repeatcap.numerics import maximize_concave
 
 import oracles
 
@@ -163,6 +164,35 @@ def test_objective_curve_consistency():
     assert values[1] >= values[0] and values[1] >= values[2]
     with pytest.raises(ValueError):
         objective_curve(0.3, BoundVariant.GEOMDEL_ELEMENTARY, [0.5])
+
+
+_OPTIMIZED = [v for v, c in bounds._CONSTRUCTIONS.items() if c.dual is not None]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.9])
+@pytest.mark.parametrize("variant", _OPTIMIZED)
+def test_objective_never_exceeds_the_reported_bound(variant, p):
+    # The optimizer stops its q scan past the peak; the unscanned rest of
+    # the grid must not hold a larger value.
+    res = compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, p)
+    curve = objective_curve(p, variant, bounds._q_grid(p))
+    assert max(curve) - res.bound_nats <= 1e-12 * abs(res.bound_nats)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.9])
+@pytest.mark.parametrize(
+    "variant", [BoundVariant.STICKY_EXACT, BoundVariant.GEOMDEL_TRUNC]
+)
+def test_early_stop_matches_the_full_scan(variant, p):
+    objective = bounds._objective(p, variant, bounds._pieces(p, variant))
+    grid = bounds._q_grid(p)
+    full = maximize_concave(objective, 1e-6, 1.0 - 1e-6, tol=1e-7, grid=grid)
+    early = maximize_concave(
+        objective, 1e-6, 1.0 - 1e-6, tol=1e-7, grid=grid, quasiconcave=True
+    )
+    assert early.arg == full.arg
+    assert early.value == full.value
+    assert early.n_evals < full.n_evals
 
 
 def test_objective_zero_below_threshold():

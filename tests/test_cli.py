@@ -133,6 +133,16 @@ def test_sweep_emit_inner_geomdel_needs_variant(capsys):
     assert "variant" in err
 
 
+def test_sweep_emit_inner_rejects_variant_of_another_family(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "sticky", "--emit-inner", "--p", "0.3",
+        "--variant", "conv", "--q-points", "3", "--nats",
+    )
+    assert code == 2
+    assert out == ""
+    assert "GeomDelConv" in err and "does not belong" in err
+
+
 def test_verify_only_t2(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "T2")
     assert code == 0

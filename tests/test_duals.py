@@ -403,6 +403,13 @@ def test_s_table_holds_what_the_series_reads():
     assert table._vals.size < 8192
 
 
+def test_s_table_of_a_short_series_is_one_step():
+    duals.clear_caches()
+    bounds.compute_bound(Family.GEOMETRIC_STICKY, None, 0.3)
+    table = duals._TABLES[(DualVariant.STICKY_ZERO_GAP, 0.3)]
+    assert table._vals.size <= 1024
+
+
 def test_clear_caches_empties_gap_scans():
     bounds._delta_scan(0.5, 3)
     assert bounds._DELTA_SCANS

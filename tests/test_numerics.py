@@ -189,6 +189,25 @@ def test_sum_series_geometric():
     assert res.tail_bound <= 1e-12 * math.exp(res.log_sum) * (1.0 + 1e-9)
 
 
+def test_sum_series_reads_a_short_series_in_its_first_block():
+    asked = []
+
+    def log_term(ys):
+        asked.append(int(ys.max()))
+        return ys * math.log(0.5)
+
+    res = sum_series(
+        SeriesSpec(
+            log_term=log_term,
+            start_index=1,
+            rel_tol=1e-12,
+            geometric_tail_ratio_bound=lambda ys: np.full(np.shape(ys), 0.5),
+        )
+    )
+    assert res.converged and res.terms_used < 256
+    assert max(asked) <= 256
+
+
 def test_sum_series_single_term():
     res = sum_series(
         SeriesSpec(
@@ -243,6 +262,30 @@ def test_maximize_concave_flags_multimodal():
     res = maximize_concave(lambda x: math.sin(12.0 * math.pi * x), 0.0, 1.0, tol=1e-9)
     assert not res.unimodal
     assert res.value >= 1.0 - 1e-6  # still finds a global peak
+
+
+def test_maximize_concave_quasiconcave_stops_after_first_peak():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.sin(12.0 * math.pi * x)
+
+    full = maximize_concave(f, 0.0, 1.0, tol=1e-9)
+    seen.clear()
+    res = maximize_concave(f, 0.0, 1.0, tol=1e-9, quasiconcave=True)
+    assert res.value >= 1.0 - 1e-6
+    assert max(seen) < 1.0 / 12.0  # the first peak is at 1/24, its zero at 1/12
+    assert res.n_evals == len(seen) < full.n_evals
+
+
+def test_maximize_concave_quasiconcave_scans_nonpositive_in_full():
+    def f(x):
+        return -((x - 0.3) ** 2)
+
+    res = maximize_concave(f, 0.0, 1.0, tol=1e-8, quasiconcave=True)
+    assert res == maximize_concave(f, 0.0, 1.0, tol=1e-8)
+    assert res.n_evals > 64
 
 
 def test_maximize_concave_validation():
