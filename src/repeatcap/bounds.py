@@ -447,9 +447,14 @@ def geomdel_elementary_bound(p: float) -> BoundResult:
     )
 
 
-def _bound_for(family: Family, variant: BoundVariant | None, p: float) -> BoundResult:
+def _check_family(family: Family, variant: BoundVariant | None) -> None:
+    """Reject a variant (None: the family default) that belongs to another family."""
     if variant is not None and _CONSTRUCTIONS[variant].family is not family:
-        raise ValueError(f"variant {variant} does not apply to {family.value}")
+        raise ValueError(f"variant {variant.value} does not belong to {family.value}")
+
+
+def _bound_for(family: Family, variant: BoundVariant | None, p: float) -> BoundResult:
+    _check_family(family, variant)
     if variant is BoundVariant.GEOMDEL_ELEMENTARY:
         return geomdel_elementary_bound(p)
     # The family default is the best of its optimized constructions; the
@@ -496,8 +501,7 @@ def sweep(
     """
     family = Family(family)
     variant = as_bound_variant(variant)
-    if variant is not None and _CONSTRUCTIONS[variant].family is not family:
-        raise ValueError(f"variant {variant.value} does not belong to {family.value}")
+    _check_family(family, variant)
     tasks = [(family, variant, float(p)) for p in p_values]
     if not tasks:
         return []

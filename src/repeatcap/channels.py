@@ -181,23 +181,26 @@ def output_support(channel: RepeatChannel, x: int) -> tuple[int, float]:
     raise ValueError(f"{channel.family.value} has no tabulated output law")
 
 
+def _pgf_factor(channel: RepeatChannel, z: float) -> float:
+    """The per-input pgf factor: E[z^Y_x] = factor^x.  The formulas hold
+    past z = 1 too while they stay finite (p*z < 1 for sticky and
+    deletion), which is where the Chernoff tail bounds in duals read them."""
+    p = channel.p
+    if channel.family is Family.GEOMETRIC_STICKY:
+        return z * (1.0 - p) / (1.0 - p * z)
+    if channel.family is Family.ELEMENTARY_DUPLICATION:
+        return z * (1.0 - p + p * z)
+    if channel.family is Family.GEOMETRIC_DELETION:
+        return (1.0 - p) / (1.0 - p * z)
+    raise ValueError(f"{channel.family.value} has no pgf accessor")
+
+
 def pgf(channel: RepeatChannel, x: int, z: float) -> float:
-    """E[z^Y_x] for z in [0, 1] (sticky and deletion additionally need pz < 1)."""
+    """E[z^Y_x] for z in [0, 1]."""
     x = _require_input(x)
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"pgf requires z in [0, 1], got {z}")
-    p = channel.p
-    if channel.family is Family.GEOMETRIC_STICKY:
-        if p * z >= 1.0:
-            raise ValueError("sticky pgf requires p*z < 1")
-        return (z * (1.0 - p) / (1.0 - p * z)) ** x
-    if channel.family is Family.ELEMENTARY_DUPLICATION:
-        return (z * (1.0 - p + p * z)) ** x
-    if channel.family is Family.GEOMETRIC_DELETION:
-        if p * z >= 1.0:
-            raise ValueError("deletion pgf requires p*z < 1")
-        return ((1.0 - p) / (1.0 - p * z)) ** x
-    raise ValueError(f"{channel.family.value} has no pgf accessor")
+    return _pgf_factor(channel, z) ** x
 
 
 def reduction_params(channel: RepeatChannel) -> ReductionParams:

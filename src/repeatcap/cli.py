@@ -23,6 +23,7 @@ from repeatcap.bounds import (
     BoundComputationError,
     SweepFailure,
     _best,
+    _check_family,
     _optimized,
     as_bound_variant,
     compute_bound,
@@ -251,12 +252,11 @@ def _emit_inner(params: dict) -> int:
     _require(params, "family", "p")
     family = _family(params)
     variant = as_bound_variant(params["variant"])
+    _check_family(family, variant)
     if variant is None:
         if len(_optimized(family)) > 1:
             raise ValueError("--emit-inner for geomdel needs --variant conv|trunc|delta-d")
         (variant,) = _optimized(family)
-    elif _CONSTRUCTIONS[variant].family is not family:
-        raise ValueError(f"variant {variant.value} does not belong to {family.value}")
     q_points = params["q_points"]
     if q_points < 2:
         raise ValueError(f"q_points must be >= 2, got {q_points}")

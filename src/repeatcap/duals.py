@@ -48,6 +48,7 @@ from repeatcap.channels import (
     ConditionalOutputLaw,
     Family,
     RepeatChannel,
+    _pgf_factor,
     output_mean,
 )
 from repeatcap.numerics import (
@@ -78,33 +79,27 @@ class DualVariant(enum.Enum):
 _LIMIT_VC = 2e-8
 
 
-# The integrands below take v either as one node (a float; they return one
-# value per y) or as a (n, 1) column of nodes (they return an (n, len(ys))
-# array), which lets the quadrature evaluate a whole panel in one call.
-# Quantities that depend on v alone are computed per node with math and
-# then broadcast over y: numpy's vectorized expm1/log1p/exp round
-# differently from libm on a few percent of inputs, and the per-node scalars
-# must be the same in both calling forms for their results to agree bit for
-# bit.
-
-
-def _nodes(v) -> tuple[np.ndarray, list[float]]:
-    vs = np.asarray(v, dtype=float).reshape(-1, 1)
-    return vs, vs[:, 0].tolist()
+# The integrands below take a (n, 1) column of nodes v (see numerics) and
+# return an (n, len(ys)) array.  Quantities that depend on v alone are
+# computed per node with math and then broadcast over y.  numpy's vectorized
+# expm1/log1p/exp round differently from libm on a few percent of inputs,
+# and whether numpy takes its vector or its scalar route depends on the
+# array's length and layout; with math a node's value does not depend on
+# which other nodes share its column.
 
 
 def _col(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def _finish(v, ys, vs, nodes, t, num, coeff, limit) -> np.ndarray:
-    """f = num / (-t v) * e^-v shaped like v, with the Taylor limit limit()
-    taking over wherever v (1 + y coeff) drops below _LIMIT_VC."""
-    f = (num / (-t * vs)) * _col([math.exp(-x) for x in nodes])
+def _finish(ys, v, nodes, t, num, coeff, limit) -> np.ndarray:
+    """f = num / (-t v) * e^-v, with the Taylor limit limit() taking over
+    wherever v (1 + y coeff) drops below _LIMIT_VC."""
+    f = (num / (-t * v)) * _col([math.exp(-x) for x in nodes])
     if min(nodes) < _LIMIT_VC:
-        mask = vs * (1.0 + np.asarray(ys, dtype=float) * float(coeff)) < _LIMIT_VC
+        mask = v * (1.0 + np.asarray(ys, dtype=float) * float(coeff)) < _LIMIT_VC
         f = np.where(mask, limit(), f)
-    return f[0] if np.ndim(v) == 0 else f
+    return f
 
 
 def _sticky_f_limit(ys: np.ndarray, p: float, which: int) -> np.ndarray:
@@ -115,19 +110,19 @@ def _sticky_f_limit(ys: np.ndarray, p: float, which: int) -> np.ndarray:
 
 def _sticky_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
     """f_which(y, t(v)) * e^-v for the sticky Lambda integrals, vector over y."""
-    vs, nodes = _nodes(v)
+    nodes = v[:, 0].tolist()
     ts = [-math.expm1(-x) for x in nodes]
     t = _col(ts)
     if which == 1:
         # log((1-t)/(1-pt))
         log_ratio = _col([-x - math.log1p(p * math.expm1(-x)) for x in nodes])
-        num = -np.expm1(ys * log_ratio + vs) + t * (1.0 - ys * (1.0 - p))
+        num = -np.expm1(ys * log_ratio + v) + t * (1.0 - ys * (1.0 - p))
         coeff = 1.0 - p
     else:
         log_1pt = _col([math.log1p(p * tt) for tt in ts])
         num = -np.expm1(-ys * log_1pt) - t * ys * p
         coeff = p
-    return _finish(v, ys, vs, nodes, t, num, coeff, lambda: _sticky_f_limit(ys, p, which))
+    return _finish(ys, v, nodes, t, num, coeff, lambda: _sticky_f_limit(ys, p, which))
 
 
 def _dup_f_limit(ys: np.ndarray, p: float, k: float) -> np.ndarray:
@@ -151,12 +146,12 @@ def _dup_log_w(t: float, p: float, k: float) -> float:
 
 def _dup_f(ys: np.ndarray, v, p: float, k: float) -> np.ndarray:
     """Duplication Lambda integrand in v coordinates; k in {1, p, 1-p}."""
-    vs, nodes = _nodes(v)
+    nodes = v[:, 0].tolist()
     ts = [-math.expm1(-x) for x in nodes]
     t = _col(ts)
     log_w = _col([_dup_log_w(tt, p, k) for tt in ts])
     num = -np.expm1(ys * log_w) - t * ys * k / (1.0 + p)
-    return _finish(v, ys, vs, nodes, t, num, k, lambda: _dup_f_limit(ys, p, k))
+    return _finish(ys, v, nodes, t, num, k, lambda: _dup_f_limit(ys, p, k))
 
 
 def _trunc_f_limit(ys: np.ndarray, p: float, which: int) -> np.ndarray:
@@ -175,7 +170,7 @@ def _trunc_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
     at nodes with w <= 0 integer powers are taken as signed powers of |w|
     (no small-v cancellation is possible there).
     """
-    vs, nodes = _nodes(v)
+    nodes = v[:, 0].tolist()
     t = _col([-math.expm1(-x) for x in nodes])
     c = (1.0 - p) / p if which == 1 else 1.0 / p
     tev = [math.expm1(x) for x in nodes]  # t * e^v
@@ -184,7 +179,7 @@ def _trunc_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
     num = np.empty((len(nodes), ys.size))
     if pos.any():
         log_w = _col([math.log1p(-c * x) for x, wi in zip(tev, w) if wi > 0.0])
-        num[pos] = -np.expm1(ys * log_w + vs[pos]) + t[pos] * (1.0 - ys * c)
+        num[pos] = -np.expm1(ys * log_w + v[pos]) + t[pos] * (1.0 - ys * c)
     if not pos.all():
         neg = ~pos
         log_aw = _col([math.log(-wi) if wi < 0.0 else -math.inf for wi in w if not wi > 0.0])
@@ -194,7 +189,7 @@ def _trunc_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
         pw = np.where(ys == 0, 1.0, pw)
         ev = _col([math.exp(x) for x, wi in zip(nodes, w) if not wi > 0.0])
         num[neg] = 1.0 + t[neg] - t[neg] * ys * c - pw * ev
-    return _finish(v, ys, vs, nodes, t, num, c, lambda: _trunc_f_limit(ys, p, which))
+    return _finish(ys, v, nodes, t, num, c, lambda: _trunc_f_limit(ys, p, which))
 
 
 def _trunc_breaks(p: float) -> np.ndarray:
@@ -408,11 +403,11 @@ def r_p(x, p: float):
     d = 1.0 - p
     v_t = math.log1p(2.0 * p)
 
-    def fv(v: float) -> np.ndarray:
-        emv = math.exp(-v)
-        t = -math.expm1(-v)
-        ratio = d / (1.0 - p * emv)
-        return np.exp(-xs * v) * (1.0 - ratio**xs) / (t * v)
+    def fv(v: np.ndarray) -> np.ndarray:
+        nodes = v[:, 0].tolist()
+        ratio = _col([d / (1.0 - p * math.exp(-x)) for x in nodes])
+        tv = _col([-math.expm1(-x) * x for x in nodes])
+        return np.exp(-xs * v) * (1.0 - ratio**xs) / tv
 
     val, _ = integrate_exp_tail(fv, v_t, span=60.0, abs_tol=1e-12, left_cluster=False)
     return float(val[0]) if scalar else val
@@ -422,8 +417,8 @@ def r_p_envelope(p: float) -> float:
     """I_p = int_T^1 dt / (-t log(1-t)); R_p(x) <= (1+2p)^-(x-1) * I_p."""
     v_t = math.log1p(2.0 * p)
 
-    def fv(v: float) -> float:
-        return math.exp(-v) / (-math.expm1(-v) * v)
+    def fv(v: np.ndarray) -> np.ndarray:
+        return np.array([math.exp(-x) / (-math.expm1(-x) * x) for x in v[:, 0].tolist()])
 
     val, _ = integrate_exp_tail(fv, v_t, span=60.0, abs_tol=1e-12, left_cluster=False)
     return float(val)
@@ -536,13 +531,6 @@ class DualDistribution:
         out = np.where(yi == 0, 0.0, out)
         return float(out[0]) if scalar else out
 
-    @property
-    def log_weights(self) -> np.ndarray:
-        """Cached log a(y) for y = support_start..Y_max (copy)."""
-        y_max = self.truncation[0]
-        ys = np.arange(self.support_start, y_max + 1)
-        return self.log_weight(ys)
-
     def log_pmf(self, y):
         ys, scalar = _as_y_array(y)
         yi = ys.astype(np.int64)
@@ -559,19 +547,23 @@ class DualDistribution:
         return float(out[0]) if scalar else out
 
 
+# The dual series stop once the geometric tail bound falls below this share
+# of the partial sum, and give up (series_converged False) after this many
+# terms.
+_SERIES_REL_TOL = 1e-12
+_SERIES_HARD_CAP = 2_000_000
+
+
 def build_dual(
     variant: DualVariant,
     p: float,
     q: float,
     delta: float = 1.0,
-    *,
-    series_rel_tol: float = 1e-12,
-    hard_cap: int = 2_000_000,
 ) -> DualDistribution:
     """Construct the dual: sum its normalizer and mean series off the cached
     weight table.
 
-    On hard_cap exhaustion the distribution is still returned with
+    On _SERIES_HARD_CAP exhaustion the distribution is still returned with
     series_converged False and the unresolved tail bound in truncation;
     the caller decides whether to accept it.
     """
@@ -590,7 +582,7 @@ def build_dual(
     # to push the relative tail under 1e-12 (the weights decay like
     # q^y / sqrt(y)); refuse upfront when even an underestimate of that
     # exceeds the cap, rather than paying for a doomed summation.
-    if 25.0 / (1.0 - q) > hard_cap:
+    if 25.0 / (1.0 - q) > _SERIES_HARD_CAP:
         return dual(math.nan, math.nan, (0, math.inf), False)
     logq = math.log(q)
     shift = _SPECS[variant].weight_shift(p)
@@ -609,11 +601,9 @@ def build_dual(
     def ratio_mean(ys: np.ndarray) -> np.ndarray:
         return ratio(ys) * (ys + 1.0) / ys
 
-    norm = sum_series(
-        SeriesSpec(log_term, 1, series_rel_tol, ratio, hard_cap)
-    )
+    norm = sum_series(SeriesSpec(log_term, 1, ratio, _SERIES_REL_TOL, _SERIES_HARD_CAP))
     mean_num = sum_series(
-        SeriesSpec(log_term_mean, 1, series_rel_tol, ratio_mean, hard_cap)
+        SeriesSpec(log_term_mean, 1, ratio_mean, _SERIES_REL_TOL, _SERIES_HARD_CAP)
     )
     if variant in _DELETION_VARIANTS:
         log_normalizer = float(np.logaddexp(math.log(delta), norm.log_sum))
@@ -637,18 +627,6 @@ def _check_pairing(channel: RepeatChannel, dual: DualDistribution) -> None:
         raise ValueError("channel and dual disagree on p")
 
 
-def _log_pgf_unrestricted(channel: RepeatChannel, x: int, z: float) -> float:
-    # Analytic continuation of the pgf to z > 1, for Chernoff tail bounds.
-    p = channel.p
-    if channel.family is Family.GEOMETRIC_STICKY:
-        return x * (math.log(z) + math.log1p(-p) - math.log1p(-p * z))
-    if channel.family is Family.ELEMENTARY_DUPLICATION:
-        return x * (math.log(z) + math.log(1.0 - p + p * z))
-    if channel.family is Family.GEOMETRIC_DELETION:
-        return x * (math.log1p(-p) - math.log1p(-p * z))
-    raise ValueError(f"no pgf for {channel.family.value}")
-
-
 def _tail_mass_bound(channel: RepeatChannel, x: int, cutoff: int) -> float:
     """Chernoff bound on P(Y_x > cutoff) via min_z pgf(z) / z^cutoff."""
     p = channel.p
@@ -660,7 +638,7 @@ def _tail_mass_bound(channel: RepeatChannel, x: int, cutoff: int) -> float:
         zs = tuple(1.0 + (1.0 / p - 1.0) * f for f in (0.25, 0.5, 0.75))
     best = math.inf
     for z in zs:
-        log_bound = _log_pgf_unrestricted(channel, x, z) - cutoff * math.log(z)
+        log_bound = x * math.log(_pgf_factor(channel, z)) - cutoff * math.log(z)
         best = min(best, math.exp(min(log_bound, 700.0)))
     return best
 

@@ -13,12 +13,11 @@ only has to integrate smooth functions over finite subintervals of [0, 1]
 (infinite or non-unit ranges are mapped affinely first).
 
 The quadrature rule is the 7-point Gauss / 15-point Kronrod pair with
-adaptive bisection.  All nodes are interior, so the integrand is never
+adaptive bisection.  Every integrand takes the 15 nodes of one panel at
+once, as a (15, 1) column, and returns one row per node, so each panel
+costs one call.  All nodes are interior, so the integrand is never
 evaluated at panel endpoints; analytic endpoint limits supplied by the
-caller are used as substitutes if an evaluation adjacent to an endpoint
-fails to be finite.  An integrand that accepts a (15, 1) column of nodes
-is evaluated once per panel (see QuadratureProblem); any other integrand,
-and any panel with a non-finite value, is evaluated node by node.
+caller stand in for rows that are not finite at nodes next to an endpoint.
 
 Series are summed in log-space (streaming log-sum-exp) with a geometric
 tail bound term(Y)*r/(1-r) controlling truncation, which is valid because
@@ -120,21 +119,15 @@ class QuadratureError(RuntimeError):
 class QuadratureProblem:
     """An integral over a subinterval of [0, 1] with optional endpoint data.
 
-    integrand(t) may return a float or a 1-D array (a stack of integrands
-    sharing the same variable; they are integrated componentwise and the
-    error estimate is the worst component).  endpoint_limits, when given,
-    are the analytic limits of the integrand at lo and hi; they are only
-    consulted if an evaluation next to an endpoint is non-finite, since the
-    Kronrod nodes themselves never touch panel boundaries.
-
-    An integrand may also accept the 15 nodes of a panel at once, as a
-    (15, 1) column t, and return one row per node: shape (15, m) for an
-    m-vector integrand, (15,) for a scalar one.  integrate finds this out
-    by calling it: the column call must not raise TypeError or ValueError,
-    must have that shape, and its middle row must equal a scalar call at
-    the middle node.  Otherwise, and for every panel with a non-finite
-    value, the integrand is called once per node, so endpoint limits and
-    non-finite errors behave the same either way.
+    integrand(t) receives the 15 Kronrod nodes of one panel as a (15, 1)
+    column and returns one row per node: shape (15,) for a scalar integral,
+    or (15, m) for a stack of m integrals sharing the same variable (they
+    are integrated componentwise and the error estimate is the worst
+    component).  endpoint_limits, when given, are the analytic limits of
+    the integrand at lo and hi; a row that is not finite takes the limit of
+    an endpoint within 1e-9 (hi - lo) of its node, since the Kronrod nodes
+    themselves never touch panel boundaries.  Any other non-finite row is a
+    QuadratureError.
     """
 
     integrand: Callable
@@ -150,60 +143,43 @@ class QuadratureProblem:
             raise ValueError("abs_tol must be positive")
 
 
-def _eval_node(problem: QuadratureProblem, t: float):
-    val = np.asarray(problem.integrand(t), dtype=float)
-    if np.all(np.isfinite(val)):
-        return val
-    lo, hi = problem.interval
-    if problem.endpoint_limits is not None:
-        lim_lo, lim_hi = problem.endpoint_limits
-        tol = 1e-9 * (hi - lo)
-        if lim_lo is not None and abs(t - lo) <= tol:
-            return np.broadcast_to(np.asarray(lim_lo, dtype=float), val.shape).copy()
-        if lim_hi is not None and abs(hi - t) <= tol:
-            return np.broadcast_to(np.asarray(lim_hi, dtype=float), val.shape).copy()
-    raise QuadratureError(f"integrand returned a non-finite value at t = {t!r}")
-
-
 def _panel_nodes(a: float, b: float) -> tuple[float, np.ndarray]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     return half, mid + half * _NODES15
 
 
-def _eval_column(problem: QuadratureProblem, ts: np.ndarray, shape: tuple):
-    """integrand at the node column ts as (15, *shape) values, or None when
-    it cannot take a column or returns another shape."""
-    try:
-        vals = np.asarray(problem.integrand(ts[:, None]), dtype=float)
-    except (TypeError, ValueError):
-        return None
-    return vals if vals.shape == (15, *shape) else None
+def _eval_column(problem: QuadratureProblem, ts: np.ndarray) -> np.ndarray:
+    """The integrand at the node column ts, with endpoint limits standing in
+    for non-finite rows next to an endpoint."""
+    vals = np.asarray(problem.integrand(ts[:, None]), dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[0] != 15:
+        raise ValueError(
+            "an integrand takes a (15, 1) node column and returns shape (15,) "
+            f"or (15, m); got shape {vals.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(vals.reshape(15, -1)).all(axis=1))
+    if bad.size == 0:
+        return vals
+    vals = vals.copy()  # the integrand may hand back an array it keeps
+    lo, hi = problem.interval
+    lim_lo, lim_hi = problem.endpoint_limits or (None, None)
+    tol = 1e-9 * (hi - lo)
+    for i in bad:
+        t = float(ts[i])
+        if lim_lo is not None and abs(t - lo) <= tol:
+            vals[i] = lim_lo
+        elif lim_hi is not None and abs(hi - t) <= tol:
+            vals[i] = lim_hi
+        else:
+            raise QuadratureError(f"integrand returned a non-finite value at t = {t!r}")
+    return vals
 
 
-def _probe_column(problem: QuadratureProblem, a: float, b: float):
-    """(value shape, first panel's node values) when the integrand evaluates
-    a node column as it evaluates single nodes (checked at the middle node
-    of panel [a, b]), else (None, None)."""
-    _, ts = _panel_nodes(a, b)
-    one = np.asarray(problem.integrand(float(ts[7])), dtype=float)
-    vals = _eval_column(problem, ts, one.shape)
-    if vals is None or not np.array_equal(vals[7], one, equal_nan=True):
-        return None, None
-    return one.shape, vals
-
-
-def _panel(problem: QuadratureProblem, a: float, b: float, shape=None, stack=None):
-    """K15 value, |K15 - G7| and |K15| of one panel.
-
-    shape is the value shape of a column-capable integrand (None: call it
-    node by node); stack, when given, holds the panel's node values.
-    """
+def _panel(problem: QuadratureProblem, a: float, b: float):
+    """K15 value, |K15 - G7| and |K15| of one panel."""
     half, ts = _panel_nodes(a, b)
-    if stack is None and shape is not None:
-        stack = _eval_column(problem, ts, shape)
-    if stack is None or not np.all(np.isfinite(stack)):
-        stack = np.stack([_eval_node(problem, float(t)) for t in ts], axis=0)
+    stack = _eval_column(problem, ts)
     kg = half * (_KG_WEIGHTS @ stack.reshape(15, -1))
     k15 = kg[0].reshape(stack.shape[1:]).copy()  # not a view pinning kg
     err = float(np.max(np.abs(kg[0] - kg[1])))
@@ -231,12 +207,10 @@ def integrate(
     else:
         inner = [float(x) for x in breakpoints if lo < x < hi]
         edges = sorted({lo, hi, *inner})
-    shape, stack = _probe_column(problem, edges[0], edges[1])
     heap = []
     counter = 0
     for a, b in zip(edges[:-1], edges[1:]):
-        k15, err, mag = _panel(problem, a, b, shape, stack)
-        stack = None
+        k15, err, mag = _panel(problem, a, b)
         heapq.heappush(heap, (-err, counter, a, b, k15, err, mag))
         counter += 1
     while True:
@@ -255,7 +229,7 @@ def integrate(
         _, _, a, b, _, _, _ = heapq.heappop(heap)
         m = 0.5 * (a + b)
         for aa, bb in ((a, m), (m, b)):
-            k15, err, mag = _panel(problem, aa, bb, shape)
+            k15, err, mag = _panel(problem, aa, bb)
             heapq.heappush(heap, (-err, counter, aa, bb, k15, err, mag))
             counter += 1
     value = _heap_sum(heap)
@@ -288,7 +262,7 @@ def integrate_mapped(
     if not (span > 0.0 and math.isfinite(span)):
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
 
-    def mapped(u: float):
+    def mapped(u: np.ndarray) -> np.ndarray:
         return np.asarray(fv(lo + span * u), dtype=float) * span
 
     limits = None
@@ -366,7 +340,7 @@ def log_gamma_via_integral(z: float, tol: float = 1e-10) -> float:
         return 0.0
     zf = float(z)
 
-    def fv(v: float) -> float:
+    def node(v: float) -> float:
         if v < 1e-12:
             return zf * (zf - 1.0) / 2.0
         dt = np.longdouble if v < 1e-3 else float
@@ -377,7 +351,7 @@ def log_gamma_via_integral(z: float, tol: float = 1e-10) -> float:
         return float(num / (t * vv) * np.exp(-vv))
 
     value, _ = integrate_exp_tail(
-        fv,
+        lambda v: np.array([node(x) for x in v[:, 0].tolist()]),
         0.0,
         abs_tol=tol,
         endpoint_limits=(zf * (zf - 1.0) / 2.0, 0.0),
@@ -417,8 +391,8 @@ def eta_integral(z: float) -> float:
         raise ValueError(f"eta_integral requires z in (0, 1), got {z}")
     a = -math.log(z)
 
-    def fu(u: float) -> float:
-        return math.exp(-u) / (-math.expm1(-u) * u)
+    def fu(u: np.ndarray) -> np.ndarray:
+        return np.array([math.exp(-x) / (-math.expm1(-x) * x) for x in u[:, 0].tolist()])
 
     value, _ = integrate_exp_tail(fu, a, span=70.0, abs_tol=1e-11, left_cluster=False)
     return -float(value)
@@ -431,14 +405,19 @@ class SeriesSpec:
     geometric_tail_ratio_bound(y) must upper-bound term(y+1)/term(y) and be
     eventually < 1; the summation stops at the first index where the implied
     geometric tail term(y) * r/(1-r) drops below rel_tol times the partial
-    sum.  log_term and the ratio bound are called with integer arrays.
+    sum.  log_term and the ratio bound are called with integer arrays and
+    return float arrays of the same shape.
     """
 
     log_term: Callable
     start_index: int
+    geometric_tail_ratio_bound: Callable
     rel_tol: float = 1e-12
-    geometric_tail_ratio_bound: Callable | None = None
     hard_cap: int = 2_000_000
+
+
+# The largest block of terms sum_series reads at once.
+_MAX_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -449,39 +428,28 @@ class SeriesResult:
     converged: bool
 
 
-def _call_indexed(fn: Callable, ys: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(fn(ys), dtype=float)
-        if out.shape == ys.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(int(y))) for y in ys], dtype=float)
-
-
-def sum_series(spec: SeriesSpec, block: int = 4096) -> SeriesResult:
+def sum_series(spec: SeriesSpec) -> SeriesResult:
     """Sum the series in log-space; see SeriesSpec for the stopping rule.
 
-    Terms are read in blocks that start at 256 and double up to block, so
-    a short series reads (and makes its caller tabulate) few terms.
+    Terms are read in blocks that start at 256 and double up to
+    _MAX_BLOCK, so a short series reads (and makes its caller tabulate) few
+    terms.
     """
-    if spec.geometric_tail_ratio_bound is None:
-        raise ValueError("SeriesSpec.geometric_tail_ratio_bound is required")
     log_rel = math.log(spec.rel_tol)
     log_sum = -math.inf
     used = 0
     y = int(spec.start_index)
     last_tail = math.inf
-    size = min(256, block)
+    size = 256
     while used < spec.hard_cap:
         n = min(size, spec.hard_cap - used)
-        size = min(2 * size, block)
+        size = min(2 * size, _MAX_BLOCK)
         ys = np.arange(y, y + n, dtype=np.int64)
-        lt = _call_indexed(spec.log_term, ys)
+        lt = spec.log_term(ys)
         if np.any(np.isnan(lt)):
             raise ValueError("log_term returned NaN")
         prefix = np.logaddexp.accumulate(np.concatenate(([log_sum], lt)))[1:]
-        r = _call_indexed(spec.geometric_tail_ratio_bound, ys)
+        r = spec.geometric_tail_ratio_bound(ys)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_tail = np.where(r < 1.0, lt + np.log(r) - np.log1p(-r), math.inf)
         log_tail = np.where(np.isnan(log_tail), -math.inf, log_tail)  # r == 0, term == 0

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from repeatcap import bounds, duals, numerics
-from repeatcap.channels import Family, RepeatChannel, output_mean
+from repeatcap.channels import (
+    Family,
+    RepeatChannel,
+    output_log_pmf,
+    output_mean,
+    output_stddev,
+)
 from repeatcap.duals import (
     DualVariant,
     build_dual,
@@ -241,6 +247,21 @@ def test_kl_divergence_family_mismatch():
         kl_divergence(channel, 1, dual)
 
 
+@pytest.mark.parametrize("family", (
+    Family.GEOMETRIC_STICKY, Family.ELEMENTARY_DUPLICATION, Family.GEOMETRIC_DELETION,
+))
+@pytest.mark.parametrize("p", (0.3, 0.9))
+@pytest.mark.parametrize("x", (1, 5, 40))
+def test_chernoff_tail_bound_covers_the_exact_tail(family, p, x):
+    channel = RepeatChannel(family, p)
+    mean, std = output_mean(channel, x), output_stddev(channel, x)
+    ys = np.arange(0, int(mean + 80.0 * std) + 200)
+    pmf = np.exp(output_log_pmf(channel, x, ys))
+    for cutoff in sorted({int(mean + k * std) for k in (0.5, 3.0, 8.0)} | {2 * x}):
+        exact = float(np.sum(pmf[ys > cutoff]))
+        assert duals._tail_mass_bound(channel, x, cutoff) >= exact, cutoff
+
+
 def test_zero_gap_sticky_and_duplication():
     grid_p = (0.1, 0.3, 0.5, 0.7)
     grid_q = (0.3, 0.6, 0.9)
@@ -373,13 +394,11 @@ def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
     def per_node(problem, **kwargs):
         inner = problem.integrand
 
-        def scalar_only(t):
-            if np.ndim(t) > 0:
-                raise TypeError("one node at a time")
-            nodes.append(t)
-            return inner(t)
+        def one_node_per_call(t):
+            nodes.extend(t[:, 0])
+            return np.concatenate([inner(t[i : i + 1]) for i in range(len(t))])
 
-        return integrate(dataclasses.replace(problem, integrand=scalar_only), **kwargs)
+        return integrate(dataclasses.replace(problem, integrand=one_node_per_call), **kwargs)
 
     monkeypatch.setattr(numerics, "integrate", per_node)
     reference = duals._STable(variant, p).upto(1024)

@@ -94,10 +94,27 @@ def test_eta_integral():
 
 
 def test_integrate_constant_and_linear():
-    val, err = integrate(QuadratureProblem(lambda t: 1.0, (0.0, 1.0)))
+    val, err = integrate(QuadratureProblem(lambda t: np.ones(len(t)), (0.0, 1.0)))
     assert abs(val - 1.0) <= max(1e-14, err)
-    val, err = integrate(QuadratureProblem(lambda t: t, (0.0, 1.0)))
+    val, err = integrate(QuadratureProblem(lambda t: t[:, 0], (0.0, 1.0)))
     assert abs(val - 0.5) <= max(1e-14, err)
+
+
+def test_integrate_calls_once_per_panel_with_a_node_column():
+    shapes = []
+
+    def integrand(t):
+        shapes.append(t.shape)
+        return np.ones(len(t))
+
+    val, _ = integrate(QuadratureProblem(integrand, (0.0, 1.0)), breakpoints=[0.5])
+    assert abs(val - 1.0) <= 1e-14
+    assert shapes == [(15, 1), (15, 1)]
+
+
+def test_integrate_rejects_a_per_node_integrand():
+    with pytest.raises(ValueError, match="column"):
+        integrate(QuadratureProblem(lambda t: 1.0, (0.0, 1.0)))
 
 
 def test_integrate_polynomials_exact():
@@ -114,7 +131,7 @@ def test_integrate_polynomials_exact():
 
 def test_integrate_vector_integrand():
     val, err = integrate(
-        QuadratureProblem(lambda t: np.array([1.0, t, t * t]), (0.0, 1.0))
+        QuadratureProblem(lambda t: np.hstack([np.ones_like(t), t, t * t]), (0.0, 1.0))
     )
     assert np.allclose(val, [1.0, 0.5, 1.0 / 3.0], atol=1e-12)
     assert err <= 1e-10
@@ -140,7 +157,7 @@ def test_integrate_batched_endpoint_limit():
     problem = QuadratureProblem(integrand, (0.0, 1.0), endpoint_limits=([1.0, 2.0], None))
     val, err = integrate(problem, breakpoints=[1e-12])
     assert np.allclose(val, [math.sin(1.0), 2.0 * math.sin(1.0)], rtol=0.0, atol=max(err, 1e-13))
-    assert sum(calls) > 1  # panels past the probe went in as columns
+    assert sum(calls) > 1  # every panel went in as a column
 
 
 def test_integrate_batched_interior_nan_raises():
