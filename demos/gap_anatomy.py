@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 
 from repeatcap.bounds import BoundVariant, deletion_delta
-from repeatcap.channels import Family, RepeatChannel
-from repeatcap.duals import DualVariant, build_dual, kl_gap_profile, r_p
+from repeatcap.channels import Family, RepeatChannel, output_mean
+from repeatcap.duals import DualVariant, build_dual, kl_divergence, kl_gap_profile, r_p
 
 print("1. zero-gap duals (p = 0.3, q = 0.6), gaps in nats")
 for family, variant in (
@@ -47,12 +47,18 @@ channel = RepeatChannel(Family.GEOMETRIC_DELETION, p)
 delta = deletion_delta(p, BoundVariant.GEOMDEL_CONV, "recommended")
 print(f"  recommended delta = {delta:.6f}, d = {d}")
 base = kl_gap_profile(channel, build_dual(DualVariant.GEOMDEL_CONVEXITY, p, q), 12)
-mod = kl_gap_profile(
-    channel, build_dual(DualVariant.GEOMDEL_CONVEXITY, p, q, delta=delta), 12
-)
+mod_dual = build_dual(DualVariant.GEOMDEL_CONVEXITY, p, q, delta=delta)
+mod = kl_gap_profile(channel, mod_dual, 12)
+# "modified" sums D_KL(Y_x || modified dual) directly; "predicted" shifts
+# the delta = 1 gap by -d log(delta) + d^x log(delta).
 print(f"  {'x':>3} {'Delta(x)':>11} {'modified':>11} {'predicted shift':>16}")
 for x in range(1, 13):
+    direct = (
+        mod.line_intercept
+        + mod.line_slope * output_mean(channel, x)
+        - kl_divergence(channel, x, mod_dual)
+    )
     predicted = base.gaps[x] - d * math.log(delta) + d**x * math.log(delta)
-    print(f"  {x:>3} {base.gaps[x]:>11.6f} {mod.gaps[x]:>11.6f} {predicted:>16.6f}")
+    print(f"  {x:>3} {base.gaps[x]:>11.6f} {direct:>11.6f} {predicted:>16.6f}")
 worst = min(min(mod.gaps.values()), mod.limit_candidate)
 print(f"  epsilon paid by the bound: inf over x of the modified gap = {worst:.6f}")

@@ -55,8 +55,11 @@ from repeatcap import tables
 from repeatcap.channels import Family, RepeatChannel, reduction_params
 from repeatcap.duals import (
     _DELTA_SCANS,
+    _EPS_SCAN_X_MAX,
     _SPECS,
     DualVariant,
+    _delta_rule,
+    _infimum,
     build_dual,
     convexity_gap_scan,
     r_p,
@@ -64,7 +67,6 @@ from repeatcap.duals import (
 from repeatcap.numerics import QuadratureError, maximize_concave
 
 _LOG2 = math.log(2.0)
-_EPS_SCAN_X_MAX = 500
 
 
 class BoundVariant(enum.Enum):
@@ -174,22 +176,6 @@ def _delta_scan(p: float, x_max: int = _EPS_SCAN_X_MAX) -> np.ndarray:
     with _SCAN_LOCK:
         _DELTA_SCANS[key] = scan
     return scan
-
-
-def _epsilon_inf_modified(
-    gap_scan: np.ndarray, d: float, log_delta: float, gap_limit: float
-) -> tuple[float, str]:
-    """inf over x of gap(x) - d log delta + d^x log delta, against the
-    analytic x -> infinity limit; returns the inf and where it was attained."""
-    xs = np.arange(1, gap_scan.size + 1, dtype=float)
-    with np.errstate(under="ignore"):
-        modified = gap_scan - d * log_delta + d**xs * log_delta
-    i = int(np.argmin(modified))
-    scan_min = float(modified[i])
-    limit = gap_limit - d * log_delta
-    if limit < scan_min:
-        return limit, "limit"
-    return scan_min, f"x={i + 1}"
 
 
 def _sticky_value(log_norm, mu, log_q, d, log_delta, eps):
@@ -308,8 +294,7 @@ def _pieces(p: float, variant: BoundVariant) -> _Pieces:
         return _Pieces(con, 1.0, 0.0, threshold)
     scan = con.gap_scan(p, _EPS_SCAN_X_MAX)
     delta = _delta(con, p, "recommended", scan)
-    limit = _SPECS[con.dual].gap_limit(p)
-    eps, _attained = _epsilon_inf_modified(scan, 1.0 - p, math.log(delta), limit)
+    eps = _infimum(*_delta_rule(scan, _SPECS[con.dual].gap_limit(p), p, delta))
     return _Pieces(con, delta, eps, threshold)
 
 

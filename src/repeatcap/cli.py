@@ -319,11 +319,9 @@ def _cmd_klgap(params: dict) -> int:
             raise ValueError("delta rules only apply to deletion duals")
         (variant,) = _optimized(family)
         delta = 1.0
+    # The gaps and their limit do not depend on q or on the dual's series,
+    # so a dual whose series did not converge still has a profile.
     dual = build_dual(_CONSTRUCTIONS[variant].dual, p, q, delta=delta)
-    if not dual.series_converged:
-        raise BoundComputationError(
-            f"dual series did not converge at q = {q} (too close to 1)"
-        )
     profile = kl_gap_profile(RepeatChannel(family, p), dual, x_max)
     rows = [(str(x), repr(profile.gaps[x])) for x in range(1, x_max + 1)]
     rows.append(("limit", repr(profile.limit_candidate)))

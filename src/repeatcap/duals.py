@@ -22,14 +22,19 @@ numerics), with numerators regrouped through expm1/log1p so the t -> 0
 cancellation stays benign, and with analytic Taylor limits taking over
 where even that form runs out of mantissa.
 
-A dual may have its mass at y = 0 rescaled to alpha*delta (delta in (0,1]);
-the normalizers then satisfy 1/alpha = delta + 1/y0 - 1 and the KL-gap
-transforms as Delta_delta(x) = Delta(x) - d log delta + d^x log delta with
-d = 1 - p.
-
 Everything q-independent (the Lambda values, hence the shifted log-weights
 S(y) = g(y) - y * rate) is cached per (variant, p) in lazily grown tables,
 because the bound optimization evaluates many q against the same table.
+
+The KL-gap is q-independent too: -log y0 and E[Y_x] log q cancel against
+the q^y weights, so Delta(x) = H(Y_x) + sum_{y>=1} Y_x(y) (S(y) + c), c the
+variant's constant weight shift.  gap_scan holds this identity for the conv
+and delta-d bounds, kl_gap_profile and epsilon_inf (the trunc bound reads its
+closed form r_p); kl_divergence sums the KL directly as an independent check.
+A dual may have its mass at y = 0 rescaled to alpha*delta (delta in (0,1]);
+the normalizers then satisfy 1/alpha = delta + 1/y0 - 1 and the gap becomes
+Delta_delta(x) = Delta(x) - d log delta + d^x log delta, d = 1 - p, written
+once in _delta_rule; _infimum takes its inf against the x -> infinity limit.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import enum
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -49,7 +54,6 @@ from repeatcap.channels import (
     Family,
     RepeatChannel,
     _pgf_factor,
-    output_mean,
 )
 from repeatcap.numerics import (
     SeriesSpec,
@@ -617,6 +621,13 @@ def build_dual(
     )
 
 
+# The gap scan behind eps covers x = 1.._EPS_SCAN_X_MAX; the analytic
+# limit stands in for larger x.  Truncated supports of Y_x may drop at most
+# _TAIL_MASS_TOL of its mass.
+_EPS_SCAN_X_MAX = 500
+_TAIL_MASS_TOL = 1e-12
+
+
 def _check_pairing(channel: RepeatChannel, dual: DualDistribution) -> None:
     if _VARIANT_FAMILY[dual.variant] is not channel.family:
         raise ValueError(
@@ -627,45 +638,98 @@ def _check_pairing(channel: RepeatChannel, dual: DualDistribution) -> None:
         raise ValueError("channel and dual disagree on p")
 
 
-def _tail_mass_bound(channel: RepeatChannel, x: int, cutoff: int) -> float:
-    """Chernoff bound on P(Y_x > cutoff) via min_z pgf(z) / z^cutoff."""
-    p = channel.p
+@lru_cache(maxsize=64)
+def _chernoff_logs(channel: RepeatChannel) -> tuple[tuple[float, float], ...]:
+    """(log pgf factor(z), log z) at the fixed points z > 1 _tail_mass_bound
+    minimizes over; they depend on the channel alone, and every x of a gap
+    scan reads them."""
     if channel.family is Family.ELEMENTARY_DUPLICATION:
-        if cutoff >= 2 * x:
-            return 0.0
         zs = (1.5, 2.0, 4.0, 8.0)
     else:
-        zs = tuple(1.0 + (1.0 / p - 1.0) * f for f in (0.25, 0.5, 0.75))
-    best = math.inf
-    for z in zs:
-        log_bound = x * math.log(_pgf_factor(channel, z)) - cutoff * math.log(z)
-        best = min(best, math.exp(min(log_bound, 700.0)))
-    return best
+        zs = tuple(1.0 + (1.0 / channel.p - 1.0) * f for f in (0.25, 0.5, 0.75))
+    return tuple((math.log(_pgf_factor(channel, z)), math.log(z)) for z in zs)
+
+
+def _tail_mass_bound(channel: RepeatChannel, x: int, cutoff: int) -> float:
+    """Chernoff bound on P(Y_x > cutoff) via min_z pgf(z) / z^cutoff."""
+    if channel.family is Family.ELEMENTARY_DUPLICATION and cutoff >= 2 * x:
+        return 0.0
+    log_bound = min(x * log_f - cutoff * log_z for log_f, log_z in _chernoff_logs(channel))
+    return math.exp(min(log_bound, 700.0))
+
+
+def _output_law(channel: RepeatChannel, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Y_x's truncated support ys, log Y_x(ys) and Y_x(ys).  ys ends at mean + 40
+    stddev, doubled (within the support) until the Chernoff tail clears 1e-12."""
+    law = ConditionalOutputLaw(channel, x)
+    ys = law.truncated_support(40.0)
+    while _tail_mass_bound(channel, x, int(ys[-1])) > _TAIL_MASS_TOL:
+        ys = np.arange(ys[0], min(2 * int(ys[-1]), law.support[1]) + 1, dtype=np.int64)
+    lp = law.log_pmf(ys)
+    return ys, lp, np.exp(lp)
 
 
 def kl_divergence(channel: RepeatChannel, x: int, dual: DualDistribution) -> float:
     """D_KL(Y_x || dual) in nats by summation over Y_x's truncated support.
 
-    The support is cut at mean + 40 stddev; the discarded mass is checked
-    against a Chernoff bound and must be below 1e-12.  Returns inf if Y_x
+    The support is _output_law's; the discarded mass is checked against a
+    Chernoff bound and must be below 1e-12.  Returns inf if Y_x
     puts mass where the dual has none (a pairing bug, not a number).
     """
     _check_pairing(channel, dual)
-    law = ConditionalOutputLaw(channel, x)
-    ys = law.truncated_support(40.0)
+    ys, lp, pm = _output_law(channel, x)
     tail = _tail_mass_bound(channel, x, int(ys[-1]))
-    if tail > 1e-12:
+    if tail > _TAIL_MASS_TOL:
         raise RuntimeError(
             f"truncated support leaves tail mass {tail:.2e} > 1e-12 for x = {x}"
         )
-    lp = law.log_pmf(ys)
-    pm = np.exp(lp)
     ld = dual.log_pmf(ys)
     live = pm > 0.0
     if np.any(live & np.isneginf(ld)):
         return math.inf
     contrib = np.where(live, pm * (lp - ld), 0.0)
     return float(np.sum(contrib))
+
+
+def gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
+    """Delta(x) at delta = 1 for x = 1..x_max for any dual variant, by the
+    identity in the module docstring.  The weight shift enters once, as a
+    scalar times P(Y_x >= 1)."""
+    if x_max < 1:
+        raise ValueError("x_max must be >= 1")
+    channel = RepeatChannel(_VARIANT_FAMILY[variant], p)
+    table = _get_table(variant, p)
+    shift = _SPECS[variant].weight_shift(p)
+    out = np.empty(x_max, dtype=float)
+    for x in range(1, x_max + 1):
+        ys, lp, pm = _output_law(channel, x)
+        entropy = -float(np.dot(pm, lp))
+        k = int(ys[0] == 0)  # ys is contiguous; S covers y >= 1 from index k
+        svals = table.upto(int(ys[-1]))[ys[k] - 1:]
+        out[x - 1] = entropy + float(np.dot(pm[k:], svals))
+        if shift:
+            out[x - 1] += shift * float(np.sum(pm[k:]))
+    return out
+
+
+def convexity_gap_scan(p: float, x_max: int) -> np.ndarray:
+    """gap_scan of the convexity deletion dual (the conv and delta-d bounds)."""
+    return gap_scan(DualVariant.GEOMDEL_CONVEXITY, p, x_max)
+
+
+def _delta_rule(gaps: np.ndarray, limit: float, p: float, delta: float):
+    """gaps (x = 1, 2, ...) and their limit with the mass at zero set to delta:
+    gap(x) - d log delta + d^x log delta and limit - d log delta, d = 1 - p."""
+    d = 1.0 - p
+    log_delta = math.log(delta)
+    xs = np.arange(1, gaps.size + 1, dtype=float)
+    with np.errstate(under="ignore"):
+        return gaps - d * log_delta + d**xs * log_delta, limit - d * log_delta
+
+
+def _infimum(gaps: np.ndarray, limit: float) -> float:
+    """inf over x >= 1 of the gap: the scan's minimum or the analytic limit."""
+    return min(float(np.min(gaps)), limit)
 
 
 @dataclass(frozen=True)
@@ -681,62 +745,28 @@ class KLGapProfile:
     line_slope: float
     line_intercept: float
     gaps: dict[int, float]
-    limit_candidate: float | None = None
+    limit_candidate: float
 
 
 def kl_gap_profile(
     channel: RepeatChannel, dual: DualDistribution, x_max: int
 ) -> KLGapProfile:
-    """Evaluate the KL-gap for x = 1..x_max against the dual's bound line."""
+    """The KL-gap for x = 1..x_max against the dual's bound line: the
+    variant's gap_scan under the dual's delta rule."""
     _check_pairing(channel, dual)
-    if x_max < 1:
-        raise ValueError("x_max must be >= 1")
-    slope = -math.log(dual.q)
-    d = 1.0 - dual.p
-    intercept = dual.log_normalizer
     limit = _SPECS[dual.variant].gap_limit(dual.p)
-    if dual.variant in _DELETION_VARIANTS:
-        intercept -= d * math.log(dual.delta)
-        limit -= d * math.log(dual.delta)
-    gaps: dict[int, float] = {}
-    for x in range(1, x_max + 1):
-        mu_x = output_mean(channel, x)
-        gaps[x] = intercept + slope * mu_x - kl_divergence(channel, x, dual)
+    gaps, limit = _delta_rule(gap_scan(dual.variant, dual.p, x_max), limit, dual.p, dual.delta)
     return KLGapProfile(
-        line_slope=slope, line_intercept=intercept, gaps=gaps, limit_candidate=limit
+        line_slope=-math.log(dual.q),
+        line_intercept=dual.log_normalizer - (1.0 - dual.p) * math.log(dual.delta),
+        gaps=dict(enumerate(gaps.tolist(), start=1)),
+        limit_candidate=limit,
     )
 
 
-def epsilon_inf(channel: RepeatChannel, dual: DualDistribution, x_max: int = 500) -> float:
+def epsilon_inf(
+    channel: RepeatChannel, dual: DualDistribution, x_max: int = _EPS_SCAN_X_MAX
+) -> float:
     """inf over x >= 1 of the KL-gap: min of the scan and the analytic limit."""
     profile = kl_gap_profile(channel, dual, x_max)
-    lo = min(profile.gaps.values())
-    if profile.limit_candidate is not None:
-        lo = min(lo, profile.limit_candidate)
-    return lo
-
-
-def convexity_gap_scan(p: float, x_max: int) -> np.ndarray:
-    """Delta(x) for x = 1..x_max for the convexity deletion dual.
-
-    The gap is independent of q (both -log y0 and the E[Y_x] log q term
-    cancel against the weight's q^y factor), so it reduces to
-    H(Y_x) + E[S(Y_x)] with S the cached q-free log-weight part.  This is
-    the fast path the bound optimizer uses; the generic route through
-    kl_gap_profile computes the same numbers from any built dual.
-    """
-    if x_max < 1:
-        raise ValueError("x_max must be >= 1")
-    channel = RepeatChannel(Family.GEOMETRIC_DELETION, p)
-    table = _get_table(DualVariant.GEOMDEL_CONVEXITY, p)
-    out = np.empty(x_max, dtype=float)
-    for x in range(1, x_max + 1):
-        law = ConditionalOutputLaw(channel, x)
-        ys = law.truncated_support(40.0)
-        lp = law.log_pmf(ys)
-        pm = np.exp(lp)
-        entropy = -float(np.dot(pm, lp))
-        pos = ys >= 1
-        svals = table.upto(int(ys[-1]))
-        out[x - 1] = entropy + float(np.dot(pm[pos], svals[ys[pos] - 1]))
-    return out
+    return _infimum(np.array(list(profile.gaps.values())), profile.limit_candidate)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repeatcap import bounds, duals
+from repeatcap import bounds, channels, duals
 from repeatcap.bounds import (
     BoundResult,
     BoundVariant,
@@ -149,8 +149,19 @@ def test_bench_hook_points(monkeypatch):
         return scan(p, x_max)
 
     monkeypatch.setattr(bounds, "convexity_gap_scan", counted)
+    # The benchmark counts channel-law work on channels.output_log_pmf; the
+    # gap scan must look it up there.
+    pmf_calls = []
+    pmf = channels.output_log_pmf
+
+    def counted_pmf(*args):
+        pmf_calls.append(args[1])
+        return pmf(*args)
+
+    monkeypatch.setattr(channels, "output_log_pmf", counted_pmf)
     compute_bound(Family.GEOMETRIC_DELETION, None, 0.5)
     assert calls == [(0.5, 500)]
+    assert len(pmf_calls) > 0
     assert bounds._DELTA_SCANS is duals._DELTA_SCANS
     for con in bounds._CONSTRUCTIONS.values():
         if con.dual is not None:

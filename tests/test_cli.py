@@ -216,6 +216,36 @@ def test_klgap_sticky_gaps_vanish(capsys):
     assert float(rows[-1][1]) == 0.0
 
 
+@pytest.mark.parametrize("family", ("sticky", "geomdel"))
+def test_klgap_at_small_p(capsys, family):
+    # At p = 0.05 the 40-stddev cut of Y_1 leaves a Chernoff tail bound of
+    # 5.9e-12; the support extends instead of failing.
+    code, out, _ = run_cli(
+        capsys, "klgap", "--family", family, "--p", "0.05", "--q", "0.5",
+        "--x-max", "5",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 7
+    if family == "sticky":
+        for r in rows[1:-1]:
+            assert abs(float(r[1])) <= 1e-6
+
+
+def test_klgap_does_not_depend_on_q(capsys):
+    # At q = 1 - 1e-7 the dual's series is refused upfront; the gap profile
+    # is q-free, so the CSV is the one printed at q = 0.5.
+    outs = []
+    for q in ("0.5", "0.9999999"):
+        code, out, _ = run_cli(
+            capsys, "klgap", "--family", "geomdel", "--p", "0.6", "--q", q,
+            "--x-max", "4",
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_klgap_trunc_delta_one_equals_remainder(capsys):
     code, out, _ = run_cli(
         capsys, "klgap", "--family", "geomdel", "--p", "0.3", "--q", "0.6",

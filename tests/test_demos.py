@@ -1,0 +1,23 @@
+"""Smoke tests: the demos run end to end against the package."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_gap_anatomy_demo_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "gap_anatomy.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "epsilon paid by the bound" in proc.stdout

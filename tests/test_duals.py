@@ -247,6 +247,20 @@ def test_kl_divergence_family_mismatch():
         kl_divergence(channel, 1, dual)
 
 
+@pytest.mark.parametrize("variant, p, x", (
+    (DualVariant.GEOMDEL_CONVEXITY, 0.05, 1),
+    (DualVariant.STICKY_ZERO_GAP, 0.05, 1),
+    (DualVariant.DUPLICATION_ZERO_GAP, 1e-3, 5),
+))
+def test_kl_divergence_at_small_p(variant, p, x):
+    # The 40-stddev cut leaves a Chernoff tail bound above 1e-12 here (the
+    # true tail is far smaller); the support extends past it instead of
+    # refusing.
+    channel = RepeatChannel(duals._VARIANT_FAMILY[variant], p)
+    kl = kl_divergence(channel, x, build_dual(variant, p, 0.5))
+    assert math.isfinite(kl) and kl >= 0.0
+
+
 @pytest.mark.parametrize("family", (
     Family.GEOMETRIC_STICKY, Family.ELEMENTARY_DUPLICATION, Family.GEOMETRIC_DELETION,
 ))
@@ -318,6 +332,44 @@ def test_delta_identity():
         # at x = 1 the modification changes nothing: -d log delta + d log delta
         mod = build_dual(DualVariant.GEOMDEL_CONVEXITY, p, 0.7, delta=0.3)
         assert abs(kl_gap_profile(channel, mod, 1).gaps[1] - base_profile.gaps[1]) <= 1e-9
+
+
+def _gap_cases():
+    for variant in DualVariant:
+        deletion = variant in duals._DELETION_VARIANTS
+        for p in (0.3, 0.6):
+            for delta in ((0.3, 1.0 - p, 1.0) if deletion else (1.0,)):
+                yield pytest.param(variant, p, delta, id=f"{variant.value}-{p}-{delta:.2g}")
+
+
+@pytest.mark.parametrize("variant, p, delta", _gap_cases())
+def test_gap_profile_matches_the_direct_kl_sum(variant, p, delta):
+    # The profile is the q-free gap scan under the delta rule; the direct
+    # route sums D_KL(Y_x || dual) over Y_x's support for a built dual.
+    channel = RepeatChannel(duals._VARIANT_FAMILY[variant], p)
+    dual = build_dual(variant, p, 0.6, delta=delta)
+    profile = kl_gap_profile(channel, dual, 20)
+    for x in range(1, 21):
+        direct = (
+            profile.line_intercept
+            + profile.line_slope * output_mean(channel, x)
+            - kl_divergence(channel, x, dual)
+        )
+        assert abs(profile.gaps[x] - direct) <= 1e-9, x
+
+
+def test_gap_profile_does_not_sum_the_kl(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kl_divergence called")
+
+    monkeypatch.setattr(duals, "kl_divergence", refuse)
+    channel = RepeatChannel(Family.GEOMETRIC_DELETION, 0.6)
+    dual = build_dual(DualVariant.GEOMDEL_CONVEXITY, 0.6, 0.7, delta=0.5)
+    profile = kl_gap_profile(channel, dual, 30)
+    assert len(profile.gaps) == 30
+    assert epsilon_inf(channel, dual, 30) == min(
+        min(profile.gaps.values()), profile.limit_candidate
+    )
 
 
 def test_convexity_gap_at_half_exceeds_limit():
