@@ -292,7 +292,12 @@ def _pieces(p: float, variant: BoundVariant) -> _Pieces:
     threshold = reduction_params(RepeatChannel(con.family, p)).lam
     if con.gap_scan is None:
         return _Pieces(con, 1.0, 0.0, threshold)
-    scan = con.gap_scan(p, _EPS_SCAN_X_MAX)
+    try:
+        scan = con.gap_scan(p, _EPS_SCAN_X_MAX)
+    except QuadratureError as exc:
+        raise BoundComputationError(
+            f"quadrature failure in the gap scan (p = {p}, {variant.value}): {exc}"
+        ) from exc
     delta = _delta(con, p, "recommended", scan)
     eps = _infimum(*_delta_rule(scan, _SPECS[con.dual].gap_limit(p), p, delta))
     return _Pieces(con, delta, eps, threshold)
@@ -442,13 +447,25 @@ def _bound_for(family: Family, variant: BoundVariant | None, p: float) -> BoundR
     _check_family(family, variant)
     if variant is BoundVariant.GEOMDEL_ELEMENTARY:
         return geomdel_elementary_bound(p)
-    # The family default is the best of its optimized constructions; the
-    # winner's identity stays in the variant field.
+    # The family default is the best of its optimized constructions that
+    # can be computed; the winner's identity stays in the variant field.
     candidates = _optimized(family) if variant is None else (variant,)
     if not candidates:
         raise ValueError(f"no capacity bound for family {family.value}")
     p = _validate_p(p)
-    return _best(_optimize(p, v) for v in candidates)
+    results, errors = [], []
+    for v in candidates:
+        try:
+            results.append(_optimize(p, v))
+        except BoundComputationError as exc:
+            errors.append(exc)
+    if results:
+        return _best(results)
+    if len(errors) == 1:
+        raise errors[0]
+    raise BoundComputationError(
+        "no construction could be computed: " + "; ".join(map(str, errors))
+    )
 
 
 def compute_bound(family, variant, p: float) -> BoundResult:
@@ -456,7 +473,9 @@ def compute_bound(family, variant, p: float) -> BoundResult:
 
     variant None or 'auto' picks the family default: the exact bound for
     sticky and duplication, the minimum over the three optimized
-    constructions for deletion.
+    constructions for deletion.  A deletion construction that raises
+    BoundComputationError drops out of that minimum; the error is raised
+    only when no construction can be computed.
     """
     return _bound_for(Family(family), as_bound_variant(variant), float(p))
 

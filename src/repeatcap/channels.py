@@ -97,12 +97,15 @@ def _require_input(x: int) -> int:
     return int(x)
 
 
-def output_log_pmf(channel: RepeatChannel, x: int, y):
+def output_log_pmf(channel: RepeatChannel, x: int, y, log_gamma=gammaln):
     """log Y_x(y) for the memoryless integer channel; -inf outside support.
 
     y may be a nonnegative integer or an array of them; the result matches
     its shape.  Everything is computed through log-gamma, never factorial
     products, so x in the hundreds stays exact to ~1e-13 relative.
+    log_gamma is only ever called on positive integers (Python ints or int64
+    arrays); a gap scan passes a lookup into one precomputed gammaln array,
+    which gives the same values bit for bit.
     """
     x = _require_input(x)
     y_arr = np.asarray(y)
@@ -117,9 +120,9 @@ def output_log_pmf(channel: RepeatChannel, x: int, y):
         mask = yy >= x
         ys = np.where(mask, yy, x)
         out = (
-            gammaln(ys)
-            - gammaln(x)
-            - gammaln(ys - x + 1)
+            log_gamma(ys)
+            - log_gamma(x)
+            - log_gamma(ys - x + 1)
             + x * log1mp
             + (ys - x) * logp
         )
@@ -127,15 +130,15 @@ def output_log_pmf(channel: RepeatChannel, x: int, y):
         mask = (yy >= x) & (yy <= 2 * x)
         ys = np.where(mask, yy, x)
         out = (
-            gammaln(x + 1)
-            - gammaln(ys - x + 1)
-            - gammaln(2 * x - ys + 1)
+            log_gamma(x + 1)
+            - log_gamma(ys - x + 1)
+            - log_gamma(2 * x - ys + 1)
             + (2 * x - ys) * log1mp
             + (ys - x) * logp
         )
     elif channel.family is Family.GEOMETRIC_DELETION:
         mask = np.ones_like(yy, dtype=bool)
-        out = gammaln(yy + x) - gammaln(x) - gammaln(yy + 1) + x * log1mp + yy * logp
+        out = log_gamma(yy + x) - log_gamma(x) - log_gamma(yy + 1) + x * log1mp + yy * logp
     else:
         raise ValueError(f"{channel.family.value} has no tabulated output law")
     out = np.where(mask, out, -math.inf)
@@ -245,7 +248,9 @@ class ConditionalOutputLaw:
 
     def truncated_support(self, n_std: float = 40.0) -> np.ndarray:
         """Integer grid from the support floor to mean + n_std stddevs."""
-        lo, hi = self.support
-        cap = self.mean + n_std * self.stddev
-        hi = min(hi, math.ceil(cap))
-        return np.arange(lo, int(hi) + 1, dtype=np.int64)
+        return np.arange(self.support[0], self.truncated_top(n_std) + 1, dtype=np.int64)
+
+    def truncated_top(self, n_std: float = 40.0) -> int:
+        """The last point of truncated_support: mean + n_std stddevs rounded
+        up, capped by the support."""
+        return int(min(self.support[1], math.ceil(self.mean + n_std * self.stddev)))

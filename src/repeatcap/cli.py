@@ -32,8 +32,8 @@ from repeatcap.bounds import (
     sweep,
     verify_tables,
 )
-from repeatcap.channels import Family, RepeatChannel
-from repeatcap.duals import build_dual, kl_gap_profile
+from repeatcap.channels import Family
+from repeatcap.duals import _SPECS, _delta_rule, gap_scan
 from repeatcap.numerics import QuadratureError
 from repeatcap import records
 from repeatcap.simulate import SimConfig, run_monte_carlo
@@ -114,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("klgap", help="KL-gap profile of a dual, CSV output")
     k.add_argument("--family", choices=sorted(_FAMILIES), default=argparse.SUPPRESS)
     k.add_argument("--p", type=float, default=argparse.SUPPRESS)
-    k.add_argument("--q", type=float, default=argparse.SUPPRESS)
+    k.add_argument("--q", type=float, default=argparse.SUPPRESS,
+                   help="accepted for compatibility; the gap does not depend on q")
     k.add_argument("--delta-rule", choices=("one", "recommended", "d"),
                    default=argparse.SUPPRESS,
                    help="mass-at-zero rule (deletion duals; default recommended)")
@@ -303,9 +304,11 @@ def _cmd_verify(params: dict) -> int:
 
 
 def _cmd_klgap(params: dict) -> int:
-    _require(params, "family", "p", "q")
+    _require(params, "family", "p")
     family = _family(params)
     p, q, x_max = params["p"], params["q"], params["x_max"]
+    if q is not None and not 0.0 < q < 1.0:
+        raise ValueError(f"q must be in (0, 1), got {q}")
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     rule = params["delta_rule"]
@@ -319,12 +322,14 @@ def _cmd_klgap(params: dict) -> int:
             raise ValueError("delta rules only apply to deletion duals")
         (variant,) = _optimized(family)
         delta = 1.0
-    # The gaps and their limit do not depend on q or on the dual's series,
-    # so a dual whose series did not converge still has a profile.
-    dual = build_dual(_CONSTRUCTIONS[variant].dual, p, q, delta=delta)
-    profile = kl_gap_profile(RepeatChannel(family, p), dual, x_max)
-    rows = [(str(x), repr(profile.gaps[x])) for x in range(1, x_max + 1)]
-    rows.append(("limit", repr(profile.limit_candidate)))
+    # The gaps and their limit depend on neither q nor the dual's series,
+    # so no dual is built: the CSV is the q-free scan under the delta rule.
+    dual = _CONSTRUCTIONS[variant].dual
+    gaps, limit = _delta_rule(
+        gap_scan(dual, p, x_max), _SPECS[dual].gap_limit(p), p, delta
+    )
+    rows = [(str(x), repr(g)) for x, g in enumerate(gaps.tolist(), start=1)]
+    rows.append(("limit", repr(limit)))
     _write_csv(params, records.KLGAP_CSV_HEADER, rows)
     return 0
 

@@ -30,7 +30,9 @@ The KL-gap is q-independent too: -log y0 and E[Y_x] log q cancel against
 the q^y weights, so Delta(x) = H(Y_x) + sum_{y>=1} Y_x(y) (S(y) + c), c the
 variant's constant weight shift.  gap_scan holds this identity for the conv
 and delta-d bounds, kl_gap_profile and epsilon_inf (the trunc bound reads its
-closed form r_p); kl_divergence sums the KL directly as an independent check.
+closed form r_p); it reads log Y_x(y) for every x from one log-gamma array
+built once per scan.  kl_divergence sums the KL directly, through scipy's
+gammaln, as an independent check.
 A dual may have its mass at y = 0 rescaled to alpha*delta (delta in (0,1]);
 the normalizers then satisfy 1/alpha = delta + 1/y0 - 1 and the gap becomes
 Delta_delta(x) = Delta(x) - d log delta + d^x log delta, d = 1 - p, written
@@ -49,6 +51,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
+from repeatcap import channels
 from repeatcap.channels import (
     ConditionalOutputLaw,
     Family,
@@ -658,14 +661,25 @@ def _tail_mass_bound(channel: RepeatChannel, x: int, cutoff: int) -> float:
     return math.exp(min(log_bound, 700.0))
 
 
-def _output_law(channel: RepeatChannel, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Y_x's truncated support ys, log Y_x(ys) and Y_x(ys).  ys ends at mean + 40
-    stddev, doubled (within the support) until the Chernoff tail clears 1e-12."""
+def _support_range(channel: RepeatChannel, x: int) -> tuple[int, int]:
+    """First and last point of Y_x's truncated support: the last ends at mean
+    + 40 stddev, doubled (within the support) until the Chernoff tail clears
+    1e-12."""
     law = ConditionalOutputLaw(channel, x)
-    ys = law.truncated_support(40.0)
-    while _tail_mass_bound(channel, x, int(ys[-1])) > _TAIL_MASS_TOL:
-        ys = np.arange(ys[0], min(2 * int(ys[-1]), law.support[1]) + 1, dtype=np.int64)
-    lp = law.log_pmf(ys)
+    (lo, top), hi = law.support, law.truncated_top(40.0)
+    while _tail_mass_bound(channel, x, hi) > _TAIL_MASS_TOL:
+        hi = int(min(2 * hi, top))
+    return lo, hi
+
+
+def _output_law(
+    channel: RepeatChannel, x: int, span=None, log_gamma=gammaln
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Y_x's truncated support ys, log Y_x(ys) and Y_x(ys); span is
+    _support_range's (lo, hi), computed here when not given."""
+    lo, hi = _support_range(channel, x) if span is None else span
+    ys = np.arange(lo, hi + 1, dtype=np.int64)
+    lp = channels.output_log_pmf(channel, x, ys, log_gamma)
     return ys, lp, np.exp(lp)
 
 
@@ -694,15 +708,22 @@ def kl_divergence(channel: RepeatChannel, x: int, dual: DualDistribution) -> flo
 def gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
     """Delta(x) at delta = 1 for x = 1..x_max for any dual variant, by the
     identity in the module docstring.  The weight shift enters once, as a
-    scalar times P(Y_x >= 1)."""
+    scalar times P(Y_x >= 1).
+
+    Every log-gamma argument of log Y_x(y) on the truncated support is an
+    integer at most hi + x, so the scan evaluates gammaln once, on
+    0..max hi + x_max + 1, and each x reads that array (equal to gammaln's
+    value bit for bit) instead of calling gammaln over its whole support."""
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
     channel = RepeatChannel(_VARIANT_FAMILY[variant], p)
     table = _get_table(variant, p)
     shift = _SPECS[variant].weight_shift(p)
+    spans = [_support_range(channel, x) for x in range(1, x_max + 1)]
+    log_gamma = gammaln(np.arange(max(hi for _, hi in spans) + x_max + 2, dtype=float)).take
     out = np.empty(x_max, dtype=float)
-    for x in range(1, x_max + 1):
-        ys, lp, pm = _output_law(channel, x)
+    for x, span in enumerate(spans, start=1):
+        ys, lp, pm = _output_law(channel, x, span, log_gamma)
         entropy = -float(np.dot(pm, lp))
         k = int(ys[0] == 0)  # ys is contiguous; S covers y >= 1 from index k
         svals = table.upto(int(ys[-1]))[ys[k] - 1:]

@@ -66,6 +66,30 @@ def test_geomdel_auto_takes_minimum():
     assert low.variant is BoundVariant.GEOMDEL_TRUNC
 
 
+def test_trunc_gap_scan_failure_is_a_bound_error():
+    # At p = 1e-4 trunc's r_p scan cannot meet its quadrature tolerance.
+    with pytest.raises(bounds.BoundComputationError, match=r"p = 0\.0001, GeomDelTrunc"):
+        geomdel_bound(1e-4, "trunc")
+
+
+def test_geomdel_auto_skips_a_construction_that_fails():
+    res = compute_bound(Family.GEOMETRIC_DELETION, None, 1e-4)
+    computable = [geomdel_bound(1e-4, v) for v in ("conv", "delta-d")]
+    assert res == min(computable, key=lambda r: r.bound_nats)
+    assert 5e-5 < res.bound_bits < 7e-5
+
+
+def test_default_raises_when_no_construction_succeeds(monkeypatch):
+    def fail(p, variant):
+        raise bounds.BoundComputationError(f"no {variant.value}")
+
+    monkeypatch.setattr(bounds, "_optimize", fail)
+    with pytest.raises(bounds.BoundComputationError, match="no GeomDelConv; no GeomDelTrunc"):
+        compute_bound(Family.GEOMETRIC_DELETION, None, 0.5)
+    with pytest.raises(bounds.BoundComputationError, match="^no StickyExact$"):
+        compute_bound(Family.GEOMETRIC_STICKY, None, 0.5)
+
+
 def test_elementary_bound():
     res = geomdel_elementary_bound(1.0 - 1e-6)  # d = 1-p = 1e-6
     assert abs(res.bound_bits - 1.0 / (2.0 * _LOG2)) <= 1e-4

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from repeatcap.channels import (
     ConditionalOutputLaw,
@@ -54,6 +55,22 @@ def test_log_pmf_outside_support():
     dup = RepeatChannel(Family.ELEMENTARY_DUPLICATION, 0.3)
     assert output_log_pmf(dup, 2, 5) == -math.inf  # y > 2x
     assert output_log_pmf(dup, 2, 1) == -math.inf  # y < x
+
+
+@pytest.mark.parametrize("family", P_FAMILIES)
+@pytest.mark.parametrize("p", (0.05, 0.6, 0.99))
+@pytest.mark.parametrize("x", (1, 7, 500))
+def test_log_pmf_from_a_log_gamma_array_is_bit_identical(family, p, x):
+    # A gap scan reads log-gamma from one gammaln array; every value must be
+    # the one scipy's route gives, out-of-support -inf included (sticky
+    # y < x, duplication y > 2x).
+    channel = RepeatChannel(family, p)
+    top = ConditionalOutputLaw(channel, x).truncated_top()
+    ys = np.arange(0, max(top, 2 * x + 3) + 1)
+    lg = gammaln(np.arange(int(ys[-1]) + x + 2, dtype=float))
+    assert np.array_equal(output_log_pmf(channel, x, ys, lg.take), output_log_pmf(channel, x, ys))
+    for y in (0, x - 1, x, 2 * x, 2 * x + 1):
+        assert output_log_pmf(channel, x, y, lg.take) == output_log_pmf(channel, x, y)
 
 
 def test_output_mean_closed_forms():

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from oracles import R_P
+from repeatcap import duals
 from repeatcap.bounds import deletion_delta
 from repeatcap.cli import main
 from repeatcap.records import parse_bound_csv
@@ -246,6 +247,30 @@ def test_klgap_does_not_depend_on_q(capsys):
     assert outs[0] == outs[1]
 
 
+def test_klgap_builds_no_dual(capsys, monkeypatch):
+    # The CSV is the q-free gap scan under the delta rule: --q is optional
+    # and no dual is ever built.
+    with_q = run_cli(
+        capsys, "klgap", "--family", "geomdel", "--p", "0.6", "--q", "0.5", "--x-max", "4"
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_dual called")
+
+    monkeypatch.setattr(duals, "build_dual", refuse)
+    for family in ("geomdel", "sticky"):
+        code, out, _ = run_cli(capsys, "klgap", "--family", family, "--p", "0.6", "--x-max", "4")
+        assert code == 0
+        assert [r[0] for r in csv.reader(io.StringIO(out))] == ["x", "1", "2", "3", "4", "limit"]
+        if family == "geomdel":
+            assert out == with_q[1]
+
+
+def test_klgap_rejects_q_outside_the_unit_interval(capsys):
+    code, _, err = run_cli(capsys, "klgap", "--family", "sticky", "--p", "0.5", "--q", "1.5")
+    assert code == 2 and "q must be in (0, 1)" in err
+
+
 def test_klgap_trunc_delta_one_equals_remainder(capsys):
     code, out, _ = run_cli(
         capsys, "klgap", "--family", "geomdel", "--p", "0.3", "--q", "0.6",
@@ -297,6 +322,13 @@ def test_klgap_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     rows = list(csv.reader(io.StringIO(path.read_text())))
     assert rows[0] == ["x", "gap_nats"]
+
+
+def test_bound_geomdel_default_at_tiny_p(capsys):
+    # trunc cannot be computed at p = 1e-4; the default takes conv's value.
+    code, out, _ = run_cli(capsys, "bound", "--family", "geomdel", "--p", "1e-4", "--no-meta")
+    assert code == 0
+    assert json.loads(out)["variant"] in ("GeomDelConv", "GeomDelDeltaD")
 
 
 def test_simulate_json_and_determinism(capsys):

@@ -21,3 +21,22 @@ def test_gap_anatomy_demo_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "epsilon paid by the bound" in proc.stdout
+
+
+def _run_demo(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_poisson_decoder_demo_runs():
+    proc = _run_demo("poisson_decoder_study.py", "2")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    lambdas = [row[0] for row in rows if row and row[0].isdigit()]
+    assert lambdas == ["2", "5", "10", "20", "50", "100", "200"]

@@ -11,6 +11,7 @@ import pytest
 
 from repeatcap import bounds, duals, numerics
 from repeatcap.channels import (
+    ConditionalOutputLaw,
     Family,
     RepeatChannel,
     output_log_pmf,
@@ -370,6 +371,31 @@ def test_gap_profile_does_not_sum_the_kl(monkeypatch):
     assert epsilon_inf(channel, dual, 30) == min(
         min(profile.gaps.values()), profile.limit_candidate
     )
+
+
+@pytest.mark.parametrize("variant", list(DualVariant))
+@pytest.mark.parametrize("p", (0.3, 0.9))
+def test_gap_scan_equals_the_per_x_scipy_loop(variant, p):
+    # The scan reads one shared log-gamma array; a plain loop that calls
+    # output_log_pmf with scipy's gammaln on each x's support (40 stddev,
+    # doubled until the Chernoff tail clears 1e-12) gives the same floats.
+    channel = RepeatChannel(duals._VARIANT_FAMILY[variant], p)
+    table = duals._get_table(variant, p)
+    shift = duals._SPECS[variant].weight_shift(p)
+    want = []
+    for x in range(1, 61):
+        law = ConditionalOutputLaw(channel, x)
+        ys = law.truncated_support(40.0)
+        while duals._tail_mass_bound(channel, x, int(ys[-1])) > 1e-12:
+            ys = np.arange(ys[0], min(2 * int(ys[-1]), law.support[1]) + 1)
+        lp = output_log_pmf(channel, x, ys)
+        pm = np.exp(lp)
+        k = int(ys[0] == 0)
+        gap = -float(np.dot(pm, lp)) + float(np.dot(pm[k:], table.upto(int(ys[-1]))[ys[k] - 1:]))
+        if shift:
+            gap += shift * float(np.sum(pm[k:]))
+        want.append(gap)
+    assert duals.gap_scan(variant, p, 60).tolist() == want
 
 
 def test_convexity_gap_at_half_exceeds_limit():
