@@ -240,10 +240,6 @@ def _optimized(family: Family) -> tuple[BoundVariant, ...]:
     )
 
 
-def _best(results):
-    return min(results, key=lambda r: r.bound_nats)
-
-
 def _delta(con: _Construction, p: float, rule: str, scan=None) -> float:
     """delta under rule 'one', 'd' or 'recommended'; the balance rule reads
     the gap at x = 1 from scan, scanning x = 1 alone when none is given."""
@@ -443,6 +439,15 @@ def _check_family(family: Family, variant: BoundVariant | None) -> None:
         raise ValueError(f"variant {variant.value} does not belong to {family.value}")
 
 
+def best_bound(p: float, results) -> BoundResult | SweepFailure:
+    """The family default at p from its constructions' results: the least
+    bound among those computed, or a SweepFailure when none was."""
+    ok = [r for r in results if isinstance(r, BoundResult)]
+    if not ok:
+        return SweepFailure(p, None, "all variants failed")
+    return min(ok, key=lambda r: r.bound_nats)
+
+
 def _bound_for(family: Family, variant: BoundVariant | None, p: float) -> BoundResult:
     _check_family(family, variant)
     if variant is BoundVariant.GEOMDEL_ELEMENTARY:
@@ -460,7 +465,7 @@ def _bound_for(family: Family, variant: BoundVariant | None, p: float) -> BoundR
         except BoundComputationError as exc:
             errors.append(exc)
     if results:
-        return _best(results)
+        return best_bound(p, results)
     if len(errors) == 1:
         raise errors[0]
     raise BoundComputationError(
@@ -480,12 +485,29 @@ def compute_bound(family, variant, p: float) -> BoundResult:
     return _bound_for(Family(family), as_bound_variant(variant), float(p))
 
 
-def _sweep_point(task: tuple[Family, BoundVariant | None, float]):
-    family, variant, p = task
+def _attempt(family: Family, variant: BoundVariant | None, p: float):
     try:
         return _bound_for(family, variant, p)
     except Exception as exc:
-        return SweepFailure(p=p, variant=variant, message=f"{type(exc).__name__}: {exc}")
+        return SweepFailure(p, variant, f"{type(exc).__name__}: {exc}")
+
+
+def _evaluate_point(task: tuple[Family, tuple[BoundVariant | None, ...], float]):
+    """Every bound one p needs, in one process and in the order given
+    (_CONSTRUCTIONS order), so delta-d reuses the gap scan and S-table
+    conv built at the same p.  A failing variant gives a SweepFailure in
+    its place; the others still run."""
+    family, variants, p = task
+    return tuple(_attempt(family, v, p) for v in variants)
+
+
+def evaluate_points(tasks: list, max_workers: int | None = None) -> list[tuple]:
+    """_evaluate_point over (family, variants, p) tasks, in input order.
+    max_workers > 1 spreads the tasks over one pool of worker processes."""
+    if max_workers is not None and max_workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(max_workers, len(tasks))) as pool:
+            return list(pool.map(_evaluate_point, tasks))
+    return [_evaluate_point(t) for t in tasks]
 
 
 def sweep(
@@ -500,19 +522,15 @@ def sweep(
 
     variant None (or 'auto') means the family default: the exact bound for
     sticky/duplication, the min of the three optimized constructions for
-    deletion.  Points are independent; max_workers > 1 runs them in worker
-    processes (each rebuilds its own weight caches).
+    deletion.  Each p is one task whose constructions all run in the same
+    process, so they share its weight caches and gap scan;
+    max_workers > 1 spreads the p values over worker processes.
     """
     family = Family(family)
     variant = as_bound_variant(variant)
     _check_family(family, variant)
-    tasks = [(family, variant, float(p)) for p in p_values]
-    if not tasks:
-        return []
-    if max_workers is not None and max_workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_sweep_point, tasks))
-    return [_sweep_point(t) for t in tasks]
+    tasks = [(family, (variant,), float(p)) for p in p_values]
+    return [r for (r,) in evaluate_points(tasks, max_workers)]
 
 
 @dataclass(frozen=True)
@@ -597,51 +615,38 @@ def verify_tables(
             raise ValueError(f"unknown table selector(s): {sorted(unknown)}")
     else:
         wanted = {"T1", "T2", "T3"}
-    t1, t2, t3 = tables.T1_STICKY, tables.T2_DUPLICATION, tables.T3_GEOMDEL
+    # One task per table row, all mapped at once: a T3 row runs conv and
+    # trunc, plus delta-d where the table prints it.
+    rows, tasks = [], []
+    for table, family in (
+        (tables.T1_STICKY, Family.GEOMETRIC_STICKY),
+        (tables.T2_DUPLICATION, Family.ELEMENTARY_DUPLICATION),
+        (tables.T3_GEOMDEL, Family.GEOMETRIC_DELETION),
+    ):
+        if table.table_id[:2] not in wanted:
+            continue
+        for row in table.rows:
+            variants = (None,)
+            if family is Family.GEOMETRIC_DELETION:
+                variants = (BoundVariant.GEOMDEL_CONV, BoundVariant.GEOMDEL_TRUNC)
+                if row[3] is not None:
+                    variants += (BoundVariant.GEOMDEL_DELTA_D,)
+            rows.append((table.table_id, row))
+            tasks.append((family, variants, row[0]))
+
     checks: list[TableCheck] = []
-
-    if "T1" in wanted:
-        t1_ps = [row[0] for row in t1.rows]
-        t1_res = sweep(Family.GEOMETRIC_STICKY, None, t1_ps, max_workers=max_workers)
-        for row, res in zip(t1.rows, t1_res):
-            p, expected = row[0], row[3]
-            tol = tolerance if tolerance is not None else (1e-5 if p <= 0.5 else 1e-3)
-            checks.append(_check_value("T1_sticky", p, "ours", expected, res, tol))
-
-    if "T2" in wanted:
-        t2_ps = [row[0] for row in t2.rows]
-        t2_res = sweep(
-            Family.ELEMENTARY_DUPLICATION, None, t2_ps, max_workers=max_workers
-        )
-        for row, res in zip(t2.rows, t2_res):
-            p, expected = row[0], row[3]
-            tol = tolerance if tolerance is not None else 5e-4
-            checks.append(_check_value("T2_duplication", p, "ours", expected, res, tol))
-
-    if "T3" in wanted:
-        t3_ps = [row[0] for row in t3.rows]
-        t3_dd_ps = [row[0] for row in t3.rows if row[3] is not None]
-        conv_res, trunc_res, dd_res = (
-            sweep(Family.GEOMETRIC_DELETION, v, ps, max_workers=max_workers)
-            for v, ps in (
-                (BoundVariant.GEOMDEL_CONV, t3_ps),
-                (BoundVariant.GEOMDEL_TRUNC, t3_ps),
-                (BoundVariant.GEOMDEL_DELTA_D, t3_dd_ps),
-            )
-        )
-        dd_map = dict(zip(t3_dd_ps, dd_res))
-        for row, rc, rt in zip(t3.rows, conv_res, trunc_res):
-            p, expected, expected_dd = row[0], row[2], row[3]
-            tol = tolerance if tolerance is not None else 1e-3
-            # The published "ours" column is the best of conv and trunc;
-            # delta-d has a column of its own.
-            failed = [r for r in (rc, rt) if isinstance(r, SweepFailure)]
-            best = failed[0] if failed else _best((rc, rt))
-            checks.append(_check_value("T3_geomdel", p, "ours", expected, best, tol))
-            if expected_dd is not None:
-                checks.append(
-                    _check_value(
-                        "T3_geomdel", p, "ours_delta_d", expected_dd, dd_map[p], tol
-                    )
-                )
+    for (table_id, row), res in zip(rows, evaluate_points(tasks, max_workers)):
+        p, key = row[0], table_id[:2]
+        default = {"T1": 1e-5 if p <= 0.5 else 1e-3, "T2": 5e-4, "T3": 1e-3}[key]
+        tol = default if tolerance is None else tolerance
+        if key != "T3":
+            checks.append(_check_value(table_id, p, "ours", row[3], res[0], tol))
+            continue
+        # The published "ours" column is the best of conv and trunc;
+        # delta-d has a column of its own.
+        failed = [r for r in res[:2] if isinstance(r, SweepFailure)]
+        best = failed[0] if failed else best_bound(p, res[:2])
+        checks.append(_check_value(table_id, p, "ours", row[2], best, tol))
+        if row[3] is not None:
+            checks.append(_check_value(table_id, p, "ours_delta_d", row[3], res[2], tol))
     return TableVerification(checks=tuple(checks))

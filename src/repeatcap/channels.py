@@ -110,7 +110,7 @@ def output_log_pmf(channel: RepeatChannel, x: int, y, log_gamma=gammaln):
     x = _require_input(x)
     y_arr = np.asarray(y)
     scalar = y_arr.ndim == 0
-    yy = np.atleast_1d(y_arr).astype(np.int64)
+    yy = np.atleast_1d(y_arr).astype(np.int64, copy=False)
     if np.any(yy < 0):
         raise ValueError("y must be nonnegative")
     p = channel.p
@@ -137,11 +137,12 @@ def output_log_pmf(channel: RepeatChannel, x: int, y, log_gamma=gammaln):
             + (ys - x) * logp
         )
     elif channel.family is Family.GEOMETRIC_DELETION:
-        mask = np.ones_like(yy, dtype=bool)
+        mask = None  # every y >= 0 is in the support
         out = log_gamma(yy + x) - log_gamma(x) - log_gamma(yy + 1) + x * log1mp + yy * logp
     else:
         raise ValueError(f"{channel.family.value} has no tabulated output law")
-    out = np.where(mask, out, -math.inf)
+    if mask is not None:
+        out = np.where(mask, out, -math.inf)
     return float(out[0]) if scalar else out
 
 

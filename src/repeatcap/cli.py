@@ -5,7 +5,8 @@ outputs); records carry both units.  Machine output goes to stdout (JSON)
 or --out (CSV); human diagnostics go to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or domain error, 3 numerical failure.
 A JSON config file (--config) can supply any flag's value; explicit flags
-win.  REPEATCAP_THREADS caps sweep parallelism (default: available cores).
+win.  REPEATCAP_THREADS caps the worker processes of sweep and verify
+(default: available cores).
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from repeatcap.bounds import (
     _CONSTRUCTIONS,
     BoundComputationError,
     SweepFailure,
-    _best,
     _check_family,
     _optimized,
     as_bound_variant,
+    best_bound,
     compute_bound,
     deletion_delta,
+    evaluate_points,
     objective_curve,
-    sweep,
     verify_tables,
 )
 from repeatcap.channels import Family
@@ -62,6 +63,9 @@ _DEFAULTS: dict[str, dict] = {
 
 _CONFIG_ALIASES = {"lambda": "lam", "eps": "epsilon"}
 
+_VARIANT_HELP = ("auto (the family default); sticky and duplication for their "
+                 "families; conv | trunc | delta-d | elementary for geomdel")
+
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", default=argparse.SUPPRESS, metavar="FILE",
@@ -82,13 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bound", help="one capacity bound at a single p")
     b.add_argument("--family", choices=sorted(_FAMILIES), default=argparse.SUPPRESS)
     b.add_argument("--p", type=float, default=argparse.SUPPRESS)
-    b.add_argument("--variant", default=argparse.SUPPRESS,
-                   help="auto | conv | trunc | delta-d | elementary (deletion only)")
+    b.add_argument("--variant", default=argparse.SUPPRESS, help=_VARIANT_HELP)
     _add_common(b)
 
     s = sub.add_parser("sweep", help="bounds over a p grid, CSV output")
     s.add_argument("--family", choices=sorted(_FAMILIES), default=argparse.SUPPRESS)
-    s.add_argument("--variant", default=argparse.SUPPRESS)
+    s.add_argument("--variant", default=argparse.SUPPRESS, help=_VARIANT_HELP)
     s.add_argument("--p-start", type=float, default=argparse.SUPPRESS)
     s.add_argument("--p-end", type=float, default=argparse.SUPPRESS)
     s.add_argument("--steps", type=int, default=argparse.SUPPRESS)
@@ -168,16 +171,11 @@ def _require(params: dict, *names: str) -> None:
         raise ValueError(f"missing required option(s): {flags}")
 
 
-def _workers(n_tasks: int) -> int | None:
-    env = os.environ.get("REPEATCAP_THREADS")
-    if env is not None:
-        cap = int(env)
-        if cap < 1:
-            raise ValueError("REPEATCAP_THREADS must be a positive integer")
-    else:
-        cap = os.cpu_count() or 1
-    cap = min(cap, n_tasks)
-    return cap if cap > 1 else None
+def _workers() -> int:
+    cap = int(os.environ.get("REPEATCAP_THREADS", os.cpu_count() or 1))
+    if cap < 1:
+        raise ValueError("REPEATCAP_THREADS must be a positive integer")
+    return cap
 
 
 def _family(params: dict) -> Family:
@@ -223,21 +221,17 @@ def _cmd_sweep(params: dict) -> int:
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     ps = [float(x) for x in np.linspace(p_start, p_end, steps)]
-    workers = _workers(len(ps))
-
-    if variant is None and len(_optimized(family)) > 1:
-        # One row per optimized construction plus the reported min curve.
-        per_variant = [
-            sweep(family, v, ps, max_workers=workers) for v in _optimized(family)
-        ]
-        results = []
-        for p, at_p in zip(ps, zip(*per_variant)):
-            results += [(None, r) for r in at_p]
-            ok = [r for r in at_p if not isinstance(r, SweepFailure)]
-            best = _best(ok) if ok else SweepFailure(p, None, "all variants failed")
-            results.append(("min", best))
-    else:
-        results = [(None, r) for r in sweep(family, variant, ps, max_workers=workers)]
+    _check_family(family, variant)
+    # The deletion default gets one row per optimized construction plus the
+    # reported min curve; every other choice is one row per p.
+    per_construction = variant is None and len(_optimized(family)) > 1
+    variants = _optimized(family) if per_construction else (variant,)
+    tasks = [(family, variants, p) for p in ps]
+    results = []
+    for p, at_p in zip(ps, evaluate_points(tasks, _workers())):
+        results += [(None, r) for r in at_p]
+        if per_construction:
+            results.append(("min", best_bound(p, at_p)))
 
     with_error = any(isinstance(r, SweepFailure) for _, r in results)
     header = records.BOUND_CSV_HEADER + (("error",) if with_error else ())
@@ -276,7 +270,7 @@ def _emit_inner(params: dict) -> int:
 def _cmd_verify(params: dict) -> int:
     only = tuple(params["only"]) if params["only"] else None
     verification = verify_tables(
-        params["tolerance"], only=only, max_workers=_workers(8)
+        params["tolerance"], only=only, max_workers=_workers()
     )
     if params["json"]:
         meta = None if params["no_meta"] else records.run_metadata(

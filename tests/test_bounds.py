@@ -264,6 +264,70 @@ def test_sweep_variant_check():
         sweep(Family.GEOMETRIC_STICKY, BoundVariant.GEOMDEL_CONV, [0.3])
 
 
+@pytest.fixture
+def cold_pool(monkeypatch):
+    """Replace the bounds process pool with an in-process one whose every
+    task starts from empty caches, as a fresh worker does; count the pools
+    opened and the convexity gap scans run."""
+    counts = {"pools": 0, "scans": 0}
+
+    class ColdPool:
+        def __init__(self, max_workers=None):
+            counts["pools"] += 1
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            for task in tasks:
+                duals.clear_caches()
+                yield fn(task)
+
+    scan = bounds.convexity_gap_scan
+
+    def counted_scan(*args):
+        counts["scans"] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(bounds, "ProcessPoolExecutor", ColdPool)
+    monkeypatch.setattr(bounds, "convexity_gap_scan", counted_scan)
+    return counts
+
+
+def test_geomdel_cli_sweep_opens_one_pool_and_scans_once_per_p(cold_pool, monkeypatch):
+    from repeatcap.cli import main
+
+    monkeypatch.setenv("REPEATCAP_THREADS", "2")
+    argv = ["sweep", "--family", "geomdel", "--p-start", "0.3", "--p-end", "0.5",
+            "--steps", "2"]
+    assert main(argv) == 0
+    # delta-d reads the scan conv made at the same p, in the same task
+    assert cold_pool == {"pools": 1, "scans": 2}
+
+
+def test_verify_t3_opens_one_pool_and_scans_once_per_row(cold_pool, monkeypatch):
+    from repeatcap import tables
+
+    t3 = tables.T3_GEOMDEL
+    two_rows = t3.__class__(
+        t3.table_id, t3.columns, tuple(r for r in t3.rows if r[0] in (0.3, 0.9))
+    )
+    monkeypatch.setattr(tables, "T3_GEOMDEL", two_rows)
+    monkeypatch.setattr(
+        tables, "ALL_TABLES", (tables.T1_STICKY, tables.T2_DUPLICATION, two_rows)
+    )
+    monkeypatch.setattr(tables, "TABLES_SHA256", tables.checksum())
+    verification = verify_tables(only=("T3",), max_workers=2)
+    assert [(c.p, c.column) for c in verification.checks] == [
+        (0.3, "ours"), (0.9, "ours"), (0.9, "ours_delta_d"),
+    ]
+    assert verification.all_passed
+    assert cold_pool == {"pools": 1, "scans": 2}
+
+
 def test_verify_tables_t2():
     verification = verify_tables(only=("T2",))
     assert verification.all_passed

@@ -97,6 +97,32 @@ def test_sweep_geomdel_emits_min_rows(capsys):
     )
 
 
+def test_geomdel_sweep_csv_same_with_and_without_workers(capsys, monkeypatch):
+    outs = []
+    for threads in ("2", "1"):
+        monkeypatch.setenv("REPEATCAP_THREADS", threads)
+        duals.clear_caches()
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "geomdel",
+            "--p-start", "0.3", "--p-end", "0.5", "--steps", "2",
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + 2 * 4
+
+
+@pytest.mark.parametrize("command", ["bound", "sweep"])
+def test_variant_help_lists_every_family_token(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    help_text = " ".join(out.split())
+    for token in ("auto", "sticky", "duplication", "conv", "trunc", "delta-d",
+                  "elementary"):
+        assert token in help_text
+    assert "deletion only" not in help_text
+
+
 def test_sweep_out_file(tmp_path, capsys):
     path = tmp_path / "grid.csv"
     code, out, _ = run_cli(
