@@ -67,6 +67,12 @@ from repeatcap.duals import (
 from repeatcap.numerics import QuadratureError, maximize_concave
 
 _LOG2 = math.log(2.0)
+_Q_OPT_TOL = 1e-7  # golden-section tolerance on q_opt
+
+# Mass-at-zero rules (deletion_delta) and reference-table selectors
+# (verify_tables), in the order the CLI offers them.
+DELTA_RULES = ("one", "recommended", "d")
+TABLE_SELECTORS = ("T1", "T2", "T3")
 
 
 class BoundVariant(enum.Enum):
@@ -243,7 +249,7 @@ def _optimized(family: Family) -> tuple[BoundVariant, ...]:
 def _delta(con: _Construction, p: float, rule: str, scan=None) -> float:
     """delta under rule 'one', 'd' or 'recommended'; the balance rule reads
     the gap at x = 1 from scan, scanning x = 1 alone when none is given."""
-    if rule not in ("one", "d", "recommended"):
+    if rule not in DELTA_RULES:
         raise ValueError(f"unknown delta rule {rule!r}")
     d = 1.0 - p
     if rule == "one":
@@ -330,7 +336,7 @@ def _optimize(p: float, variant: BoundVariant) -> BoundResult:
     pieces = _pieces(p, variant)
     objective = _objective(p, variant, pieces)
     res = maximize_concave(
-        objective, 1e-6, 1.0 - 1e-6, tol=1e-7, grid=_q_grid(p), quasiconcave=True
+        objective, 1e-6, 1.0 - 1e-6, tol=_Q_OPT_TOL, grid=_q_grid(p), quasiconcave=True
     )
     q_opt = float(res.arg)
     nats = float(res.value)
@@ -610,11 +616,11 @@ def verify_tables(
         raise RuntimeError("embedded reference tables failed their checksum")
     if only is not None:
         wanted = {name[:2].upper() for name in only}
-        unknown = wanted - {"T1", "T2", "T3"}
+        unknown = wanted - set(TABLE_SELECTORS)
         if unknown:
             raise ValueError(f"unknown table selector(s): {sorted(unknown)}")
     else:
-        wanted = {"T1", "T2", "T3"}
+        wanted = set(TABLE_SELECTORS)
     # One task per table row, all mapped at once: a T3 row runs conv and
     # trunc, plus delta-d where the table prints it.
     rows, tasks = [], []

@@ -4,14 +4,16 @@ Values are reported in bits by default (--nats switches single-unit
 outputs); records carry both units.  Machine output goes to stdout (JSON)
 or --out (CSV); human diagnostics go to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or domain error, 3 numerical failure.
-A JSON config file (--config) can supply any flag's value; explicit flags
-win.  REPEATCAP_THREADS caps the worker processes of sweep and verify
-(default: available cores).
+A JSON config file (--config) can supply any flag's value; its numbers
+parse like flag text, and explicit flags win (a repeated flag replaces a
+config list).  REPEATCAP_THREADS caps the worker processes of sweep and
+verify (default: available cores).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -21,6 +23,9 @@ import numpy as np
 
 from repeatcap.bounds import (
     _CONSTRUCTIONS,
+    _Q_OPT_TOL,
+    DELTA_RULES,
+    TABLE_SELECTORS,
     BoundComputationError,
     SweepFailure,
     _check_family,
@@ -34,31 +39,15 @@ from repeatcap.bounds import (
     verify_tables,
 )
 from repeatcap.channels import Family
-from repeatcap.duals import _SPECS, _delta_rule, gap_scan
+from repeatcap.duals import _SERIES_REL_TOL, _SPECS, _delta_rule, gap_scan
 from repeatcap.numerics import QuadratureError
 from repeatcap import records
-from repeatcap.simulate import SimConfig, run_monte_carlo
+from repeatcap.simulate import INPUT_SOURCES, SimConfig, run_monte_carlo
 
 _FAMILIES = {
     "sticky": Family.GEOMETRIC_STICKY,
     "duplication": Family.ELEMENTARY_DUPLICATION,
     "geomdel": Family.GEOMETRIC_DELETION,
-}
-
-_DEFAULTS: dict[str, dict] = {
-    "bound": {"family": None, "p": None, "variant": "auto",
-              "nats": False, "no_meta": False},
-    "sweep": {"family": None, "variant": "auto", "p_start": None, "p_end": None,
-              "steps": None, "out": None, "emit_inner": False, "p": None,
-              "q_points": 199, "nats": False, "no_meta": False},
-    "verify": {"only": None, "tolerance": None, "json": False,
-               "nats": False, "no_meta": False},
-    "klgap": {"family": None, "p": None, "q": None, "delta_rule": None,
-              "variant": None, "x_max": 50, "out": None,
-              "nats": False, "no_meta": False},
-    "simulate": {"n": None, "lam": None, "epsilon": 0.1, "trials": 100,
-                 "seed": 0, "input_source": "uniform_random", "input_bits": None,
-                 "verbose": False, "nats": False, "no_meta": False},
 }
 
 _CONFIG_ALIASES = {"lambda": "lam", "eps": "epsilon"}
@@ -68,15 +57,16 @@ _VARIANT_HELP = ("auto (the family default); sticky and duplication for their "
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", default=argparse.SUPPRESS, metavar="FILE",
+    sp.add_argument("--config", metavar="FILE",
                     help="JSON file supplying flag defaults (flags win)")
-    sp.add_argument("--no-meta", action="store_true", default=argparse.SUPPRESS,
+    sp.add_argument("--no-meta", action="store_true",
                     help="omit run metadata (version, timestamp) for byte-stable output")
-    sp.add_argument("--nats", action="store_true", default=argparse.SUPPRESS,
+    sp.add_argument("--nats", action="store_true",
                     help="report in nats where a single unit is printed")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="repeatcap",
         description="Capacity upper bounds for binary repeat channels.",
@@ -84,84 +74,90 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bound", help="one capacity bound at a single p")
-    b.add_argument("--family", choices=sorted(_FAMILIES), default=argparse.SUPPRESS)
-    b.add_argument("--p", type=float, default=argparse.SUPPRESS)
-    b.add_argument("--variant", default=argparse.SUPPRESS, help=_VARIANT_HELP)
+    b.add_argument("--family", choices=sorted(_FAMILIES))
+    b.add_argument("--p", type=float)
+    b.add_argument("--variant", default="auto", help=_VARIANT_HELP)
     _add_common(b)
 
     s = sub.add_parser("sweep", help="bounds over a p grid, CSV output")
-    s.add_argument("--family", choices=sorted(_FAMILIES), default=argparse.SUPPRESS)
-    s.add_argument("--variant", default=argparse.SUPPRESS, help=_VARIANT_HELP)
-    s.add_argument("--p-start", type=float, default=argparse.SUPPRESS)
-    s.add_argument("--p-end", type=float, default=argparse.SUPPRESS)
-    s.add_argument("--steps", type=int, default=argparse.SUPPRESS)
-    s.add_argument("--out", default=argparse.SUPPRESS, metavar="FILE",
-                   help="CSV destination (default stdout)")
-    s.add_argument("--emit-inner", action="store_true", default=argparse.SUPPRESS,
+    s.add_argument("--family", choices=sorted(_FAMILIES))
+    s.add_argument("--variant", default="auto", help=_VARIANT_HELP)
+    s.add_argument("--p-start", type=float)
+    s.add_argument("--p-end", type=float)
+    s.add_argument("--steps", type=int)
+    s.add_argument("--out", metavar="FILE", help="CSV destination (default stdout)")
+    s.add_argument("--emit-inner", action="store_true",
                    help="emit the objective-vs-q curve at a fixed --p instead")
-    s.add_argument("--p", type=float, default=argparse.SUPPRESS,
-                   help="fixed p for --emit-inner")
-    s.add_argument("--q-points", type=int, default=argparse.SUPPRESS,
-                   help="grid size for --emit-inner (default 199)")
+    s.add_argument("--p", type=float, help="fixed p for --emit-inner")
+    s.add_argument("--q-points", type=int, default=199,
+                   help="grid size for --emit-inner (default %(default)s)")
     _add_common(s)
 
     v = sub.add_parser("verify", help="recompute embedded reference tables")
-    v.add_argument("--only", action="append", choices=("T1", "T2", "T3"),
-                   default=argparse.SUPPRESS, help="restrict to one table (repeatable)")
-    v.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
+    v.add_argument("--only", action="append", choices=TABLE_SELECTORS, default=[],
+                   help="restrict to one table (repeatable)")
+    v.add_argument("--tolerance", type=float,
                    help="override the per-table default tolerances")
-    v.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+    v.add_argument("--json", action="store_true",
                    help="emit the full report as JSON on stdout")
     _add_common(v)
 
     k = sub.add_parser("klgap", help="KL-gap profile of a dual, CSV output")
-    k.add_argument("--family", choices=sorted(_FAMILIES), default=argparse.SUPPRESS)
-    k.add_argument("--p", type=float, default=argparse.SUPPRESS)
-    k.add_argument("--q", type=float, default=argparse.SUPPRESS,
+    k.add_argument("--family", choices=sorted(_FAMILIES))
+    k.add_argument("--p", type=float)
+    k.add_argument("--q", type=float,
                    help="accepted for compatibility; the gap does not depend on q")
-    k.add_argument("--delta-rule", choices=("one", "recommended", "d"),
-                   default=argparse.SUPPRESS,
+    k.add_argument("--delta-rule", choices=DELTA_RULES,
                    help="mass-at-zero rule (deletion duals; default recommended)")
-    k.add_argument("--variant", choices=("conv", "trunc"), default=argparse.SUPPRESS,
+    k.add_argument("--variant", choices=("conv", "trunc"),
                    help="deletion dual construction (default conv)")
-    k.add_argument("--x-max", type=int, default=argparse.SUPPRESS)
-    k.add_argument("--out", default=argparse.SUPPRESS, metavar="FILE")
+    k.add_argument("--x-max", type=int, default=50)
+    k.add_argument("--out", metavar="FILE")
     _add_common(k)
 
     m = sub.add_parser("simulate", help="Poisson repeat channel Monte Carlo")
-    m.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    m.add_argument("--lambda", type=float, dest="lam", default=argparse.SUPPRESS)
-    m.add_argument("--eps", "--epsilon", type=float, dest="epsilon",
-                   default=argparse.SUPPRESS)
-    m.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-    m.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    m.add_argument("--input-source", choices=("uniform_random", "all_alternating",
-                                              "user_supplied"),
-                   default=argparse.SUPPRESS)
-    m.add_argument("--input-bits", default=argparse.SUPPRESS)
-    m.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
+    m.add_argument("--n", type=int)
+    m.add_argument("--lambda", type=float, dest="lam")
+    m.add_argument("--eps", "--epsilon", type=float, dest="epsilon", default=0.1)
+    m.add_argument("--trials", type=int, default=100)
+    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--input-source", choices=INPUT_SOURCES, default="uniform_random")
+    m.add_argument("--input-bits")
+    m.add_argument("--verbose", action="store_true",
                    help="include per-trial reports in the JSON")
     _add_common(m)
 
-    return parser
+    return parser, sub.choices
 
 
-def _merge_params(ns: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS[ns.command])
-    provided = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    config_path = getattr(ns, "config", None)
-    if config_path is not None:
-        with open(config_path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            key = _CONFIG_ALIASES.get(key.replace("-", "_"), key.replace("-", "_"))
-            if key not in merged:
-                raise ValueError(f"unknown config key {key!r} for {ns.command}")
-            merged[key] = value
-    merged.update(provided)
-    return merged
+def _set_config_defaults(sub: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
+    """Make the --config file's values sub's defaults, so flags still win.
+
+    Numbers and list items go in as their text, so each flag's type parses
+    them like flag text.  A flag given on the command line keeps its value,
+    which makes a repeated flag replace a config list instead of extending it.
+    """
+    with open(ns.config, encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError("config file must hold a JSON object")
+    defaults = vars(sub.parse_args([]))
+    del defaults["config"]
+    for key, value in loaded.items():
+        key = _CONFIG_ALIASES.get(key.replace("-", "_"), key.replace("-", "_"))
+        if key not in defaults:
+            raise ValueError(f"unknown config key {key!r} for {ns.command}")
+        default = defaults[key]
+        if isinstance(value, dict) or isinstance(value, list) != isinstance(default, list):
+            raise ValueError(f"config key {key!r} needs "
+                             + ("a list" if isinstance(default, list) else "a single value"))
+        if getattr(ns, key) != default:
+            continue
+        if isinstance(value, list):
+            value = [str(item) for item in value]
+        elif type(value) in (int, float) and not isinstance(default, bool):
+            value = str(value)
+        sub.set_defaults(**{key: value})
 
 
 def _require(params: dict, *names: str) -> None:
@@ -199,7 +195,7 @@ def _cmd_bound(params: dict) -> int:
     family = _family(params)
     result = compute_bound(family, as_bound_variant(params["variant"]), params["p"])
     meta = None if params["no_meta"] else records.run_metadata(
-        {"q_opt": 1e-7, "series_rel": 1e-12}
+        {"q_opt": _Q_OPT_TOL, "series_rel": _SERIES_REL_TOL}
     )
     sys.stdout.write(records.dump_json(records.bound_json(result, meta=meta)))
     if params["nats"]:
@@ -274,7 +270,8 @@ def _cmd_verify(params: dict) -> int:
     )
     if params["json"]:
         meta = None if params["no_meta"] else records.run_metadata(
-            {"tolerance": params["tolerance"] or "per-table defaults"}
+            {"tolerance": "per-table defaults" if params["tolerance"] is None
+             else params["tolerance"]}
         )
         sys.stdout.write(
             records.dump_json(records.verification_json(verification, meta=meta))
@@ -330,15 +327,7 @@ def _cmd_klgap(params: dict) -> int:
 
 def _cmd_simulate(params: dict) -> int:
     _require(params, "n", "lam")
-    config = SimConfig(
-        n=params["n"],
-        lam=params["lam"],
-        epsilon=params["epsilon"],
-        trials=params["trials"],
-        seed=params["seed"],
-        input_source=params["input_source"],
-        input_bits=params["input_bits"],
-    )
+    config = SimConfig(**{f.name: params[f.name] for f in dataclasses.fields(SimConfig)})
     success_rate, reports = run_monte_carlo(config)
     meta = None if params["no_meta"] else records.run_metadata()
     sys.stdout.write(records.dump_json(records.simulation_json(
@@ -359,18 +348,16 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subcommands = _build_parser()
     try:
         ns = parser.parse_args(argv)
+        if ns.config is not None:
+            _set_config_defaults(subcommands[ns.command], ns)
+            ns = parser.parse_args(argv)
+        return _HANDLERS[ns.command](vars(ns))
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else int(exc.code)
-    try:
-        params = _merge_params(ns)
-        return _HANDLERS[ns.command](params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BoundComputationError, QuadratureError, RuntimeError) as exc:

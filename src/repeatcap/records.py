@@ -19,18 +19,6 @@ import math
 from repeatcap import __version__
 from repeatcap.bounds import BoundResult, SweepFailure
 
-BOUND_CSV_HEADER = (
-    "p",
-    "variant",
-    "bound_bits",
-    "bound_nats",
-    "q_opt",
-    "mu_opt",
-    "epsilon_used",
-    "feasible",
-    "clamped",
-)
-
 KLGAP_CSV_HEADER = ("x", "gap_nats")
 
 
@@ -55,6 +43,21 @@ def _bool_str(b: bool) -> str:
     return "true" if b else "false"
 
 
+# The bound CSV's fields in column order, each with its cell formatter.
+_BOUND_CSV_FORMAT = {
+    "p": repr,
+    "variant": str,
+    "bound_bits": _bits_str,
+    "bound_nats": repr,
+    "q_opt": repr,
+    "mu_opt": repr,
+    "epsilon_used": repr,
+    "feasible": _bool_str,
+    "clamped": _bool_str,
+}
+BOUND_CSV_HEADER = tuple(_BOUND_CSV_FORMAT)
+
+
 def bound_record(result: BoundResult) -> dict:
     """Ordered field dict for one bound result; keys match BOUND_CSV_HEADER."""
     return {
@@ -74,25 +77,14 @@ def bound_csv_row(result: BoundResult | SweepFailure, *, variant_label: str | No
                   with_error: bool = False) -> list[str]:
     if isinstance(result, SweepFailure):
         label = variant_label or (result.variant.value if result.variant else "auto")
-        row = [repr(result.p), label] + [""] * 7
-        if with_error:
-            row.append(result.message)
-        return row
-    rec = bound_record(result)
-    row = [
-        repr(rec["p"]),
-        variant_label or rec["variant"],
-        _bits_str(rec["bound_bits"]),
-        repr(rec["bound_nats"]),
-        repr(rec["q_opt"]),
-        repr(rec["mu_opt"]),
-        repr(rec["epsilon_used"]),
-        _bool_str(rec["feasible"]),
-        _bool_str(rec["clamped"]),
-    ]
-    if with_error:
-        row.append("")
-    return row
+        row = [repr(result.p), label] + [""] * (len(BOUND_CSV_HEADER) - 2)
+        error = result.message
+    else:
+        rec = bound_record(result)
+        rec["variant"] = variant_label or rec["variant"]
+        row = [fmt(rec[key]) for key, fmt in _BOUND_CSV_FORMAT.items()]
+        error = ""
+    return row + [error] if with_error else row
 
 
 def write_csv(stream, header, rows) -> None:
@@ -108,15 +100,12 @@ def csv_text(header, rows) -> str:
 
 
 def _parse_cell(key: str, value: str):
-    if key in ("feasible", "clamped"):
-        if value == "":
-            return None
-        return value == "true"
-    if key in ("variant", "error"):
+    fmt = _BOUND_CSV_FORMAT.get(key, str)  # the error column is text
+    if fmt is str:
         return value
     if value == "":
         return None
-    return float(value)
+    return value == "true" if fmt is _bool_str else float(value)
 
 
 def parse_bound_csv(text: str) -> list[dict]:

@@ -451,3 +451,101 @@ def test_threads_env_parallel_path(capsys, monkeypatch):
 def test_unknown_subcommand_exits_2(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+
+
+def test_config_numbers_parse_like_flag_text(tmp_path, capsys):
+    # A JSON string or number reaches the flag's type as text: "0.1" for
+    # --p-start gives the CSV the flags give, and a non-integer steps is a
+    # usage error naming the flag, not a crash.
+    flags = ("--family", "sticky", "--p-start", "0.1", "--p-end", "0.3", "--steps", "3")
+    _, want, _ = run_cli(capsys, "sweep", *flags)
+    cfg = tmp_path / "run.json"
+    base = {"family": "sticky", "p_start": "0.1", "p_end": 0.3}
+    cfg.write_text(json.dumps({**base, "steps": 3}))
+    assert run_cli(capsys, "sweep", "--config", str(cfg))[:2] == (0, want)
+    for steps in (3.0, 2.5):
+        cfg.write_text(json.dumps({**base, "steps": steps}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"argument --steps: invalid int value: '{steps}'" in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("sweep", "steps", [3]),
+    ("bound", "p", {"value": 0.3}),
+    ("verify", "only", "T2"),
+])
+def test_config_value_of_the_wrong_kind_exits_2(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert repr(key) in err and "Traceback" not in err
+
+
+def test_config_list_items_parse_like_flag_text(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"only": ["T2", 2]}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "unknown table selector(s): ['2']" in err
+
+
+def test_verify_json_reports_a_zero_tolerance(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--only", "T2", "--json", "--tolerance", "0")
+    obj = json.loads(out)
+    assert code == 1 and not obj["all_passed"]
+    assert obj["meta"]["tolerances"] == {"tolerance": 0.0}
+    assert {c["tolerance"] for c in obj["checks"]} == {0.0}
+
+
+def test_bound_metadata_reads_the_solver_tolerances(capsys):
+    from repeatcap import bounds
+
+    code, out, _ = run_cli(capsys, "bound", "--family", "sticky", "--p", "0.3")
+    assert code == 0
+    assert json.loads(out)["meta"]["tolerances"] == {
+        "q_opt": bounds._Q_OPT_TOL, "series_rel": duals._SERIES_REL_TOL,
+    }
+
+
+def test_repeated_flag_replaces_a_config_list(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"only": ["T1"]}))
+    for flags, table in ((("--only", "T2"), "T2_duplication"), ((), "T1_sticky")):
+        code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--json",
+                               "--no-meta", *flags)
+        assert code in (0, 1)
+        assert {c["table_id"] for c in json.loads(out)["checks"]} == {table}
+
+
+# Each subcommand's flag destinations at their documented defaults.
+_DOCUMENTED_DEFAULTS = {
+    "bound": {"family": None, "p": None, "variant": "auto"},
+    "sweep": {"family": None, "variant": "auto", "p_start": None, "p_end": None,
+              "steps": None, "out": None, "emit_inner": False, "p": None,
+              "q_points": 199},
+    "verify": {"only": [], "tolerance": None, "json": False},
+    "klgap": {"family": None, "p": None, "q": None, "delta_rule": None,
+              "variant": None, "x_max": 50, "out": None},
+    "simulate": {"n": None, "lam": None, "epsilon": 0.1, "trials": 100, "seed": 0,
+                 "input_source": "uniform_random", "input_bits": None,
+                 "verbose": False},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--family", "sticky", "--p", "0.3"),
+    ("sweep", "--family", "sticky", "--p", "0.3", "--emit-inner"),
+    ("verify", "--only", "T2", "--json"),
+    ("klgap", "--family", "sticky", "--p", "0.3"),
+    ("simulate", "--n", "20", "--lambda", "100", "--trials", "3"),
+], ids=lambda argv: argv[0])
+def test_config_of_documented_defaults_changes_nothing(tmp_path, capsys, argv):
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps(
+        {**_DOCUMENTED_DEFAULTS[argv[0]], "nats": False, "no_meta": False}
+    ))
+    plain = run_cli(capsys, *argv, "--no-meta")
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--no-meta", "--config", str(cfg)) == plain
