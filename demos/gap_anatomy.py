@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from repeatcap.bounds import BoundVariant, deletion_delta
-from repeatcap.channels import Family, RepeatChannel, output_mean
+from repeatcap.channels import ConditionalOutputLaw, Family, RepeatChannel
 from repeatcap.duals import DualVariant, build_dual, kl_divergence, kl_gap_profile, r_p
 
 print("1. zero-gap duals (p = 0.3, q = 0.6), gaps in nats")
@@ -55,7 +55,7 @@ print(f"  {'x':>3} {'Delta(x)':>11} {'modified':>11} {'predicted shift':>16}")
 for x in range(1, 13):
     direct = (
         mod.line_intercept
-        + mod.line_slope * output_mean(channel, x)
+        + mod.line_slope * ConditionalOutputLaw(channel, x).mean
         - kl_divergence(channel, x, mod_dual)
     )
     predicted = base.gaps[x] - d * math.log(delta) + d**x * math.log(delta)

@@ -204,45 +204,42 @@ def _truncated_gap_scan(p: float, x_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Construction:
-    """One bound variant: its channel family, its dual (None for the closed
-    form) and the value formula under the sup.  Deletion duals also carry
-    gap_scan(p, x_max), their KL-gap at delta = 1 for x = 1..x_max, and
-    whether their recommended delta is the balance rule (else 1-p)."""
+    """One bound variant: its dual and the value formula under the sup (None
+    for the closed form, which evaluates its dual analytically).  Deletion
+    duals also carry gap_scan(p, x_max), their KL-gap at delta = 1 for
+    x = 1..x_max, and whether their recommended delta is the balance rule
+    (else 1-p).  The channel family is the dual's."""
 
-    family: Family
-    dual: DualVariant | None = None
+    dual: DualVariant
     value_from: Callable[..., float] | None = None
     gap_scan: Callable[[float, int], np.ndarray] | None = None
     balance: bool = False
 
+    @property
+    def family(self) -> Family:
+        return _SPECS[self.dual].family
+
 
 _CONSTRUCTIONS = {
-    BoundVariant.STICKY_EXACT: _Construction(
-        Family.GEOMETRIC_STICKY, DualVariant.STICKY_ZERO_GAP, _sticky_value
-    ),
-    BoundVariant.DUPLICATION_EXACT: _Construction(
-        Family.ELEMENTARY_DUPLICATION, DualVariant.DUPLICATION_ZERO_GAP, _dup_value
-    ),
+    BoundVariant.STICKY_EXACT: _Construction(DualVariant.STICKY_ZERO_GAP, _sticky_value),
+    BoundVariant.DUPLICATION_EXACT: _Construction(DualVariant.DUPLICATION_ZERO_GAP, _dup_value),
     BoundVariant.GEOMDEL_CONV: _Construction(
-        Family.GEOMETRIC_DELETION, DualVariant.GEOMDEL_CONVEXITY, _geomdel_value,
-        _delta_scan, balance=True,
+        DualVariant.GEOMDEL_CONVEXITY, _geomdel_value, _delta_scan, balance=True
     ),
     BoundVariant.GEOMDEL_TRUNC: _Construction(
-        Family.GEOMETRIC_DELETION, DualVariant.GEOMDEL_TRUNCATED, _geomdel_value,
-        _truncated_gap_scan, balance=True,
+        DualVariant.GEOMDEL_TRUNCATED, _geomdel_value, _truncated_gap_scan, balance=True
     ),
     BoundVariant.GEOMDEL_DELTA_D: _Construction(
-        Family.GEOMETRIC_DELETION, DualVariant.GEOMDEL_CONVEXITY, _geomdel_value,
-        _delta_scan,
+        DualVariant.GEOMDEL_CONVEXITY, _geomdel_value, _delta_scan
     ),
-    BoundVariant.GEOMDEL_ELEMENTARY: _Construction(Family.GEOMETRIC_DELETION),
+    BoundVariant.GEOMDEL_ELEMENTARY: _Construction(DualVariant.INVERSE_BINOMIAL),
 }
 
 
 def _optimized(family: Family) -> tuple[BoundVariant, ...]:
     """The family's q-optimized constructions; its default bound is their best."""
     return tuple(
-        v for v, c in _CONSTRUCTIONS.items() if c.family is family and c.dual is not None
+        v for v, c in _CONSTRUCTIONS.items() if c.family is family and c.value_from is not None
     )
 
 
@@ -289,7 +286,7 @@ class _Pieces:
 
 def _pieces(p: float, variant: BoundVariant) -> _Pieces:
     con = _CONSTRUCTIONS[variant]
-    if con.dual is None:
+    if con.value_from is None:
         raise ValueError(f"no q-objective for variant {variant}")
     threshold = reduction_params(RepeatChannel(con.family, p)).lam
     if con.gap_scan is None:
@@ -461,8 +458,6 @@ def _bound_for(family: Family, variant: BoundVariant | None, p: float) -> BoundR
     # The family default is the best of its optimized constructions that
     # can be computed; the winner's identity stays in the variant field.
     candidates = _optimized(family) if variant is None else (variant,)
-    if not candidates:
-        raise ValueError(f"no capacity bound for family {family.value}")
     p = _validate_p(p)
     results, errors = [], []
     for v in candidates:

@@ -1,13 +1,11 @@
 """Repeat-channel families and their associated memoryless integer channels.
 
 A repeat channel replaces each input bit by D i.i.d. copies of itself.  The
-families here are parametrized by a replication probability p in (0, 1)
-(or a mean for the Poisson family):
+families here are parametrized by a replication probability p in (0, 1):
 
     geometric sticky       D(y) = (1-p) p^(y-1),  y >= 1
     elementary duplication D(1) = 1-p, D(2) = p
     geometric deletion     D(y) = (1-p) p^y,      y >= 0
-    poisson repeat         D(y) = exp(-lam) lam^y / y!
 
 Grouping the output by input runs reduces each to a memoryless channel on
 the positive integers whose conditional output law Y_x for input x is
@@ -17,9 +15,10 @@ the positive integers whose conditional output law Y_x for input x is
     deletion:     NegBin(x, p)      pmf C(y+x-1, y) (1-p)^x p^y, y >= 0
 
 The reduction needs three scalars per family: lam = E[D], lam_bar = E[D | D != 0],
-and p_nonzero = P(D != 0).  The Poisson family is only ever sampled (by the
-Monte Carlo simulator); it does not participate in the dual construction,
-so its pmf and pgf accessors are deliberately not provided.
+and p_nonzero = P(D != 0).  Each family's facts live in one _Law record in
+_LAWS; ConditionalOutputLaw reads them for one input x, and output_log_pmf
+and reduction_params are the module-level reads the gap scan and the bound
+thresholds use.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -36,43 +36,85 @@ class Family(enum.Enum):
     GEOMETRIC_STICKY = "geometric-sticky"
     ELEMENTARY_DUPLICATION = "duplication"
     GEOMETRIC_DELETION = "geometric-deletion"
-    POISSON_REPEAT = "poisson-repeat"
 
 
-_P_FAMILIES = (
-    Family.GEOMETRIC_STICKY,
-    Family.ELEMENTARY_DUPLICATION,
-    Family.GEOMETRIC_DELETION,
-)
+@dataclass(frozen=True)
+class _Law:
+    """The facts of one family's output law Y_x, each written in the
+    operation order the package has always computed it in.
+
+    mean(x, p) and stddev(x, p) are Y_x's moments and support(x) its
+    (first, last) point.  log_pmf(ys, x, logp, log1mp, log_gamma) is
+    log Y_x(ys) for ys inside the support.  pgf_factor(z, p) is the
+    per-input pgf factor, E[z^Y_x] = factor^x; it holds past z = 1 too while
+    it stays finite (p*z < 1 for sticky and deletion), which is where the
+    Chernoff tail bounds read it, at the points chernoff_zs(p).  reduction(p)
+    is (lam, lam_bar, p_nonzero).
+    """
+
+    mean: Callable[[int, float], float]
+    stddev: Callable[[int, float], float]
+    support: Callable[[int], tuple[int, float]]
+    log_pmf: Callable[..., np.ndarray]
+    pgf_factor: Callable[[float, float], float]
+    chernoff_zs: Callable[[float], tuple[float, ...]]
+    reduction: Callable[[float], tuple[float, float, float]]
+
+
+def _spread_zs(p: float) -> tuple[float, ...]:
+    return tuple(1.0 + (1.0 / p - 1.0) * f for f in (0.25, 0.5, 0.75))
+
+
+_LAWS = {
+    Family.GEOMETRIC_STICKY: _Law(
+        mean=lambda x, p: x / (1.0 - p),
+        stddev=lambda x, p: math.sqrt(x * p) / (1.0 - p),
+        support=lambda x: (x, math.inf),
+        log_pmf=lambda ys, x, logp, log1mp, lg: (
+            lg(ys) - lg(x) - lg(ys - x + 1) + x * log1mp + (ys - x) * logp
+        ),
+        pgf_factor=lambda z, p: z * (1.0 - p) / (1.0 - p * z),
+        chernoff_zs=_spread_zs,
+        reduction=lambda p: (1.0 / (1.0 - p), 1.0 / (1.0 - p), 1.0),
+    ),
+    Family.ELEMENTARY_DUPLICATION: _Law(
+        mean=lambda x, p: x * (1.0 + p),
+        stddev=lambda x, p: math.sqrt(x * p * (1.0 - p)),
+        support=lambda x: (x, 2 * x),
+        log_pmf=lambda ys, x, logp, log1mp, lg: (
+            lg(x + 1) - lg(ys - x + 1) - lg(2 * x - ys + 1)
+            + (2 * x - ys) * log1mp + (ys - x) * logp
+        ),
+        pgf_factor=lambda z, p: z * (1.0 - p + p * z),
+        chernoff_zs=lambda p: (1.5, 2.0, 4.0, 8.0),
+        reduction=lambda p: (1.0 + p, 1.0 + p, 1.0),
+    ),
+    Family.GEOMETRIC_DELETION: _Law(
+        mean=lambda x, p: x * p / (1.0 - p),
+        stddev=lambda x, p: math.sqrt(x * p) / (1.0 - p),
+        support=lambda x: (0, math.inf),
+        log_pmf=lambda ys, x, logp, log1mp, lg: (
+            lg(ys + x) - lg(x) - lg(ys + 1) + x * log1mp + ys * logp
+        ),
+        pgf_factor=lambda z, p: (1.0 - p) / (1.0 - p * z),
+        chernoff_zs=_spread_zs,
+        reduction=lambda p: (p / (1.0 - p), 1.0 / (1.0 - p), p),
+    ),
+}
 
 
 @dataclass(frozen=True)
 class RepeatChannel:
-    """A channel family tag plus its parameter.
-
-    param is the replication probability p in (0, 1) for the sticky,
-    duplication, and deletion families, and the mean lam > 0 for the
-    Poisson-repeat family.
-    """
+    """A channel family tag plus its replication probability p in (0, 1)."""
 
     family: Family
-    param: float
+    p: float
 
     def __post_init__(self):
-        if self.family in _P_FAMILIES:
-            if not 0.0 < self.param < 1.0:
-                raise ValueError(f"replication parameter must be in (0, 1), got {self.param}")
-        elif self.family is Family.POISSON_REPEAT:
-            if not self.param > 0.0:
-                raise ValueError(f"Poisson mean must be positive, got {self.param}")
-        else:
+        if self.family not in _LAWS:
             raise ValueError(f"unknown family {self.family!r}")
-
-    @property
-    def p(self) -> float:
-        if self.family not in _P_FAMILIES:
-            raise ValueError("p is only defined for the p-parametrized families")
-        return self.param
+        if not 0.0 < self.p < 1.0:
+            raise ValueError(f"replication parameter must be in (0, 1), got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -113,139 +155,55 @@ def output_log_pmf(channel: RepeatChannel, x: int, y, log_gamma=gammaln):
     yy = np.atleast_1d(y_arr).astype(np.int64, copy=False)
     if np.any(yy < 0):
         raise ValueError("y must be nonnegative")
-    p = channel.p
-    logp = math.log(p)
-    log1mp = math.log1p(-p)
-    if channel.family is Family.GEOMETRIC_STICKY:
-        mask = yy >= x
-        ys = np.where(mask, yy, x)
-        out = (
-            log_gamma(ys)
-            - log_gamma(x)
-            - log_gamma(ys - x + 1)
-            + x * log1mp
-            + (ys - x) * logp
-        )
-    elif channel.family is Family.ELEMENTARY_DUPLICATION:
-        mask = (yy >= x) & (yy <= 2 * x)
-        ys = np.where(mask, yy, x)
-        out = (
-            log_gamma(x + 1)
-            - log_gamma(ys - x + 1)
-            - log_gamma(2 * x - ys + 1)
-            + (2 * x - ys) * log1mp
-            + (ys - x) * logp
-        )
-    elif channel.family is Family.GEOMETRIC_DELETION:
-        mask = None  # every y >= 0 is in the support
-        out = log_gamma(yy + x) - log_gamma(x) - log_gamma(yy + 1) + x * log1mp + yy * logp
+    law = _LAWS[channel.family]
+    args = (x, math.log(channel.p), math.log1p(-channel.p), log_gamma)
+    lo, hi = law.support(x)
+    if lo == 0 and hi == math.inf:  # every y >= 0 is in the support
+        out = law.log_pmf(yy, *args)
     else:
-        raise ValueError(f"{channel.family.value} has no tabulated output law")
-    if mask is not None:
-        out = np.where(mask, out, -math.inf)
+        mask = (yy >= lo) & (yy <= hi)
+        out = np.where(mask, law.log_pmf(np.where(mask, yy, lo), *args), -math.inf)
     return float(out[0]) if scalar else out
 
 
-def output_mean(channel: RepeatChannel, x: int) -> float:
-    x = _require_input(x)
-    p = channel.param
-    if channel.family is Family.GEOMETRIC_STICKY:
-        return x / (1.0 - p)
-    if channel.family is Family.ELEMENTARY_DUPLICATION:
-        return x * (1.0 + p)
-    if channel.family is Family.GEOMETRIC_DELETION:
-        return x * p / (1.0 - p)
-    if channel.family is Family.POISSON_REPEAT:
-        return x * p
-    raise ValueError(f"unknown family {channel.family!r}")
-
-
-def output_stddev(channel: RepeatChannel, x: int) -> float:
-    x = _require_input(x)
-    p = channel.param
-    if channel.family is Family.GEOMETRIC_STICKY:
-        return math.sqrt(x * p) / (1.0 - p)
-    if channel.family is Family.ELEMENTARY_DUPLICATION:
-        return math.sqrt(x * p * (1.0 - p))
-    if channel.family is Family.GEOMETRIC_DELETION:
-        return math.sqrt(x * p) / (1.0 - p)
-    if channel.family is Family.POISSON_REPEAT:
-        return math.sqrt(x * p)
-    raise ValueError(f"unknown family {channel.family!r}")
-
-
-def output_support(channel: RepeatChannel, x: int) -> tuple[int, float]:
-    x = _require_input(x)
-    if channel.family is Family.GEOMETRIC_STICKY:
-        return (x, math.inf)
-    if channel.family is Family.ELEMENTARY_DUPLICATION:
-        return (x, 2 * x)
-    if channel.family is Family.GEOMETRIC_DELETION:
-        return (0, math.inf)
-    raise ValueError(f"{channel.family.value} has no tabulated output law")
-
-
-def _pgf_factor(channel: RepeatChannel, z: float) -> float:
-    """The per-input pgf factor: E[z^Y_x] = factor^x.  The formulas hold
-    past z = 1 too while they stay finite (p*z < 1 for sticky and
-    deletion), which is where the Chernoff tail bounds in duals read them."""
-    p = channel.p
-    if channel.family is Family.GEOMETRIC_STICKY:
-        return z * (1.0 - p) / (1.0 - p * z)
-    if channel.family is Family.ELEMENTARY_DUPLICATION:
-        return z * (1.0 - p + p * z)
-    if channel.family is Family.GEOMETRIC_DELETION:
-        return (1.0 - p) / (1.0 - p * z)
-    raise ValueError(f"{channel.family.value} has no pgf accessor")
-
-
-def pgf(channel: RepeatChannel, x: int, z: float) -> float:
-    """E[z^Y_x] for z in [0, 1]."""
-    x = _require_input(x)
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"pgf requires z in [0, 1], got {z}")
-    return _pgf_factor(channel, z) ** x
-
-
 def reduction_params(channel: RepeatChannel) -> ReductionParams:
-    p = channel.p
-    if channel.family is Family.GEOMETRIC_STICKY:
-        return ReductionParams(1.0 / (1.0 - p), 1.0 / (1.0 - p), 1.0)
-    if channel.family is Family.ELEMENTARY_DUPLICATION:
-        return ReductionParams(1.0 + p, 1.0 + p, 1.0)
-    if channel.family is Family.GEOMETRIC_DELETION:
-        return ReductionParams(p / (1.0 - p), 1.0 / (1.0 - p), p)
-    raise ValueError(f"no reduction for {channel.family.value}")
+    return ReductionParams(*_LAWS[channel.family].reduction(channel.p))
 
 
 @dataclass(frozen=True)
 class ConditionalOutputLaw:
-    """The law of Y_x for a fixed input x, with log-pmf/mean/support access."""
+    """The law of Y_x for a fixed input x: log-pmf, moments, support and pgf."""
 
     channel: RepeatChannel
     x: int
 
     def __post_init__(self):
-        _require_input(self.x)
-        output_support(self.channel, self.x)  # rejects families without a law
+        object.__setattr__(self, "x", _require_input(self.x))
+
+    @property
+    def _law(self) -> _Law:
+        return _LAWS[self.channel.family]
 
     def log_pmf(self, y):
         return output_log_pmf(self.channel, self.x, y)
 
     @property
     def mean(self) -> float:
-        return output_mean(self.channel, self.x)
+        return self._law.mean(self.x, self.channel.p)
 
     @property
     def stddev(self) -> float:
-        return output_stddev(self.channel, self.x)
+        return self._law.stddev(self.x, self.channel.p)
 
     @property
     def support(self) -> tuple[int, float]:
-        return output_support(self.channel, self.x)
+        return self._law.support(self.x)
 
     def pgf(self, z: float) -> float:
-        return pgf(self.channel, self.x, z)
+        """E[z^Y_x] for z in [0, 1]."""
+        if not 0.0 <= z <= 1.0:
+            raise ValueError(f"pgf requires z in [0, 1], got {z}")
+        return self._law.pgf_factor(z, self.channel.p) ** self.x
 
     def truncated_support(self, n_std: float = 40.0) -> np.ndarray:
         """Integer grid from the support floor to mean + n_std stddevs."""

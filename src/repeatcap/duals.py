@@ -52,12 +52,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from repeatcap import channels
-from repeatcap.channels import (
-    ConditionalOutputLaw,
-    Family,
-    RepeatChannel,
-    _pgf_factor,
-)
+from repeatcap.channels import _LAWS, ConditionalOutputLaw, Family, RepeatChannel
 from repeatcap.numerics import (
     SeriesSpec,
     binary_entropy,
@@ -646,16 +641,14 @@ def _chernoff_logs(channel: RepeatChannel) -> tuple[tuple[float, float], ...]:
     """(log pgf factor(z), log z) at the fixed points z > 1 _tail_mass_bound
     minimizes over; they depend on the channel alone, and every x of a gap
     scan reads them."""
-    if channel.family is Family.ELEMENTARY_DUPLICATION:
-        zs = (1.5, 2.0, 4.0, 8.0)
-    else:
-        zs = tuple(1.0 + (1.0 / channel.p - 1.0) * f for f in (0.25, 0.5, 0.75))
-    return tuple((math.log(_pgf_factor(channel, z)), math.log(z)) for z in zs)
+    law, p = _LAWS[channel.family], channel.p
+    return tuple((math.log(law.pgf_factor(z, p)), math.log(z)) for z in law.chernoff_zs(p))
 
 
 def _tail_mass_bound(channel: RepeatChannel, x: int, cutoff: int) -> float:
-    """Chernoff bound on P(Y_x > cutoff) via min_z pgf(z) / z^cutoff."""
-    if channel.family is Family.ELEMENTARY_DUPLICATION and cutoff >= 2 * x:
+    """Chernoff bound on P(Y_x > cutoff) via min_z pgf(z) / z^cutoff; 0 past
+    the support's top."""
+    if cutoff >= _LAWS[channel.family].support(x)[1]:
         return 0.0
     log_bound = min(x * log_f - cutoff * log_z for log_f, log_z in _chernoff_logs(channel))
     return math.exp(min(log_bound, 700.0))

@@ -48,7 +48,6 @@ __all__ = [
     "log_gamma_via_integral",
     "binary_entropy",
     "log_integral_li",
-    "eta_integral",
     "sum_series",
     "maximize_concave",
 ]
@@ -359,12 +358,8 @@ def log_gamma_via_integral(z: float, tol: float = 1e-10) -> float:
     return float(value)
 
 
-def binary_entropy(p: float, allow_endpoints: bool = False) -> float:
+def binary_entropy(p: float) -> float:
     """Binary entropy -p log p - (1-p) log(1-p) in nats."""
-    if p in (0.0, 1.0):
-        if allow_endpoints:
-            return 0.0
-        raise ValueError("binary_entropy requires 0 < p < 1 (or allow_endpoints=True)")
     if not 0.0 < p < 1.0:
         raise ValueError(f"binary_entropy requires p in (0, 1), got {p}")
     return float(-p * math.log(p) - (1.0 - p) * math.log1p(-p))
@@ -379,23 +374,6 @@ def log_integral_li(z: float) -> float:
     if not 0.0 < z < 1.0:
         raise ValueError(f"log_integral_li requires z in (0, 1), got {z}")
     return float(expi(math.log(z)))
-
-
-def eta_integral(z: float) -> float:
-    """eta(z) = int_0^z dt / ((1-t) log t) for z in (0, 1); negative there.
-
-    Substituting t = exp(-u) gives -int_a^inf exp(-u) / ((1 - exp(-u)) u) du
-    with a = -log z, a smooth integrand with an exponential tail.
-    """
-    if not 0.0 < z < 1.0:
-        raise ValueError(f"eta_integral requires z in (0, 1), got {z}")
-    a = -math.log(z)
-
-    def fu(u: np.ndarray) -> np.ndarray:
-        return np.array([math.exp(-x) / (-math.expm1(-x) * x) for x in u[:, 0].tolist()])
-
-    value, _ = integrate_exp_tail(fu, a, span=70.0, abs_tol=1e-11, left_cluster=False)
-    return -float(value)
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,12 @@ R_P = {
     (3, 0.3): 0.101788125814805751574,
 }
 
-# I_p = int_{2p/(1+2p)}^1 dt / (-t log(1-t))
+# I_p = int_{2p/(1+2p)}^1 dt / (-t log(1-t)); the substitution t -> 1-u makes
+# it -eta(1/(1+2p)), eta(z) = int_0^z dt / ((1-t) log t), and both routes
+# agree to 21 digits
 I_P_ENVELOPE = {
     0.3: 1.08068596034642858166,
+    0.5: 0.571498743652464668416,
     0.6: 0.45365037849566484275,
     0.9: 0.270192774484700146712,
 }
@@ -83,8 +86,6 @@ STICKY_MEAN_P03_Q05 = 1.64142835547203301225
 
 LI_HALF = -0.378671043061087976727  # logarithmic integral at 1/2 (mpmath li)
 LI_THIRD = -0.186411396831567143349
-ETA_HALF = -0.571498743652464668416  # equals -I_p at p = 1/2 (substitution
-ETA_0625 = -1.08068596034642858166  # t -> 1-u); both routes agree to 21 digits
 BINARY_ENTROPY_QUARTER = 0.562335144618808350288
 LOG_GAMMA_4_5 = 2.4537365708424422205
 

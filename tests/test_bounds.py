@@ -24,7 +24,7 @@ from repeatcap.bounds import (
     verify_tables,
 )
 from repeatcap.channels import Family
-from repeatcap.duals import r_p
+from repeatcap.duals import DualVariant, r_p
 from repeatcap.numerics import maximize_concave
 
 import oracles
@@ -187,9 +187,9 @@ def test_bench_hook_points(monkeypatch):
     assert calls == [(0.5, 500)]
     assert len(pmf_calls) > 0
     assert bounds._DELTA_SCANS is duals._DELTA_SCANS
-    for con in bounds._CONSTRUCTIONS.values():
-        if con.dual is not None:
-            assert duals._VARIANT_FAMILY[con.dual] is con.family
+    # Its reduction thresholds read the dual's family from duals._VARIANT_FAMILY.
+    channel = channels.RepeatChannel(duals._VARIANT_FAMILY[DualVariant.GEOMDEL_CONVEXITY], 0.5)
+    assert channels.reduction_params(channel).lam == 1.0
 
 
 def test_objective_curve_consistency():
@@ -201,7 +201,7 @@ def test_objective_curve_consistency():
         objective_curve(0.3, BoundVariant.GEOMDEL_ELEMENTARY, [0.5])
 
 
-_OPTIMIZED = [v for v, c in bounds._CONSTRUCTIONS.items() if c.dual is not None]
+_OPTIMIZED = [v for v, c in bounds._CONSTRUCTIONS.items() if c.value_from is not None]
 
 
 @pytest.mark.parametrize("p", [0.3, 0.9])

@@ -14,28 +14,22 @@ from repeatcap.channels import (
     ReductionParams,
     RepeatChannel,
     output_log_pmf,
-    output_mean,
-    output_stddev,
-    pgf,
     reduction_params,
 )
 
-P_FAMILIES = (
-    Family.GEOMETRIC_STICKY,
-    Family.ELEMENTARY_DUPLICATION,
-    Family.GEOMETRIC_DELETION,
-)
+
+def _law(family, p, x):
+    return ConditionalOutputLaw(RepeatChannel(family, p), x)
 
 
 def test_channel_param_validation():
-    for fam in P_FAMILIES:
+    for fam in Family:
         with pytest.raises(ValueError):
             RepeatChannel(fam, 0.0)
         with pytest.raises(ValueError):
             RepeatChannel(fam, 1.0)
     with pytest.raises(ValueError):
-        RepeatChannel(Family.POISSON_REPEAT, 0.0)
-    RepeatChannel(Family.POISSON_REPEAT, 3.5)  # any positive mean
+        RepeatChannel("poisson-repeat", 0.5)
 
 
 def test_log_pmf_trivial_values():
@@ -57,7 +51,7 @@ def test_log_pmf_outside_support():
     assert output_log_pmf(dup, 2, 1) == -math.inf  # y < x
 
 
-@pytest.mark.parametrize("family", P_FAMILIES)
+@pytest.mark.parametrize("family", tuple(Family))
 @pytest.mark.parametrize("p", (0.05, 0.6, 0.99))
 @pytest.mark.parametrize("x", (1, 7, 500))
 def test_log_pmf_from_a_log_gamma_array_is_bit_identical(family, p, x):
@@ -74,13 +68,13 @@ def test_log_pmf_from_a_log_gamma_array_is_bit_identical(family, p, x):
 
 
 def test_output_mean_closed_forms():
-    assert output_mean(RepeatChannel(Family.GEOMETRIC_STICKY, 0.5), 2) == 4.0
-    assert abs(output_mean(RepeatChannel(Family.ELEMENTARY_DUPLICATION, 0.2), 10) - 12.0) <= 1e-12
-    assert abs(output_mean(RepeatChannel(Family.GEOMETRIC_DELETION, 0.5), 3) - 3.0) <= 1e-12
+    assert _law(Family.GEOMETRIC_STICKY, 0.5, 2).mean == 4.0
+    assert abs(_law(Family.ELEMENTARY_DUPLICATION, 0.2, 10).mean - 12.0) <= 1e-12
+    assert abs(_law(Family.GEOMETRIC_DELETION, 0.5, 3).mean - 3.0) <= 1e-12
 
 
 def test_pmf_normalization_and_mean():
-    for fam in P_FAMILIES:
+    for fam in Family:
         for p in (0.2, 0.6):
             channel = RepeatChannel(fam, p)
             for x in (1, 2, 5, 20):
@@ -92,15 +86,15 @@ def test_pmf_normalization_and_mean():
 
 
 def test_pgf_trivial_and_derived():
-    for fam in P_FAMILIES:
-        assert abs(pgf(RepeatChannel(fam, 0.35), 3, 1.0) - 1.0) <= 1e-12
-    assert pgf(RepeatChannel(Family.GEOMETRIC_STICKY, 0.3), 2, 0.0) == 0.0
+    for fam in Family:
+        assert abs(_law(fam, 0.35, 3).pgf(1.0) - 1.0) <= 1e-12
+    assert _law(Family.GEOMETRIC_STICKY, 0.3, 2).pgf(0.0) == 0.0
     # single duplication bit at z = 1/2: 0.5 * (0.5 + 0.5 * 0.5)
-    assert abs(pgf(RepeatChannel(Family.ELEMENTARY_DUPLICATION, 0.5), 1, 0.5) - 0.375) <= 1e-14
+    assert abs(_law(Family.ELEMENTARY_DUPLICATION, 0.5, 1).pgf(0.5) - 0.375) <= 1e-14
 
 
 def test_pgf_matches_pmf_sum():
-    for fam in P_FAMILIES:
+    for fam in Family:
         channel = RepeatChannel(fam, 0.45)
         for x in (1, 4):
             law = ConditionalOutputLaw(channel, x)
@@ -108,14 +102,15 @@ def test_pgf_matches_pmf_sum():
             pmf = np.exp(law.log_pmf(ys))
             for z in (0.2, 0.7, 0.95):
                 direct = float(np.sum(z**ys * pmf))
-                assert abs(pgf(channel, x, z) - direct) <= 1e-9, (fam, x, z)
+                assert abs(law.pgf(z) - direct) <= 1e-9, (fam, x, z)
 
 
 def test_pgf_domain():
+    law = _law(Family.GEOMETRIC_STICKY, 0.5, 1)
     with pytest.raises(ValueError):
-        pgf(RepeatChannel(Family.GEOMETRIC_STICKY, 0.5), 1, 1.2)
+        law.pgf(1.2)
     with pytest.raises(ValueError):
-        pgf(RepeatChannel(Family.GEOMETRIC_STICKY, 0.5), 1, -0.1)
+        law.pgf(-0.1)
 
 
 def test_sticky_composition_is_convolution():
@@ -144,18 +139,23 @@ def test_reduction_params():
     assert abs(geomdel.lam - 1.0) <= 1e-12
     assert abs(geomdel.lam_bar - 2.0) <= 1e-12
     assert abs(geomdel.p_nonzero - 0.5) <= 1e-12
-    with pytest.raises(ValueError):
-        reduction_params(RepeatChannel(Family.POISSON_REPEAT, 2.0))
 
 
 def test_reduction_invariant():
-    for fam in P_FAMILIES:
+    # lam = E[D] is the one-bit output mean, lam_bar * p_nonzero = lam, and
+    # p_nonzero = 1 - Y_1(0).
+    for fam in Family:
         for p in (0.1, 0.5, 0.9):
-            r = reduction_params(RepeatChannel(fam, p))
+            channel = RepeatChannel(fam, p)
+            r = reduction_params(channel)
             assert r.lam_bar >= r.lam - 1e-15
             assert 0.0 < r.p_nonzero <= 1.0
+            assert abs(r.lam - ConditionalOutputLaw(channel, 1).mean) <= 1e-12, (fam, p)
+            assert abs(r.lam_bar * r.p_nonzero - r.lam) <= 1e-12, (fam, p)
+            p_zero = math.exp(output_log_pmf(channel, 1, 0))
+            assert abs(r.p_nonzero - (1.0 - p_zero)) <= 1e-12, (fam, p)
 
 
 def test_stddev_positive():
-    for fam in P_FAMILIES:
-        assert output_stddev(RepeatChannel(fam, 0.3), 4) > 0.0
+    for fam in Family:
+        assert _law(fam, 0.3, 4).stddev > 0.0

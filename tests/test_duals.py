@@ -10,14 +10,7 @@ import numpy as np
 import pytest
 
 from repeatcap import bounds, duals, numerics
-from repeatcap.channels import (
-    ConditionalOutputLaw,
-    Family,
-    RepeatChannel,
-    output_log_pmf,
-    output_mean,
-    output_stddev,
-)
+from repeatcap.channels import ConditionalOutputLaw, Family, RepeatChannel, output_log_pmf
 from repeatcap.duals import (
     DualVariant,
     build_dual,
@@ -130,7 +123,7 @@ def test_r_p_oracle_values():
 
 
 def test_r_p_decay_and_envelope():
-    for p in (0.3, 0.6, 0.9):
+    for p in oracles.I_P_ENVELOPE:
         xs = np.arange(1, 51)
         vals = r_p(xs, p)
         assert np.all(vals > 0.0)
@@ -262,14 +255,13 @@ def test_kl_divergence_at_small_p(variant, p, x):
     assert math.isfinite(kl) and kl >= 0.0
 
 
-@pytest.mark.parametrize("family", (
-    Family.GEOMETRIC_STICKY, Family.ELEMENTARY_DUPLICATION, Family.GEOMETRIC_DELETION,
-))
+@pytest.mark.parametrize("family", tuple(Family))
 @pytest.mark.parametrize("p", (0.3, 0.9))
 @pytest.mark.parametrize("x", (1, 5, 40))
 def test_chernoff_tail_bound_covers_the_exact_tail(family, p, x):
     channel = RepeatChannel(family, p)
-    mean, std = output_mean(channel, x), output_stddev(channel, x)
+    law = ConditionalOutputLaw(channel, x)
+    mean, std = law.mean, law.stddev
     ys = np.arange(0, int(mean + 80.0 * std) + 200)
     pmf = np.exp(output_log_pmf(channel, x, ys))
     for cutoff in sorted({int(mean + k * std) for k in (0.5, 3.0, 8.0)} | {2 * x}):
@@ -353,7 +345,7 @@ def test_gap_profile_matches_the_direct_kl_sum(variant, p, delta):
     for x in range(1, 21):
         direct = (
             profile.line_intercept
-            + profile.line_slope * output_mean(channel, x)
+            + profile.line_slope * ConditionalOutputLaw(channel, x).mean
             - kl_divergence(channel, x, dual)
         )
         assert abs(profile.gaps[x] - direct) <= 1e-9, x
