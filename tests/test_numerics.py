@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repeatcap.duals import r_p_envelope
 from repeatcap.numerics import (
     OptimizeResult,
     QuadratureError,
@@ -78,6 +79,19 @@ def test_log_integral_li():
         log_integral_li(0.0)
     with pytest.raises(ValueError):
         log_integral_li(1.0)
+
+
+def test_eta_integral():
+    # eta(z) = int_0^z dt / ((1-t) log t); t -> 1-u turns the envelope
+    # integral I_p into -eta(z) at z = 1/(1+2p), so eta(z) = -I_p with
+    # p = (1/z - 1)/2, computed by r_p_envelope on the exp-tail quadrature
+    def eta(z):
+        return -r_p_envelope((1.0 / z - 1.0) / 2.0)
+
+    assert abs(eta(0.5) + oracles.I_P_ENVELOPE[0.5]) <= 1e-10
+    assert abs(eta(0.625) + oracles.I_P_ENVELOPE[0.3]) <= 1e-10
+    assert eta(0.5) < 0.0
+    assert abs(eta(1e-9)) <= 1e-8
 
 
 def test_integrate_constant_and_linear():
