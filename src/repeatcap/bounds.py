@@ -619,21 +619,17 @@ def verify_tables(
     # One task per table row, all mapped at once: a T3 row runs conv and
     # trunc, plus delta-d where the table prints it.
     rows, tasks = [], []
-    for table, family in (
-        (tables.T1_STICKY, Family.GEOMETRIC_STICKY),
-        (tables.T2_DUPLICATION, Family.ELEMENTARY_DUPLICATION),
-        (tables.T3_GEOMDEL, Family.GEOMETRIC_DELETION),
-    ):
+    for table in tables.ALL_TABLES:
         if table.table_id[:2] not in wanted:
             continue
         for row in table.rows:
             variants = (None,)
-            if family is Family.GEOMETRIC_DELETION:
+            if table.family is Family.GEOMETRIC_DELETION:
                 variants = (BoundVariant.GEOMDEL_CONV, BoundVariant.GEOMDEL_TRUNC)
                 if row[3] is not None:
                     variants += (BoundVariant.GEOMDEL_DELTA_D,)
             rows.append((table.table_id, row))
-            tasks.append((family, variants, row[0]))
+            tasks.append((table.family, variants, row[0]))
 
     checks: list[TableCheck] = []
     for (table_id, row), res in zip(rows, evaluate_points(tasks, max_workers)):

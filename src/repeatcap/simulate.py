@@ -11,7 +11,14 @@ distance between input and decode drops below any fixed fraction of n.
 A trial succeeds when ED(x, decode) <= epsilon * n.
 
 Trials draw independent RNG streams spawned from a single seed, so results
-are reproducible and trials could run concurrently without coordination.
+are reproducible and do not depend on how trials are grouped.
+run_monte_carlo takes the trials _CHUNK at a time.  It draws each trial's
+input and Poisson counts and decodes straight from the counts, without
+building the channel output (sample_channel_output and run_length_decode
+give the same decode from that output).  Then one numpy kernel,
+_edit_distances, runs Myers' bit-parallel edit distance for all of the
+chunk's trials in lockstep.  edit_distance stays the single-pair function
+for any symbols; it is faster than the kernel for one pair.
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 INPUT_SOURCES = ("uniform_random", "all_alternating", "user_supplied")
+
+# Trials the edit-distance kernel steps together; bounds its memory.
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -112,12 +122,30 @@ def run_length_decode(y_bits, lam: float) -> str | np.ndarray:
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     arr = _as_bit_array(y_bits)
-    if arr.size == 0:
-        return _like(arr, y_bits)
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(arr)) + 1])
-    lengths = np.diff(np.concatenate([starts, [arr.size]]))
+    return _like(_decode_runs(arr, lam), y_bits)
+
+
+def _decode_runs(bits: np.ndarray, lam: float, counts=None) -> np.ndarray:
+    """The run-length decode of bits, each bits[i] standing for counts[i]
+    channel outputs (one each when counts is None).
+
+    Symbols with count 0 vanish, so the runs are those of the output
+    np.repeat(bits, counts); each run of total count L becomes
+    round(L / lam) copies of its bit, rounded half-up.  Reading the counts
+    directly decodes a trial without building its output.
+    """
+    if counts is not None:
+        kept = counts > 0
+        bits, counts = bits[kept], counts[kept]
+    if bits.size == 0:
+        return bits
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(bits)) + 1])
+    if counts is None:
+        lengths = np.diff(np.concatenate([starts, [bits.size]]))
+    else:
+        lengths = np.add.reduceat(counts, starts)
     copies = np.floor(lengths / lam + 0.5).astype(np.int64)
-    return _like(np.repeat(arr[starts], copies).astype(np.uint8), y_bits)
+    return np.repeat(bits[starts], copies).astype(np.uint8)
 
 
 def edit_distance(a, b) -> int:
@@ -164,6 +192,105 @@ def edit_distance(a, b) -> int:
     return score
 
 
+def _edit_distances(xs, decoded) -> np.ndarray:
+    """edit_distance(xs[i], decoded[i]) for every i, as an int64 array.
+
+    Bits only, and every xs[i] has the same length n.  Myers' bit-parallel
+    recurrence (J. ACM 46(3), 1999) with xs[i] as the pattern, run on up
+    to _CHUNK trials in lockstep.  The pattern's delta vectors live in
+    (trials, ceil(n / 64)) uint64 arrays, word 0 holding positions 0-63,
+    and one pass of the step loop (a few dozen numpy calls) advances every
+    trial by one text symbol.  The match mask of a trial's symbol is
+    P0 ^ sel, where P0 marks the zeros of the pattern and sel is all ones
+    for the trials whose symbol is 1.  Additions carry across words
+    through a ripple loop that stops once no carry is left; shifts carry
+    each word's top bit into the next.  Bits above n - 1 are never masked,
+    since carries and shifts only move upward.  A trial stops at the end
+    of its own text, and its score is read at bit n - 1.  Memory is
+    O(_CHUNK * (n + longest text)) for any number of trials.
+    """
+    return np.concatenate(
+        [np.zeros(0, np.int64)]
+        + [_lockstep(xs[lo:lo + _CHUNK], decoded[lo:lo + _CHUNK])
+           for lo in range(0, len(decoded), _CHUNK)]
+    )
+
+
+def _lockstep(xs, decoded) -> np.ndarray:
+    """_edit_distances of at most _CHUNK trials, stepped together.
+
+    Rows run longest text first, so the trials still reading text are the
+    first k rows, and k only shrinks.  Shifted words take their low bit
+    from column 0 of carry_in (the 1 that ph shifts in, the 0 of mh) and
+    from the top bit of the word below.
+    """
+    n = len(xs[0])
+    lengths = np.array([len(d) for d in decoded])
+    order = np.argsort(-lengths, kind="stable")
+    lengths = np.append(lengths[order], 0)
+    trials, words = len(order), -(-n // 64)
+    p0 = np.zeros((trials, words), dtype="<u8")
+    text = np.zeros((lengths[0], trials), dtype=np.uint8)
+    for row, i in enumerate(order):
+        packed = np.packbits(np.asarray(xs[i]) == 0, bitorder="little")
+        p0.view(np.uint8)[row, : packed.size] = packed
+        text[: lengths[row], row] = decoded[i]
+
+    vectors = np.zeros((5, trials, words), dtype=np.uint64)  # eq, xv, xh, pv, mv
+    vectors[3] = ~np.uint64(0)
+    horizontal = np.empty((2, trials, words), dtype=np.uint64)  # ph, mh
+    carry_in = np.zeros((2, trials, words + 1), dtype=np.uint64)
+    carry_in[0, :, 0] = 1
+    carry = np.empty((trials, words), dtype=bool)
+    sel = np.empty(trials, dtype=np.uint64)
+    # per trial, the +1 and the -1 moves of the score D[n][j] over j
+    moves, move = np.zeros((2, trials), dtype=np.uint64), np.empty((2, trials), dtype=np.uint64)
+    word, bit = divmod(n - 1, 64)
+    for k in range(trials, 0, -1):
+        eq, xv, xh, pv, mv = vectors[:, :k]
+        h = horizontal[:, :k]
+        ph, mh = h
+        p0_k, sel_k, carry_k, cin = p0[:k], sel[:k], carry[:k], carry_in[:, :k]
+        move_k, moves_k = move[:, :k], moves[:, :k]
+        for j in range(lengths[k], lengths[k - 1]):
+            np.negative(text[j, :k], out=sel_k, dtype=np.uint64)
+            np.bitwise_xor(p0_k, sel_k[:, None], out=eq)
+            np.bitwise_or(eq, mv, out=xv)
+            # xh = (((eq & pv) + pv) ^ pv) | eq, the sum carried across words
+            np.bitwise_and(eq, pv, out=xh)
+            np.add(xh, pv, out=xh)
+            c = np.less(xh, pv, out=carry_k)[:, :-1]
+            for w in range(1, words):
+                upper = xh[:, w:]
+                upper += c
+                c = (c & (upper == 0))[:, :-1]
+                if not c.any():
+                    break
+            np.bitwise_xor(xh, pv, out=xh)
+            np.bitwise_or(xh, eq, out=xh)
+            # ph = mv | ~(xh | pv), mh = pv & xh
+            np.bitwise_or(xh, pv, out=ph)
+            np.invert(ph, out=ph)
+            np.bitwise_or(ph, mv, out=ph)
+            np.bitwise_and(pv, xh, out=mh)
+            np.right_shift(h[:, :, word], bit, out=move_k)
+            np.bitwise_and(move_k, 1, out=move_k)
+            np.add(moves_k, move_k, out=moves_k)
+            # ph = (ph << 1) | 1, mh <<= 1
+            np.right_shift(h, 63, out=cin[:, :, 1:])
+            np.left_shift(h, 1, out=h)
+            np.bitwise_or(h, cin[:, :, :-1], out=h)
+            # pv = mh | ~(xv | ph), mv = ph & xv
+            np.bitwise_or(xv, ph, out=pv)
+            np.invert(pv, out=pv)
+            np.bitwise_or(pv, mh, out=pv)
+            np.bitwise_and(ph, xv, out=mv)
+    up, down = moves.astype(np.int64)
+    out = np.empty(trials, dtype=np.int64)
+    out[order] = n + up - down
+    return out
+
+
 def _input_bits(config: SimConfig, rng) -> np.ndarray:
     if config.input_source == "uniform_random":
         return rng.integers(0, 2, config.n, dtype=np.uint8)
@@ -179,24 +306,34 @@ def run_monte_carlo(config: SimConfig, *, rng_factory=None):
     the run is deterministic in the config and trial outcomes do not depend
     on execution order.  rng_factory maps a SeedSequence to an rng and
     exists so tests can inject stub generators; default is numpy's.
+
+    Each trial draws its input, then its Poisson counts, and is decoded
+    from the counts; _CHUNK trials at a time are drawn, then measured
+    together by _edit_distances, so the draws held at once do not grow
+    with the trials.
     """
     validate_config(config)
     if rng_factory is None:
         rng_factory = np.random.default_rng
     reports = []
     threshold = config.epsilon * config.n
-    for child in np.random.SeedSequence(config.seed).spawn(config.trials):
-        rng = rng_factory(child)
-        x = _input_bits(config, rng)
-        y = sample_channel_output(x, config.lam, rng)
-        decoded = run_length_decode(y, config.lam)
-        dist = edit_distance(x, decoded)
-        reports.append(
-            TrialReport(
-                edit_distance=int(dist),
-                output_length=int(y.size),
-                success=bool(dist <= threshold),
+    children = np.random.SeedSequence(config.seed).spawn(config.trials)
+    for lo in range(0, len(children), _CHUNK):
+        xs, decoded, lengths = [], [], []
+        for child in children[lo:lo + _CHUNK]:
+            rng = rng_factory(child)
+            x = _input_bits(config, rng)
+            counts = rng.poisson(config.lam, x.size)
+            xs.append(x)
+            decoded.append(_decode_runs(x, config.lam, counts))
+            lengths.append(int(counts.sum()))
+        for dist, length in zip(_edit_distances(xs, decoded).tolist(), lengths):
+            reports.append(
+                TrialReport(
+                    edit_distance=dist,
+                    output_length=length,
+                    success=bool(dist <= threshold),
+                )
             )
-        )
     success_rate = sum(r.success for r in reports) / len(reports)
     return success_rate, reports

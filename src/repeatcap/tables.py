@@ -24,16 +24,20 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repeatcap.channels import Family
+
 
 @dataclass(frozen=True)
 class ReferenceTable:
     """A published table: one row per p, column names aligned with values.
 
-    Row p values are strictly increasing; a None value means the table
-    printed a non-numeric marker there (see module docstring).
+    family is the channel the table bounds.  Row p values are strictly
+    increasing; a None value means the table printed a non-numeric marker
+    there (see module docstring).
     """
 
     table_id: str
+    family: Family
     columns: tuple[str, ...]
     rows: tuple[tuple[float | None, ...], ...]
 
@@ -54,6 +58,7 @@ class ReferenceTable:
 
 T1_STICKY = ReferenceTable(
     table_id="T1_sticky",
+    family=Family.GEOMETRIC_STICKY,
     columns=("prior_lower", "prior_upper", "ours"),
     rows=(
         (0.05, 0.814457, 0.814464, 0.814464),
@@ -81,6 +86,7 @@ T1_STICKY = ReferenceTable(
 
 T2_DUPLICATION = ReferenceTable(
     table_id="T2_duplication",
+    family=Family.ELEMENTARY_DUPLICATION,
     columns=("prior_lower", "prior_upper", "ours"),
     rows=(
         (0.1, 0.7405, 0.7406, 0.7406),
@@ -97,6 +103,7 @@ T2_DUPLICATION = ReferenceTable(
 
 T3_GEOMDEL = ReferenceTable(
     table_id="T3_geomdel",
+    family=Family.GEOMETRIC_DELETION,
     columns=("prior_upper", "ours", "ours_delta_d"),
     rows=(
         (0.05, 0.021, 0.021244, None),

@@ -11,7 +11,9 @@ the package's float64 adaptive Gauss-Kronrod route.
 
 Live helpers: a composite Simpson rule in longdouble and a textbook
 dynamic-programming edit distance, both written independently of the
-package implementations they check.
+package implementations they check; and the Monte Carlo run as a plain
+per-trial loop over the simulator's single-trial functions, the reference
+for its batched run.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from repeatcap import simulate
 
 # integral of f1(y, t) over t in [0, 1] for the sticky construction,
 # f1 = (1 + t - t y (1-p) - (1-t)^(y-1) / (1-pt)^y) / (t log(1-t))
@@ -136,3 +140,25 @@ def dp_edit_distance(a, b) -> int:
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
         prev = cur
     return prev[len(b)]
+
+
+def monte_carlo_reference(config):
+    """(success_rate, reports) of run_monte_carlo, one trial at a time.
+
+    Each trial draws its input and its channel output from its own spawned
+    stream, run-length decodes the output and takes edit_distance.
+    """
+    reports = []
+    for child in np.random.SeedSequence(config.seed).spawn(config.trials):
+        rng = np.random.default_rng(child)
+        x = simulate._input_bits(config, rng)
+        y = simulate.sample_channel_output(x, config.lam, rng)
+        dist = simulate.edit_distance(x, simulate.run_length_decode(y, config.lam))
+        reports.append(
+            simulate.TrialReport(
+                edit_distance=int(dist),
+                output_length=int(y.size),
+                success=bool(dist <= config.epsilon * config.n),
+            )
+        )
+    return sum(r.success for r in reports) / len(reports), reports

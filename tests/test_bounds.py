@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -312,9 +313,7 @@ def test_verify_t3_opens_one_pool_and_scans_once_per_row(cold_pool, monkeypatch)
     from repeatcap import tables
 
     t3 = tables.T3_GEOMDEL
-    two_rows = t3.__class__(
-        t3.table_id, t3.columns, tuple(r for r in t3.rows if r[0] in (0.3, 0.9))
-    )
+    two_rows = dataclasses.replace(t3, rows=tuple(r for r in t3.rows if r[0] in (0.3, 0.9)))
     monkeypatch.setattr(tables, "T3_GEOMDEL", two_rows)
     monkeypatch.setattr(
         tables, "ALL_TABLES", (tables.T1_STICKY, tables.T2_DUPLICATION, two_rows)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -213,9 +214,7 @@ def test_verify_detects_wrong_table_value(capsys, monkeypatch):
     first = list(rows[0])
     first[3] = first[3] + 0.01
     rows[0] = tuple(first)
-    tampered = tables.T2_DUPLICATION.__class__(
-        tables.T2_DUPLICATION.table_id, tables.T2_DUPLICATION.columns, tuple(rows)
-    )
+    tampered = dataclasses.replace(tables.T2_DUPLICATION, rows=tuple(rows))
     monkeypatch.setattr(tables, "T2_DUPLICATION", tampered)
     monkeypatch.setattr(
         tables, "ALL_TABLES", (tables.T1_STICKY, tampered, tables.T3_GEOMDEL)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dp_edit_distance
+from oracles import dp_edit_distance, monte_carlo_reference
+from repeatcap import simulate
 from repeatcap.simulate import (
     SimConfig,
     edit_distance,
@@ -189,3 +192,91 @@ def test_alternating_and_user_inputs():
     )
     rate, _ = run_monte_carlo(config)
     assert rate == 1.0
+
+
+def _pairs_for(m, rng):
+    """Patterns of length m against texts that are empty, shorter than the
+    pattern and longer than it.
+
+    The uniform patterns make every word alike; in "1 then 0s" and
+    "0 then 1s", a text that opens with the pattern's first symbol has
+    eq = bit 0 alone while pv is still all ones, so (eq & pv) + pv carries
+    from bit 0 through every word of the pattern (3 words at m = 129).
+    """
+    patterns = [
+        rng.integers(0, 2, m, dtype=np.uint8),
+        np.zeros(m, dtype=np.uint8),
+        np.ones(m, dtype=np.uint8),
+        np.concatenate([[1], np.zeros(m - 1)]).astype(np.uint8),
+        np.concatenate([[0], np.ones(m - 1)]).astype(np.uint8),
+    ]
+    xs, texts = [], []
+    for x in patterns:
+        for length in sorted({0, m // 2, m + 1, 2 * m + 3}):
+            for text in (
+                rng.integers(0, 2, length, dtype=np.uint8),
+                np.full(length, x[0], dtype=np.uint8),
+                np.full(length, 1 - x[0], dtype=np.uint8),
+            ):
+                xs.append(x)
+                texts.append(text)
+    return xs, texts
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
+def test_edit_distances_kernel_matches_both_references(m):
+    xs, texts = _pairs_for(m, np.random.default_rng(m))
+    got = simulate._edit_distances(xs, texts)
+    assert got.tolist() == [edit_distance(x, t) for x, t in zip(xs, texts)]
+    assert got.tolist() == [dp_edit_distance(x, t) for x, t in zip(xs, texts)]
+
+
+def test_edit_distances_kernel_batch_larger_than_a_chunk():
+    rng = np.random.default_rng(12)
+    trials = 2 * simulate._CHUNK + 44
+    xs = [rng.integers(0, 2, 65, dtype=np.uint8) for _ in range(trials)]
+    texts = [rng.integers(0, 2, rng.integers(0, 100), dtype=np.uint8) for _ in range(trials)]
+    got = simulate._edit_distances(xs, texts)
+    assert got.tolist() == [edit_distance(x, t) for x, t in zip(xs, texts)]
+    assert got.tolist() == [dp_edit_distance(x, t) for x, t in zip(xs, texts)]
+
+
+# n = 1, lambda < 1 (mostly empty decodes), all-alternating input, uniform
+# user inputs, more trials than one chunk, and the benchmark's n = 4000 at
+# lambda = 2 and 200
+_REFERENCE_CONFIGS = [
+    SimConfig(n=1, lam=2.0, epsilon=0.5, trials=50, seed=1),
+    SimConfig(n=1, lam=0.3, epsilon=0.5, trials=50, seed=2),
+    SimConfig(n=300, lam=0.5, epsilon=0.1, trials=40, seed=3),
+    SimConfig(n=300, lam=0.01, epsilon=0.1, trials=40, seed=4),
+    SimConfig(n=64, lam=5.0, epsilon=0.1, trials=30, seed=5),
+    SimConfig(n=65, lam=5.0, epsilon=0.1, trials=30, seed=6),
+    SimConfig(n=129, lam=3.0, epsilon=0.1, trials=300, seed=7),
+    SimConfig(n=500, lam=2.0, epsilon=0.1, trials=50, seed=8, input_source="all_alternating"),
+    SimConfig(n=200, lam=4.0, epsilon=0.1, trials=20, seed=9,
+              input_source="user_supplied", input_bits="0" * 200),
+    SimConfig(n=200, lam=4.0, epsilon=0.1, trials=20, seed=10,
+              input_source="user_supplied", input_bits="1" * 200),
+    SimConfig(n=4000, lam=2.0, epsilon=0.1, trials=12, seed=11),
+    SimConfig(n=4000, lam=200.0, epsilon=0.1, trials=12, seed=12),
+]
+
+
+@pytest.mark.parametrize("config", _REFERENCE_CONFIGS,
+                         ids=lambda c: f"n{c.n}-lam{c.lam:g}-{c.input_source}-seed{c.seed}")
+def test_run_monte_carlo_matches_the_per_trial_loop(config):
+    assert run_monte_carlo(config) == monte_carlo_reference(config)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 9)), max_size=60),
+    st.floats(0.05, 12.0),
+)
+def test_decode_from_counts_equals_decode_of_the_output(symbols, lam):
+    x = np.array([bit for bit, _ in symbols], dtype=np.uint8)
+    counts = np.array([count for _, count in symbols], dtype=np.int64)
+    got = simulate._decode_runs(x, lam, counts)
+    want = run_length_decode(np.repeat(x, counts), lam)
+    assert got.dtype == want.dtype == np.uint8
+    assert got.tolist() == want.tolist()

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repeatcap.channels import Family
 from repeatcap.tables import (
     T1_STICKY,
     T2_DUPLICATION,
@@ -19,6 +22,12 @@ def test_row_counts():
     assert len(T1_STICKY.rows) == 20
     assert len(T2_DUPLICATION.rows) == 9
     assert len(T3_GEOMDEL.rows) == 20
+
+
+def test_each_table_names_its_family():
+    assert T1_STICKY.family is Family.GEOMETRIC_STICKY
+    assert T2_DUPLICATION.family is Family.ELEMENTARY_DUPLICATION
+    assert T3_GEOMDEL.family is Family.GEOMETRIC_DELETION
 
 
 def test_t2_large_p_marked_above_one():
@@ -43,9 +52,7 @@ def test_checksum_detects_tampering(monkeypatch):
     first = list(rows[0])
     first[3] = first[3] + 1e-6
     rows[0] = tuple(first)
-    tampered = tables.T1_STICKY.__class__(
-        tables.T1_STICKY.table_id, tables.T1_STICKY.columns, tuple(rows)
-    )
+    tampered = dataclasses.replace(tables.T1_STICKY, rows=tuple(rows))
     monkeypatch.setattr(tables, "ALL_TABLES", (tampered,) + tables.ALL_TABLES[1:])
     assert tables.checksum() != TABLES_SHA256
     assert not tables.verify_integrity()
