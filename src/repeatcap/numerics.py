@@ -7,17 +7,18 @@ Every integral in this package is, after a change of variables, of the form
 but the raw integrands arrive with removable 0/0 singularities (both the
 numerator and t*log(1-t) vanish at t = 0) and a slowly dying 1/log(1-t)
 factor at t = 1.  Direct quadrature in t loses 4+ digits near both ends, so
-callers are expected to substitute v = -log(1-t), which turns log(1-t) into
--v exactly and gives the integrand an exp(-v) tail.  The engine here then
-only has to integrate smooth functions over finite subintervals of [0, 1]
-(infinite or non-unit ranges are mapped affinely first).
+callers substitute v = -log(1-t), which turns log(1-t) into -v exactly and
+gives the integrand an exp(-v) tail; the semi-infinite range is cut at
+v = 60 (integrate_exp_tail).  The engine here then only has to integrate
+smooth functions over finite intervals.
 
 The quadrature rule is the 7-point Gauss / 15-point Kronrod pair with
 adaptive bisection.  Every integrand takes the 15 nodes of one panel at
 once, as a (15, 1) column, and returns one row per node, so each panel
 costs one call.  All nodes are interior, so the integrand is never
-evaluated at panel endpoints; analytic endpoint limits supplied by the
-caller stand in for rows that are not finite at nodes next to an endpoint.
+evaluated at panel endpoints, but a node can come arbitrarily close to one:
+each integrand returns its own analytic limit where its closed form runs
+out of mantissa, and a row that is not finite is a QuadratureError.
 
 Series are summed in log-space (streaming log-sum-exp) with a geometric
 tail bound term(Y)*r/(1-r) controlling truncation, which is valid because
@@ -42,7 +43,6 @@ __all__ = [
     "SeriesResult",
     "OptimizeResult",
     "integrate",
-    "integrate_mapped",
     "integrate_exp_tail",
     "log_gamma",
     "log_gamma_via_integral",
@@ -116,28 +116,24 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureProblem:
-    """An integral over a subinterval of [0, 1] with optional endpoint data.
+    """An integral over a finite interval (lo, hi), lo < hi.
 
-    integrand(t) receives the 15 Kronrod nodes of one panel as a (15, 1)
+    integrand(v) receives the 15 Kronrod nodes of one panel as a (15, 1)
     column and returns one row per node: shape (15,) for a scalar integral,
     or (15, m) for a stack of m integrals sharing the same variable (they
     are integrated componentwise and the error estimate is the worst
-    component).  endpoint_limits, when given, are the analytic limits of
-    the integrand at lo and hi; a row that is not finite takes the limit of
-    an endpoint within 1e-9 (hi - lo) of its node, since the Kronrod nodes
-    themselves never touch panel boundaries.  Any other non-finite row is a
-    QuadratureError.
+    component).  The integrand must be finite at every node; a row that is
+    not is a QuadratureError naming the node.
     """
 
     integrand: Callable
     interval: tuple[float, float]
-    endpoint_limits: tuple | None = None
     abs_tol: float = 1e-10
 
     def __post_init__(self):
         lo, hi = self.interval
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValueError(f"interval must satisfy 0 <= lo < hi <= 1, got {self.interval}")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"interval must be finite with lo < hi, got {self.interval}")
         if not (self.abs_tol > 0.0):
             raise ValueError("abs_tol must be positive")
 
@@ -148,37 +144,25 @@ def _panel_nodes(a: float, b: float) -> tuple[float, np.ndarray]:
     return half, mid + half * _NODES15
 
 
-def _eval_column(problem: QuadratureProblem, ts: np.ndarray) -> np.ndarray:
-    """The integrand at the node column ts, with endpoint limits standing in
-    for non-finite rows next to an endpoint."""
-    vals = np.asarray(problem.integrand(ts[:, None]), dtype=float)
+def _eval_column(problem: QuadratureProblem, nodes: np.ndarray) -> np.ndarray:
+    """The integrand at the node column; every row must be finite."""
+    vals = np.asarray(problem.integrand(nodes[:, None]), dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[0] != 15:
         raise ValueError(
             "an integrand takes a (15, 1) node column and returns shape (15,) "
             f"or (15, m); got shape {vals.shape}"
         )
     bad = np.flatnonzero(~np.isfinite(vals.reshape(15, -1)).all(axis=1))
-    if bad.size == 0:
-        return vals
-    vals = vals.copy()  # the integrand may hand back an array it keeps
-    lo, hi = problem.interval
-    lim_lo, lim_hi = problem.endpoint_limits or (None, None)
-    tol = 1e-9 * (hi - lo)
-    for i in bad:
-        t = float(ts[i])
-        if lim_lo is not None and abs(t - lo) <= tol:
-            vals[i] = lim_lo
-        elif lim_hi is not None and abs(hi - t) <= tol:
-            vals[i] = lim_hi
-        else:
-            raise QuadratureError(f"integrand returned a non-finite value at t = {t!r}")
+    if bad.size:
+        node = float(nodes[bad[0]])
+        raise QuadratureError(f"integrand returned a non-finite value at node {node!r}")
     return vals
 
 
 def _panel(problem: QuadratureProblem, a: float, b: float):
     """K15 value, |K15 - G7| and |K15| of one panel."""
-    half, ts = _panel_nodes(a, b)
-    stack = _eval_column(problem, ts)
+    half, nodes = _panel_nodes(a, b)
+    stack = _eval_column(problem, nodes)
     kg = half * (_KG_WEIGHTS @ stack.reshape(15, -1))
     k15 = kg[0].reshape(stack.shape[1:]).copy()  # not a view pinning kg
     err = float(np.max(np.abs(kg[0] - kg[1])))
@@ -242,74 +226,31 @@ def _heap_sum(heap):
     return np.sum(pieces, axis=0)
 
 
-def integrate_mapped(
-    fv: Callable,
-    lo: float,
-    hi: float,
-    *,
-    endpoint_limits: tuple | None = None,
-    abs_tol: float = 1e-10,
-    breakpoints: Sequence[float] | None = None,
-    max_panels: int = 512,
-):
-    """Integrate fv over an arbitrary finite [lo, hi] via an affine map to [0, 1].
-
-    breakpoints here are in the v variable.  Endpoint limits are limits of
-    fv itself (the Jacobian is applied internally).
-    """
-    span = hi - lo
-    if not (span > 0.0 and math.isfinite(span)):
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-
-    def mapped(u: np.ndarray) -> np.ndarray:
-        return np.asarray(fv(lo + span * u), dtype=float) * span
-
-    limits = None
-    if endpoint_limits is not None:
-        la, lb = endpoint_limits
-        limits = (
-            None if la is None else np.asarray(la, dtype=float) * span,
-            None if lb is None else np.asarray(lb, dtype=float) * span,
-        )
-    ubreaks = None
-    if breakpoints is not None:
-        ubreaks = [(float(v) - lo) / span for v in breakpoints]
-    problem = QuadratureProblem(mapped, (0.0, 1.0), endpoint_limits=limits, abs_tol=abs_tol)
-    return integrate(problem, breakpoints=ubreaks, max_panels=max_panels)
+# An exp(-v) factor is below 9e-27 past v = 60, far below every tolerance
+# used in this package.
+_EXP_TAIL_SPAN = 60.0
 
 
 def integrate_exp_tail(
     fv: Callable,
     lo: float,
     *,
-    span: float = 60.0,
-    endpoint_limits: tuple | None = None,
     abs_tol: float = 1e-10,
     left_cluster: bool = True,
     max_panels: int = 512,
 ):
-    """Integrate fv over [lo, lo + span] for integrands with an exp(-v) tail.
+    """Integrate fv over [lo, lo + 60] for integrands with an exp(-v) tail.
 
-    span = 60 truncates an exp(-v) factor at ~9e-27, far below every
-    tolerance used in this package.  When left_cluster is set, the seed
-    panels are geometrically concentrated at the left endpoint, where the
-    v = -log(1-t) substitution parks the removable t = 0 singularity.
+    When left_cluster is set, the seed panels are geometrically concentrated
+    at the left endpoint, where the v = -log(1-t) substitution parks the
+    removable t = 0 singularity; otherwise they are 16 equal panels.
     """
-    hi = lo + span
     if left_cluster:
-        rel = np.geomspace(1e-9 / span, 1.0, 40)
-        breaks = lo + span * rel[:-1]
+        breaks = lo + np.geomspace(1e-9, _EXP_TAIL_SPAN, 40)[:-1]
     else:
-        breaks = lo + span * np.linspace(0.0, 1.0, 17)[1:-1]
-    return integrate_mapped(
-        fv,
-        lo,
-        hi,
-        endpoint_limits=endpoint_limits,
-        abs_tol=abs_tol,
-        breakpoints=breaks,
-        max_panels=max_panels,
-    )
+        breaks = lo + np.linspace(0.0, _EXP_TAIL_SPAN, 17)[1:-1]
+    problem = QuadratureProblem(fv, (lo, lo + _EXP_TAIL_SPAN), abs_tol=abs_tol)
+    return integrate(problem, breakpoints=breaks, max_panels=max_panels)
 
 
 def log_gamma(z):
@@ -350,10 +291,7 @@ def log_gamma_via_integral(z: float, tol: float = 1e-10) -> float:
         return float(num / (t * vv) * np.exp(-vv))
 
     value, _ = integrate_exp_tail(
-        lambda v: np.array([node(x) for x in v[:, 0].tolist()]),
-        0.0,
-        abs_tol=tol,
-        endpoint_limits=(zf * (zf - 1.0) / 2.0, 0.0),
+        lambda v: np.array([node(x) for x in v[:, 0].tolist()]), 0.0, abs_tol=tol
     )
     return float(value)
 

@@ -157,9 +157,9 @@ def edit_distance(a, b) -> int:
     not just bits.  Memory is one integer of len(a) bits.
     """
     if isinstance(a, np.ndarray):
-        a = a.tobytes()
+        a = a.tolist()
     if isinstance(b, np.ndarray):
-        b = b.tobytes()
+        b = b.tolist()
     if len(a) > len(b):
         a, b = b, a
     m = len(a)

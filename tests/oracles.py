@@ -70,6 +70,19 @@ R_P = {
     (3, 0.3): 0.101788125814805751574,
 }
 
+# R_p(x) at small p by mpmath.quad at 40 digits, in v = -log(1-t)
+# coordinates on [log(1+2p), inf) split at log(1+2p) * 10^k (k = 1.. while
+# below 1) and at 1, 3, 10, 30, 100; 50 digits agree to 1e-42.  Keyed by p,
+# then x; p is the double nearest 1e-4 or 1e-5.
+R_P_SMALL_P = {
+    1e-4: {
+        1: 0.0007941002289640451563346574,
+        50: 0.02019191209473460974714444,
+        500: 0.09115757321726188606158569,
+    },
+    1e-5: {1: 0.0001024268811469421532809323},
+}
+
 # I_p = int_{2p/(1+2p)}^1 dt / (-t log(1-t)); the substitution t -> 1-u makes
 # it -eta(1/(1+2p)), eta(z) = int_0^z dt / ((1-t) log t), and both routes
 # agree to 21 digits

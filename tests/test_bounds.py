@@ -26,7 +26,7 @@ from repeatcap.bounds import (
 )
 from repeatcap.channels import Family
 from repeatcap.duals import DualVariant, r_p
-from repeatcap.numerics import maximize_concave
+from repeatcap.numerics import QuadratureError, maximize_concave
 
 import oracles
 
@@ -67,13 +67,18 @@ def test_geomdel_auto_takes_minimum():
     assert low.variant is BoundVariant.GEOMDEL_TRUNC
 
 
-def test_trunc_gap_scan_failure_is_a_bound_error():
-    # At p = 1e-4 trunc's r_p scan cannot meet its quadrature tolerance.
+def _failing_r_p(x, p):
+    raise QuadratureError("quadrature did not converge within 512 panels")
+
+
+def test_trunc_gap_scan_failure_is_a_bound_error(monkeypatch):
+    monkeypatch.setattr(bounds, "r_p", _failing_r_p)
     with pytest.raises(bounds.BoundComputationError, match=r"p = 0\.0001, GeomDelTrunc"):
         geomdel_bound(1e-4, "trunc")
 
 
-def test_geomdel_auto_skips_a_construction_that_fails():
+def test_geomdel_auto_skips_a_construction_that_fails(monkeypatch):
+    monkeypatch.setattr(bounds, "r_p", _failing_r_p)
     res = compute_bound(Family.GEOMETRIC_DELETION, None, 1e-4)
     computable = [geomdel_bound(1e-4, v) for v in ("conv", "delta-d")]
     assert res == min(computable, key=lambda r: r.bound_nats)

@@ -350,10 +350,10 @@ def test_klgap_out_file(tmp_path, capsys):
 
 
 def test_bound_geomdel_default_at_tiny_p(capsys):
-    # trunc cannot be computed at p = 1e-4; the default takes conv's value.
+    # At p = 1e-4 trunc (4.64e-5 bits) beats conv (6.01e-5 bits).
     code, out, _ = run_cli(capsys, "bound", "--family", "geomdel", "--p", "1e-4", "--no-meta")
     assert code == 0
-    assert json.loads(out)["variant"] in ("GeomDelConv", "GeomDelDeltaD")
+    assert json.loads(out)["variant"] == "GeomDelTrunc"
 
 
 def test_simulate_json_and_determinism(capsys):

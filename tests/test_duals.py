@@ -122,6 +122,17 @@ def test_r_p_oracle_values():
         assert abs(r_p(x, p) - want) <= 1e-10, (x, p)
 
 
+def test_r_p_small_p_oracle_values():
+    # 1 - ratio^x is computed through expm1: at p = 1e-4 the ratio is
+    # 1 - O(p), and 1 - ratio**x kept only rounding noise, enough to stop
+    # the quadrature of the x = 1..500 scan short of its tolerance
+    for p, values in oracles.R_P_SMALL_P.items():
+        xs = np.arange(1, 501)
+        got = r_p(xs, p)
+        for x, want in values.items():
+            assert abs(got[x - 1] - want) <= 1e-14, (x, p)
+
+
 def test_r_p_decay_and_envelope():
     for p in oracles.I_P_ENVELOPE:
         xs = np.arange(1, 51)
@@ -472,8 +483,24 @@ def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
 
     monkeypatch.setattr(numerics, "integrate", per_node)
     reference = duals._STable(variant, p).upto(1024)
-    assert min(nodes) * 60.0 < duals._LIMIT_VC  # v = span * t, span <= 60
+    assert min(nodes) < duals._LIMIT_VC
     assert np.array_equal(batched[0], reference)
+
+
+@pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
+@pytest.mark.parametrize("p", (1e-3, 0.999))
+def test_s_table_builds_at_extreme_p(variant, p):
+    # The quadrature substitutes nothing for a non-finite integrand row, so
+    # every integrand must hold its own t -> 0 limit at extreme p too.
+    assert np.all(np.isfinite(duals._STable(variant, p).upto(1024)))
+
+
+@pytest.mark.parametrize("p", (1e-5, 0.999))
+def test_r_p_and_envelope_at_extreme_p(p):
+    vals = r_p(np.arange(1, 501), p)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    envelope = r_p_envelope(p)
+    assert math.isfinite(envelope) and envelope > vals[0]
 
 
 def test_s_table_growth_path_within_tolerance():

@@ -150,32 +150,42 @@ def _column_calls(integrand):
 
 
 def test_integrate_batched_endpoint_limit():
-    # NaN at the nodes next to t = 0 (the first panel is [0, 1e-12]); the
-    # endpoint limit (cos 0, 2 cos 0) stands in for them
+    # NaN at the nodes next to t = 0 (the first panel is [0, 1e-12], its
+    # first node 5e-13 (1 - 0.99146) = 4.27e-15): the engine substitutes
+    # nothing, the integrand must return its own limit
     integrand, calls = _column_calls(
         lambda t: np.where(t < 1e-13, np.nan, np.cos(t)) * np.array([1.0, 2.0])
     )
-    problem = QuadratureProblem(integrand, (0.0, 1.0), endpoint_limits=([1.0, 2.0], None))
-    val, err = integrate(problem, breakpoints=[1e-12])
+    problem = QuadratureProblem(integrand, (0.0, 1.0))
+    with pytest.raises(QuadratureError, match=r"non-finite value at node 4\.27\d*e-15$"):
+        integrate(problem, breakpoints=[1e-12])
+    assert calls == [True]
+
+    def with_limit(t):
+        return np.where(t < 1e-13, 1.0, np.cos(t)) * np.array([1.0, 2.0])
+
+    val, err = integrate(QuadratureProblem(with_limit, (0.0, 1.0)), breakpoints=[1e-12])
     assert np.allclose(val, [math.sin(1.0), 2.0 * math.sin(1.0)], rtol=0.0, atol=max(err, 1e-13))
-    assert sum(calls) > 1  # every panel went in as a column
 
 
 def test_integrate_batched_interior_nan_raises():
     integrand, calls = _column_calls(
         lambda t: np.where(np.abs(t - 0.75) < 0.05, np.nan, np.cos(t)) * np.array([1.0, 2.0])
     )
-    problem = QuadratureProblem(integrand, (0.0, 1.0), endpoint_limits=([1.0, 2.0], None))
+    problem = QuadratureProblem(integrand, (0.0, 1.0))
     with pytest.raises(QuadratureError, match="non-finite"):
         integrate(problem)
     assert any(calls)
 
 
 def test_integrate_interval_validation():
-    with pytest.raises(ValueError):
-        QuadratureProblem(lambda t: t, (0.5, 0.2))
-    with pytest.raises(ValueError):
-        QuadratureProblem(lambda t: t, (-0.1, 0.5))
+    for interval in ((0.5, 0.2), (0.3, 0.3), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite with lo < hi"):
+            QuadratureProblem(lambda t: t[:, 0], interval)
+    # any finite interval: int_-1^2 (1 - 2t + 3t^3) dt = 3 - 3 + 45/4, exactly
+    cubic = lambda t: 1.0 - 2.0 * t[:, 0] + 3.0 * t[:, 0] ** 3
+    val, err = integrate(QuadratureProblem(cubic, (-1.0, 2.0)))
+    assert abs(val - 11.25) <= max(err, 1e-13)
 
 
 def test_integrate_against_simpson_oracle():

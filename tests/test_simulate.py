@@ -52,6 +52,20 @@ def test_edit_distance_matches_dp_oracle():
         assert edit_distance(a, b) == dp_edit_distance(a, b)
 
 
+def test_edit_distance_reads_arrays_by_element():
+    # a numpy array is compared element by element whatever its dtype
+    assert edit_distance(np.array([0, 1]), [1]) == 1
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        la, lb = rng.integers(0, 30, 2)
+        a, b = rng.integers(0, 2, la).tolist(), rng.integers(0, 2, lb).tolist()
+        want = dp_edit_distance(a, b)
+        for dtype in (np.int64, np.bool_, np.uint8):
+            arr_a, arr_b = np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+            assert edit_distance(arr_a, arr_b) == want, dtype
+            assert edit_distance(arr_a, b) == want, dtype
+
+
 def test_edit_distance_metric_properties():
     rng = np.random.default_rng(7)
     strings = ["".join(rng.choice(["0", "1"], rng.integers(0, 15))) for _ in range(30)]
