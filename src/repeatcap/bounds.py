@@ -332,9 +332,7 @@ def _objective(p: float, variant: BoundVariant, pieces: _Pieces) -> Callable[[fl
 def _optimize(p: float, variant: BoundVariant) -> BoundResult:
     pieces = _pieces(p, variant)
     objective = _objective(p, variant, pieces)
-    res = maximize_concave(
-        objective, 1e-6, 1.0 - 1e-6, tol=_Q_OPT_TOL, grid=_q_grid(p), quasiconcave=True
-    )
+    res = maximize_concave(objective, 1e-6, 1.0 - 1e-6, _q_grid(p), _Q_OPT_TOL)
     q_opt = float(res.arg)
     nats = float(res.value)
     at_opt = _dual_at(p, variant, pieces, q_opt)
@@ -604,9 +602,12 @@ def verify_tables(
     table at p <= 0.5 and 1e-3 above (the q-optimum sits in a flat near-1
     region there and the published digits are softer), 5e-4 for the
     duplication table (printed to 4 decimals), 1e-3 for the deletion
-    table.  A float overrides all of them.  only restricts to a subset of
-    {'T1', 'T2', 'T3'} (full table_ids also accepted).
+    table.  A finite float >= 0 overrides all of them; any other float is a
+    ValueError, raised before any bound is computed.  only restricts to a
+    subset of {'T1', 'T2', 'T3'} (full table_ids also accepted).
     """
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     if not tables.verify_integrity():
         raise RuntimeError("embedded reference tables failed their checksum")
     if only is not None:

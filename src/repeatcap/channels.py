@@ -170,6 +170,10 @@ def reduction_params(channel: RepeatChannel) -> ReductionParams:
     return ReductionParams(*_LAWS[channel.family].reduction(channel.p))
 
 
+# Y_x's truncated support ends this many standard deviations above its mean.
+_SUPPORT_STDS = 40.0
+
+
 @dataclass(frozen=True)
 class ConditionalOutputLaw:
     """The law of Y_x for a fixed input x: log-pmf, moments, support and pgf."""
@@ -205,11 +209,11 @@ class ConditionalOutputLaw:
             raise ValueError(f"pgf requires z in [0, 1], got {z}")
         return self._law.pgf_factor(z, self.channel.p) ** self.x
 
-    def truncated_support(self, n_std: float = 40.0) -> np.ndarray:
-        """Integer grid from the support floor to mean + n_std stddevs."""
-        return np.arange(self.support[0], self.truncated_top(n_std) + 1, dtype=np.int64)
+    def truncated_support(self) -> np.ndarray:
+        """Integer grid from the support floor to truncated_top."""
+        return np.arange(self.support[0], self.truncated_top() + 1, dtype=np.int64)
 
-    def truncated_top(self, n_std: float = 40.0) -> int:
-        """The last point of truncated_support: mean + n_std stddevs rounded
-        up, capped by the support."""
-        return int(min(self.support[1], math.ceil(self.mean + n_std * self.stddev)))
+    def truncated_top(self) -> int:
+        """The last point of truncated_support: mean + _SUPPORT_STDS stddevs
+        rounded up, capped by the support."""
+        return int(min(self.support[1], math.ceil(self.mean + _SUPPORT_STDS * self.stddev)))

@@ -39,8 +39,8 @@ from repeatcap.bounds import (
     verify_tables,
 )
 from repeatcap.channels import Family
-from repeatcap.duals import _SERIES_REL_TOL, _SPECS, _delta_rule, gap_scan
-from repeatcap.numerics import QuadratureError
+from repeatcap.duals import _SPECS, _delta_rule, gap_scan
+from repeatcap.numerics import _SERIES_REL_TOL, QuadratureError
 from repeatcap import records
 from repeatcap.simulate import INPUT_SOURCES, SimConfig, run_monte_carlo
 

@@ -54,7 +54,6 @@ from scipy.special import gammaln
 from repeatcap import channels, numerics
 from repeatcap.channels import _LAWS, ConditionalOutputLaw, Family, RepeatChannel
 from repeatcap.numerics import (
-    SeriesSpec,
     binary_entropy,
     integrate_exp_tail,
     log_integral_li,
@@ -537,13 +536,6 @@ class DualDistribution:
         return float(out[0]) if scalar else out
 
 
-# The dual series stop once the geometric tail bound falls below this share
-# of the partial sum, and give up (series_converged False) after this many
-# terms.
-_SERIES_REL_TOL = 1e-12
-_SERIES_HARD_CAP = 2_000_000
-
-
 def build_dual(
     variant: DualVariant,
     p: float,
@@ -553,9 +545,9 @@ def build_dual(
     """Construct the dual: sum its normalizer and mean series off the cached
     weight table.
 
-    On _SERIES_HARD_CAP exhaustion the distribution is still returned with
-    series_converged False and the unresolved tail bound in truncation;
-    the caller decides whether to accept it.
+    On numerics._SERIES_HARD_CAP exhaustion the distribution is still
+    returned with series_converged False and the unresolved tail bound in
+    truncation; the caller decides whether to accept it.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
@@ -569,10 +561,10 @@ def build_dual(
     table = _get_table(variant, p)
     dual = partial(DualDistribution, variant, float(p), float(q), float(delta), _table=table)
     # A weight series with geometric ratio q needs at least ~28/(1-q) terms
-    # to push the relative tail under 1e-12 (the weights decay like
-    # q^y / sqrt(y)); refuse upfront when even an underestimate of that
-    # exceeds the cap, rather than paying for a doomed summation.
-    if 25.0 / (1.0 - q) > _SERIES_HARD_CAP:
+    # to push the relative tail under numerics._SERIES_REL_TOL (the weights
+    # decay like q^y / sqrt(y)); refuse upfront when even an underestimate
+    # of that exceeds the cap, rather than paying for a doomed summation.
+    if 25.0 / (1.0 - q) > numerics._SERIES_HARD_CAP:
         return dual(math.nan, math.nan, (0, math.inf), False)
     logq = math.log(q)
     shift = _SPECS[variant].weight_shift(p)
@@ -591,10 +583,8 @@ def build_dual(
     def ratio_mean(ys: np.ndarray) -> np.ndarray:
         return ratio(ys) * (ys + 1.0) / ys
 
-    norm = sum_series(SeriesSpec(log_term, 1, ratio, _SERIES_REL_TOL, _SERIES_HARD_CAP))
-    mean_num = sum_series(
-        SeriesSpec(log_term_mean, 1, ratio_mean, _SERIES_REL_TOL, _SERIES_HARD_CAP)
-    )
+    norm = sum_series(log_term, ratio)
+    mean_num = sum_series(log_term_mean, ratio_mean)
     if variant in _DELETION_VARIANTS:
         log_normalizer = float(np.logaddexp(math.log(delta), norm.log_sum))
     else:
@@ -643,11 +633,11 @@ def _tail_mass_bound(channel: RepeatChannel, x: int, cutoff: int) -> float:
 
 
 def _support_range(channel: RepeatChannel, x: int) -> tuple[int, int]:
-    """First and last point of Y_x's truncated support: the last ends at mean
-    + 40 stddev, doubled (within the support) until the Chernoff tail clears
-    1e-12."""
+    """First and last point of Y_x's truncated support: the last starts at
+    ConditionalOutputLaw.truncated_top and doubles (within the support)
+    until the Chernoff tail clears 1e-12."""
     law = ConditionalOutputLaw(channel, x)
-    (lo, top), hi = law.support, law.truncated_top(40.0)
+    (lo, top), hi = law.support, law.truncated_top()
     while _tail_mass_bound(channel, x, hi) > _TAIL_MASS_TOL:
         hi = int(min(2 * hi, top))
     return lo, hi

@@ -39,7 +39,6 @@ from scipy.special import expi, gammaln
 __all__ = [
     "QuadratureProblem",
     "QuadratureError",
-    "SeriesSpec",
     "SeriesResult",
     "OptimizeResult",
     "integrate",
@@ -264,7 +263,7 @@ def log_gamma(z):
     return out
 
 
-def log_gamma_via_integral(z: float, tol: float = 1e-10) -> float:
+def log_gamma_via_integral(z: float) -> float:
     """log Gamma(1+z) by quadrature of its integral representation.
 
     log Gamma(1+z) = int_0^1 (1 - t z - (1-t)^z) / (t log(1-t)) dt.
@@ -290,9 +289,7 @@ def log_gamma_via_integral(z: float, tol: float = 1e-10) -> float:
         num = np.expm1(-vv * zz) - zz * np.expm1(-vv)
         return float(num / (t * vv) * np.exp(-vv))
 
-    value, _ = integrate_exp_tail(
-        lambda v: np.array([node(x) for x in v[:, 0].tolist()]), 0.0, abs_tol=tol
-    )
+    value, _ = integrate_exp_tail(lambda v: np.array([node(x) for x in v[:, 0].tolist()]), 0.0)
     return float(value)
 
 
@@ -314,23 +311,11 @@ def log_integral_li(z: float) -> float:
     return float(expi(math.log(z)))
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """A nonnegative series given by the log of its terms.
-
-    geometric_tail_ratio_bound(y) must upper-bound term(y+1)/term(y) and be
-    eventually < 1; the summation stops at the first index where the implied
-    geometric tail term(y) * r/(1-r) drops below rel_tol times the partial
-    sum.  log_term and the ratio bound are called with integer arrays and
-    return float arrays of the same shape.
-    """
-
-    log_term: Callable
-    start_index: int
-    geometric_tail_ratio_bound: Callable
-    rel_tol: float = 1e-12
-    hard_cap: int = 2_000_000
-
+# A series stops once its geometric tail bound falls below _SERIES_REL_TOL
+# times the partial sum, and gives up (converged False) after
+# _SERIES_HARD_CAP terms.
+_SERIES_REL_TOL = 1e-12
+_SERIES_HARD_CAP = 2_000_000
 
 # The largest block of terms sum_series reads at once.
 _MAX_BLOCK = 4096
@@ -344,28 +329,31 @@ class SeriesResult:
     converged: bool
 
 
-def sum_series(spec: SeriesSpec) -> SeriesResult:
-    """Sum the series in log-space; see SeriesSpec for the stopping rule.
+def sum_series(log_term: Callable, ratio_bound: Callable) -> SeriesResult:
+    """Sum the nonnegative series sum_{y >= 1} exp(log_term(y)) in log-space.
 
-    Terms are read in blocks that start at 256 and double up to
-    _MAX_BLOCK, so a short series reads (and makes its caller tabulate) few
-    terms.
+    ratio_bound(y) must upper-bound term(y+1)/term(y) and be eventually
+    < 1; the summation stops at the first y where the implied geometric tail
+    term(y) * r/(1-r) drops below _SERIES_REL_TOL times the partial sum.
+    Both functions take an integer array of y and return a float array of
+    the same shape.  Terms are read in blocks that start at 256 and double
+    up to _MAX_BLOCK, so a short series reads (and makes its caller
+    tabulate) few terms.
     """
-    log_rel = math.log(spec.rel_tol)
+    log_rel = math.log(_SERIES_REL_TOL)
     log_sum = -math.inf
     used = 0
-    y = int(spec.start_index)
     last_tail = math.inf
     size = 256
-    while used < spec.hard_cap:
-        n = min(size, spec.hard_cap - used)
+    while used < _SERIES_HARD_CAP:
+        n = min(size, _SERIES_HARD_CAP - used)
         size = min(2 * size, _MAX_BLOCK)
-        ys = np.arange(y, y + n, dtype=np.int64)
-        lt = spec.log_term(ys)
+        ys = np.arange(used + 1, used + 1 + n, dtype=np.int64)
+        lt = log_term(ys)
         if np.any(np.isnan(lt)):
             raise ValueError("log_term returned NaN")
         prefix = np.logaddexp.accumulate(np.concatenate(([log_sum], lt)))[1:]
-        r = spec.geometric_tail_ratio_bound(ys)
+        r = ratio_bound(ys)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_tail = np.where(r < 1.0, lt + np.log(r) - np.log1p(-r), math.inf)
         log_tail = np.where(np.isnan(log_tail), -math.inf, log_tail)  # r == 0, term == 0
@@ -381,7 +369,6 @@ def sum_series(spec: SeriesSpec) -> SeriesResult:
             )
         log_sum = float(prefix[-1])
         used += n
-        y += n
         if np.isfinite(log_tail[-1]):
             last_tail = float(np.exp(log_tail[-1]))
     return SeriesResult(log_sum=log_sum, terms_used=used, tail_bound=last_tail, converged=False)
@@ -399,44 +386,31 @@ def maximize_concave(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float = 1e-7,
-    *,
-    grid: Sequence[float] | None = None,
-    quasiconcave: bool = False,
+    grid: Sequence[float],
+    tol: float,
 ) -> OptimizeResult:
-    """Maximize f on (lo, hi): grid scan, then golden-section refinement.
+    """Maximize a quasi-concave f on (lo, hi): grid scan, then golden section.
 
-    Concavity is not assumed, so the scan checks unimodality.  If the
-    scanned grid shows several local maxima, the top three are each refined
-    and the best is returned, with unimodal=False as a diagnostic.
-
-    quasiconcave=True asserts that f, wherever it is positive, cannot rise
-    again once it has descended, and stops the scan after two consecutive
-    strict descents (each by more than the noise tolerance of the
-    unimodality check, 1e-13 * max(1, max |f|)) the first of which starts
-    from a positive value.  unimodal and the refinement then describe the
-    scanned part of the grid only.  The capacity objectives have this
-    property: with theta = log q and
-    Z = delta [deletion] + sum_y a(y) e^(theta y), log Z is convex in theta,
-    so the dual mean mu = (log Z)' increases with q, and
-    F(mu) = log Z - mu log q, the negative Legendre transform of log Z, is
-    concave in mu; F/(mu d), (1+p) F/mu and p (F - c)/(d (1+mu)) are then
-    quasi-concave in q on the feasible set.
+    f must not rise again, wherever it is positive, once it has descended.
+    The scan walks the grid points inside (lo, hi) in order and stops after
+    two consecutive strict descents (each by more than the noise tolerance
+    1e-13 * max(1, max |f|)) the first of which starts from a positive
+    value.  Golden section then refines the bracket around the best scanned
+    point down to width tol.  unimodal reports whether the scanned values
+    changed direction at most once; it is a diagnostic, and the refinement
+    does not depend on it.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if grid is None:
-        xs = np.linspace(lo, hi, 66)[1:-1]
-    else:
-        xs = np.array(sorted(x for x in grid if lo < x < hi), dtype=float)
-        if xs.size < 2:
-            raise ValueError("grid must contain at least 2 points inside (lo, hi)")
+    xs = np.array(sorted(x for x in grid if lo < x < hi), dtype=float)
+    if xs.size < 2:
+        raise ValueError("grid must contain at least 2 points inside (lo, hi)")
     values: list[float] = []
     scale = 1.0
     for x in xs:
         values.append(float(f(float(x))))
         scale = max(scale, abs(values[-1]))
-        if quasiconcave and len(values) >= 3:
+        if len(values) >= 3:
             f0, f1, f2 = values[-3:]
             noise = 1e-13 * scale
             if f0 > 0.0 and f0 - f1 > noise and f1 - f2 > noise:
@@ -451,35 +425,26 @@ def maximize_concave(
     descents = np.flatnonzero(np.diff(nonzero) != 0).size if nonzero.size else 0
     unimodal = descents <= 1
 
-    peaks = [
-        i
-        for i in range(len(xs))
-        if (i == 0 or fs[i] >= fs[i - 1]) and (i == len(xs) - 1 or fs[i] >= fs[i + 1])
-    ]
-    peaks.sort(key=lambda i: fs[i], reverse=True)
-    candidates = peaks[: (1 if unimodal else 3)] or [int(np.argmax(fs))]
-
-    best_x = float(xs[int(np.argmax(fs))])
-    best_f = float(np.max(fs))
+    i = int(np.argmax(fs))
+    best_x, best_f = float(xs[i]), float(fs[i])
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    for i in candidates:
-        a = lo if i == 0 else float(xs[i - 1])
-        b = hi if i == len(xs) - 1 else float(xs[i + 1])
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = f(c), f(d)
-        n_evals += 2
-        while b - a > tol:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = f(d)
-            n_evals += 1
-            for x_, f_ in ((c, fc), (d, fd)):
-                if f_ > best_f:
-                    best_x, best_f = float(x_), float(f_)
+    a = lo if i == 0 else float(xs[i - 1])
+    b = hi if i == len(xs) - 1 else float(xs[i + 1])
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    n_evals += 2
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+        n_evals += 1
+        for x_, f_ in ((c, fc), (d, fd)):
+            if f_ > best_f:
+                best_x, best_f = float(x_), float(f_)
     return OptimizeResult(arg=best_x, value=best_f, unimodal=unimodal, n_evals=n_evals)

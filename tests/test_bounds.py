@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -198,6 +201,24 @@ def test_bench_hook_points(monkeypatch):
     assert channels.reduction_params(channel).lam == 1.0
 
 
+def test_bench_hook_points_take_the_bench_wrappers(monkeypatch):
+    # The traced benchmark run replaces module attributes with the wrappers
+    # listed in bench/spans.py; a renamed or re-signatured hook fails here.
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    with spans.installed(spans.Tracer()) as tracer:
+        compute_bound(Family.GEOMETRIC_STICKY, None, 0.3)
+        duals.clear_caches()
+        compute_bound(Family.GEOMETRIC_DELETION, BoundVariant.GEOMDEL_CONV, 0.5)
+    optimizer = tracer.layers["numerics.maximize_concave"]
+    assert optimizer.counts["evals"] > 0
+    assert optimizer.counts["nonunimodal"] == 0
+    assert tracer.layers["numerics.sum_series"].counts["terms"] > 0
+
+
 def test_objective_curve_consistency():
     res = sticky_bound(0.3)
     values = objective_curve(0.3, BoundVariant.STICKY_EXACT, [0.2, res.q_opt, 0.9])
@@ -225,15 +246,55 @@ def test_objective_never_exceeds_the_reported_bound(variant, p):
     "variant", [BoundVariant.STICKY_EXACT, BoundVariant.GEOMDEL_TRUNC]
 )
 def test_early_stop_matches_the_full_scan(variant, p):
+    # The scan stops before the end of the grid, yet has already seen the
+    # grid point where the full objective curve peaks.
     objective = bounds._objective(p, variant, bounds._pieces(p, variant))
     grid = bounds._q_grid(p)
-    full = maximize_concave(objective, 1e-6, 1.0 - 1e-6, tol=1e-7, grid=grid)
-    early = maximize_concave(
-        objective, 1e-6, 1.0 - 1e-6, tol=1e-7, grid=grid, quasiconcave=True
-    )
-    assert early.arg == full.arg
-    assert early.value == full.value
-    assert early.n_evals < full.n_evals
+    seen = []
+
+    def traced(q):
+        seen.append(q)
+        return objective(q)
+
+    maximize_concave(traced, 1e-6, 1.0 - 1e-6, grid, bounds._Q_OPT_TOL)
+    scanned = [q for q in seen if q in set(grid.tolist())]
+    assert scanned == grid[: len(scanned)].tolist()
+    assert len(scanned) < grid.size
+    assert int(np.argmax([objective(q) for q in grid])) < len(scanned)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.9])
+@pytest.mark.parametrize("variant", _OPTIMIZED)
+def test_every_optimized_scan_is_unimodal(variant, p, monkeypatch):
+    # Golden section refines only the bracket around the best scanned
+    # point; that is the global maximum because each scan is unimodal.
+    results = []
+    optimize = bounds.maximize_concave
+
+    def traced(*args):
+        results.append(optimize(*args))
+        return results[-1]
+
+    monkeypatch.setattr(bounds, "maximize_concave", traced)
+    compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, p)
+    assert len(results) == 1 and results[0].unimodal
+
+
+@pytest.mark.parametrize(
+    "variant, p",
+    [
+        (BoundVariant.STICKY_EXACT, 0.999),
+        (BoundVariant.GEOMDEL_CONV, 0.99),
+        (BoundVariant.GEOMDEL_TRUNC, 0.99),
+        (BoundVariant.GEOMDEL_DELTA_D, 0.99),
+    ],
+)
+def test_q_opt_is_inside_the_grid_near_p_one(variant, p):
+    # Near p = 1 the optimum crowds towards q = 1; it must still lie
+    # strictly between the grid's first and last points, not at an edge.
+    grid = bounds._q_grid(p)
+    res = compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, p)
+    assert grid[0] < res.q_opt < grid[-1]
 
 
 def test_objective_zero_below_threshold():
@@ -344,6 +405,16 @@ def test_verify_tables_strict_tolerance_fails():
     verification = verify_tables(1e-13, only=("T2",))
     assert not verification.all_passed
     assert verification.failures
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+def test_verify_tables_refuses_a_bad_tolerance(tolerance, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(bounds, "evaluate_points", forbidden)
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        verify_tables(tolerance, only=("T2",))
 
 
 def test_verify_tables_unknown_selector():

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from oracles import R_P
-from repeatcap import duals
+from repeatcap import duals, numerics
 from repeatcap.bounds import deletion_delta
 from repeatcap.cli import main
 from repeatcap.records import parse_bound_csv
@@ -490,6 +490,19 @@ def test_config_list_items_parse_like_flag_text(tmp_path, capsys):
     assert "unknown table selector(s): ['2']" in err
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_verify_refuses_a_bad_tolerance_before_computing(tolerance, capsys, monkeypatch):
+    from repeatcap import bounds
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(bounds, "evaluate_points", forbidden)
+    code, out, err = run_cli(capsys, "verify", "--only", "T2", "--json", "--tolerance", tolerance)
+    assert code == 2 and out == ""
+    assert "tolerance must be finite and >= 0" in err
+
+
 def test_verify_json_reports_a_zero_tolerance(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "T2", "--json", "--tolerance", "0")
     obj = json.loads(out)
@@ -504,7 +517,7 @@ def test_bound_metadata_reads_the_solver_tolerances(capsys):
     code, out, _ = run_cli(capsys, "bound", "--family", "sticky", "--p", "0.3")
     assert code == 0
     assert json.loads(out)["meta"]["tolerances"] == {
-        "q_opt": bounds._Q_OPT_TOL, "series_rel": duals._SERIES_REL_TOL,
+        "q_opt": bounds._Q_OPT_TOL, "series_rel": numerics._SERIES_REL_TOL,
     }
 
 

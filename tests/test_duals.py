@@ -388,7 +388,7 @@ def test_gap_scan_equals_the_per_x_scipy_loop(variant, p):
     want = []
     for x in range(1, 61):
         law = ConditionalOutputLaw(channel, x)
-        ys = law.truncated_support(40.0)
+        ys = law.truncated_support()
         while duals._tail_mass_bound(channel, x, int(ys[-1])) > 1e-12:
             ys = np.arange(ys[0], min(2 * int(ys[-1]), law.support[1]) + 1)
         lp = output_log_pmf(channel, x, ys)

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from repeatcap import numerics
 from repeatcap.duals import r_p_envelope
 from repeatcap.numerics import (
     OptimizeResult,
     QuadratureError,
     QuadratureProblem,
-    SeriesSpec,
     binary_entropy,
     integrate,
     log_gamma,
@@ -201,19 +201,16 @@ def test_integrate_against_simpson_oracle():
     assert abs(lambda1_sticky(5, 0.3) - want) <= 1e-9
 
 
+def _half(ys):
+    return np.full(np.shape(ys), 0.5)
+
+
 def test_sum_series_geometric():
     # sum over y >= 1 of 0.5^y equals 1
-    res = sum_series(
-        SeriesSpec(
-            log_term=lambda ys: ys * math.log(0.5),
-            start_index=1,
-            rel_tol=1e-12,
-            geometric_tail_ratio_bound=lambda ys: np.full(np.shape(ys), 0.5),
-        )
-    )
+    res = sum_series(lambda ys: ys * math.log(0.5), _half)
     assert res.converged
     assert abs(res.log_sum) <= 1e-12
-    # adding the reported tail changes the sum by at most rel_tol relatively
+    # adding the reported tail changes the sum by at most 1e-12 relatively
     assert res.tail_bound <= 1e-12 * math.exp(res.log_sum) * (1.0 + 1e-9)
 
 
@@ -224,49 +221,38 @@ def test_sum_series_reads_a_short_series_in_its_first_block():
         asked.append(int(ys.max()))
         return ys * math.log(0.5)
 
-    res = sum_series(
-        SeriesSpec(
-            log_term=log_term,
-            start_index=1,
-            rel_tol=1e-12,
-            geometric_tail_ratio_bound=lambda ys: np.full(np.shape(ys), 0.5),
-        )
-    )
+    res = sum_series(log_term, _half)
     assert res.converged and res.terms_used < 256
     assert max(asked) <= 256
 
 
 def test_sum_series_single_term():
     res = sum_series(
-        SeriesSpec(
-            log_term=lambda ys: np.where(ys == 1, math.log(3.0), -np.inf),
-            start_index=1,
-            rel_tol=1e-12,
-            geometric_tail_ratio_bound=lambda ys: np.zeros(np.shape(ys)),
-        )
+        lambda ys: np.where(ys == 1, math.log(3.0), -np.inf),
+        lambda ys: np.zeros(np.shape(ys)),
     )
     assert res.converged
     assert abs(res.log_sum - math.log(3.0)) <= 1e-14
 
 
-def test_sum_series_hard_cap_reported():
+def test_sum_series_hard_cap_reported(monkeypatch):
     # ratio bound 1 never certifies a tail, so the cap must be hit and
     # reported rather than silently accepted
+    monkeypatch.setattr(numerics, "_SERIES_HARD_CAP", 5000)
     res = sum_series(
-        SeriesSpec(
-            log_term=lambda ys: -np.log(ys.astype(float)) * 2.0,
-            start_index=1,
-            rel_tol=1e-12,
-            geometric_tail_ratio_bound=lambda ys: np.ones(np.shape(ys)),
-            hard_cap=5000,
-        )
+        lambda ys: -np.log(ys.astype(float)) * 2.0,
+        lambda ys: np.ones(np.shape(ys)),
     )
     assert not res.converged
     assert res.terms_used == 5000
 
 
+# 64 evenly spaced interior points of (0, 1).
+_GRID = np.linspace(0.0, 1.0, 66)[1:-1]
+
+
 def test_maximize_concave_quadratic():
-    res = maximize_concave(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, tol=1e-8)
+    res = maximize_concave(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, _GRID, 1e-8)
     assert isinstance(res, OptimizeResult)
     assert res.unimodal
     assert abs(res.arg - 0.3) <= 1e-7
@@ -277,19 +263,30 @@ def test_maximize_concave_random_quadratics():
     for _ in range(20):
         vertex = rng.uniform(0.05, 0.95)
         scale = rng.uniform(0.5, 30.0)
-        res = maximize_concave(lambda x: -scale * (x - vertex) ** 2, 0.0, 1.0, tol=1e-8)
+        res = maximize_concave(lambda x: -scale * (x - vertex) ** 2, 0.0, 1.0, _GRID, 1e-8)
         assert abs(res.arg - vertex) <= 1e-6
 
 
 def test_maximize_concave_constant():
-    res = maximize_concave(lambda x: 2.5, 0.0, 1.0)
+    res = maximize_concave(lambda x: 2.5, 0.0, 1.0, _GRID, 1e-7)
     assert res.value == 2.5
 
 
 def test_maximize_concave_flags_multimodal():
-    res = maximize_concave(lambda x: math.sin(12.0 * math.pi * x), 0.0, 1.0, tol=1e-9)
+    # A concave bump with a one-point dip on its rising side: the scan
+    # changes direction three times, so unimodal is False, and the result
+    # is still at least every value the scan saw.
+    dip = float(_GRID[10])
+    scanned = {}
+
+    def f(x):
+        value = 1.0 - (x - 0.5) ** 2 - (0.5 if x == dip else 0.0)
+        scanned.setdefault(x, value)
+        return value
+
+    res = maximize_concave(f, 0.0, 1.0, _GRID, 1e-9)
     assert not res.unimodal
-    assert res.value >= 1.0 - 1e-6  # still finds a global peak
+    assert res.value >= max(v for x, v in scanned.items() if x in set(_GRID.tolist()))
 
 
 def test_maximize_concave_quasiconcave_stops_after_first_peak():
@@ -299,23 +296,28 @@ def test_maximize_concave_quasiconcave_stops_after_first_peak():
         seen.append(x)
         return math.sin(12.0 * math.pi * x)
 
-    full = maximize_concave(f, 0.0, 1.0, tol=1e-9)
-    seen.clear()
-    res = maximize_concave(f, 0.0, 1.0, tol=1e-9, quasiconcave=True)
+    res = maximize_concave(f, 0.0, 1.0, _GRID, 1e-9)
     assert res.value >= 1.0 - 1e-6
     assert max(seen) < 1.0 / 12.0  # the first peak is at 1/24, its zero at 1/12
-    assert res.n_evals == len(seen) < full.n_evals
+    assert res.n_evals == len(seen)
 
 
 def test_maximize_concave_quasiconcave_scans_nonpositive_in_full():
+    # A descent from a nonpositive value never stops the scan.
+    seen = []
+
     def f(x):
+        seen.append(x)
         return -((x - 0.3) ** 2)
 
-    res = maximize_concave(f, 0.0, 1.0, tol=1e-8, quasiconcave=True)
-    assert res == maximize_concave(f, 0.0, 1.0, tol=1e-8)
+    res = maximize_concave(f, 0.0, 1.0, _GRID, 1e-8)
+    assert set(_GRID.tolist()) <= set(seen)
     assert res.n_evals > 64
+    assert abs(res.arg - 0.3) <= 1e-7
 
 
 def test_maximize_concave_validation():
     with pytest.raises(ValueError):
-        maximize_concave(lambda x: x, 1.0, 0.0)
+        maximize_concave(lambda x: x, 1.0, 0.0, _GRID, 1e-7)
+    with pytest.raises(ValueError):
+        maximize_concave(lambda x: x, 0.0, 1.0, [0.5], 1e-7)
