@@ -92,14 +92,16 @@ def _col(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def _finish(ys, v, nodes, t, num, coeff, limit) -> np.ndarray:
-    """f = num / (-t v) * e^-v, with the Taylor limit limit() taking over
-    wherever v (1 + y coeff) drops below _LIMIT_VC."""
-    f = (num / (-t * v)) * _col([math.exp(-x) for x in nodes])
+def _finish(ys, v, ts, e, lin, coeff, limit) -> np.ndarray:
+    """f = (t lin - e) e^-v / (-t v), in place over e: each numerator is
+    t lin - expm1(A), with lin the y-linear term.  The Taylor limit limit()
+    takes over wherever v (1 + y coeff) drops below _LIMIT_VC."""
+    nodes = v[:, 0].tolist()
+    e -= _col(ts) * lin
+    e *= _col([math.exp(-x) / (t * x) for x, t in zip(nodes, ts)])
     if min(nodes) < _LIMIT_VC:
-        mask = v * (1.0 + np.asarray(ys, dtype=float) * float(coeff)) < _LIMIT_VC
-        f = np.where(mask, limit(), f)
-    return f
+        e = np.where(v * (1.0 + ys * coeff) < _LIMIT_VC, limit(), e)
+    return e
 
 
 def _sticky_f_limit(ys: np.ndarray, p: float, which: int) -> np.ndarray:
@@ -112,17 +114,17 @@ def _sticky_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
     """f_which(y, t(v)) * e^-v for the sticky Lambda integrals, vector over y."""
     nodes = v[:, 0].tolist()
     ts = [-math.expm1(-x) for x in nodes]
-    t = _col(ts)
     if which == 1:
-        # log((1-t)/(1-pt))
-        log_ratio = _col([-x - math.log1p(p * math.expm1(-x)) for x in nodes])
-        num = -np.expm1(ys * log_ratio + v) + t * (1.0 - ys * (1.0 - p))
-        coeff = 1.0 - p
+        # A = y log((1-t)/(1-pt)) + v
+        e = _col([-x - math.log1p(p * math.expm1(-x)) for x in nodes]) * ys
+        e += v
+        lin, coeff = 1.0 - ys * (1.0 - p), 1.0 - p
     else:
-        log_1pt = _col([math.log1p(p * tt) for tt in ts])
-        num = -np.expm1(-ys * log_1pt) - t * ys * p
-        coeff = p
-    return _finish(ys, v, nodes, t, num, coeff, lambda: _sticky_f_limit(ys, p, which))
+        # A = -y log(1+pt)
+        e = _col([-math.log1p(p * t) for t in ts]) * ys
+        lin, coeff = ys * -p, p
+    np.expm1(e, out=e)
+    return _finish(ys, v, ts, e, lin, coeff, lambda: _sticky_f_limit(ys, p, which))
 
 
 def _dup_f_limit(ys: np.ndarray, p: float, k: float) -> np.ndarray:
@@ -146,12 +148,10 @@ def _dup_log_w(t: float, p: float, k: float) -> float:
 
 def _dup_f(ys: np.ndarray, v, p: float, k: float) -> np.ndarray:
     """Duplication Lambda integrand in v coordinates; k in {1, p, 1-p}."""
-    nodes = v[:, 0].tolist()
-    ts = [-math.expm1(-x) for x in nodes]
-    t = _col(ts)
-    log_w = _col([_dup_log_w(tt, p, k) for tt in ts])
-    num = -np.expm1(ys * log_w) - t * ys * k / (1.0 + p)
-    return _finish(ys, v, nodes, t, num, k, lambda: _dup_f_limit(ys, p, k))
+    ts = [-math.expm1(-x) for x in v[:, 0].tolist()]
+    e = _col([_dup_log_w(t, p, k) for t in ts]) * ys  # A = y log w
+    np.expm1(e, out=e)
+    return _finish(ys, v, ts, e, ys * (-k / (1.0 + p)), k, lambda: _dup_f_limit(ys, p, k))
 
 
 def _trunc_f_limit(ys: np.ndarray, p: float, which: int) -> np.ndarray:
@@ -166,35 +166,42 @@ def _trunc_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
     ((1+p) - e^v)/p (which=2); both equal 1 - c*(e^v - 1) with c the same
     constant that multiplies y, both live in [-1, 1] on the domain (w2 hits
     -1 exactly at the right endpoint), and w1 crosses zero inside it when
-    p < 1/2.  Nodes with w > 0 regroup the numerator through expm1/log1p;
-    at nodes with w <= 0 integer powers are taken as signed powers of |w|
-    (no small-v cancellation is possible there).
+    p < 1/2.  Every node takes expm1(y log|w| + v), with log w from log1p
+    where w > 0; where w <= 0 the integer power w^y e^v is the signed
+    exp(y log|w| + v), so E = sgn (E + 1) - 1 (no small-v cancellation is
+    possible there).
     """
     nodes = v[:, 0].tolist()
-    t = _col([-math.expm1(-x) for x in nodes])
+    ts = [-math.expm1(-x) for x in nodes]
     c = (1.0 - p) / p if which == 1 else 1.0 / p
     tev = [math.expm1(x) for x in nodes]  # t * e^v
     w = [1.0 - c * x for x in tev]
-    pos = np.array([wi > 0.0 for wi in w])
-    num = np.empty((len(nodes), ys.size))
-    if pos.any():
-        log_w = _col([math.log1p(-c * x) for x, wi in zip(tev, w) if wi > 0.0])
-        num[pos] = -np.expm1(ys * log_w + v[pos]) + t[pos] * (1.0 - ys * c)
-    if not pos.all():
-        neg = ~pos
-        log_aw = _col([math.log(-wi) if wi < 0.0 else -math.inf for wi in w if not wi > 0.0])
+    # At w = 0, w^y e^v is e^v at y = 0 and exp(-800 y + v) = 0 past it.
+    log_w = [math.log1p(-c * x) if wi > 0.0 else math.log(-wi) if wi < 0.0 else -800.0
+             for x, wi in zip(tev, w)]
+    e = _col(log_w) * ys
+    e += v
+    np.expm1(e, out=e)
+    neg = np.array([not wi > 0.0 for wi in w])
+    if neg.any():
         sgn = np.where(ys % 2 == 1, -1.0, 1.0)
-        with np.errstate(invalid="ignore"):
-            pw = sgn * np.exp(ys * log_aw)
-        pw = np.where(ys == 0, 1.0, pw)
-        ev = _col([math.exp(x) for x, wi in zip(nodes, w) if not wi > 0.0])
-        num[neg] = 1.0 + t[neg] - t[neg] * ys * c - pw * ev
-    return _finish(ys, v, nodes, t, num, c, lambda: _trunc_f_limit(ys, p, which))
+        if neg.all():
+            e *= sgn
+            e += sgn - 1.0
+        else:  # the panel that straddles w = 0
+            e[neg] = e[neg] * sgn + (sgn - 1.0)
+    return _finish(ys, v, ts, e, 1.0 - ys * c, c, lambda: _trunc_f_limit(ys, p, which))
 
 
 def _trunc_breaks(p: float) -> np.ndarray:
+    # Seed panels clustered geometrically at both ends.  At v = 0 sits the
+    # t -> 0 limit.  At v_t, w2 = -1, so w2^y e^v is a spike of width about
+    # p / ((1+2p) y), which no node of a wide last panel sees (it took
+    # 3.5e-4 off Lambda_2(3000) at p = 0.3); seven breakpoints approaching
+    # v_t give it a panel of its own width for any y up to ~1e7.
     v_t = math.log1p(2.0 * p)
-    return np.unique(np.concatenate(([0.0], np.geomspace(1e-9, v_t, 50))))
+    right = v_t * (1.0 - 8.0 ** -np.arange(1.0, 8.0))
+    return np.unique(np.concatenate(([0.0], np.geomspace(1e-9, v_t, 50), right)))
 
 
 @dataclass(frozen=True)
@@ -204,7 +211,8 @@ class _Spec:
     S(y) = g(ys, p, lambdas) - drift(ys, p), each written in the operation
     order the tables are built with.  The lambdas are the integrals of
     f(ys, v, p, key) over v for each key in keys(p): over the exp tail
-    [0, 60], or over [0, log(1+2p)] for the truncated construction.  Each f
+    [0, 60], or over [0, log(1+2p)] for the truncated construction, every
+    key at every y of a block in one quadrature (_lambdas).  Each f
     returns its own t -> 0 limit near v = 0 (_finish); the quadrature
     substitutes nothing.  gap_limit is the KL-gap's x -> infinity limit at
     delta = 1, weight_shift a constant added to every log-weight, and
@@ -284,47 +292,52 @@ def _quad_tol(ys: np.ndarray) -> float:
 
 
 def _scale_chunks(ys: np.ndarray):
-    # The integrands peak near v ~ 1/y, so a block spanning decades of y
-    # would force one panel set to resolve every scale at once (and pay
-    # extended precision across all of them).  Chunking ascending y
-    # geometrically keeps each integration call single-scale.
+    # The integrands peak near v ~ 1/y and Lambda grows like y log y, so
+    # one tolerance over a block spanning decades of y would be too loose
+    # for its small y or unattainable for its large y.  Chunking ascending
+    # y geometrically gives each single-scale chunk its own error group and
+    # _quad_tol in the block's one quadrature call.
     lo = 0
     while lo < ys.size:
-        hi = lo + 1
-        while hi < ys.size and ys[hi] < 4.0 * ys[lo]:
-            hi += 1
+        hi = max(lo + 1, int(np.searchsorted(ys, 4.0 * ys[lo])))
         yield ys[lo:hi]
         lo = hi
 
 
 def _lambdas(spec: _Spec, ys: np.ndarray, p: float) -> list[np.ndarray]:
-    """The variant's Lambda integrals over one single-scale chunk of y,
-    stacked into one quadrature."""
+    """The variant's Lambda integrals at ascending ys, one array per key: one
+    quadrature of every key at every y, each _scale_chunks chunk an error
+    group with its own _quad_tol."""
     keys = spec.keys(p)
     if not keys:
         return []
-    stacked = lambda v: np.concatenate([spec.f(ys, v, p, k) for k in keys], axis=-1)
+    groups, stop = [], 0
+    for chunk in _scale_chunks(ys):
+        stop += chunk.size
+        groups.append((stop, _quad_tol(chunk)))
     if spec.truncated:
-        # numerics.integrate is looked up on the module, so a wrapper set
-        # there (a trace, a test) sees this call as it sees the exp tail's
-        problem = numerics.QuadratureProblem(
-            stacked, (0.0, math.log1p(2.0 * p)), abs_tol=_quad_tol(ys)
-        )
-        val, _ = numerics.integrate(problem, breakpoints=_trunc_breaks(p), max_panels=1024)
+        interval, breaks = (0.0, math.log1p(2.0 * p)), _trunc_breaks(p)
     else:
-        val, _ = integrate_exp_tail(stacked, 0.0, abs_tol=_quad_tol(ys), max_panels=1024)
-    return np.split(val, len(keys))
+        interval, breaks = (0.0, numerics._EXP_TAIL_SPAN), numerics._exp_tail_breaks(0.0)
+    problem = numerics.QuadratureProblem(
+        lambda v: np.stack([spec.f(ys, v, p, k) for k in keys], axis=1),
+        interval,
+        groups=tuple(groups),
+    )
+    # numerics.integrate is looked up on the module, so a wrapper set there
+    # (a trace, a test) sees every S-table block and Lambda view
+    val, _ = numerics.integrate(problem, breakpoints=breaks, max_panels=1024)
+    return list(val)
 
 
 def _lambda_view(variant: DualVariant, y, p: float, name: str, y_min=1.0) -> tuple:
     """The variant's Lambda integrals at y (a scalar, or an array in any
-    order), one per key, through the same chunked quadrature as the S-table."""
+    order), one per key, through the same quadrature as an S-table block."""
     ys, scalar = _as_y_array(y)
     if np.any(ys < y_min):
         raise ValueError(f"{name} requires y >= {y_min:g}")
     uniq, back = np.unique(ys, return_inverse=True)
-    chunks = [_lambdas(_SPECS[variant], chunk, p) for chunk in _scale_chunks(uniq)]
-    vals = [np.concatenate(parts)[back] for parts in zip(*chunks)]
+    vals = [lam[back] for lam in _lambdas(_SPECS[variant], uniq, p)]
     return tuple(float(v[0]) for v in vals) if scalar else tuple(vals)
 
 
@@ -422,8 +435,10 @@ class _STable:
     S(y) = g(y) - y * rate, so a dual's log-weight is S(y) + y log q.  A
     request past the end grows the table to the requested size rounded up
     to a multiple of _TABLE_STEP, so the table holds little more than the
-    series read (every entry costs quadrature); growth is serialized by a
-    lock so DualDistribution instances can be shared across threads.
+    series read (every entry costs quadrature).  Each growth block is one
+    quadrature call over all its y (_lambdas), its scale chunks error
+    groups of that call.  Growth is serialized by a lock so
+    DualDistribution instances can be shared across threads.
     """
 
     def __init__(self, variant: DualVariant, p: float):
@@ -445,10 +460,7 @@ class _STable:
 
     def _compute(self, ys: np.ndarray) -> np.ndarray:
         spec, p = _SPECS[self.variant], self.p
-        return np.concatenate([
-            spec.g(chunk, p, _lambdas(spec, chunk, p)) - spec.drift(chunk, p)
-            for chunk in _scale_chunks(ys)
-        ])
+        return spec.g(ys, p, _lambdas(spec, ys, p)) - spec.drift(ys, p)
 
 
 _TABLES: dict[tuple[DualVariant, float], _STable] = {}

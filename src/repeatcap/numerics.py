@@ -20,6 +20,12 @@ evaluated at panel endpoints, but a node can come arbitrarily close to one:
 each integrand returns its own analytic limit where its closed form runs
 out of mantissa, and a row that is not finite is a QuadratureError.
 
+One adaptive loop serves every problem.  A stack of integrals may be split
+into column groups, each with its own tolerance: the groups share one
+panel set, the loop bisects the panel whose error is largest relative to
+its group's tolerance, and it stops once every group meets its own.  A
+problem without groups is one group, refined exactly as a scalar integral.
+
 Series are summed in log-space (streaming log-sum-exp) with a geometric
 tail bound term(Y)*r/(1-r) controlling truncation, which is valid because
 every series we sum has eventually-decaying nonnegative terms with
@@ -29,6 +35,7 @@ term(y+1)/term(y) <= r(y) < 1 (the dual weights behave like q^y/sqrt(y)).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -119,21 +126,28 @@ class QuadratureProblem:
 
     integrand(v) receives the 15 Kronrod nodes of one panel as a (15, 1)
     column and returns one row per node: shape (15,) for a scalar integral,
-    or (15, m) for a stack of m integrals sharing the same variable (they
-    are integrated componentwise and the error estimate is the worst
-    component).  The integrand must be finite at every node; a row that is
-    not is a QuadratureError naming the node.
+    or (15, ..., m) for a stack of integrals sharing the same variable
+    (integrated componentwise).  The integrand must be finite at every
+    node; a row that is not is a QuadratureError naming the node.
+
+    Without groups the whole stack is one group under abs_tol, and its
+    error estimate is the worst component.  groups, as ((stop, abs_tol),
+    ...) with ascending stops ending at m, splits the stack's last axis
+    into column groups [previous stop, stop) with their own tolerances
+    (abs_tol is then unused); a group's error estimate is the sum over
+    panels of the worst |K15 - G7| among its columns.
     """
 
     integrand: Callable
     interval: tuple[float, float]
     abs_tol: float = 1e-10
+    groups: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
         lo, hi = self.interval
         if not (lo < hi and math.isfinite(hi - lo)):
             raise ValueError(f"interval must be finite with lo < hi, got {self.interval}")
-        if not (self.abs_tol > 0.0):
+        if not all(tol > 0.0 for tol in (self.abs_tol, *(tol for _, tol in self.groups))):
             raise ValueError("abs_tol must be positive")
 
 
@@ -146,10 +160,10 @@ def _panel_nodes(a: float, b: float) -> tuple[float, np.ndarray]:
 def _eval_column(problem: QuadratureProblem, nodes: np.ndarray) -> np.ndarray:
     """The integrand at the node column; every row must be finite."""
     vals = np.asarray(problem.integrand(nodes[:, None]), dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[0] != 15:
+    if vals.ndim < 1 or vals.shape[0] != 15:
         raise ValueError(
             "an integrand takes a (15, 1) node column and returns shape (15,) "
-            f"or (15, m); got shape {vals.shape}"
+            f"or (15, ..., m); got shape {vals.shape}"
         )
     bad = np.flatnonzero(~np.isfinite(vals.reshape(15, -1)).all(axis=1))
     if bad.size:
@@ -159,14 +173,21 @@ def _eval_column(problem: QuadratureProblem, nodes: np.ndarray) -> np.ndarray:
 
 
 def _panel(problem: QuadratureProblem, a: float, b: float):
-    """K15 value, |K15 - G7| and |K15| of one panel."""
+    """K15 value of one panel, and per group its worst |K15 - G7| and |K15|."""
     half, nodes = _panel_nodes(a, b)
     stack = _eval_column(problem, nodes)
     kg = half * (_KG_WEIGHTS @ stack.reshape(15, -1))
     k15 = kg[0].reshape(stack.shape[1:]).copy()  # not a view pinning kg
-    err = float(np.max(np.abs(kg[0] - kg[1])))
-    mag = float(np.max(np.abs(kg[0])))
-    return k15, err, mag
+    err, mag = np.abs(kg[0] - kg[1]), np.abs(kg[0])
+    if len(problem.groups) < 2:
+        return k15, (float(np.max(err)),), (float(np.max(mag)),)
+    starts = [0] + [stop for stop, _ in problem.groups[:-1]]
+
+    def by_group(x):
+        columns = x.reshape(-1, stack.shape[-1])
+        return tuple(np.maximum.reduceat(columns, starts, axis=1).max(axis=0).tolist())
+
+    return k15, by_group(err), by_group(mag)
 
 
 def integrate(
@@ -177,11 +198,13 @@ def integrate(
 ):
     """Adaptively integrate the problem; returns (value, err_estimate).
 
-    Bisects the panel with the worst Gauss/Kronrod discrepancy until the
-    summed estimate falls below max(abs_tol, 100 ulp of the integral's
-    magnitude).  breakpoints seed the initial subdivision (useful when the
-    caller knows where the integrand concentrates).  Raises QuadratureError
-    (carrying the partial result) if the budget is exhausted first.
+    Bisects the panel with the worst Gauss/Kronrod discrepancy, relative to
+    its group's tolerance, until every group's summed estimate falls below
+    max(its abs_tol, 100 ulp of its magnitude).  breakpoints seed the
+    initial subdivision (useful when the caller knows where the integrand
+    concentrates).  err_estimate is a float, or a list with one entry per
+    group.  Raises QuadratureError (carrying the partial result) if the
+    budget is exhausted first.
     """
     lo, hi = problem.interval
     if breakpoints is None:
@@ -189,33 +212,37 @@ def integrate(
     else:
         inner = [float(x) for x in breakpoints if lo < x < hi]
         edges = sorted({lo, hi, *inner})
+    tols = [tol for _, tol in problem.groups] or [problem.abs_tol]
+    # One group ranks panels by their raw error, so no division can tie two.
+    scales = tols if len(tols) > 1 else [1.0]
     heap = []
-    counter = 0
-    for a, b in zip(edges[:-1], edges[1:]):
+    counter = itertools.count()
+
+    def push(a, b):
         k15, err, mag = _panel(problem, a, b)
-        heapq.heappush(heap, (-err, counter, a, b, k15, err, mag))
-        counter += 1
+        rank = max(e / s for e, s in zip(err, scales))
+        heapq.heappush(heap, (-rank, next(counter), a, b, k15, err, mag))
+
+    for a, b in zip(edges[:-1], edges[1:]):
+        push(a, b)
     while True:
-        total_err = math.fsum(item[5] for item in heap)
-        magnitude = math.fsum(item[6] for item in heap)
-        if total_err <= max(problem.abs_tol, _REL_FLOOR * magnitude):
+        errs = [math.fsum(col) for col in zip(*(item[5] for item in heap))]
+        mags = [math.fsum(col) for col in zip(*(item[6] for item in heap))]
+        over = [(e, tol) for e, tol, m in zip(errs, tols, mags) if not e <= max(tol, _REL_FLOOR * m)]
+        if not over:
             break
         if len(heap) >= max_panels:
-            value = _heap_sum(heap)
             raise QuadratureError(
                 f"quadrature did not converge within {max_panels} panels: "
-                f"err {total_err:.3e} > tol {problem.abs_tol:.3e}",
-                value=value,
-                err_estimate=total_err,
+                f"err {over[0][0]:.3e} > tol {over[0][1]:.3e}",
+                value=_heap_sum(heap),
+                err_estimate=over[0][0],
             )
-        _, _, a, b, _, _, _ = heapq.heappop(heap)
+        _, _, a, b, *_ = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        for aa, bb in ((a, m), (m, b)):
-            k15, err, mag = _panel(problem, aa, bb)
-            heapq.heappush(heap, (-err, counter, aa, bb, k15, err, mag))
-            counter += 1
-    value = _heap_sum(heap)
-    return value, math.fsum(item[5] for item in heap)
+        push(a, m)
+        push(m, b)
+    return _heap_sum(heap), errs if problem.groups else errs[0]
 
 
 def _heap_sum(heap):
@@ -244,12 +271,14 @@ def integrate_exp_tail(
     at the left endpoint, where the v = -log(1-t) substitution parks the
     removable t = 0 singularity; otherwise they are 16 equal panels.
     """
-    if left_cluster:
-        breaks = lo + np.geomspace(1e-9, _EXP_TAIL_SPAN, 40)[:-1]
-    else:
-        breaks = lo + np.linspace(0.0, _EXP_TAIL_SPAN, 17)[1:-1]
     problem = QuadratureProblem(fv, (lo, lo + _EXP_TAIL_SPAN), abs_tol=abs_tol)
-    return integrate(problem, breakpoints=breaks, max_panels=max_panels)
+    return integrate(problem, breakpoints=_exp_tail_breaks(lo, left_cluster), max_panels=max_panels)
+
+
+def _exp_tail_breaks(lo: float, left_cluster: bool = True) -> np.ndarray:
+    if left_cluster:
+        return lo + np.geomspace(1e-9, _EXP_TAIL_SPAN, 40)[:-1]
+    return lo + np.linspace(0.0, _EXP_TAIL_SPAN, 17)[1:-1]
 
 
 def log_gamma(z):

@@ -9,6 +9,16 @@ against scipy QUADPACK and a 4 million point longdouble Simpson rule;
 the three routes agree to at least 1e-15.  None of them share code with
 the package's float64 adaptive Gauss-Kronrod route.
 
+The large-y Lambda values (LAMBDAS_*_LARGE_Y) were generated the same
+way at 50 digits, on segments split at (1, 2, 5) * 10^k / (c y) for
+k = -16..2, c the integrand's y coefficient (1-p and p for sticky, k for
+duplication, (1-p)/p and 1/p for truncated), up to v = 90 or vT; the
+truncated ones are also split at vT (1 - 2^-j), j = 1..29, where w2 = -1
+makes w2^y e^v a spike of width ~1/(c y).  Below v = 1e-30 the integrand
+is replaced by its Taylor limit.  Gauss-Legendre and tanh-sinh on the same
+segments agree to 1e-24, except for six values at y = 10 000 where they
+agree to 1e-11.
+
 Live helpers: a composite Simpson rule in longdouble and a textbook
 dynamic-programming edit distance, both written independently of the
 package implementations they check; and the Monte Carlo run as a plain
@@ -60,6 +70,34 @@ LAMBDAS_DUPLICATION = {
 LAMBDA_TRUNC_GEOMDEL = {
     (5, 0.5): (1.14025751895683949788, 8.23034728628726571109),
     (0, 0.5): (0.589373787380956510321, 0.589373787380956510321),
+}
+
+# Lambda values at large y, keyed by (y, p): the sticky (Lambda_1,
+# Lambda_2), the duplication integrals for k = 1, p, 1-p and the truncated
+# (Lambda_1, Lambda_2), with the integrands above
+LAMBDAS_STICKY_LARGE_Y = {
+    (1000, 0.3): (3883.2497055227550286, 1415.55501860355947067),
+    (3000, 0.3): (13961.2986262227284387, 5227.12523856041846729),
+    (10000, 0.3): (54972.0001093433207049, 21024.6747699821636639),
+    (1000, 0.9): (358.682783707056003987, 5227.42500512814160341),
+    (3000, 0.9): (1408.75159284400191569, 18638.5383432205608899),
+    (10000, 0.9): (5904.77028074289142902, 72951.2400935654558665),
+}
+LAMBDAS_DUPLICATION_LARGE_Y = {
+    (1000, 0.3): (4346.78812852982883745, 1028.91364484787227968, 2851.94013433572686052),
+    (3000, 0.3): (15567.813406472623475, 3839.92603558281590477, 10322.7111222094231133),
+    (10000, 0.3): (61143.6085616744678506, 15568.2068442094392912, 40881.5581463054198276),
+    (1000, 0.9): (2775.56663925677699703, 2448.50488657262444596, 159.312240823300873551),
+    (3000, 0.9): (10053.8209141676803391, 8899.1734290762966372, 645.255429586998222148),
+    (10000, 0.9): (39839.3301320250331574, 35356.8386314678967608, 2776.02758014927435658),
+}
+LAMBDAS_TRUNC_LARGE_Y = {
+    (1000, 0.3): (14363.807408348530522, 21709.2270779931609479),
+    (3000, 0.3): (50787.053612035124022, 76120.5035190645593985),
+    (10000, 0.3): (197390.433312112627305, 293876.576164066209574),
+    (1000, 0.9): (387.567016620298903907, 6446.07285794258237992),
+    (3000, 0.9): (1531.3842935567557379, 23006.0384075900127465),
+    (10000, 0.9): (6446.57268897569284164, 90072.3330405091786846),
 }
 
 # R_p(x) = -int_{2p/(1+2p)}^1 (1-t)^(x-1) (1 - ((1-p)/(1-p(1-t)))^x)

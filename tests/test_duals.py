@@ -104,17 +104,58 @@ def test_lambda_trunc_asymptotics():
         assert np.ptp(band) <= 0.5, p
 
 
+def _sticky_lambdas(y, p):
+    return lambda1_sticky(y, p), lambda2_sticky(y, p)
+
+
+_VIEWS = {
+    "sticky": (_sticky_lambdas, DualVariant.STICKY_ZERO_GAP, oracles.LAMBDAS_STICKY_LARGE_Y),
+    "duplication": (
+        lambdas_duplication,
+        DualVariant.DUPLICATION_ZERO_GAP,
+        oracles.LAMBDAS_DUPLICATION_LARGE_Y,
+    ),
+    "trunc": (lambda_trunc_geomdel, DualVariant.GEOMDEL_TRUNCATED, oracles.LAMBDAS_TRUNC_LARGE_Y),
+}
+
+
 @pytest.mark.parametrize("p", (0.3, 0.9))
-def test_lambda_views_do_not_depend_on_the_other_ys(p):
-    # One quadrature across decades of y under-resolves the large-y peaks
-    # without its error estimate noticing (Lambda_2(3000) off by 3.5e-4 at
-    # p = 0.3), so the views chunk y by scale like the S-table does.
-    ys = np.array([0.0, 1.0, 5.0, 100.0, 3000.0, 10000.0])
-    together = lambda_trunc_geomdel(ys, p)
+@pytest.mark.parametrize("name", tuple(_VIEWS))
+def test_lambda_views_do_not_depend_on_the_other_ys(name, p):
+    # The ys of one view span decades; each scale chunk is an error group of
+    # its own, so a y's value moves by less than its own tolerance with the
+    # other ys that share the call.
+    view = _VIEWS[name][0]
+    ys = np.array([1.0, 5.0, 100.0, 3000.0, 10000.0])
+    if name == "trunc":
+        ys = np.concatenate(([0.0], ys))
+    together = view(ys, p)
     for i, y in enumerate(ys):
-        alone = lambda_trunc_geomdel(y, p)
-        for k in (0, 1):
-            assert abs(together[k][i] - alone[k]) <= duals._quad_tol(ys[i:i + 1]), (y, k)
+        alone = view(y, p)
+        for k, value in enumerate(alone):
+            assert abs(together[k][i] - value) <= duals._quad_tol(ys[i:i + 1]), (y, k)
+
+
+@pytest.mark.parametrize("p", (0.3, 0.9))
+@pytest.mark.parametrize("name", tuple(_VIEWS))
+def test_large_y_lambdas_match_the_oracles(name, p):
+    # Checked independently of the package's quadrature: the Lambda views
+    # and the S-table grown block by block, as the series grows it, against
+    # 50-digit values at y = 1000 (first block), 3000 and 10000 (growth blocks).
+    view, variant, wants = _VIEWS[name]
+    ys = np.array([1000.0, 3000.0, 10000.0])
+    table = duals._STable(variant, p)
+    for ymax in (1024, 4096, 10240):
+        table.upto(ymax)
+    spec = duals._SPECS[variant]
+    got = view(ys, p)
+    for i, y in enumerate(ys):
+        want = wants[(int(y), p)]
+        tol = duals._quad_tol(ys[i:i + 1])
+        for k, w in enumerate(want):
+            assert abs(got[k][i] - w) <= tol, (y, k)
+        s_want = spec.g(ys[i:i + 1], p, [np.array([w]) for w in want]) - spec.drift(ys[i:i + 1], p)
+        assert abs(table.upto(10240)[int(y) - 1] - s_want[0]) <= tol, y
 
 
 def test_r_p_oracle_values():
@@ -464,8 +505,8 @@ _QUADRATURE_VARIANTS = (
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
 @pytest.mark.parametrize("p", (0.3, 0.9))
 def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
-    # Chunks y = 1..1024 reach nodes v below _LIMIT_VC, where the Taylor
-    # limits blend in.  Both routes must give the same bits, build after build.
+    # The block y = 1..1024 reaches nodes v below _LIMIT_VC, where the
+    # Taylor limits blend in.  Both routes must give the same bits, build after build.
     batched = [duals._STable(variant, p).upto(1024).copy() for _ in range(2)]
     assert np.array_equal(batched[0], batched[1])
 
@@ -485,6 +526,29 @@ def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
     reference = duals._STable(variant, p).upto(1024)
     assert min(nodes) < duals._LIMIT_VC
     assert np.array_equal(batched[0], reference)
+
+
+@pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
+@pytest.mark.parametrize("p", (0.3, 0.9))
+def test_s_table_block_is_one_quadrature_call(monkeypatch, variant, p):
+    # The first block spans six scale chunks; they are error groups of one
+    # call over one shared panel set, not one call each.
+    integrate = numerics.integrate
+    panels = []
+
+    def counted(problem, **kwargs):
+        inner = problem.integrand
+        panels.append(0)
+
+        def per_panel(t):
+            panels[-1] += 1
+            return inner(t)
+
+        return integrate(dataclasses.replace(problem, integrand=per_panel), **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate", counted)
+    duals._STable(variant, p).upto(1024)
+    assert len(panels) == 1 and panels[0] <= 64, panels
 
 
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)

@@ -138,6 +138,22 @@ def test_integrate_vector_integrand():
     assert err <= 1e-10
 
 
+def test_integrate_meets_each_group_tolerance():
+    # Two column groups share the panels but not the stopping rule: a small
+    # smooth pair held to 1e-13 and a large peaked Lorentzian held to 1e-6.
+    def integrand(t):
+        small = 1e-2 * np.sqrt(t + 0.01) * np.array([1.0, 2.0])
+        return np.hstack([small, 1.0 / (1e-6 + (t - 0.3) ** 2)])
+
+    problem = QuadratureProblem(integrand, (0.0, 1.0), groups=((2, 1e-13), (3, 1e-6)))
+    val, errs = integrate(problem)
+    small = 1e-2 * 2.0 / 3.0 * (1.01**1.5 - 0.01**1.5) * np.array([1.0, 2.0])
+    peak = 1e3 * (math.atan(0.7e3) + math.atan(0.3e3))
+    assert len(errs) == 2 and errs[0] <= 1e-13 and errs[1] <= 1e-6
+    assert np.max(np.abs(val[:2] - small)) <= 1e-13
+    assert abs(val[2] - peak) <= 1e-6
+
+
 def _column_calls(integrand):
     """integrand plus a list recording whether each call got a node column."""
     calls = []
