@@ -18,7 +18,8 @@ The reduction needs three scalars per family: lam = E[D], lam_bar = E[D | D != 0
 and p_nonzero = P(D != 0).  Each family's facts live in one _Law record in
 _LAWS; ConditionalOutputLaw reads them for one input x, and output_log_pmf
 and reduction_params are the module-level reads the gap scan and the bound
-thresholds use.
+thresholds use.  _windows cuts each Y_x to its support window, every x of a
+scan at once, both tails certified by the law's Chernoff bound.
 """
 
 from __future__ import annotations
@@ -44,12 +45,14 @@ class _Law:
     operation order the package has always computed it in.
 
     mean(x, p) and stddev(x, p) are Y_x's moments and support(x) its
-    (first, last) point.  log_pmf(ys, x, logp, log1mp, log_gamma) is
-    log Y_x(ys) for ys inside the support.  pgf_factor(z, p) is the
-    per-input pgf factor, E[z^Y_x] = factor^x; it holds past z = 1 too while
-    it stays finite (p*z < 1 for sticky and deletion), which is where the
-    Chernoff tail bounds read it, at the points chernoff_zs(p).  reduction(p)
-    is (lam, lam_bar, p_nonzero).
+    (first, last) point, each also over an array of x.
+    log_pmf(ys, x, logp, log1mp, log_gamma) is log Y_x(ys) for ys inside the
+    support.  pgf_factor(z, p) is the per-input pgf factor,
+    E[z^Y_x] = factor^x, for any z > 0 where it is finite (p*z < 1 for
+    sticky and deletion).  chernoff_z(c, x, p) is the z that minimizes the
+    Chernoff bound E[z^Y_x] / z^c at a cut c inside the support: above 1
+    for a cut above the mean (the upper tail), below 1 under it (the lower
+    tail); _windows reads both.  reduction(p) is (lam, lam_bar, p_nonzero).
     """
 
     mean: Callable[[int, float], float]
@@ -57,47 +60,43 @@ class _Law:
     support: Callable[[int], tuple[int, float]]
     log_pmf: Callable[..., np.ndarray]
     pgf_factor: Callable[[float, float], float]
-    chernoff_zs: Callable[[float], tuple[float, ...]]
+    chernoff_z: Callable[[float, int, float], float]
     reduction: Callable[[float], tuple[float, float, float]]
-
-
-def _spread_zs(p: float) -> tuple[float, ...]:
-    return tuple(1.0 + (1.0 / p - 1.0) * f for f in (0.25, 0.5, 0.75))
 
 
 _LAWS = {
     Family.GEOMETRIC_STICKY: _Law(
         mean=lambda x, p: x / (1.0 - p),
-        stddev=lambda x, p: math.sqrt(x * p) / (1.0 - p),
+        stddev=lambda x, p: np.sqrt(x * p) / (1.0 - p),
         support=lambda x: (x, math.inf),
         log_pmf=lambda ys, x, logp, log1mp, lg: (
             lg(ys) - lg(x) - lg(ys - x + 1) + x * log1mp + (ys - x) * logp
         ),
         pgf_factor=lambda z, p: z * (1.0 - p) / (1.0 - p * z),
-        chernoff_zs=_spread_zs,
+        chernoff_z=lambda c, x, p: (c - x) / (p * c),
         reduction=lambda p: (1.0 / (1.0 - p), 1.0 / (1.0 - p), 1.0),
     ),
     Family.ELEMENTARY_DUPLICATION: _Law(
         mean=lambda x, p: x * (1.0 + p),
-        stddev=lambda x, p: math.sqrt(x * p * (1.0 - p)),
+        stddev=lambda x, p: np.sqrt(x * p * (1.0 - p)),
         support=lambda x: (x, 2 * x),
         log_pmf=lambda ys, x, logp, log1mp, lg: (
             lg(x + 1) - lg(ys - x + 1) - lg(2 * x - ys + 1)
             + (2 * x - ys) * log1mp + (ys - x) * logp
         ),
         pgf_factor=lambda z, p: z * (1.0 - p + p * z),
-        chernoff_zs=lambda p: (1.5, 2.0, 4.0, 8.0),
+        chernoff_z=lambda c, x, p: (c - x) * (1.0 - p) / (p * (2 * x - c)),
         reduction=lambda p: (1.0 + p, 1.0 + p, 1.0),
     ),
     Family.GEOMETRIC_DELETION: _Law(
         mean=lambda x, p: x * p / (1.0 - p),
-        stddev=lambda x, p: math.sqrt(x * p) / (1.0 - p),
+        stddev=lambda x, p: np.sqrt(x * p) / (1.0 - p),
         support=lambda x: (0, math.inf),
         log_pmf=lambda ys, x, logp, log1mp, lg: (
             lg(ys + x) - lg(x) - lg(ys + 1) + x * log1mp + ys * logp
         ),
         pgf_factor=lambda z, p: (1.0 - p) / (1.0 - p * z),
-        chernoff_zs=_spread_zs,
+        chernoff_z=lambda c, x, p: c / (p * (x + c)),
         reduction=lambda p: (p / (1.0 - p), 1.0 / (1.0 - p), p),
     ),
 }
@@ -153,7 +152,7 @@ def output_log_pmf(channel: RepeatChannel, x: int, y, log_gamma=gammaln):
     y_arr = np.asarray(y)
     scalar = y_arr.ndim == 0
     yy = np.atleast_1d(y_arr).astype(np.int64, copy=False)
-    if np.any(yy < 0):
+    if (yy < 0).any():
         raise ValueError("y must be nonnegative")
     law = _LAWS[channel.family]
     args = (x, math.log(channel.p), math.log1p(-channel.p), log_gamma)
@@ -170,8 +169,51 @@ def reduction_params(channel: RepeatChannel) -> ReductionParams:
     return ReductionParams(*_LAWS[channel.family].reduction(channel.p))
 
 
-# Y_x's truncated support ends this many standard deviations above its mean.
-_SUPPORT_STDS = 40.0
+# Each tail that Y_x's support window cuts off holds at most this much mass.
+# The window's edges start where a Gaussian's Chernoff bound exp(-k^2/2)
+# meets it, k = _START_STDS standard deviations from the mean.
+_TAIL_MASS_TOL = 1e-15
+_START_STDS = math.sqrt(-2.0 * math.log(_TAIL_MASS_TOL))
+
+
+def _log_tail_bound(channel: RepeatChannel, xs: np.ndarray, edge: np.ndarray, side: int):
+    """(log B, log z) for the mass of Y_x past edge, below it (side -1) or
+    above it (side +1), one entry per x in xs.  B = E[z^Y_x] / z^c is the
+    Chernoff bound at the cut c half a point outside edge, at the law's
+    minimizing z; it is 0 (log B = -inf) where edge is the support's end."""
+    law, p = _LAWS[channel.family], channel.p
+    cut = edge + 0.5 * side
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = law.chernoff_z(cut, xs, p)
+        log_z = np.log(z)
+        log_b = xs * np.log(law.pgf_factor(z, p)) - cut * log_z
+    end = law.support(xs)[(side + 1) // 2]
+    return np.where(edge * side >= end * side, -math.inf, log_b), log_z
+
+
+def _windows(channel: RepeatChannel, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Y_x's support window (lo, hi) for every x in xs, each tail certified
+    by _log_tail_bound to hold at most _TAIL_MASS_TOL.  Both edges start
+    _START_STDS standard deviations from the mean; an edge whose certificate
+    fails moves out by one Newton step on log B (concave in the cut, so the
+    step lands on or past the cut where B meets the tolerance), at least one
+    point, until every certificate holds."""
+    law, p = _LAWS[channel.family], channel.p
+    xs = np.asarray(xs, dtype=np.int64)
+    floor, top = law.support(xs)
+    mean, spread = law.mean(xs, p), _START_STDS * law.stddev(xs, p)
+    edges = (np.maximum(np.floor(mean - spread), floor), np.minimum(np.ceil(mean + spread), top))
+    log_tol = math.log(_TAIL_MASS_TOL)
+    for side, edge in zip((-1, 1), edges):
+        while True:
+            log_b, log_z = _log_tail_bound(channel, xs, edge, side)
+            bad = ~(log_b <= log_tol)
+            if not bad.any():
+                break
+            cut = side * (edge + 0.5 * side + (log_b - log_tol) / log_z)
+            out = side * np.fmax(side * edge + 1.0, np.ceil(cut - 0.5))
+            edge[:] = np.clip(np.where(bad, out, edge), floor, top)
+    return edges[0].astype(np.int64), edges[1].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -197,7 +239,7 @@ class ConditionalOutputLaw:
 
     @property
     def stddev(self) -> float:
-        return self._law.stddev(self.x, self.channel.p)
+        return float(self._law.stddev(self.x, self.channel.p))
 
     @property
     def support(self) -> tuple[int, float]:
@@ -210,10 +252,6 @@ class ConditionalOutputLaw:
         return self._law.pgf_factor(z, self.channel.p) ** self.x
 
     def truncated_support(self) -> np.ndarray:
-        """Integer grid from the support floor to truncated_top."""
-        return np.arange(self.support[0], self.truncated_top() + 1, dtype=np.int64)
-
-    def truncated_top(self) -> int:
-        """The last point of truncated_support: mean + _SUPPORT_STDS stddevs
-        rounded up, capped by the support."""
-        return int(min(self.support[1], math.ceil(self.mean + _SUPPORT_STDS * self.stddev)))
+        """Every integer of Y_x's support window (_windows)."""
+        lo, hi = _windows(self.channel, [self.x])
+        return np.arange(lo[0], hi[0] + 1, dtype=np.int64)

@@ -30,9 +30,11 @@ The KL-gap is q-independent too: -log y0 and E[Y_x] log q cancel against
 the q^y weights, so Delta(x) = H(Y_x) + sum_{y>=1} Y_x(y) (S(y) + c), c the
 variant's constant weight shift.  gap_scan holds this identity for the conv
 and delta-d bounds, kl_gap_profile and epsilon_inf (the trunc bound reads its
-closed form r_p); it reads log Y_x(y) for every x from one log-gamma array
-built once per scan.  kl_divergence sums the KL directly, through scipy's
-gammaln, as an independent check.
+closed form r_p).  Both it and kl_divergence, which sums the KL directly
+through scipy's gammaln as an independent check, sum each Y_x over its
+support window (channels._windows): two-sided, each tail certified by the
+law's Chernoff bound to hold at most 1e-15 of the mass.  gap_scan reads
+log Y_x(y) for every x as slices of one log-gamma array built once per scan.
 A dual may have its mass at y = 0 rescaled to alpha*delta (delta in (0,1]);
 the normalizers then satisfy 1/alpha = delta + 1/y0 - 1 and the gap becomes
 Delta_delta(x) = Delta(x) - d log delta + d^x log delta, d = 1 - p, written
@@ -45,14 +47,14 @@ import enum
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
 
 from repeatcap import channels, numerics
-from repeatcap.channels import _LAWS, ConditionalOutputLaw, Family, RepeatChannel
+from repeatcap.channels import ConditionalOutputLaw, Family, RepeatChannel
 from repeatcap.numerics import (
     binary_entropy,
     integrate_exp_tail,
@@ -610,10 +612,8 @@ def build_dual(
 
 
 # The gap scan behind eps covers x = 1.._EPS_SCAN_X_MAX; the analytic
-# limit stands in for larger x.  Truncated supports of Y_x may drop at most
-# _TAIL_MASS_TOL of its mass.
+# limit stands in for larger x.
 _EPS_SCAN_X_MAX = 500
-_TAIL_MASS_TOL = 1e-12
 
 
 def _check_pairing(channel: RepeatChannel, dual: DualDistribution) -> None:
@@ -626,60 +626,15 @@ def _check_pairing(channel: RepeatChannel, dual: DualDistribution) -> None:
         raise ValueError("channel and dual disagree on p")
 
 
-@lru_cache(maxsize=64)
-def _chernoff_logs(channel: RepeatChannel) -> tuple[tuple[float, float], ...]:
-    """(log pgf factor(z), log z) at the fixed points z > 1 _tail_mass_bound
-    minimizes over; they depend on the channel alone, and every x of a gap
-    scan reads them."""
-    law, p = _LAWS[channel.family], channel.p
-    return tuple((math.log(law.pgf_factor(z, p)), math.log(z)) for z in law.chernoff_zs(p))
-
-
-def _tail_mass_bound(channel: RepeatChannel, x: int, cutoff: int) -> float:
-    """Chernoff bound on P(Y_x > cutoff) via min_z pgf(z) / z^cutoff; 0 past
-    the support's top."""
-    if cutoff >= _LAWS[channel.family].support(x)[1]:
-        return 0.0
-    log_bound = min(x * log_f - cutoff * log_z for log_f, log_z in _chernoff_logs(channel))
-    return math.exp(min(log_bound, 700.0))
-
-
-def _support_range(channel: RepeatChannel, x: int) -> tuple[int, int]:
-    """First and last point of Y_x's truncated support: the last starts at
-    ConditionalOutputLaw.truncated_top and doubles (within the support)
-    until the Chernoff tail clears 1e-12."""
-    law = ConditionalOutputLaw(channel, x)
-    (lo, top), hi = law.support, law.truncated_top()
-    while _tail_mass_bound(channel, x, hi) > _TAIL_MASS_TOL:
-        hi = int(min(2 * hi, top))
-    return lo, hi
-
-
-def _output_law(
-    channel: RepeatChannel, x: int, span=None, log_gamma=gammaln
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Y_x's truncated support ys, log Y_x(ys) and Y_x(ys); span is
-    _support_range's (lo, hi), computed here when not given."""
-    lo, hi = _support_range(channel, x) if span is None else span
-    ys = np.arange(lo, hi + 1, dtype=np.int64)
-    lp = channels.output_log_pmf(channel, x, ys, log_gamma)
-    return ys, lp, np.exp(lp)
-
-
 def kl_divergence(channel: RepeatChannel, x: int, dual: DualDistribution) -> float:
-    """D_KL(Y_x || dual) in nats by summation over Y_x's truncated support.
-
-    The support is _output_law's; the discarded mass is checked against a
-    Chernoff bound and must be below 1e-12.  Returns inf if Y_x
-    puts mass where the dual has none (a pairing bug, not a number).
+    """D_KL(Y_x || dual) in nats by summation over Y_x's support window,
+    through scipy's gammaln.  Returns inf if Y_x puts mass where the dual has
+    none (a pairing bug, not a number).
     """
     _check_pairing(channel, dual)
-    ys, lp, pm = _output_law(channel, x)
-    tail = _tail_mass_bound(channel, x, int(ys[-1]))
-    if tail > _TAIL_MASS_TOL:
-        raise RuntimeError(
-            f"truncated support leaves tail mass {tail:.2e} > 1e-12 for x = {x}"
-        )
+    ys = ConditionalOutputLaw(channel, x).truncated_support()
+    lp = channels.output_log_pmf(channel, x, ys)
+    pm = np.exp(lp)
     ld = dual.log_pmf(ys)
     live = pm > 0.0
     if np.any(live & np.isneginf(ld)):
@@ -688,29 +643,44 @@ def kl_divergence(channel: RepeatChannel, x: int, dual: DualDistribution) -> flo
     return float(np.sum(contrib))
 
 
+def _slice_reader(lg: np.ndarray) -> Callable:
+    """log_gamma for output_log_pmf that reads lg = gammaln(0, 1, ...) by
+    index: a scalar, or a run of consecutive integers (ascending, or
+    descending as duplication's 2x - y + 1) as a view of lg."""
+
+    def read(a):
+        if not isinstance(a, np.ndarray):
+            return lg[a]
+        first, last = int(a[0]), int(a[-1])
+        return lg[first:last + 1] if first <= last else lg[last:first + 1][::-1]
+
+    return read
+
+
 def gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
     """Delta(x) at delta = 1 for x = 1..x_max for any dual variant, by the
     identity in the module docstring.  The weight shift enters once, as a
     scalar times P(Y_x >= 1).
 
-    Every log-gamma argument of log Y_x(y) on the truncated support is an
-    integer at most hi + x, so the scan evaluates gammaln once, on
-    0..max hi + x_max + 1, and each x reads that array (equal to gammaln's
-    value bit for bit) instead of calling gammaln over its whole support."""
-    if x_max < 1:
-        raise ValueError("x_max must be >= 1")
+    Each Y_x is summed over its support window (channels._windows, computed
+    for every x at once).  Every log-gamma argument of log Y_x(y) there is
+    an integer at most hi + x, so the scan evaluates gammaln once, on
+    0..max hi + x_max + 1, and each x reads slices of that array (equal to
+    gammaln's values bit for bit) instead of calling gammaln."""
+    if isinstance(x_max, bool) or not isinstance(x_max, (int, np.integer)) or x_max < 1:
+        raise ValueError(f"x_max must be an integer >= 1, got {x_max!r}")
     channel = RepeatChannel(_VARIANT_FAMILY[variant], p)
     table = _get_table(variant, p)
     shift = _SPECS[variant].weight_shift(p)
-    spans = [_support_range(channel, x) for x in range(1, x_max + 1)]
-    log_gamma = gammaln(np.arange(max(hi for _, hi in spans) + x_max + 2, dtype=float)).take
+    los, his = channels._windows(channel, np.arange(1, x_max + 1))
+    log_gamma = _slice_reader(gammaln(np.arange(int(his.max()) + x_max + 2, dtype=float)))
     out = np.empty(x_max, dtype=float)
-    for x, span in enumerate(spans, start=1):
-        ys, lp, pm = _output_law(channel, x, span, log_gamma)
-        entropy = -float(np.dot(pm, lp))
-        k = int(ys[0] == 0)  # ys is contiguous; S covers y >= 1 from index k
-        svals = table.upto(int(ys[-1]))[ys[k] - 1:]
-        out[x - 1] = entropy + float(np.dot(pm[k:], svals))
+    for x, lo, hi in zip(range(1, x_max + 1), los.tolist(), his.tolist()):
+        ys = np.arange(lo, hi + 1, dtype=np.int64)
+        lp = channels.output_log_pmf(channel, x, ys, log_gamma)
+        pm = np.exp(lp)
+        k = int(lo == 0)  # S covers y >= 1 from index k
+        out[x - 1] = -float(np.dot(pm, lp)) + float(np.dot(pm[k:], table.upto(hi)[lo + k - 1:]))
         if shift:
             out[x - 1] += shift * float(np.sum(pm[k:]))
     return out

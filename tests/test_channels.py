@@ -59,7 +59,7 @@ def test_log_pmf_from_a_log_gamma_array_is_bit_identical(family, p, x):
     # the one scipy's route gives, out-of-support -inf included (sticky
     # y < x, duplication y > 2x).
     channel = RepeatChannel(family, p)
-    top = ConditionalOutputLaw(channel, x).truncated_top()
+    top = int(ConditionalOutputLaw(channel, x).truncated_support()[-1])
     ys = np.arange(0, max(top, 2 * x + 3) + 1)
     lg = gammaln(np.arange(int(ys[-1]) + x + 2, dtype=float))
     assert np.array_equal(output_log_pmf(channel, x, ys, lg.take), output_log_pmf(channel, x, ys))

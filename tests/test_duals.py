@@ -8,8 +8,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repeatcap import bounds, duals, numerics
+from repeatcap import bounds, channels, duals, numerics
 from repeatcap.channels import ConditionalOutputLaw, Family, RepeatChannel, output_log_pmf
 from repeatcap.duals import (
     DualVariant,
@@ -299,26 +301,41 @@ def test_kl_divergence_family_mismatch():
     (DualVariant.DUPLICATION_ZERO_GAP, 1e-3, 5),
 ))
 def test_kl_divergence_at_small_p(variant, p, x):
-    # The 40-stddev cut leaves a Chernoff tail bound above 1e-12 here (the
-    # true tail is far smaller); the support extends past it instead of
-    # refusing.
+    # The window's edges start 8.3 stddev from the mean, where the Chernoff
+    # bound on a tail is still above 1e-15 here (the true tail is far
+    # smaller); the window widens past them instead of refusing.
     channel = RepeatChannel(duals._VARIANT_FAMILY[variant], p)
     kl = kl_divergence(channel, x, build_dual(variant, p, 0.5))
     assert math.isfinite(kl) and kl >= 0.0
 
 
-@pytest.mark.parametrize("family", tuple(Family))
-@pytest.mark.parametrize("p", (0.3, 0.9))
-@pytest.mark.parametrize("x", (1, 5, 40))
-def test_chernoff_tail_bound_covers_the_exact_tail(family, p, x):
+def _check_window_certificates(family, p, x):
+    # Each tail that Y_x's support window drops holds at most 1e-15 by its
+    # Chernoff certificate, and the certificate is no less than the exact
+    # tail mass, summed over mean +- 80 stddev.
     channel = RepeatChannel(family, p)
     law = ConditionalOutputLaw(channel, x)
-    mean, std = law.mean, law.stddev
-    ys = np.arange(0, int(mean + 80.0 * std) + 200)
+    xs = np.array([x])
+    lo, hi = channels._windows(channel, xs)
+    reach = 80.0 * law.stddev
+    ys = np.arange(max(0, int(law.mean - reach)), int(law.mean + reach) + 2)
     pmf = np.exp(output_log_pmf(channel, x, ys))
-    for cutoff in sorted({int(mean + k * std) for k in (0.5, 3.0, 8.0)} | {2 * x}):
-        exact = float(np.sum(pmf[ys > cutoff]))
-        assert duals._tail_mass_bound(channel, x, cutoff) >= exact, cutoff
+    for side, edge, exact in ((-1, lo, pmf[ys < lo[0]].sum()), (1, hi, pmf[ys > hi[0]].sum())):
+        bound = math.exp(channels._log_tail_bound(channel, xs, edge, side)[0][0])
+        assert exact <= bound <= channels._TAIL_MASS_TOL, (side, exact, bound)
+
+
+@pytest.mark.parametrize("family", tuple(Family))
+@pytest.mark.parametrize("p", (0.05, 0.3, 0.9, 0.99))
+@pytest.mark.parametrize("x", (1, 5, 7, 40, 64, 500))
+def test_chernoff_tail_bound_covers_the_exact_tail(family, p, x):
+    _check_window_certificates(family, p, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(tuple(Family)), st.floats(0.01, 0.995), st.integers(1, 400))
+def test_window_certificates_hold_for_any_law(family, p, x):
+    _check_window_certificates(family, p, x)
 
 
 def test_zero_gap_sticky_and_duplication():
@@ -417,29 +434,82 @@ def test_gap_profile_does_not_sum_the_kl(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("variant", list(DualVariant))
-@pytest.mark.parametrize("p", (0.3, 0.9))
-def test_gap_scan_equals_the_per_x_scipy_loop(variant, p):
-    # The scan reads one shared log-gamma array; a plain loop that calls
-    # output_log_pmf with scipy's gammaln on each x's support (40 stddev,
-    # doubled until the Chernoff tail clears 1e-12) gives the same floats.
+def _wide_support(channel, x):
+    # The support rule before the certified windows: from the support floor
+    # to 40 stddev above the mean, doubled (within the support) until a
+    # Chernoff bound on the upper tail clears 1e-12.
+    law = ConditionalOutputLaw(channel, x)
+    lo, top = law.support
+    hi = int(min(top, math.ceil(law.mean + 40.0 * law.stddev)))
+    while channels._log_tail_bound(channel, np.array([x]), np.array([hi]), 1)[0][0] > math.log(1e-12):
+        hi = int(min(2 * hi, top))
+    return np.arange(lo, hi + 1)
+
+
+def _per_x_gaps(variant, p, x_max, support):
+    # The module docstring's identity, summed by a plain loop that calls
+    # output_log_pmf with scipy's gammaln on each x's support(channel, x).
     channel = RepeatChannel(duals._VARIANT_FAMILY[variant], p)
     table = duals._get_table(variant, p)
     shift = duals._SPECS[variant].weight_shift(p)
-    want = []
-    for x in range(1, 61):
-        law = ConditionalOutputLaw(channel, x)
-        ys = law.truncated_support()
-        while duals._tail_mass_bound(channel, x, int(ys[-1])) > 1e-12:
-            ys = np.arange(ys[0], min(2 * int(ys[-1]), law.support[1]) + 1)
+    gaps = []
+    for x in range(1, x_max + 1):
+        ys = support(channel, x)
         lp = output_log_pmf(channel, x, ys)
         pm = np.exp(lp)
         k = int(ys[0] == 0)
         gap = -float(np.dot(pm, lp)) + float(np.dot(pm[k:], table.upto(int(ys[-1]))[ys[k] - 1:]))
         if shift:
             gap += shift * float(np.sum(pm[k:]))
-        want.append(gap)
-    assert duals.gap_scan(variant, p, 60).tolist() == want
+        gaps.append(gap)
+    return gaps
+
+
+@pytest.mark.parametrize("variant", list(DualVariant))
+@pytest.mark.parametrize("p", (0.3, 0.9))
+def test_gap_scan_equals_the_per_x_scipy_loop(variant, p):
+    # The scan reads slices of one shared log-gamma array; the plain loop
+    # over the same windows with scipy's gammaln gives the same floats.
+    def window(channel, x):
+        return ConditionalOutputLaw(channel, x).truncated_support()
+
+    assert duals.gap_scan(variant, p, 60).tolist() == _per_x_gaps(variant, p, 60, window)
+
+
+@pytest.mark.parametrize("variant, p, x_max", [
+    *((v, p, 60) for v in DualVariant for p in (0.3, 0.9)),
+    (DualVariant.GEOMDEL_CONVEXITY, 0.99, 500),
+])
+def test_gap_scan_matches_the_wide_support_reference(variant, p, x_max):
+    want = _per_x_gaps(variant, p, x_max, _wide_support)
+    assert np.max(np.abs(duals.gap_scan(variant, p, x_max) - want)) <= 1e-12
+
+
+def test_convexity_gap_scan_cost_in_support_points(monkeypatch):
+    # A count-based cost guard: the windows of convexity_gap_scan(0.99, 500)
+    # hold at most 16e6 points (the 40-stddev support held 42.1e6).
+    points = []
+    pmf = channels.output_log_pmf
+
+    def counted(channel, x, ys, *rest):
+        points.append(len(ys))
+        return pmf(channel, x, ys, *rest)
+
+    monkeypatch.setattr(channels, "output_log_pmf", counted)
+    convexity_gap_scan(0.99, 500)
+    assert len(points) == 500 and sum(points) <= 16_000_000
+
+
+@pytest.mark.parametrize("x_max", (True, 2.5, 0))
+def test_gap_views_reject_a_bad_x_max(x_max):
+    channel = RepeatChannel(Family.GEOMETRIC_DELETION, 0.6)
+    dual = build_dual(DualVariant.GEOMDEL_CONVEXITY, 0.6, 0.7)
+    with pytest.raises(ValueError, match="x_max"):
+        duals.gap_scan(DualVariant.GEOMDEL_CONVEXITY, 0.6, x_max)
+    with pytest.raises(ValueError, match="x_max"):
+        kl_gap_profile(channel, dual, x_max)
+    with pytest.raises(ValueError, match="x_max"):
+        epsilon_inf(channel, dual, x_max)
 
 
 def test_convexity_gap_at_half_exceeds_limit():
