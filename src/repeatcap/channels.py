@@ -194,10 +194,13 @@ def _log_tail_bound(channel: RepeatChannel, xs: np.ndarray, edge: np.ndarray, si
 def _windows(channel: RepeatChannel, xs) -> tuple[np.ndarray, np.ndarray]:
     """Y_x's support window (lo, hi) for every x in xs, each tail certified
     by _log_tail_bound to hold at most _TAIL_MASS_TOL.  Both edges start
-    _START_STDS standard deviations from the mean; an edge whose certificate
-    fails moves out by one Newton step on log B (concave in the cut, so the
-    step lands on or past the cut where B meets the tolerance), at least one
-    point, until every certificate holds."""
+    _START_STDS standard deviations from the mean and take Newton steps on
+    log B toward the cut where B meets the tolerance, rounded outward.
+    log B is concave in the cut, so a step from a failing edge lands on or
+    past that cut (it moves out by at least one point), and a step from a
+    certified edge lands on or before it, still certified.  An inward step
+    never reaches an edge already seen to fail, and the edges stop when no
+    step moves them by a whole point."""
     law, p = _LAWS[channel.family], channel.p
     xs = np.asarray(xs, dtype=np.int64)
     floor, top = law.support(xs)
@@ -205,14 +208,17 @@ def _windows(channel: RepeatChannel, xs) -> tuple[np.ndarray, np.ndarray]:
     edges = (np.maximum(np.floor(mean - spread), floor), np.minimum(np.ceil(mean + spread), top))
     log_tol = math.log(_TAIL_MASS_TOL)
     for side, edge in zip((-1, 1), edges):
+        failed = np.full(xs.shape, -math.inf)  # side * the outermost failing edge
         while True:
             log_b, log_z = _log_tail_bound(channel, xs, edge, side)
-            bad = ~(log_b <= log_tol)
-            if not bad.any():
+            pos, bad = side * edge, ~(log_b <= log_tol)
+            failed = np.where(bad, pos, failed)
+            step = np.ceil(side * (edge + 0.5 * side + (log_b - log_tol) / log_z) - 0.5)
+            inward = np.where(log_b == -math.inf, pos, np.fmax(np.fmin(pos, step), failed + 1.0))
+            new = np.clip(side * np.where(bad, np.fmax(pos + 1.0, step), inward), floor, top)
+            if np.array_equal(new, edge):
                 break
-            cut = side * (edge + 0.5 * side + (log_b - log_tol) / log_z)
-            out = side * np.fmax(side * edge + 1.0, np.ceil(cut - 0.5))
-            edge[:] = np.clip(np.where(bad, out, edge), floor, top)
+            edge[:] = new
     return edges[0].astype(np.int64), edges[1].astype(np.int64)
 
 

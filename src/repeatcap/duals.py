@@ -25,6 +25,13 @@ where even that form runs out of mantissa.
 Everything q-independent (the Lambda values, hence the shifted log-weights
 S(y) = g(y) - y * rate) is cached per (variant, p) in lazily grown tables,
 because the bound optimization evaluates many q against the same table.
+The Lambdas are analytic in y, so a table block takes them by quadrature
+only at y below 64 and at rounded Chebyshev nodes of each larger scale
+chunk, and from Chebyshev interpolants in y elsewhere (_STable): one
+interpolant per chunk, or one per parity for the truncated construction,
+whose Lambda_2 carries a (-1)^y part.  Each interpolant must pass an error
+estimate from its trailing coefficients; one that fails is replaced by
+quadrature at every y.  The Lambda views integrate at the y they are given.
 
 The KL-gap is q-independent too: -log y0 and E[Y_x] log q cancel against
 the q^y weights, so Delta(x) = H(Y_x) + sum_{y>=1} Y_x(y) (S(y) + c), c the
@@ -51,6 +58,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval, chebvander
 from scipy.special import gammaln
 
 from repeatcap import channels, numerics
@@ -214,7 +222,7 @@ class _Spec:
     order the tables are built with.  The lambdas are the integrals of
     f(ys, v, p, key) over v for each key in keys(p): over the exp tail
     [0, 60], or over [0, log(1+2p)] for the truncated construction, every
-    key at every y of a block in one quadrature (_lambdas).  Each f
+    key at every y a block samples in one quadrature (_lambdas).  Each f
     returns its own t -> 0 limit near v = 0 (_finish); the quadrature
     substitutes nothing.  gap_limit is the KL-gap's x -> infinity limit at
     delta = 1, weight_shift a constant added to every log-weight, and
@@ -287,6 +295,13 @@ def _as_y_array(y) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), scalar
 
 
+def _as_int_y(y, name: str) -> tuple[np.ndarray, bool]:
+    ys, scalar = _as_y_array(y)
+    if not (np.all(np.isfinite(ys)) and np.all(ys == np.floor(ys))):
+        raise ValueError(f"{name} requires integer y")
+    return ys.astype(np.int64), scalar
+
+
 def _quad_tol(ys: np.ndarray) -> float:
     # Lambda(y) grows like y log y; an absolute tolerance independent of y
     # would be unattainable in doubles for y ~ 1e5.
@@ -306,17 +321,16 @@ def _scale_chunks(ys: np.ndarray):
         lo = hi
 
 
-def _lambdas(spec: _Spec, ys: np.ndarray, p: float) -> list[np.ndarray]:
-    """The variant's Lambda integrals at ascending ys, one array per key: one
-    quadrature of every key at every y, each _scale_chunks chunk an error
-    group with its own _quad_tol."""
+def _lambdas(spec: _Spec, groups: list[np.ndarray], p: float) -> np.ndarray:
+    """The variant's Lambda integrals, one row per key, at the ys of groups
+    concatenated: one quadrature of every key at every y, each group (an
+    ascending array of y on one scale) an error group with its own
+    _quad_tol."""
     keys = spec.keys(p)
+    ys = np.concatenate(groups)
     if not keys:
-        return []
-    groups, stop = [], 0
-    for chunk in _scale_chunks(ys):
-        stop += chunk.size
-        groups.append((stop, _quad_tol(chunk)))
+        return np.empty((0, ys.size))
+    stops = np.cumsum([g.size for g in groups]).tolist()
     if spec.truncated:
         interval, breaks = (0.0, math.log1p(2.0 * p)), _trunc_breaks(p)
     else:
@@ -324,22 +338,22 @@ def _lambdas(spec: _Spec, ys: np.ndarray, p: float) -> list[np.ndarray]:
     problem = numerics.QuadratureProblem(
         lambda v: np.stack([spec.f(ys, v, p, k) for k in keys], axis=1),
         interval,
-        groups=tuple(groups),
+        groups=tuple((stop, _quad_tol(g)) for stop, g in zip(stops, groups)),
     )
     # numerics.integrate is looked up on the module, so a wrapper set there
     # (a trace, a test) sees every S-table block and Lambda view
     val, _ = numerics.integrate(problem, breakpoints=breaks, max_panels=1024)
-    return list(val)
+    return val
 
 
 def _lambda_view(variant: DualVariant, y, p: float, name: str, y_min=1.0) -> tuple:
     """The variant's Lambda integrals at y (a scalar, or an array in any
     order), one per key, through the same quadrature as an S-table block."""
     ys, scalar = _as_y_array(y)
-    if np.any(ys < y_min):
-        raise ValueError(f"{name} requires y >= {y_min:g}")
+    if not np.all(np.isfinite(ys) & (ys >= y_min)):
+        raise ValueError(f"{name} requires finite y >= {y_min:g}")
     uniq, back = np.unique(ys, return_inverse=True)
-    vals = [lam[back] for lam in _lambdas(_SPECS[variant], uniq, p)]
+    vals = [lam[back] for lam in _lambdas(_SPECS[variant], list(_scale_chunks(uniq)), p)]
     return tuple(float(v[0]) for v in vals) if scalar else tuple(vals)
 
 
@@ -400,8 +414,8 @@ def r_p(x, p: float):
     exp(-x v) (1 - (d/(1 - p e^-v))^x) / (t v) on [log(1+2p), inf).
     """
     xs, scalar = _as_y_array(x)
-    if np.any(xs < 1.0):
-        raise ValueError("r_p requires x >= 1")
+    if not np.all(np.isfinite(xs) & (xs >= 1.0)):
+        raise ValueError("r_p requires finite x >= 1")
     log_d = math.log1p(-p)
     v_t = math.log1p(2.0 * p)
 
@@ -430,6 +444,27 @@ def r_p_envelope(p: float) -> float:
 
 _TABLE_STEP = 1024
 
+# A scale chunk of more than 4 * _CHEB_NODES entries takes its Lambdas from
+# quadrature at _CHEB_NODES Chebyshev points per interpolation class and
+# from the interpolants at every other y.
+_CHEB_NODES = 24
+
+
+def _cheb_positions(m: int) -> np.ndarray:
+    """The integers of 0..m-1 nearest the Chebyshev-Lobatto points of
+    [0, m-1], _CHEB_NODES of them or fewer where two round together."""
+    x = np.cos(np.pi * np.arange(_CHEB_NODES) / (_CHEB_NODES - 1))
+    return np.unique(np.round((1.0 - x) * (m - 1) / 2.0)).astype(np.int64)
+
+
+def _interpolate(vals: np.ndarray, k: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+    """The Chebyshev interpolants through vals (one row per Lambda) at
+    positions k of m equispaced points, at all m of them, and their error
+    estimate: the magnitudes of every row's last two coefficients, summed."""
+    x = np.arange(m) * (2.0 / (m - 1)) - 1.0
+    coef = np.linalg.solve(chebvander(x[k], k.size - 1), vals.T)
+    return chebval(x, coef), float(np.abs(coef[-2:]).sum())
+
 
 class _STable:
     """Lazily grown table of the q-free log-weight part S(y), y = 1..n.
@@ -437,10 +472,22 @@ class _STable:
     S(y) = g(y) - y * rate, so a dual's log-weight is S(y) + y log q.  A
     request past the end grows the table to the requested size rounded up
     to a multiple of _TABLE_STEP, so the table holds little more than the
-    series read (every entry costs quadrature).  Each growth block is one
-    quadrature call over all its y (_lambdas), its scale chunks error
-    groups of that call.  Growth is serialized by a lock so
-    DualDistribution instances can be shared across threads.
+    series read.  Each growth block is one quadrature call (_lambdas), its
+    scale chunks error groups of that call.  A chunk of at most
+    4 * _CHEB_NODES entries (every chunk below y = 64, and a block's short
+    last chunk) is integrated at every y.  A larger one is integrated at _CHEB_NODES rounded
+    Chebyshev-Lobatto nodes per interpolation class and filled from each
+    class's Chebyshev interpolant of each Lambda, which is analytic in y
+    there and converges geometrically.  The classes are the chunk itself,
+    or, for the truncated construction, its even and its odd y: there w2
+    reaches -1, so Lambda_2 carries a (-1)^y part that is smooth within a
+    parity but not across.  An interpolant is used only if its error
+    estimate (_interpolate) is at most half the chunk's _quad_tol, which
+    leaves the other half to the quadrature error it carries over from
+    its nodes; the classes that fail take a second quadrature call at all
+    their y.
+    Growth is serialized by a lock so DualDistribution instances can be
+    shared across threads.
     """
 
     def __init__(self, variant: DualVariant, p: float):
@@ -462,7 +509,30 @@ class _STable:
 
     def _compute(self, ys: np.ndarray) -> np.ndarray:
         spec, p = _SPECS[self.variant], self.p
-        return spec.g(ys, p, _lambdas(spec, ys, p)) - spec.drift(ys, p)
+        keys, stride = spec.keys(p), 2 if spec.truncated else 1
+        lam = np.empty((len(keys), ys.size))
+        # Index arrays into ys: the quadrature's y, one group per chunk, and
+        # each interpolation class with its node positions.
+        sampled, classes = [], []
+        cuts = np.cumsum([chunk.size for chunk in _scale_chunks(ys)])[:-1]
+        for at in np.split(np.arange(ys.size), cuts):
+            if not keys or at.size <= 4 * _CHEB_NODES:
+                sampled.append(at)
+                continue
+            fits = [(c, _cheb_positions(c.size)) for c in (at[r::stride] for r in range(stride))]
+            sampled.append(np.sort(np.concatenate([c[k] for c, k in fits])))
+            classes += fits
+        lam[:, np.concatenate(sampled)] = _lambdas(spec, [ys[at] for at in sampled], p)
+        redo = []
+        for c, k in classes:
+            vals, err = _interpolate(lam[:, c[k]], k, c.size)
+            if err <= 0.5 * _quad_tol(ys[c]):
+                lam[:, c] = vals
+            else:
+                redo.append(c)
+        if redo:
+            lam[:, np.concatenate(redo)] = _lambdas(spec, [ys[c] for c in redo], p)
+        return spec.g(ys, p, lam) - spec.drift(ys, p)
 
 
 _TABLES: dict[tuple[DualVariant, float], _STable] = {}
@@ -522,8 +592,7 @@ class DualDistribution:
 
     def log_weight(self, y):
         """log a(y) for y >= support_start (a(0) = 1 for deletion variants)."""
-        ys, scalar = _as_y_array(y)
-        yi = ys.astype(np.int64)
+        yi, scalar = _as_int_y(y, "log_weight")
         if np.any(yi < self.support_start):
             raise ValueError("y below the dual's support")
         ymax = int(yi.max())
@@ -535,8 +604,7 @@ class DualDistribution:
         return float(out[0]) if scalar else out
 
     def log_pmf(self, y):
-        ys, scalar = _as_y_array(y)
-        yi = ys.astype(np.int64)
+        yi, scalar = _as_int_y(y, "log_pmf")
         out = np.empty(yi.shape, dtype=float)
         zero = yi == 0
         if np.any(zero):

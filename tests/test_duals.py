@@ -71,6 +71,28 @@ def test_lambda_domain_checks():
         r_p(0, 0.3)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("view", (
+    lambda1_sticky, lambda2_sticky, g_sticky, lambdas_duplication, g_duplication,
+    lambda_trunc_geomdel, r_p,
+))
+def test_views_reject_non_finite_input(view, bad):
+    name = "x" if view is r_p else "y"
+    for arg in (bad, np.array([5.0, bad])):
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            view(arg, 0.3)
+
+
+def test_dual_rejects_non_integer_y():
+    dual = build_dual(DualVariant.GEOMDEL_CONVEXITY, 0.3, 0.5)
+    for method in (dual.log_weight, dual.log_pmf):
+        for y in ([1.5, 2.7], 2.5, math.nan, [1.0, math.inf]):
+            with pytest.raises(ValueError, match="integer y"):
+                method(y)
+        assert np.array_equal(method([0.0, 1.0, 2.0]), method([0, 1, 2]))
+        assert method(3.0) == method(3)
+
+
 def test_lambda_sticky_asymptotics():
     # Lambda_1(y) - log Gamma(y(1-p)) and Lambda_2(y) - log Gamma(1+yp)
     # stay in a fixed band as y grows
@@ -485,9 +507,8 @@ def test_gap_scan_matches_the_wide_support_reference(variant, p, x_max):
     assert np.max(np.abs(duals.gap_scan(variant, p, x_max) - want)) <= 1e-12
 
 
-def test_convexity_gap_scan_cost_in_support_points(monkeypatch):
-    # A count-based cost guard: the windows of convexity_gap_scan(0.99, 500)
-    # hold at most 16e6 points (the 40-stddev support held 42.1e6).
+def _scan_points(monkeypatch) -> list[int]:
+    # The number of points convexity_gap_scan(0.99, 500) reads, per x.
     points = []
     pmf = channels.output_log_pmf
 
@@ -497,7 +518,21 @@ def test_convexity_gap_scan_cost_in_support_points(monkeypatch):
 
     monkeypatch.setattr(channels, "output_log_pmf", counted)
     convexity_gap_scan(0.99, 500)
+    return points
+
+
+def test_convexity_gap_scan_cost_in_support_points(monkeypatch):
+    # A count-based cost guard: the windows of convexity_gap_scan(0.99, 500)
+    # hold at most 16e6 points (the 40-stddev support held 42.1e6).
+    points = _scan_points(monkeypatch)
     assert len(points) == 500 and sum(points) <= 16_000_000
+
+
+def test_windows_are_pulled_in_to_the_certified_edges(monkeypatch):
+    # Newton steps from the certified side pull each edge in: the windows of
+    # convexity_gap_scan(0.99, 500) hold at most 12.7e6 points (12.48e6 at
+    # the tightest certified edges, 13.5e6 when edges only moved outward).
+    assert sum(_scan_points(monkeypatch)) <= 12_700_000
 
 
 @pytest.mark.parametrize("x_max", (True, 2.5, 0))
@@ -644,6 +679,81 @@ def test_s_table_growth_path_within_tolerance():
         stepped.upto(ymax)
     tol = duals._quad_tol(np.arange(1.0, 20001.0))
     assert np.max(np.abs(stepped.upto(20000) - one_call)) <= tol
+
+
+def _integrand_widths(monkeypatch) -> list[list[int]]:
+    # Per numerics.integrate call, the number of y of each integrand call.
+    integrate = numerics.integrate
+    calls = []
+
+    def counted(problem, **kwargs):
+        inner = problem.integrand
+        calls.append([])
+
+        def recorded(v):
+            out = inner(v)
+            calls[-1].append(out.shape[-1])
+            return out
+
+        return integrate(dataclasses.replace(problem, integrand=recorded), **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate", counted)
+    return calls
+
+
+def _direct_s(variant, ys, p):
+    spec = duals._SPECS[variant]
+    lam = duals._lambdas(spec, list(duals._scale_chunks(ys)), p)
+    return spec.g(ys, p, lam) - spec.drift(ys, p)
+
+
+def _assert_within_chunk_tolerance(got, want, ys):
+    start = 0
+    for chunk in duals._scale_chunks(ys):
+        diff = np.max(np.abs(got[start:start + chunk.size] - want[start:start + chunk.size]))
+        assert diff <= duals._quad_tol(chunk), (chunk[0], diff / duals._quad_tol(chunk))
+        start += chunk.size
+
+
+@pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
+@pytest.mark.parametrize("p", (1e-3, 0.05, 0.3, 0.9, 0.999))
+@pytest.mark.parametrize("first", (1, 19457))
+def test_interpolated_s_table_matches_the_direct_lambdas(monkeypatch, variant, p, first):
+    # The first block and a growth block near y = 2e4, built from Chebyshev
+    # nodes, against quadrature at every y, chunk by chunk within _quad_tol.
+    ys = np.arange(first, first + 1024, dtype=float)
+    want = _direct_s(variant, ys, p)
+    calls = _integrand_widths(monkeypatch)
+    got = duals._STable(variant, p)._compute(ys)
+    _assert_within_chunk_tolerance(got, want, ys)
+    # One call sees every y of the small chunks and at most _CHEB_NODES per
+    # class of the others; only trunc at p = 1e-3 needs a second call.
+    sizes = [chunk.size for chunk in duals._scale_chunks(ys)]
+    small = [n for n in sizes if n <= 4 * duals._CHEB_NODES]
+    nodes = 2 * duals._CHEB_NODES * (len(sizes) - len(small))
+    assert max(calls[0]) <= sum(small) + nodes
+    assert len(calls) == 1 or (variant is DualVariant.GEOMDEL_TRUNCATED and p == 1e-3)
+
+
+def test_failing_interpolation_classes_are_integrated_directly(monkeypatch):
+    # Truncated deletion at p = 1e-3 is not resolved by 24 nodes on the
+    # chunks [64, 256) and [256, 1024): those classes fail their error
+    # estimate and take a second call at all their y.
+    ys = np.arange(1.0, 1025.0)
+    want = _direct_s(DualVariant.GEOMDEL_TRUNCATED, ys, 1e-3)
+    calls = _integrand_widths(monkeypatch)
+    got = duals._STable(DualVariant.GEOMDEL_TRUNCATED, 1e-3)._compute(ys)
+    assert len(calls) == 2 and set(calls[1]) == {1024 - 64}
+    _assert_within_chunk_tolerance(got, want, ys)
+
+
+def test_s_table_integrand_calls_stay_narrow(monkeypatch):
+    # A count-based cost guard: sampling the chunks at Chebyshev nodes keeps
+    # every integrand call of a 20 480-entry block under 200 y (every y of
+    # the block went through each call before).
+    calls = _integrand_widths(monkeypatch)
+    duals._STable(DualVariant.STICKY_ZERO_GAP, 0.9).upto(20000)
+    assert len(calls) == 1 and max(calls[0]) <= 200, calls
 
 
 def test_s_table_holds_what_the_series_reads():
