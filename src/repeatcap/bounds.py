@@ -60,6 +60,7 @@ from repeatcap.duals import (
     DualVariant,
     _delta_rule,
     _infimum,
+    _validate_p,
     build_dual,
     convexity_gap_scan,
     r_p,
@@ -145,13 +146,6 @@ class SweepFailure:
     p: float
     variant: BoundVariant | None
     message: str
-
-
-def _validate_p(p: float) -> float:
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    return p
 
 
 def _q_grid(p: float) -> np.ndarray:
@@ -604,7 +598,7 @@ def verify_tables(
     duplication table (printed to 4 decimals), 1e-3 for the deletion
     table.  A finite float >= 0 overrides all of them; any other float is a
     ValueError, raised before any bound is computed.  only restricts to a
-    subset of {'T1', 'T2', 'T3'} (full table_ids also accepted).
+    nonempty subset of {'T1', 'T2', 'T3'} (full table_ids also accepted).
     """
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
@@ -613,6 +607,8 @@ def verify_tables(
     if only is not None:
         wanted = {name[:2].upper() for name in only}
         unknown = wanted - set(TABLE_SELECTORS)
+        if not wanted:
+            raise ValueError("only names no table")
         if unknown:
             raise ValueError(f"unknown table selector(s): {sorted(unknown)}")
     else:

@@ -141,7 +141,8 @@ def _require_input(x: int) -> int:
 def output_log_pmf(channel: RepeatChannel, x: int, y, log_gamma=gammaln):
     """log Y_x(y) for the memoryless integer channel; -inf outside support.
 
-    y may be a nonnegative integer or an array of them; the result matches
+    y may be a nonnegative integer or an array of them (integer-valued
+    floats included; any other float is a ValueError); the result matches
     its shape.  Everything is computed through log-gamma, never factorial
     products, so x in the hundreds stays exact to ~1e-13 relative.
     log_gamma is only ever called on positive integers (Python ints or int64
@@ -151,6 +152,9 @@ def output_log_pmf(channel: RepeatChannel, x: int, y, log_gamma=gammaln):
     x = _require_input(x)
     y_arr = np.asarray(y)
     scalar = y_arr.ndim == 0
+    integral = y_arr.dtype.kind in "iu" or np.all(np.isfinite(y_arr) & (y_arr == np.floor(y_arr)))
+    if not integral:
+        raise ValueError("output_log_pmf requires integer y")
     yy = np.atleast_1d(y_arr).astype(np.int64, copy=False)
     if (yy < 0).any():
         raise ValueError("y must be nonnegative")

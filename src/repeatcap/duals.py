@@ -64,6 +64,7 @@ from scipy.special import gammaln
 from repeatcap import channels, numerics
 from repeatcap.channels import ConditionalOutputLaw, Family, RepeatChannel
 from repeatcap.numerics import (
+    _LIMIT_VC,
     binary_entropy,
     integrate_exp_tail,
     log_integral_li,
@@ -80,13 +81,9 @@ class DualVariant(enum.Enum):
 
 
 # The numerators all have the shape 1 (+ t) - t*y*c - exp(A); evaluated
-# literally they cancel to O(v^2) out of O(1) terms and lose half the
-# mantissa by v ~ 1e-8.  Regrouped as -expm1(A) + t*(1 - y*c) with A built
-# from log1p, the rounding noise in f is ~eps*(1 + y*c)/v, so the quadratic
-# Taylor limit (relative error ~(1 + y*c)*v) takes over per element once
-# v*(1 + y*c) drops below the crossover scale, where both errors are ~1e-8
-# relative and shrinking on either side.
-_LIMIT_VC = 2e-8
+# literally they lose half the mantissa by v ~ 1e-8.  They are regrouped as
+# -expm1(A) + t*(1 - y*c) with A built from log1p, and the quadratic Taylor
+# limit takes over per element below _LIMIT_VC (numerics).
 
 
 # The integrands below take a (n, 1) column of nodes v (see numerics) and
@@ -289,6 +286,14 @@ _DELETION_VARIANTS = tuple(
 )
 
 
+def _validate_p(p: float) -> float:
+    """p as a float in (0, 1): the one rule for p of every dual, view and bound."""
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    return p
+
+
 def _as_y_array(y) -> tuple[np.ndarray, bool]:
     arr = np.asarray(y, dtype=float)
     scalar = arr.ndim == 0
@@ -349,6 +354,7 @@ def _lambdas(spec: _Spec, groups: list[np.ndarray], p: float) -> np.ndarray:
 def _lambda_view(variant: DualVariant, y, p: float, name: str, y_min=1.0) -> tuple:
     """The variant's Lambda integrals at y (a scalar, or an array in any
     order), one per key, through the same quadrature as an S-table block."""
+    p = _validate_p(p)
     ys, scalar = _as_y_array(y)
     if not np.all(np.isfinite(ys) & (ys >= y_min)):
         raise ValueError(f"{name} requires finite y >= {y_min:g}")
@@ -413,6 +419,7 @@ def r_p(x, p: float):
     with T = 2p/(1+2p); in v coordinates the integrand is
     exp(-x v) (1 - (d/(1 - p e^-v))^x) / (t v) on [log(1+2p), inf).
     """
+    p = _validate_p(p)
     xs, scalar = _as_y_array(x)
     if not np.all(np.isfinite(xs) & (xs >= 1.0)):
         raise ValueError("r_p requires finite x >= 1")
@@ -427,18 +434,22 @@ def r_p(x, p: float):
         tv = _col([-math.expm1(-x) * x for x in nodes])
         return np.exp(-xs * v) * -np.expm1(xs * log_ratio) / tv
 
-    val, _ = integrate_exp_tail(fv, v_t, abs_tol=1e-12, left_cluster=False)
+    val, _ = integrate_exp_tail(fv, v_t, abs_tol=1e-12)
     return float(val[0]) if scalar else val
 
 
 def r_p_envelope(p: float) -> float:
-    """I_p = int_T^1 dt / (-t log(1-t)); R_p(x) <= (1+2p)^-(x-1) * I_p."""
+    """I_p = int_T^1 dt / (-t log(1-t)); R_p(x) <= (1+2p)^-(x-1) * I_p.
+
+    I_p exists for every finite p > 0, not only for a channel's p < 1."""
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"r_p_envelope requires finite p > 0, got {p}")
     v_t = math.log1p(2.0 * p)
 
     def fv(v: np.ndarray) -> np.ndarray:
         return np.array([math.exp(-x) / (-math.expm1(-x) * x) for x in v[:, 0].tolist()])
 
-    val, _ = integrate_exp_tail(fv, v_t, abs_tol=1e-12, left_cluster=False)
+    val, _ = integrate_exp_tail(fv, v_t, abs_tol=1e-12)
     return float(val)
 
 
@@ -569,7 +580,8 @@ class DualDistribution:
     unmodified distribution); pmf(y) = exp(log_weight(y) - log_normalizer)
     for y >= 1.  log_normalizer is log(1/alpha) = log(delta + sum a(y)),
     equal to log(1/y0) when delta = 1.  truncation records where the
-    normalizer series stopped and the geometric bound on what was dropped.
+    normalizer series stopped and its geometric estimate of what was
+    dropped (numerics.SeriesResult.tail_bound).
     """
 
     variant: DualVariant
@@ -628,11 +640,10 @@ def build_dual(
     weight table.
 
     On numerics._SERIES_HARD_CAP exhaustion the distribution is still
-    returned with series_converged False and the unresolved tail bound in
-    truncation; the caller decides whether to accept it.
+    returned with series_converged False and the unresolved tail estimate
+    in truncation; the caller decides whether to accept it.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    p = _validate_p(p)
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
     if not 0.0 < delta <= 1.0:
@@ -641,7 +652,7 @@ def build_dual(
     if variant not in _DELETION_VARIANTS and delta != 1.0:
         raise ValueError("mass modification at y = 0 requires support at y = 0")
     table = _get_table(variant, p)
-    dual = partial(DualDistribution, variant, float(p), float(q), float(delta), _table=table)
+    dual = partial(DualDistribution, variant, p, float(q), float(delta), _table=table)
     # A weight series with geometric ratio q needs at least ~28/(1-q) terms
     # to push the relative tail under numerics._SERIES_REL_TOL (the weights
     # decay like q^y / sqrt(y)); refuse upfront when even an underestimate
@@ -655,18 +666,8 @@ def build_dual(
         vals = table.upto(int(ys[-1]))
         return vals[ys - 1] + shift + ys * logq
 
-    def ratio(ys: np.ndarray) -> np.ndarray:
-        vals = table.upto(int(ys[-1]) + 1)
-        return np.exp(vals[ys] - vals[ys - 1] + logq)
-
-    def log_term_mean(ys: np.ndarray) -> np.ndarray:
-        return log_term(ys) + np.log(ys)
-
-    def ratio_mean(ys: np.ndarray) -> np.ndarray:
-        return ratio(ys) * (ys + 1.0) / ys
-
-    norm = sum_series(log_term, ratio)
-    mean_num = sum_series(log_term_mean, ratio_mean)
+    norm = sum_series(log_term)
+    mean_num = sum_series(lambda ys: log_term(ys) + np.log(ys))
     if variant in _DELETION_VARIANTS:
         log_normalizer = float(np.logaddexp(math.log(delta), norm.log_sum))
     else:
@@ -674,7 +675,7 @@ def build_dual(
     return dual(
         log_normalizer,
         math.exp(mean_num.log_sum - log_normalizer),
-        (max(norm.terms_used, mean_num.terms_used), norm.tail_bound),
+        (norm.terms_used, norm.tail_bound),
         norm.converged and mean_num.converged,
     )
 

@@ -24,12 +24,17 @@ One adaptive loop serves every problem.  A stack of integrals may be split
 into column groups, each with its own tolerance: the groups share one
 panel set, the loop bisects the panel whose error is largest relative to
 its group's tolerance, and it stops once every group meets its own.  A
-problem without groups is one group, refined exactly as a scalar integral.
+problem without groups is one group under abs_tol.
 
-Series are summed in log-space (streaming log-sum-exp) with a geometric
-tail bound term(Y)*r/(1-r) controlling truncation, which is valid because
-every series we sum has eventually-decaying nonnegative terms with
-term(y+1)/term(y) <= r(y) < 1 (the dual weights behave like q^y/sqrt(y)).
+Series are summed in log-space (streaming log-sum-exp) and stop at the
+first term Y whose geometric tail estimate term(Y) r/(1-r), with the ratio
+r = term(Y+1)/term(Y) read off the terms themselves, falls below a
+relative tolerance.  The estimate bounds the remainder only if no later
+ratio exceeds r.  The dual weights behave like q^y/sqrt(y), whose ratios
+rise toward q, so for them it falls short of the true remainder.  At q_opt
+for p in {0.1, 0.3, 0.5, 0.9, 0.99} the shortfall is at most 0.07 % for the
+sticky, duplication and convexity duals, and 3.7-21 % for the truncated
+dual, whose log-weights alternate between even and odd y (21 % at p = 0.1).
 """
 
 from __future__ import annotations
@@ -108,16 +113,8 @@ _REL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the subdivision budget cannot meet the tolerance.
-
-    Carries the best value and error estimate achieved so the caller can
-    decide whether to accept them anyway.
-    """
-
-    def __init__(self, message: str, value=None, err_estimate: float | None = None):
-        super().__init__(message)
-        self.value = value
-        self.err_estimate = err_estimate
+    """Raised when an integrand is not finite at a node, or when the panel
+    budget runs out before every tolerance is met."""
 
 
 @dataclass(frozen=True)
@@ -151,12 +148,6 @@ class QuadratureProblem:
             raise ValueError("abs_tol must be positive")
 
 
-def _panel_nodes(a: float, b: float) -> tuple[float, np.ndarray]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half, mid + half * _NODES15
-
-
 def _eval_column(problem: QuadratureProblem, nodes: np.ndarray) -> np.ndarray:
     """The integrand at the node column; every row must be finite."""
     vals = np.asarray(problem.integrand(nodes[:, None]), dtype=float)
@@ -174,20 +165,18 @@ def _eval_column(problem: QuadratureProblem, nodes: np.ndarray) -> np.ndarray:
 
 def _panel(problem: QuadratureProblem, a: float, b: float):
     """K15 value of one panel, and per group its worst |K15 - G7| and |K15|."""
-    half, nodes = _panel_nodes(a, b)
-    stack = _eval_column(problem, nodes)
+    half = 0.5 * (b - a)
+    stack = _eval_column(problem, 0.5 * (a + b) + half * _NODES15)
     kg = half * (_KG_WEIGHTS @ stack.reshape(15, -1))
     k15 = kg[0].reshape(stack.shape[1:]).copy()  # not a view pinning kg
-    err, mag = np.abs(kg[0] - kg[1]), np.abs(kg[0])
-    if len(problem.groups) < 2:
-        return k15, (float(np.max(err)),), (float(np.max(mag)),)
+    # Groups split the stack's last axis; without groups one row holds it all.
+    width = stack.shape[-1] if problem.groups else kg.shape[1]
     starts = [0] + [stop for stop, _ in problem.groups[:-1]]
 
     def by_group(x):
-        columns = x.reshape(-1, stack.shape[-1])
-        return tuple(np.maximum.reduceat(columns, starts, axis=1).max(axis=0).tolist())
+        return tuple(np.maximum.reduceat(x.reshape(-1, width), starts, axis=1).max(axis=0).tolist())
 
-    return k15, by_group(err), by_group(mag)
+    return k15, by_group(np.abs(kg[0] - kg[1])), by_group(np.abs(kg[0]))
 
 
 def integrate(
@@ -196,31 +185,25 @@ def integrate(
     breakpoints: Sequence[float] | None = None,
     max_panels: int = 512,
 ):
-    """Adaptively integrate the problem; returns (value, err_estimate).
+    """Adaptively integrate the problem; returns (value, error estimate).
 
     Bisects the panel with the worst Gauss/Kronrod discrepancy, relative to
     its group's tolerance, until every group's summed estimate falls below
     max(its abs_tol, 100 ulp of its magnitude).  breakpoints seed the
     initial subdivision (useful when the caller knows where the integrand
-    concentrates).  err_estimate is a float, or a list with one entry per
-    group.  Raises QuadratureError (carrying the partial result) if the
-    budget is exhausted first.
+    concentrates).  The error estimate is a float, or a list with one entry
+    per group.  Raises QuadratureError if the budget is exhausted first.
     """
     lo, hi = problem.interval
-    if breakpoints is None:
-        edges = [lo, hi]
-    else:
-        inner = [float(x) for x in breakpoints if lo < x < hi]
-        edges = sorted({lo, hi, *inner})
+    inner = [float(x) for x in (() if breakpoints is None else breakpoints) if lo < x < hi]
+    edges = sorted({lo, hi, *inner})
     tols = [tol for _, tol in problem.groups] or [problem.abs_tol]
-    # One group ranks panels by their raw error, so no division can tie two.
-    scales = tols if len(tols) > 1 else [1.0]
     heap = []
     counter = itertools.count()
 
     def push(a, b):
         k15, err, mag = _panel(problem, a, b)
-        rank = max(e / s for e, s in zip(err, scales))
+        rank = max(e / tol for e, tol in zip(err, tols))
         heapq.heappush(heap, (-rank, next(counter), a, b, k15, err, mag))
 
     for a, b in zip(edges[:-1], edges[1:]):
@@ -234,22 +217,13 @@ def integrate(
         if len(heap) >= max_panels:
             raise QuadratureError(
                 f"quadrature did not converge within {max_panels} panels: "
-                f"err {over[0][0]:.3e} > tol {over[0][1]:.3e}",
-                value=_heap_sum(heap),
-                err_estimate=over[0][0],
+                f"err {over[0][0]:.3e} > tol {over[0][1]:.3e}"
             )
         _, _, a, b, *_ = heapq.heappop(heap)
         m = 0.5 * (a + b)
         push(a, m)
         push(m, b)
-    return _heap_sum(heap), errs if problem.groups else errs[0]
-
-
-def _heap_sum(heap):
-    pieces = [item[4] for item in heap]
-    if pieces[0].ndim == 0:
-        return float(math.fsum(float(p) for p in pieces))
-    return np.sum(pieces, axis=0)
+    return np.sum([item[4] for item in heap], axis=0), errs if problem.groups else errs[0]
 
 
 # An exp(-v) factor is below 9e-27 past v = 60, far below every tolerance
@@ -257,39 +231,37 @@ def _heap_sum(heap):
 _EXP_TAIL_SPAN = 60.0
 
 
-def integrate_exp_tail(
-    fv: Callable,
-    lo: float,
-    *,
-    abs_tol: float = 1e-10,
-    left_cluster: bool = True,
-    max_panels: int = 512,
-):
+def integrate_exp_tail(fv: Callable, lo: float, *, abs_tol: float = 1e-10):
     """Integrate fv over [lo, lo + 60] for integrands with an exp(-v) tail.
 
-    When left_cluster is set, the seed panels are geometrically concentrated
-    at the left endpoint, where the v = -log(1-t) substitution parks the
-    removable t = 0 singularity; otherwise they are 16 equal panels.
+    From lo = 0, where the v = -log(1-t) substitution parks the removable
+    t = 0 singularity, the seed panels cluster geometrically at the left
+    endpoint; from any other lo they are 16 equal panels.
     """
     problem = QuadratureProblem(fv, (lo, lo + _EXP_TAIL_SPAN), abs_tol=abs_tol)
-    return integrate(problem, breakpoints=_exp_tail_breaks(lo, left_cluster), max_panels=max_panels)
+    return integrate(problem, breakpoints=_exp_tail_breaks(lo))
 
 
-def _exp_tail_breaks(lo: float, left_cluster: bool = True) -> np.ndarray:
-    if left_cluster:
-        return lo + np.geomspace(1e-9, _EXP_TAIL_SPAN, 40)[:-1]
+def _exp_tail_breaks(lo: float) -> np.ndarray:
+    if lo == 0.0:
+        return np.geomspace(1e-9, _EXP_TAIL_SPAN, 40)[:-1]
     return lo + np.linspace(0.0, _EXP_TAIL_SPAN, 17)[1:-1]
+
+
+# A numerator t*lin - expm1(A), t = 1 - e^-v, with A and lin linear in a
+# size c, cancels to O(v^2).  The integrand's rounding noise is then
+# ~eps*(1 + c)/v and its Taylor limit's error ~(1 + c)*v, relative; the limit
+# takes over below this crossover in v*(1 + c), where both are ~1e-8.
+_LIMIT_VC = 2e-8
 
 
 def log_gamma(z):
     """log Gamma(z) for z > 0 (scalar or array)."""
     arr = np.asarray(z, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise ValueError("log_gamma requires z > 0")
     out = gammaln(arr)
-    if np.isscalar(z) or arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def log_gamma_via_integral(z: float) -> float:
@@ -298,27 +270,22 @@ def log_gamma_via_integral(z: float) -> float:
     log Gamma(1+z) = int_0^1 (1 - t z - (1-t)^z) / (t log(1-t)) dt.
 
     After v = -log(1-t) the integrand becomes
-    (z*t + exp(-v z) - 1) / (t v) * exp(-v) on [0, inf), with limit
-    z(z-1)/2 at v = 0.  Evaluated in extended precision for small v where
-    the numerator loses a factor of v to cancellation.
+    (expm1(-v z) + z t) / (t v) * exp(-v) on [0, inf), its numerator
+    grouped like the Lambda integrands' (duals).  Its Taylor limit z(z-1)/2
+    takes over where v (1 + z) drops below _LIMIT_VC.
     """
-    if z < 0.0:
-        raise ValueError("log_gamma_via_integral requires z >= 0")
+    z = float(z)
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"log_gamma_via_integral requires finite z >= 0, got {z}")
     if z == 0.0:
         return 0.0
-    zf = float(z)
 
-    def node(v: float) -> float:
-        if v < 1e-12:
-            return zf * (zf - 1.0) / 2.0
-        dt = np.longdouble if v < 1e-3 else float
-        vv = dt(v)
-        zz = dt(zf)
-        t = -np.expm1(-vv)
-        num = np.expm1(-vv * zz) - zz * np.expm1(-vv)
-        return float(num / (t * vv) * np.exp(-vv))
+    def fv(v: np.ndarray) -> np.ndarray:
+        t = -np.expm1(-v)
+        f = (np.expm1(-v * z) + z * t) / (t * v) * np.exp(-v)
+        return np.where(v * (1.0 + z) < _LIMIT_VC, z * (z - 1.0) / 2.0, f)[:, 0]
 
-    value, _ = integrate_exp_tail(lambda v: np.array([node(x) for x in v[:, 0].tolist()]), 0.0)
+    value, _ = integrate_exp_tail(fv, 0.0)
     return float(value)
 
 
@@ -340,7 +307,7 @@ def log_integral_li(z: float) -> float:
     return float(expi(math.log(z)))
 
 
-# A series stops once its geometric tail bound falls below _SERIES_REL_TOL
+# A series stops once its geometric tail estimate falls below _SERIES_REL_TOL
 # times the partial sum, and gives up (converged False) after
 # _SERIES_HARD_CAP terms.
 _SERIES_REL_TOL = 1e-12
@@ -352,55 +319,57 @@ _MAX_BLOCK = 4096
 
 @dataclass(frozen=True)
 class SeriesResult:
+    """log_sum sums the terms y = 1..terms_used.  tail_bound is the
+    geometric estimate term(Y) r/(1-r) of the remainder past Y = terms_used,
+    r = term(Y+1)/term(Y): a bound on it only if no later ratio exceeds r
+    (see the module docstring).  converged is False when _SERIES_HARD_CAP
+    terms were read without the estimate meeting the tolerance."""
+
     log_sum: float
     terms_used: int
     tail_bound: float
     converged: bool
 
 
-def sum_series(log_term: Callable, ratio_bound: Callable) -> SeriesResult:
+def sum_series(log_term: Callable) -> SeriesResult:
     """Sum the nonnegative series sum_{y >= 1} exp(log_term(y)) in log-space.
 
-    ratio_bound(y) must upper-bound term(y+1)/term(y) and be eventually
-    < 1; the summation stops at the first y where the implied geometric tail
-    term(y) * r/(1-r) drops below _SERIES_REL_TOL times the partial sum.
-    Both functions take an integer array of y and return a float array of
-    the same shape.  Terms are read in blocks that start at 256 and double
-    up to _MAX_BLOCK, so a short series reads (and makes its caller
-    tabulate) few terms.
+    log_term takes an integer array of y and returns a float array of the
+    same shape.  The summation stops at the first y where the geometric
+    tail estimate term(y) r/(1-r), r = term(y+1)/term(y), drops below
+    _SERIES_REL_TOL times the partial sum; a ratio r >= 1 estimates nothing.
+    Terms are read in blocks that start at 256 and double up to _MAX_BLOCK.
+    A block decides all but its last term, which waits for the next block's
+    first, so a short series reads (and makes its caller tabulate) few terms.
     """
     log_rel = math.log(_SERIES_REL_TOL)
     log_sum = -math.inf
-    used = 0
+    used = 0  # terms summed into log_sum
     last_tail = math.inf
+    lt = np.empty(0)  # terms read past used, not yet summed
     size = 256
-    while used < _SERIES_HARD_CAP:
-        n = min(size, _SERIES_HARD_CAP - used)
+    while used + lt.size < _SERIES_HARD_CAP:
+        start = used + lt.size + 1
+        ys = np.arange(start, min(start + size, _SERIES_HARD_CAP + 1), dtype=np.int64)
         size = min(2 * size, _MAX_BLOCK)
-        ys = np.arange(used + 1, used + 1 + n, dtype=np.int64)
-        lt = log_term(ys)
-        if np.any(np.isnan(lt)):
+        new = log_term(ys)
+        if np.any(np.isnan(new)):
             raise ValueError("log_term returned NaN")
-        prefix = np.logaddexp.accumulate(np.concatenate(([log_sum], lt)))[1:]
-        r = ratio_bound(ys)
+        lt = np.concatenate((lt, new))
+        prefix = np.logaddexp.accumulate(np.concatenate(([log_sum], lt[:-1])))[1:]
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_tail = np.where(r < 1.0, lt + np.log(r) - np.log1p(-r), math.inf)
-        log_tail = np.where(np.isnan(log_tail), -math.inf, log_tail)  # r == 0, term == 0
-        ok = log_tail <= log_rel + prefix
-        idx = np.flatnonzero(ok)
+            log_r = np.diff(lt)
+            log_tail = np.where(log_r < 0.0, lt[1:] - np.log(-np.expm1(log_r)), math.inf)
+        idx = np.flatnonzero(log_tail <= log_rel + prefix)
         if idx.size > 0:
             k = int(idx[0])
-            return SeriesResult(
-                log_sum=float(prefix[k]),
-                terms_used=used + k + 1,
-                tail_bound=float(np.exp(log_tail[k])),
-                converged=True,
-            )
+            return SeriesResult(float(prefix[k]), used + k + 1, float(np.exp(log_tail[k])), True)
         log_sum = float(prefix[-1])
-        used += n
+        used += lt.size - 1
+        lt = lt[-1:]
         if np.isfinite(log_tail[-1]):
             last_tail = float(np.exp(log_tail[-1]))
-    return SeriesResult(log_sum=log_sum, terms_used=used, tail_bound=last_tail, converged=False)
+    return SeriesResult(float(np.logaddexp(log_sum, lt[0])), used + 1, last_tail, False)
 
 
 @dataclass(frozen=True)

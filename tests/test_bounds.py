@@ -420,3 +420,9 @@ def test_verify_tables_refuses_a_bad_tolerance(tolerance, monkeypatch):
 def test_verify_tables_unknown_selector():
     with pytest.raises(ValueError):
         verify_tables(only=("T9",))
+
+
+def test_verify_tables_refuses_an_empty_selection():
+    # zero checks must not read as all_passed
+    with pytest.raises(ValueError, match="no table"):
+        verify_tables(only=())

@@ -51,6 +51,18 @@ def test_log_pmf_outside_support():
     assert output_log_pmf(dup, 2, 1) == -math.inf  # y < x
 
 
+def test_log_pmf_rejects_non_integer_y():
+    geomdel = RepeatChannel(Family.GEOMETRIC_DELETION, 0.5)
+    for y in ([1.0, 2.5, 3.9], 2.5, math.nan, [1.0, math.inf], -math.inf):
+        with pytest.raises(ValueError, match="integer y"):
+            output_log_pmf(geomdel, 3, y)
+    # integer-valued floats read the same values as integers
+    ys = np.arange(10)
+    want = output_log_pmf(geomdel, 3, ys)
+    assert np.array_equal(output_log_pmf(geomdel, 3, ys.astype(float)), want)
+    assert output_log_pmf(geomdel, 3, 2.0) == output_log_pmf(geomdel, 3, 2)
+
+
 @pytest.mark.parametrize("family", tuple(Family))
 @pytest.mark.parametrize("p", (0.05, 0.6, 0.99))
 @pytest.mark.parametrize("x", (1, 7, 500))

@@ -83,6 +83,31 @@ def test_views_reject_non_finite_input(view, bad):
             view(arg, 0.3)
 
 
+@pytest.mark.parametrize("bad_p", (0.0, 1.0, -0.5, 1.5, math.nan))
+@pytest.mark.parametrize("view", (
+    lambda1_sticky, lambda2_sticky, g_sticky, lambdas_duplication, g_duplication,
+    lambda_trunc_geomdel, r_p,
+))
+def test_views_reject_p_outside_the_unit_interval(view, bad_p):
+    with pytest.raises(ValueError, match="p must be in"):
+        view(5, bad_p)
+
+
+@pytest.mark.parametrize("bad_p", (0.0, 1.0, -0.5, 1.5, math.nan))
+def test_build_dual_rejects_p_outside_the_unit_interval(bad_p):
+    for variant in DualVariant:
+        with pytest.raises(ValueError, match="p must be in"):
+            build_dual(variant, bad_p, 0.5)
+
+
+def test_r_p_envelope_takes_every_finite_positive_p():
+    # I_p exists for every finite p > 0, and falls as p grows
+    for bad_p in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite p > 0"):
+            r_p_envelope(bad_p)
+    assert 0.0 < r_p_envelope(1.5) < r_p_envelope(1.0) < r_p_envelope(0.5)
+
+
 def test_dual_rejects_non_integer_y():
     dual = build_dual(DualVariant.GEOMDEL_CONVEXITY, 0.3, 0.5)
     for method in (dual.log_weight, dual.log_pmf):

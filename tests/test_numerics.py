@@ -47,6 +47,25 @@ def test_log_gamma_rejects_nonpositive():
         log_gamma(-2.5)
 
 
+def test_log_gamma_rejects_nan():
+    with pytest.raises(ValueError):
+        log_gamma(math.nan)
+    with pytest.raises(ValueError):
+        log_gamma(np.array([1.0, math.nan]))
+
+
+def test_log_gamma_via_integral_rejects_non_finite():
+    for z in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="finite z >= 0"):
+            log_gamma_via_integral(z)
+
+
+def test_log_gamma_via_integral_to_1e_13():
+    # from tiny to large z, across the Taylor crossover in v (1 + z)
+    for z in (1e-6, 0.1, 20.0, 100.0):
+        assert abs(log_gamma_via_integral(z) - log_gamma(1.0 + z)) <= 1e-13, z
+
+
 def test_log_gamma_via_integral_trivial_zeros():
     assert abs(log_gamma_via_integral(0.0)) <= 1e-10
     assert abs(log_gamma_via_integral(1.0)) <= 1e-10
@@ -217,13 +236,9 @@ def test_integrate_against_simpson_oracle():
     assert abs(lambda1_sticky(5, 0.3) - want) <= 1e-9
 
 
-def _half(ys):
-    return np.full(np.shape(ys), 0.5)
-
-
 def test_sum_series_geometric():
     # sum over y >= 1 of 0.5^y equals 1
-    res = sum_series(lambda ys: ys * math.log(0.5), _half)
+    res = sum_series(lambda ys: ys * math.log(0.5))
     assert res.converged
     assert abs(res.log_sum) <= 1e-12
     # adding the reported tail changes the sum by at most 1e-12 relatively
@@ -237,28 +252,45 @@ def test_sum_series_reads_a_short_series_in_its_first_block():
         asked.append(int(ys.max()))
         return ys * math.log(0.5)
 
-    res = sum_series(log_term, _half)
+    res = sum_series(log_term)
     assert res.converged and res.terms_used < 256
     assert max(asked) <= 256
 
 
 def test_sum_series_single_term():
-    res = sum_series(
-        lambda ys: np.where(ys == 1, math.log(3.0), -np.inf),
-        lambda ys: np.zeros(np.shape(ys)),
-    )
+    res = sum_series(lambda ys: np.where(ys == 1, math.log(3.0), -np.inf))
     assert res.converged
     assert abs(res.log_sum - math.log(3.0)) <= 1e-14
 
 
+def test_sum_series_stops_like_a_plain_loop_on_rising_ratios():
+    # Terms q^y/sqrt(y) have ratios q sqrt(y/(y+1)) that rise toward q, as
+    # the dual weights' do.  The stop, the sum and the tail estimate are a
+    # plain loop's that takes each ratio from the next term, across block
+    # ends; the estimate then falls short of the true remainder.
+    q = 0.99
+    log_terms = np.arange(1, 20_001) * math.log(q) - 0.5 * np.log(np.arange(1, 20_001))
+    res = sum_series(lambda ys: log_terms[ys - 1])
+    terms = np.exp(log_terms).tolist()
+    total = 0.0
+    for y, (term, following) in enumerate(zip(terms, terms[1:]), start=1):
+        total += term
+        r = following / term
+        if term * r / (1.0 - r) <= numerics._SERIES_REL_TOL * total:
+            break
+    assert res.converged and res.terms_used == y > 768
+    assert abs(math.exp(res.log_sum) - total) <= 1e-13 * total
+    estimate = term * r / (1.0 - r)
+    assert abs(res.tail_bound - estimate) <= 1e-9 * estimate
+    assert math.fsum(terms[y:]) > res.tail_bound
+
+
 def test_sum_series_hard_cap_reported(monkeypatch):
-    # ratio bound 1 never certifies a tail, so the cap must be hit and
-    # reported rather than silently accepted
+    # 1/y^2 has ratios rising toward 1, so its tail estimate (about 1/(2y))
+    # never meets the tolerance: the cap must be hit and reported rather
+    # than silently accepted
     monkeypatch.setattr(numerics, "_SERIES_HARD_CAP", 5000)
-    res = sum_series(
-        lambda ys: -np.log(ys.astype(float)) * 2.0,
-        lambda ys: np.ones(np.shape(ys)),
-    )
+    res = sum_series(lambda ys: -np.log(ys.astype(float)) * 2.0)
     assert not res.converged
     assert res.terms_used == 5000
 
