@@ -15,14 +15,18 @@ are reproducible and do not depend on how trials are grouped.
 run_monte_carlo takes the trials _CHUNK at a time.  It draws each trial's
 input and Poisson counts and decodes straight from the counts, without
 building the channel output (sample_channel_output and run_length_decode
-give the same decode from that output).  Then one numpy kernel,
-_edit_distances, runs Myers' bit-parallel edit distance for all of the
-chunk's trials in lockstep.  edit_distance stays the single-pair function
-for any symbols; it is faster than the kernel for one pair.
+give the same decode from that output); the decode comes with the cost of
+one explicit alignment, which bounds the trial's edit distance.  Then one
+numpy kernel, _edit_distances, runs a banded Myers bit-parallel edit
+distance for all of the chunk's trials in lockstep, stepping only the
+words within that bound of the diagonal.  edit_distance stays the
+single-pair function for any symbols; it is faster than the kernel for
+one pair.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,14 +81,15 @@ def _like(arr: np.ndarray, template) -> str | np.ndarray:
 
 
 def validate_config(config: SimConfig) -> None:
-    if config.n < 1:
-        raise ValueError(f"n must be positive, got {config.n}")
-    if not config.lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {config.lam}")
+    for name in ("n", "trials"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    # n * lam is the mean output length, which an int64 count must hold
+    if not 0.0 < config.lam * config.n < 2.0**62:
+        raise ValueError(f"lambda must be positive with n * lambda < 2**62, got {config.lam}")
     if not 0.0 < config.epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {config.epsilon}")
-    if config.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {config.trials}")
     if config.input_source not in INPUT_SOURCES:
         raise ValueError(f"unknown input_source {config.input_source!r}")
     if config.input_source == "user_supplied":
@@ -122,30 +127,40 @@ def run_length_decode(y_bits, lam: float) -> str | np.ndarray:
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     arr = _as_bit_array(y_bits)
-    return _like(_decode_runs(arr, lam), y_bits)
+    if arr.size == 0:
+        return _like(arr, y_bits)
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(arr)) + 1])
+    decoded, _ = _decode_runs(arr[starts], lam, np.diff(starts, append=arr.size))
+    return _like(decoded, y_bits)
 
 
-def _decode_runs(bits: np.ndarray, lam: float, counts=None) -> np.ndarray:
+def _decode_runs(bits: np.ndarray, lam: float, counts: np.ndarray) -> tuple[np.ndarray, int]:
     """The run-length decode of bits, each bits[i] standing for counts[i]
-    channel outputs (one each when counts is None).
+    channel outputs, and an upper bound on its edit distance from bits.
 
     Symbols with count 0 vanish, so the runs are those of the output
     np.repeat(bits, counts); each run of total count L becomes
     round(L / lam) copies of its bit, rounded half-up.  Reading the counts
     directly decodes a trial without building its output.
+
+    The bound is the cost of one alignment.  Each run, c copies of bit b,
+    is aligned with the span S of bits from just past the previous run's
+    last kept symbol to its own, the last span running to the end.  If S
+    holds s copies of b, that costs max(|S|, c) - min(c, s).  With nothing
+    kept, the bound is len(bits).
     """
-    if counts is not None:
-        kept = counts > 0
-        bits, counts = bits[kept], counts[kept]
-    if bits.size == 0:
-        return bits
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(bits)) + 1])
-    if counts is None:
-        lengths = np.diff(np.concatenate([starts, [bits.size]]))
-    else:
-        lengths = np.add.reduceat(counts, starts)
-    copies = np.floor(lengths / lam + 0.5).astype(np.int64)
-    return np.repeat(bits[starts], copies).astype(np.uint8)
+    kept = np.flatnonzero(counts > 0)
+    if kept.size == 0:
+        return bits[:0], bits.size
+    ends = kept[np.append(np.flatnonzero(np.diff(bits[kept])), -1)]
+    copies = np.floor(np.diff(np.cumsum(counts)[ends], prepend=0) / lam + 0.5).astype(np.int64)
+    run_bits = bits[ends]
+    ends[-1] = bits.size - 1
+    span = np.diff(ends, prepend=-1)
+    ones = np.diff(np.cumsum(bits, dtype=np.int64)[ends], prepend=0)
+    same = np.where(run_bits == 1, ones, span - ones)
+    bound = int((np.maximum(span, copies) - np.minimum(copies, same)).sum())
+    return np.repeat(run_bits, copies).astype(np.uint8), bound
 
 
 def edit_distance(a, b) -> int:
@@ -192,37 +207,57 @@ def edit_distance(a, b) -> int:
     return score
 
 
-def _edit_distances(xs, decoded) -> np.ndarray:
+def _edit_distances(xs, decoded, bands=None) -> np.ndarray:
     """edit_distance(xs[i], decoded[i]) for every i, as an int64 array.
 
     Bits only, and every xs[i] has the same length n.  Myers' bit-parallel
-    recurrence (J. ACM 46(3), 1999) with xs[i] as the pattern, run on up
-    to _CHUNK trials in lockstep.  The pattern's delta vectors live in
-    (trials, ceil(n / 64)) uint64 arrays, word 0 holding positions 0-63,
-    and one pass of the step loop (a few dozen numpy calls) advances every
-    trial by one text symbol.  The match mask of a trial's symbol is
-    P0 ^ sel, where P0 marks the zeros of the pattern and sel is all ones
-    for the trials whose symbol is 1.  Additions carry across words
-    through a ripple loop that stops once no carry is left; shifts carry
-    each word's top bit into the next.  Bits above n - 1 are never masked,
-    since carries and shifts only move upward.  A trial stops at the end
-    of its own text, and its score is read at bit n - 1.  Memory is
+    recurrence (J. ACM 46(3), 1999) with xs[i] as the pattern, run by
+    _lockstep on up to _CHUNK trials at a time.  bands[i] >= the distance
+    of pair i makes it exact; a chunk steps the band of its largest.  The
+    default, max(n, len(decoded[i])), covers the whole matrix.  A distance
+    above its band comes back too high, never too low.  Memory is
     O(_CHUNK * (n + longest text)) for any number of trials.
     """
+    if bands is None:
+        bands = [max(len(x), len(d)) for x, d in zip(xs, decoded)]
     return np.concatenate(
         [np.zeros(0, np.int64)]
-        + [_lockstep(xs[lo:lo + _CHUNK], decoded[lo:lo + _CHUNK])
+        + [_lockstep(xs[lo:lo + _CHUNK], decoded[lo:lo + _CHUNK], max(bands[lo:lo + _CHUNK]))
            for lo in range(0, len(decoded), _CHUNK)]
     )
 
 
-def _lockstep(xs, decoded) -> np.ndarray:
+def _lockstep(xs, decoded, band) -> np.ndarray:
     """_edit_distances of at most _CHUNK trials, stepped together.
 
-    Rows run longest text first, so the trials still reading text are the
-    first k rows, and k only shrinks.  Shifted words take their low bit
-    from column 0 of carry_in (the 1 that ph shifts in, the 0 of mh) and
-    from the top bit of the word below.
+    The delta vectors live in (ceil(n / 64), trials) uint64 arrays, word 0
+    holding positions 0-63, and one pass of the step loop (a few dozen
+    numpy calls) advances every trial by one text symbol.  Columns run
+    longest text first, so the trials still reading text are the first k
+    columns, and k only shrinks.  A trial's match mask is P0 ^ sel, where
+    P0 marks the pattern's zeros and sel is all ones if its symbol is 1.
+
+    At text column j only the words [lo, hi) holding a row i with
+    |i - j| <= band are stepped: a block whose inner axis is contiguous,
+    sliding only up.  Additions carry across its words through a ripple
+    loop that stops once no carry is left; shifts carry each word's top
+    bit into the next.  Words below the window stay frozen.  The lowest
+    stepped word takes Myers' block rule for a +1 horizontal delta at its
+    top: no carry enters, ph shifts in 1 and mh 0 (carry_in's first row,
+    reset when the window moves).  A word joins in its initial state.
+    So every value is the cost of a real alignment path: it grows by one
+    per column along a frozen word's last row, and by one per row through
+    a word yet to join.  Such +1 edges are a legal DP boundary, on which
+    Myers' formulas stay exact, so no value falls below the distance.  A
+    path of cost D stays within |i - j| <= D (Ukkonen, Inf. Control 64,
+    1985): if D <= band, an optimal path is stepped throughout, and the
+    score is D.
+
+    The score is read from the final column: D[n][J] = J + popcount(pv)
+    - popcount(mv) over the pattern's bits, each frozen word as it stood
+    when it froze, since its frozen edge adds one per column it skips.
+    Bits above n - 1 are masked there; carries and shifts only move up,
+    so they never reach the rows below them.
     """
     n = len(xs[0])
     lengths = np.array([len(d) for d in decoded])
@@ -235,35 +270,39 @@ def _lockstep(xs, decoded) -> np.ndarray:
         packed = np.packbits(np.asarray(xs[i]) == 0, bitorder="little")
         p0.view(np.uint8)[row, : packed.size] = packed
         text[: lengths[row], row] = decoded[i]
+    p0 = np.ascontiguousarray(p0.T)
 
-    vectors = np.zeros((5, trials, words), dtype=np.uint64)  # eq, xv, xh, pv, mv
+    vectors = np.zeros((5, words, trials), dtype=np.uint64)  # eq, xv, xh, pv, mv
     vectors[3] = ~np.uint64(0)
-    horizontal = np.empty((2, trials, words), dtype=np.uint64)  # ph, mh
-    carry_in = np.zeros((2, trials, words + 1), dtype=np.uint64)
-    carry_in[0, :, 0] = 1
-    carry = np.empty((trials, words), dtype=bool)
+    horizontal = np.empty((2, words, trials), dtype=np.uint64)  # ph, mh
+    carry_in = np.zeros((2, words + 1, trials), dtype=np.uint64)
+    carry = np.empty((words, trials), dtype=bool)
     sel = np.empty(trials, dtype=np.uint64)
-    # per trial, the +1 and the -1 moves of the score D[n][j] over j
-    moves, move = np.zeros((2, trials), dtype=np.uint64), np.empty((2, trials), dtype=np.uint64)
-    word, bit = divmod(n - 1, 64)
     for k in range(trials, 0, -1):
-        eq, xv, xh, pv, mv = vectors[:, :k]
-        h = horizontal[:, :k]
-        ph, mh = h
-        p0_k, sel_k, carry_k, cin = p0[:k], sel[:k], carry[:k], carry_in[:, :k]
-        move_k, moves_k = move[:, :k], moves[:, :k]
+        window, sel_k = None, sel[:k]
         for j in range(lengths[k], lengths[k - 1]):
+            # bit rows j - band .. j + band of text column j + 1
+            lo = min(max(j - band, 0), n - 1) // 64
+            hi = min(j + band, n - 1) // 64 + 1
+            if window != (lo, hi):
+                window = lo, hi
+                eq, xv, xh, pv, mv = vectors[:, lo:hi, :k]
+                h = horizontal[:, lo:hi, :k]
+                ph, mh = h
+                p0_w, carry_w = p0[lo:hi, :k], carry[: hi - lo - 1, :k]
+                cin = carry_in[:, lo:hi + 1, :k]
+                cin[0, 0], cin[1, 0] = 1, 0
             np.negative(text[j, :k], out=sel_k, dtype=np.uint64)
-            np.bitwise_xor(p0_k, sel_k[:, None], out=eq)
+            np.bitwise_xor(p0_w, sel_k, out=eq)
             np.bitwise_or(eq, mv, out=xv)
             # xh = (((eq & pv) + pv) ^ pv) | eq, the sum carried across words
             np.bitwise_and(eq, pv, out=xh)
             np.add(xh, pv, out=xh)
-            c = np.less(xh, pv, out=carry_k)[:, :-1]
-            for w in range(1, words):
-                upper = xh[:, w:]
+            c = np.less(xh[:-1], pv[:-1], out=carry_w)
+            for w in range(1, hi - lo):
+                upper = xh[w:]
                 upper += c
-                c = (c & (upper == 0))[:, :-1]
+                c = (c & (upper == 0))[:-1]
                 if not c.any():
                     break
             np.bitwise_xor(xh, pv, out=xh)
@@ -273,21 +312,19 @@ def _lockstep(xs, decoded) -> np.ndarray:
             np.invert(ph, out=ph)
             np.bitwise_or(ph, mv, out=ph)
             np.bitwise_and(pv, xh, out=mh)
-            np.right_shift(h[:, :, word], bit, out=move_k)
-            np.bitwise_and(move_k, 1, out=move_k)
-            np.add(moves_k, move_k, out=moves_k)
-            # ph = (ph << 1) | 1, mh <<= 1
-            np.right_shift(h, 63, out=cin[:, :, 1:])
+            # ph = (ph << 1) | carry, mh = (mh << 1) | carry
+            np.right_shift(h, 63, out=cin[:, 1:])
             np.left_shift(h, 1, out=h)
-            np.bitwise_or(h, cin[:, :, :-1], out=h)
+            np.bitwise_or(h, cin[:, :-1], out=h)
             # pv = mh | ~(xv | ph), mv = ph & xv
             np.bitwise_or(xv, ph, out=pv)
             np.invert(pv, out=pv)
             np.bitwise_or(pv, mh, out=pv)
             np.bitwise_and(ph, xv, out=mv)
-    up, down = moves.astype(np.int64)
+    vectors[3:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
+    up, down = np.bitwise_count(vectors[3:]).sum(axis=1, dtype=np.int64)
     out = np.empty(trials, dtype=np.int64)
-    out[order] = n + up - down
+    out[order] = lengths[:-1] + up - down
     return out
 
 
@@ -319,15 +356,17 @@ def run_monte_carlo(config: SimConfig, *, rng_factory=None):
     threshold = config.epsilon * config.n
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
     for lo in range(0, len(children), _CHUNK):
-        xs, decoded, lengths = [], [], []
+        xs, decoded, bands, lengths = [], [], [], []
         for child in children[lo:lo + _CHUNK]:
             rng = rng_factory(child)
             x = _input_bits(config, rng)
             counts = rng.poisson(config.lam, x.size)
             xs.append(x)
-            decoded.append(_decode_runs(x, config.lam, counts))
+            decode, bound = _decode_runs(x, config.lam, counts)
+            decoded.append(decode)
+            bands.append(bound)
             lengths.append(int(counts.sum()))
-        for dist, length in zip(_edit_distances(xs, decoded).tolist(), lengths):
+        for dist, length in zip(_edit_distances(xs, decoded, bands).tolist(), lengths):
             reports.append(
                 TrialReport(
                     edit_distance=dist,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,16 @@ def test_validate_config_errors():
     )
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lam", math.inf), ("lam", 1e19), ("lam", math.nan),
+    ("n", True), ("n", 5.0), ("trials", 2.5), ("trials", False),
+])
+def test_validate_config_names_the_bad_field(field, value):
+    config = SimConfig(**{**dict(n=4, lam=2.0, epsilon=0.1, trials=1, seed=0), field: value})
+    with pytest.raises(ValueError, match=field):
+        validate_config(config)
+
+
 def test_large_lambda_recovers_exactly():
     # Poisson(1e6) counts are within ~0.5% of the mean, so every run decodes
     # to exactly its input length and the edit distance is 0.
@@ -257,7 +269,7 @@ def test_edit_distances_kernel_batch_larger_than_a_chunk():
 
 # n = 1, lambda < 1 (mostly empty decodes), all-alternating input, uniform
 # user inputs, more trials than one chunk, and the benchmark's n = 4000 at
-# lambda = 2 and 200
+# lambda = 2, 20 (a band of about 240 that slides through the pattern) and 200
 _REFERENCE_CONFIGS = [
     SimConfig(n=1, lam=2.0, epsilon=0.5, trials=50, seed=1),
     SimConfig(n=1, lam=0.3, epsilon=0.5, trials=50, seed=2),
@@ -272,6 +284,7 @@ _REFERENCE_CONFIGS = [
     SimConfig(n=200, lam=4.0, epsilon=0.1, trials=20, seed=10,
               input_source="user_supplied", input_bits="1" * 200),
     SimConfig(n=4000, lam=2.0, epsilon=0.1, trials=12, seed=11),
+    SimConfig(n=4000, lam=20.0, epsilon=0.1, trials=12, seed=13),
     SimConfig(n=4000, lam=200.0, epsilon=0.1, trials=12, seed=12),
 ]
 
@@ -290,7 +303,35 @@ def test_run_monte_carlo_matches_the_per_trial_loop(config):
 def test_decode_from_counts_equals_decode_of_the_output(symbols, lam):
     x = np.array([bit for bit, _ in symbols], dtype=np.uint8)
     counts = np.array([count for _, count in symbols], dtype=np.int64)
-    got = simulate._decode_runs(x, lam, counts)
+    got, _ = simulate._decode_runs(x, lam, counts)
     want = run_length_decode(np.repeat(x, counts), lam)
     assert got.dtype == want.dtype == np.uint8
     assert got.tolist() == want.tolist()
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 9)), max_size=60),
+    st.floats(0.05, 12.0),
+)
+def test_alignment_bound_is_at_least_the_edit_distance(symbols, lam):
+    x = np.array([bit for bit, _ in symbols], dtype=np.uint8)
+    counts = np.array([count for _, count in symbols], dtype=np.int64)
+    decoded, bound = simulate._decode_runs(x, lam, counts)
+    assert bound >= dp_edit_distance(x.tolist(), decoded.tolist())
+    assert simulate._decode_runs(x, lam, 0 * counts)[1] == x.size
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
+def test_edit_distances_band_edge(m):
+    # A band equal to the distance is exact; one less may only overestimate.
+    xs, texts = _pairs_for(m, np.random.default_rng(m))
+    want = np.array([dp_edit_distance(x, t) for x, t in zip(xs, texts)])
+    for dist in np.unique(want):
+        pairs = np.flatnonzero(want == dist)
+        sub_xs, sub_texts = [xs[i] for i in pairs], [texts[i] for i in pairs]
+        assert simulate._edit_distances(sub_xs, sub_texts, [dist] * pairs.size).tolist() \
+            == want[pairs].tolist()
+        if dist > 0:
+            below = simulate._edit_distances(sub_xs, sub_texts, [dist - 1] * pairs.size)
+            assert (below >= want[pairs]).all()
