@@ -45,7 +45,6 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -498,6 +497,10 @@ def evaluate_points(tasks: list, max_workers: int | None = None) -> list[tuple]:
     """_evaluate_point over (family, variants, p) tasks, in input order.
     max_workers > 1 spreads the tasks over one pool of worker processes."""
     if max_workers is not None and max_workers > 1 and len(tasks) > 1:
+        # imported here, so a process that never opens a pool never loads
+        # concurrent.futures.process and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(max_workers, len(tasks))) as pool:
             return list(pool.map(_evaluate_point, tasks))
     return [_evaluate_point(t) for t in tasks]

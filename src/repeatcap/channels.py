@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
+
+from repeatcap.numerics import _lgamma
 
 
 class Family(enum.Enum):
@@ -138,16 +139,17 @@ def _require_input(x: int) -> int:
     return int(x)
 
 
-def output_log_pmf(channel: RepeatChannel, x: int, y, log_gamma=gammaln):
+def output_log_pmf(channel: RepeatChannel, x: int, y, log_gamma=_lgamma):
     """log Y_x(y) for the memoryless integer channel; -inf outside support.
 
     y may be a nonnegative integer or an array of them (integer-valued
     floats included; any other float is a ValueError); the result matches
     its shape.  Everything is computed through log-gamma, never factorial
     products, so x in the hundreds stays exact to ~1e-13 relative.
-    log_gamma is only ever called on positive integers (Python ints or int64
-    arrays); a gap scan passes a lookup into one precomputed gammaln array,
-    which gives the same values bit for bit.
+    log_gamma (default numerics._lgamma, the package's one log-gamma) is
+    only ever called on positive integers (Python ints or int64 arrays); a
+    gap scan passes a lookup into one precomputed array of it, which gives
+    the same values bit for bit.
     """
     x = _require_input(x)
     y_arr = np.asarray(y)

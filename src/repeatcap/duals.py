@@ -38,10 +38,11 @@ the q^y weights, so Delta(x) = H(Y_x) + sum_{y>=1} Y_x(y) (S(y) + c), c the
 variant's constant weight shift.  gap_scan holds this identity for the conv
 and delta-d bounds, kl_gap_profile and epsilon_inf (the trunc bound reads its
 closed form r_p).  Both it and kl_divergence, which sums the KL directly
-through scipy's gammaln as an independent check, sum each Y_x over its
-support window (channels._windows): two-sided, each tail certified by the
-law's Chernoff bound to hold at most 1e-15 of the mass.  gap_scan reads
-log Y_x(y) for every x as slices of one log-gamma array built once per scan.
+against a built dual as an independent check of the identity, sum each Y_x
+over its support window (channels._windows): two-sided, each tail
+certified by the law's Chernoff bound to hold at most 1e-15 of the mass.
+gap_scan reads log Y_x(y) for every x as slices of one log-gamma array
+built once per scan.
 A dual may have its mass at y = 0 rescaled to alpha*delta (delta in (0,1]);
 the normalizers then satisfy 1/alpha = delta + 1/y0 - 1 and the gap becomes
 Delta_delta(x) = Delta(x) - d log delta + d^x log delta, d = 1 - p, written
@@ -59,12 +60,12 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval, chebvander
-from scipy.special import gammaln
 
 from repeatcap import channels, numerics
 from repeatcap.channels import ConditionalOutputLaw, Family, RepeatChannel
 from repeatcap.numerics import (
     _LIMIT_VC,
+    _lgamma,
     binary_entropy,
     integrate_exp_tail,
     log_integral_li,
@@ -237,9 +238,16 @@ class _Spec:
     s_table: DualVariant | None = None
 
 
+def _conv_g(ys: np.ndarray, p: float, lam) -> np.ndarray:
+    """log C(y/p - 1, y) = lgamma(y/p) - lgamma(y+1) - lgamma(y(1-p)/p),
+    the three log-gammas taken in one call (the variant has no Lambdas)."""
+    lg = _lgamma(np.stack((ys / p, ys + 1.0, ys * (1.0 - p) / p)))
+    return lg[0] - lg[1] - lg[2]
+
+
 _CONVEXITY_SPEC = _Spec(
     Family.GEOMETRIC_DELETION,
-    g=lambda ys, p, lam: gammaln(ys / p) - gammaln(ys + 1.0) - gammaln(ys * (1.0 - p) / p),
+    g=_conv_g,
     drift=lambda ys, p: ys * binary_entropy(p) / p,
     gap_limit=lambda p: 0.5,
 )
@@ -247,7 +255,7 @@ _CONVEXITY_SPEC = _Spec(
 _SPECS = {
     DualVariant.STICKY_ZERO_GAP: _Spec(
         Family.GEOMETRIC_STICKY,
-        g=lambda ys, p, lam: gammaln(ys) - lam[0] - lam[1],
+        g=lambda ys, p, lam: _lgamma(ys) - lam[0] - lam[1],
         drift=lambda ys, p: ys * binary_entropy(p),
         gap_limit=lambda p: 0.0,
         f=_sticky_f,
@@ -264,7 +272,7 @@ _SPECS = {
     DualVariant.GEOMDEL_CONVEXITY: _CONVEXITY_SPEC,
     DualVariant.GEOMDEL_TRUNCATED: _Spec(
         Family.GEOMETRIC_DELETION,
-        g=lambda ys, p, lam: lam[1] - lam[0] - gammaln(ys + 1.0),
+        g=lambda ys, p, lam: lam[1] - lam[0] - _lgamma(ys + 1.0),
         drift=lambda ys, p: ys * (log_integral_li(1.0 / (1.0 + 2.0 * p)) + binary_entropy(p) / p),
         gap_limit=lambda p: 0.0,
         f=_trunc_f,
@@ -697,8 +705,8 @@ def _check_pairing(channel: RepeatChannel, dual: DualDistribution) -> None:
 
 def kl_divergence(channel: RepeatChannel, x: int, dual: DualDistribution) -> float:
     """D_KL(Y_x || dual) in nats by summation over Y_x's support window,
-    through scipy's gammaln.  Returns inf if Y_x puts mass where the dual has
-    none (a pairing bug, not a number).
+    calling the package's log-gamma for this x alone.  Returns inf if Y_x
+    puts mass where the dual has none (a pairing bug, not a number).
     """
     _check_pairing(channel, dual)
     ys = ConditionalOutputLaw(channel, x).truncated_support()
@@ -713,7 +721,7 @@ def kl_divergence(channel: RepeatChannel, x: int, dual: DualDistribution) -> flo
 
 
 def _slice_reader(lg: np.ndarray) -> Callable:
-    """log_gamma for output_log_pmf that reads lg = gammaln(0, 1, ...) by
+    """log_gamma for output_log_pmf that reads lg = log Gamma(0, 1, ...) by
     index: a scalar, or a run of consecutive integers (ascending, or
     descending as duplication's 2x - y + 1) as a view of lg."""
 
@@ -733,16 +741,17 @@ def gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
 
     Each Y_x is summed over its support window (channels._windows, computed
     for every x at once).  Every log-gamma argument of log Y_x(y) there is
-    an integer at most hi + x, so the scan evaluates gammaln once, on
-    0..max hi + x_max + 1, and each x reads slices of that array (equal to
-    gammaln's values bit for bit) instead of calling gammaln."""
+    an integer at most hi + x, so the scan evaluates numerics._lgamma once,
+    on 0..max hi + x_max + 1, and each x reads slices of that array instead
+    of calling it.  The kernel's value at x does not depend on the array
+    holding it, so the slices equal the per-call values bit for bit."""
     if isinstance(x_max, bool) or not isinstance(x_max, (int, np.integer)) or x_max < 1:
         raise ValueError(f"x_max must be an integer >= 1, got {x_max!r}")
     channel = RepeatChannel(_VARIANT_FAMILY[variant], p)
     table = _get_table(variant, p)
     shift = _SPECS[variant].weight_shift(p)
     los, his = channels._windows(channel, np.arange(1, x_max + 1))
-    log_gamma = _slice_reader(gammaln(np.arange(int(his.max()) + x_max + 2, dtype=float)))
+    log_gamma = _slice_reader(_lgamma(np.arange(int(his.max()) + x_max + 2, dtype=float)))
     out = np.empty(x_max, dtype=float)
     for x, lo, hi in zip(range(1, x_max + 1), los.tolist(), his.tolist()):
         ys = np.arange(lo, hi + 1, dtype=np.int64)

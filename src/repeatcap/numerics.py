@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expi, gammaln
 
 __all__ = [
     "QuadratureProblem",
@@ -255,12 +254,107 @@ def _exp_tail_breaks(lo: float) -> np.ndarray:
 _LIMIT_VC = 2e-8
 
 
+# _lgamma sums the Stirling series from _LG_X0 up and shifts smaller
+# arguments there by the recurrence.  The series' coefficients are
+# B_2k / (2k (2k-1)), k = 7 .. 1 (Horner order in 1/x^2); at x = 10 the
+# first omitted term is 3e-17, under 2 % of an ulp of log Gamma there.
+_LG_X0 = 10.0
+_STIRLING = (
+    1.0 / 156.0,
+    -691.0 / 360360.0,
+    1.0 / 1188.0,
+    -1.0 / 1680.0,
+    1.0 / 1260.0,
+    -1.0 / 360.0,
+    1.0 / 12.0,
+)
+_HALF_LOG_2PI_M_HALF = 0.5 * math.log(2.0 * math.pi) - 0.5
+# log 2 = _LN2_HI + _LN2_LO, _LN2_HI with 21 trailing zero bits, so e * _LN2_HI
+# is exact for every binary exponent e of a double (fdlibm's split).
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+# _lgamma evaluates the series over blocks of this many entries, so that its
+# temporaries stay in cache.
+_LG_BLOCK = 8192
+
+
+def _stirling(z: np.ndarray, out: np.ndarray) -> None:
+    """out = log Gamma(z) = (z - 1/2)(log z - 1) + (log(2 pi) - 1)/2 + the
+    series in 1/z, for z >= _LG_X0, both contiguous 1-D float arrays.
+
+    (z - 1/2) multiplies log z's rounding error, so log z is carried as
+    hi + lo from z = m 2^e: e log 2 in two parts plus log m, m in [1/2, 1),
+    whose rounding error is below 6e-17.  That keeps the result within
+    about 1 ulp.  Every log runs in place on a private array: numpy's vector
+    log and its libm fallback round a few inputs differently, and an
+    in-place call takes the vector route whatever the array's length or
+    address."""
+    for i in range(0, z.size, _LG_BLOCK):
+        zb, ob = z[i:i + _LG_BLOCK], out[i:i + _LG_BLOCK]
+        m, e = np.frexp(zb)
+        np.log(m, out=m)
+        lo = e.astype(float)
+        hi = lo * _LN2_HI  # exact
+        lo *= _LN2_LO
+        lo += m
+        np.add(hi, lo, out=ob)  # log z, rounded
+        hi -= ob
+        hi += lo  # now log z - ob, up to log m's rounding (Fast2Sum)
+        ob -= 1.0
+        half = zb - 0.5
+        ob *= half
+        hi *= half
+        r = np.divide(1.0, zb)
+        r2 = r * r
+        acc = r2 * _STIRLING[0]
+        for c in _STIRLING[1:-1]:
+            acc += c
+            acc *= r2
+        acc += _STIRLING[-1]
+        acc *= r
+        acc += _HALF_LOG_2PI_M_HALF
+        acc += hi
+        ob += acc
+
+
+# x + i for the shifts i = 0 .. _LG_X0 - 1 of an argument below _LG_X0.
+_LG_SHIFTS = np.arange(_LG_X0)
+
+
+def _lgamma(x):
+    """log Gamma(x) for x >= 0 elementwise (+inf at 0), shaped like x: the
+    package's one log-gamma.  The value at x depends on x alone, not on the
+    array that holds it, so a lookup into one precomputed array equals a
+    call bit for bit.  Absolute error below 1e-14 * max(1, |log Gamma|).
+
+    An argument below _LG_X0 is shifted by the recurrence to z = x + k, the
+    first of x, x + 1, ... at or above _LG_X0, and takes log Gamma(z) -
+    log(x (x+1) ... (x+k-1)); when there is none, nothing is masked."""
+    arr = np.array(x, dtype=float)  # a private contiguous copy
+    flat = arr.reshape(-1)
+    small = None
+    if flat.size and not flat.min() >= _LG_X0:
+        small = np.flatnonzero(flat < _LG_X0)
+        steps = flat[small, None] + _LG_SHIFTS
+        below = steps < _LG_X0
+        flat[small] += below.sum(axis=1)
+        log_prod = np.where(below, steps, 1.0).prod(axis=1)
+        with np.errstate(divide="ignore"):  # x = 0 gives prod = 0, lgamma inf
+            np.log(log_prod, out=log_prod)
+    out = np.empty_like(flat)
+    _stirling(flat, out)
+    if small is not None:
+        out[small] -= log_prod
+    return out.reshape(arr.shape)[()]
+
+
 def log_gamma(z):
     """log Gamma(z) for z > 0 (scalar or array)."""
     arr = np.asarray(z, dtype=float)
     if not np.all(arr > 0.0):
         raise ValueError("log_gamma requires z > 0")
-    out = gammaln(arr)
+    out = _lgamma(arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -304,7 +398,43 @@ def log_integral_li(z: float) -> float:
     """
     if not 0.0 < z < 1.0:
         raise ValueError(f"log_integral_li requires z in (0, 1), got {z}")
-    return float(expi(math.log(z)))
+    return _ei_negative(math.log(z))
+
+
+# Ei(x) for x < 0 takes the power series for |x| up to this and the
+# continued fraction of E1(-x) beyond it.
+_EI_SERIES_MAX = 2.0
+_EULER_GAMMA = 0.57721566490153286061
+
+
+def _ei_negative(x: float) -> float:
+    """Ei(x) = -E1(-x) for x < 0, to a few ulp.
+
+    |x| <= _EI_SERIES_MAX: Ei(x) = gamma + log|x| + sum_k x^k / (k k!),
+    summed exactly (math.fsum) until the terms stop mattering.  Beyond it,
+    E1(t) = e^-t / (t + 1 - 1^2/(t + 3 - 2^2/(t + 5 - ...))), t = -x, by the
+    modified Lentz method."""
+    t = -x
+    if t <= _EI_SERIES_MAX:
+        terms = [_EULER_GAMMA, math.log(t)]
+        term, k = 1.0, 0
+        while abs(term) >= 1e-18:
+            k += 1
+            term *= x / k
+            terms.append(term / k)
+        return math.fsum(terms)
+    b = t + 1.0
+    c, d = math.inf, 1.0 / b
+    h, delta, k = d, 0.0, 0
+    while abs(delta - 1.0) >= 1e-16:
+        k += 1
+        a = -float(k * k)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+    return -h * math.exp(-t)
 
 
 # A series stops once its geometric tail estimate falls below _SERIES_REL_TOL

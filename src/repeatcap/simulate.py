@@ -80,14 +80,20 @@ def _like(arr: np.ndarray, template) -> str | np.ndarray:
     return arr
 
 
+def _validate_lambda(lam: float, n: int = 1) -> None:
+    """The one rule for lambda: positive, with n * lam, the mean output
+    length of n input bits, below 2**62 so an int64 count holds it (which
+    rejects inf and NaN too)."""
+    if not 0.0 < lam * n < 2.0**62:
+        raise ValueError(f"lambda must be positive with n * lambda < 2**62, got {lam}")
+
+
 def validate_config(config: SimConfig) -> None:
     for name in ("n", "trials"):
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    # n * lam is the mean output length, which an int64 count must hold
-    if not 0.0 < config.lam * config.n < 2.0**62:
-        raise ValueError(f"lambda must be positive with n * lambda < 2**62, got {config.lam}")
+    _validate_lambda(config.lam, config.n)
     if not 0.0 < config.epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {config.epsilon}")
     if config.input_source not in INPUT_SOURCES:
@@ -111,9 +117,8 @@ def sample_channel_output(x_bits, lam: float, rng) -> str | np.ndarray:
     switch between sequential inversion and transformed rejection with the
     mean, which covers lam from 0 to the hundreds used here).
     """
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
     arr = _as_bit_array(x_bits)
+    _validate_lambda(lam, max(arr.size, 1))
     counts = rng.poisson(lam, arr.size)
     return _like(np.repeat(arr, counts), x_bits)
 
@@ -124,8 +129,7 @@ def run_length_decode(y_bits, lam: float) -> str | np.ndarray:
     Rounding is half-up (2.5 -> 3); runs rounding to 0 vanish.  Empty
     input decodes to empty output.
     """
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _validate_lambda(lam)
     arr = _as_bit_array(y_bits)
     if arr.size == 0:
         return _like(arr, y_bits)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import importlib.util
 import math
@@ -335,7 +336,8 @@ def test_sweep_variant_check():
 def cold_pool(monkeypatch):
     """Replace the bounds process pool with an in-process one whose every
     task starts from empty caches, as a fresh worker does; count the pools
-    opened and the convexity gap scans run."""
+    opened and the convexity gap scans run.  bounds imports the pool from
+    concurrent.futures only when it opens one, so the patch goes there."""
     counts = {"pools": 0, "scans": 0}
 
     class ColdPool:
@@ -359,7 +361,7 @@ def cold_pool(monkeypatch):
         counts["scans"] += 1
         return scan(*args)
 
-    monkeypatch.setattr(bounds, "ProcessPoolExecutor", ColdPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ColdPool)
     monkeypatch.setattr(bounds, "convexity_gap_scan", counted_scan)
     return counts
 

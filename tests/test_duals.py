@@ -495,7 +495,8 @@ def _wide_support(channel, x):
 
 def _per_x_gaps(variant, p, x_max, support):
     # The module docstring's identity, summed by a plain loop that calls
-    # output_log_pmf with scipy's gammaln on each x's support(channel, x).
+    # output_log_pmf, which calls the package's log-gamma per x, on each x's
+    # support(channel, x).
     channel = RepeatChannel(duals._VARIANT_FAMILY[variant], p)
     table = duals._get_table(variant, p)
     shift = duals._SPECS[variant].weight_shift(p)
@@ -516,7 +517,7 @@ def _per_x_gaps(variant, p, x_max, support):
 @pytest.mark.parametrize("p", (0.3, 0.9))
 def test_gap_scan_equals_the_per_x_scipy_loop(variant, p):
     # The scan reads slices of one shared log-gamma array; the plain loop
-    # over the same windows with scipy's gammaln gives the same floats.
+    # over the same windows, calling log-gamma per x, gives the same floats.
     def window(channel, x):
         return ConditionalOutputLaw(channel, x).truncated_support()
 

@@ -1,11 +1,20 @@
-"""Every name a module exports through __all__ resolves."""
+"""Every name a module exports through __all__ resolves, and importing the
+package stays light."""
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repeatcap
 import repeatcap.numerics
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", (repeatcap, repeatcap.numerics), ids=lambda m: m.__name__)
@@ -13,3 +22,21 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_cold_import_loads_no_scipy_mpmath_or_process_pool():
+    # A fresh interpreter importing the package and its CLI must not pull in
+    # scipy or mpmath (log-gamma and Ei live in numerics) nor the process
+    # pool (bounds imports it only when it opens one).
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    heavy = ["scipy", "mpmath", "concurrent.futures.process"]
+    code = (
+        "import json, sys\n"
+        "import repeatcap, repeatcap.cli\n"
+        f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

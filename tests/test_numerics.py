@@ -100,6 +100,88 @@ def test_log_integral_li():
         log_integral_li(1.0)
 
 
+# log Gamma's oracle tolerance: 1e-14 * max(1, |log Gamma(x)|)
+_LGAMMA_TOL = 1e-14
+
+
+def _lgamma_mpmath(xs):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.loggamma(mpmath.mpf(float(x)))) for x in xs])
+
+
+def _lgamma_at_integers(top: int) -> np.ndarray:
+    # log Gamma(n) for n = 1..top: 40-digit mpmath at every 16th n, and the
+    # recurrence's log k summed in long double within each block of 16
+    mpmath = pytest.importorskip("mpmath")
+    n = np.arange(1, top + 1).astype(np.longdouble).reshape(-1, 16)
+    with mpmath.workdps(40):
+        anchors = np.array([np.longdouble(mpmath.nstr(mpmath.loggamma(int(a)), 30)) for a in n[:, 0]])
+    steps = np.cumsum(np.log(n[:, :-1]), axis=1)
+    return np.concatenate((anchors[:, None], anchors[:, None] + steps), axis=1).ravel()
+
+
+def _worst_lgamma_error(got, want) -> float:
+    want = np.asarray(want, dtype=np.longdouble)
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+@pytest.mark.parametrize("xs", [
+    np.geomspace(1e-6, 1e7, 1500),
+    np.linspace(0.5, 3.5, 1501),
+], ids=["geometric", "dense"])
+def test_lgamma_kernel_matches_mpmath(xs):
+    assert _worst_lgamma_error(numerics._lgamma(xs), _lgamma_mpmath(xs)) <= _LGAMMA_TOL
+
+
+def test_lgamma_kernel_matches_mpmath_at_every_integer():
+    top = 200_000
+    got = numerics._lgamma(np.arange(1, top + 1, dtype=float))
+    assert _worst_lgamma_error(got, _lgamma_at_integers(top)) <= _LGAMMA_TOL
+
+
+def test_lgamma_kernel_matches_scipy():
+    # scipy is not a runtime dependency; its gammaln stays an independent
+    # oracle here
+    gammaln = pytest.importorskip("scipy.special").gammaln
+    xs = np.concatenate((np.geomspace(1e-6, 1e7, 4000), np.linspace(0.5, 3.5, 3001),
+                         np.arange(1.0, 20_001.0)))
+    want = gammaln(xs)
+    assert np.max(np.abs(numerics._lgamma(xs) - want) / np.maximum(1.0, np.abs(want))) <= _LGAMMA_TOL
+
+
+def test_lgamma_kernel_zero_and_shapes():
+    # +inf at 0 with no warning (pytest turns warnings into errors)
+    assert numerics._lgamma(0.0) == math.inf
+    assert numerics._lgamma(np.array([0, 1, 2], dtype=np.int64)).tolist() == [math.inf, 0.0, 0.0]
+    assert np.shape(numerics._lgamma(7)) == ()
+    assert np.shape(numerics._lgamma(np.array(7.0))) == ()
+    assert numerics._lgamma(np.arange(6, dtype=np.int64).reshape(2, 3)).shape == (2, 3)
+    assert abs(numerics._lgamma(7) - math.log(720.0)) <= 1e-14 * math.log(720.0)
+
+
+def test_lgamma_kernel_is_elementwise_deterministic():
+    # the value at x does not depend on the array holding it: a lookup into
+    # one array equals a call on the scalar, a short array or a 2-D stack
+    xs = np.concatenate((np.arange(0.0, 300.0), np.geomspace(1e-6, 1e7, 300)))
+    table = numerics._lgamma(xs)
+    stacked = numerics._lgamma(np.stack((xs[::-1], xs)))
+    assert np.array_equal(stacked[1], table) and np.array_equal(stacked[0][::-1], table)
+    for i in range(0, xs.size, 7):
+        assert numerics._lgamma(xs[i]) == table[i]
+        assert numerics._lgamma(xs[i:i + 3]).tolist() == table[i:i + 3].tolist()
+
+
+@pytest.mark.parametrize("z", [1e-9, 1e-3, math.exp(-2.0) * (1 - 1e-12), math.exp(-2.0) * (1 + 1e-12),
+                               1.0 / 3.0, 0.5, 0.99])
+def test_log_integral_li_matches_mpmath(z):
+    # Ei(log z): the power series up to |log z| = 2, the continued fraction past it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = float(mpmath.li(mpmath.mpf(z)))
+    assert abs(log_integral_li(z) - want) <= 2e-15 * abs(want)
+
+
 def test_eta_integral():
     # eta(z) = int_0^z dt / ((1-t) log t); t -> 1-u turns the envelope
     # integral I_p into -eta(z) at z = 1/(1+2p), so eta(z) = -I_p with

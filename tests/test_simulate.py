@@ -169,6 +169,17 @@ def test_validate_config_names_the_bad_field(field, value):
         validate_config(config)
 
 
+@pytest.mark.parametrize("lam", [math.inf, math.nan, 1e19, 0.0, -2.0])
+def test_single_calls_share_the_lambda_rule(lam):
+    # validate_config's rule, not an error from inside numpy's Poisson sampler
+    with pytest.raises(ValueError, match="lambda"):
+        sample_channel_output("01", lam, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="lambda"):
+        sample_channel_output("", lam, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="lambda"):
+        run_length_decode("0011", lam)
+
+
 def test_large_lambda_recovers_exactly():
     # Poisson(1e6) counts are within ~0.5% of the mean, so every run decodes
     # to exactly its input length and the edit distance is 0.
