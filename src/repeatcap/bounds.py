@@ -64,7 +64,7 @@ from repeatcap.duals import (
     convexity_gap_scan,
     r_p,
 )
-from repeatcap.numerics import QuadratureError, maximize_concave
+from repeatcap.numerics import _SERIES_HARD_CAP, QuadratureError, maximize_concave
 
 _LOG2 = math.log(2.0)
 _Q_OPT_TOL = 1e-7  # golden-section tolerance on q_opt
@@ -112,16 +112,17 @@ def as_bound_variant(value) -> BoundVariant | None:
 
 
 class BoundComputationError(RuntimeError):
-    """A numerical failure (quadrature or series) during a bound evaluation."""
+    """A numerical failure (quadrature, series, an underflowed delta) or an
+    infeasible optimum during a bound evaluation."""
 
 
 @dataclass(frozen=True)
 class BoundResult:
     """An optimized capacity upper bound at one channel parameter.
 
-    bound_bits = bound_nats / log 2.  feasible records whether the dual mean
-    constraint was met at q_opt (if no q on the search grid was feasible the
-    objective is identically 0 and this is False).  clamped_to_one marks raw
+    bound_bits = bound_nats / log 2.  feasible records that the dual mean
+    constraint was met at q_opt; an optimized bound whose q_opt is
+    infeasible raises BoundComputationError instead.  clamped_to_one marks raw
     values above the trivial 1 bit/use cap; the raw value is still reported.
     epsilon_used is the KL-gap infimum entering the bound (0 for the
     zero-gap constructions, NaN for the closed-form elementary bound).
@@ -247,7 +248,7 @@ def _delta(con: _Construction, p: float, rule: str, scan=None) -> float:
     if rule == "d" or not con.balance:
         return d
     gap1 = float((con.gap_scan(p, 1) if scan is None else scan)[0])
-    return min(math.exp(-(gap1 - _SPECS[con.dual].gap_limit(p)) / d), 1.0)
+    return math.exp(min(-(gap1 - _SPECS[con.dual].gap_limit(p)) / d, 0.0))
 
 
 def deletion_delta(p: float, variant, rule: str = "recommended") -> float:
@@ -291,6 +292,8 @@ def _pieces(p: float, variant: BoundVariant) -> _Pieces:
             f"quadrature failure in the gap scan (p = {p}, {variant.value}): {exc}"
         ) from exc
     delta = _delta(con, p, "recommended", scan)
+    if delta == 0.0:
+        raise BoundComputationError(f"the balance delta underflows to 0 (p = {p}, {variant.value})")
     eps = _infimum(*_delta_rule(scan, _SPECS[con.dual].gap_limit(p), p, delta))
     return _Pieces(con, delta, eps, threshold)
 
@@ -329,8 +332,11 @@ def _optimize(p: float, variant: BoundVariant) -> BoundResult:
     q_opt = float(res.arg)
     nats = float(res.value)
     at_opt = _dual_at(p, variant, pieces, q_opt)
-    mu_opt = float(at_opt.mean) if at_opt.series_converged else math.nan
-    feasible = at_opt.series_converged and at_opt.mean >= pieces.threshold
+    if not (at_opt.series_converged and at_opt.mean >= pieces.threshold):
+        raise BoundComputationError(
+            f"q_opt = {q_opt:.8g} is infeasible (p = {p}, {variant.value}): the sup lies "
+            f"past the series cap of {_SERIES_HARD_CAP} terms, or no q is feasible"
+        )
     bits = nats / _LOG2
     return BoundResult(
         p=p,
@@ -338,9 +344,9 @@ def _optimize(p: float, variant: BoundVariant) -> BoundResult:
         bound_nats=nats,
         bound_bits=bits,
         q_opt=q_opt,
-        mu_opt=mu_opt,
+        mu_opt=float(at_opt.mean),
         epsilon_used=pieces.eps,
-        feasible=feasible,
+        feasible=True,
         clamped_to_one=bits > 1.0,
     )
 

@@ -15,12 +15,12 @@ affine in E[Y_x] up to a gap Delta(x) >= 0:
     inverse binomial:     C(y/p, y) q^y exp(-y h(p)/p); equals the
                   convexity family with the y = 0 mass set to delta = 1-p
 
-The Lambda functions are integrals of the form int_0^1 f(y, t) dt whose
-integrands have removable singularities at t = 0 and a 1/log(1-t) factor
-at t = 1.  They are evaluated after the substitution v = -log(1-t) (see
-numerics), with numerators regrouped through expm1/log1p so the t -> 0
-cancellation stays benign, and with analytic Taylor limits taking over
-where even that form runs out of mantissa.
+The Lambda functions come from Cheraghchi's framework ("Capacity upper
+bounds for deletion-type channels", STOC 2018): each is int f(y, t) dt with
+f = (1 + t lin - phi(t)^y (1-t)^-b) / (t log(1-t)) for one base phi per
+integral, b in {0, 1} and lin the term that cancels the numerator's first
+order at t = 0 (_Spec lists the bases).  After v = -log(1-t) every one is
+numerics._f, which owns the cancellation-free grouping and the t -> 0 limit.
 
 Everything q-independent (the Lambda values, hence the shifted log-weights
 S(y) = g(y) - y * rate) is cached per (variant, p) in lazily grown tables,
@@ -64,7 +64,9 @@ from numpy.polynomial.chebyshev import chebval, chebvander
 from repeatcap import channels, numerics
 from repeatcap.channels import ConditionalOutputLaw, Family, RepeatChannel
 from repeatcap.numerics import (
-    _LIMIT_VC,
+    _Base,
+    _col,
+    _f,
     _lgamma,
     binary_entropy,
     integrate_exp_tail,
@@ -81,62 +83,17 @@ class DualVariant(enum.Enum):
     INVERSE_BINOMIAL = "inverse-binomial"
 
 
-# The numerators all have the shape 1 (+ t) - t*y*c - exp(A); evaluated
-# literally they lose half the mantissa by v ~ 1e-8.  They are regrouped as
-# -expm1(A) + t*(1 - y*c) with A built from log1p, and the quadratic Taylor
-# limit takes over per element below _LIMIT_VC (numerics).
+# Each base takes a (n, 1) column of nodes v and gives log |phi| at each,
+# computed the cancellation-free way for that phi, with b, c1 and c2
+# (numerics._Base); _Spec lists what each phi is.
 
 
-# The integrands below take a (n, 1) column of nodes v (see numerics) and
-# return an (n, len(ys)) array.  Quantities that depend on v alone are
-# computed per node with math and then broadcast over y.  numpy's vectorized
-# expm1/log1p/exp round differently from libm on a few percent of inputs,
-# and whether numpy takes its vector or its scalar route depends on the
-# array's length and layout; with math a node's value does not depend on
-# which other nodes share its column.
-
-
-def _col(values) -> np.ndarray:
-    return np.array(values, dtype=float).reshape(-1, 1)
-
-
-def _finish(ys, v, ts, e, lin, coeff, limit) -> np.ndarray:
-    """f = (t lin - e) e^-v / (-t v), in place over e: each numerator is
-    t lin - expm1(A), with lin the y-linear term.  The Taylor limit limit()
-    takes over wherever v (1 + y coeff) drops below _LIMIT_VC."""
+def _sticky_base(v: np.ndarray, p: float, which: int) -> _Base:
     nodes = v[:, 0].tolist()
-    e -= _col(ts) * lin
-    e *= _col([math.exp(-x) / (t * x) for x, t in zip(nodes, ts)])
-    if min(nodes) < _LIMIT_VC:
-        e = np.where(v * (1.0 + ys * coeff) < _LIMIT_VC, limit(), e)
-    return e
-
-
-def _sticky_f_limit(ys: np.ndarray, p: float, which: int) -> np.ndarray:
-    if which == 1:
-        return 1.0 + ys * (1.0 - p) * (ys * (1.0 - p) - 3.0 - p) / 2.0
-    return ys * (ys + 1.0) * p * p / 2.0
-
-
-def _sticky_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
-    """f_which(y, t(v)) * e^-v for the sticky Lambda integrals, vector over y."""
-    nodes = v[:, 0].tolist()
-    ts = [-math.expm1(-x) for x in nodes]
-    if which == 1:
-        # A = y log((1-t)/(1-pt)) + v
-        e = _col([-x - math.log1p(p * math.expm1(-x)) for x in nodes]) * ys
-        e += v
-        lin, coeff = 1.0 - ys * (1.0 - p), 1.0 - p
-    else:
-        # A = -y log(1+pt)
-        e = _col([-math.log1p(p * t) for t in ts]) * ys
-        lin, coeff = ys * -p, p
-    np.expm1(e, out=e)
-    return _finish(ys, v, ts, e, lin, coeff, lambda: _sticky_f_limit(ys, p, which))
-
-
-def _dup_f_limit(ys: np.ndarray, p: float, k: float) -> np.ndarray:
-    return k * k * (ys * (ys - 1.0) / (2.0 * (1.0 + p) ** 2) - ys * p / (1.0 + p) ** 3)
+    if which == 1:  # 1 - pt = 1 + p expm1(-v)
+        return _Base([-x - math.log1p(p * math.expm1(-x)) for x in nodes],
+                     1.0, p - 1.0, -p * (1.0 - p) / 2.0)
+    return _Base([-math.log1p(p * -math.expm1(-x)) for x in nodes], 0.0, -p, p * (1.0 + p) / 2.0)
 
 
 def _dup_log_w(t: float, p: float, k: float) -> float:
@@ -154,51 +111,23 @@ def _dup_log_w(t: float, p: float, k: float) -> float:
     return math.log(w) if w > 0.0 else -math.inf
 
 
-def _dup_f(ys: np.ndarray, v, p: float, k: float) -> np.ndarray:
-    """Duplication Lambda integrand in v coordinates; k in {1, p, 1-p}."""
-    ts = [-math.expm1(-x) for x in v[:, 0].tolist()]
-    e = _col([_dup_log_w(t, p, k) for t in ts]) * ys  # A = y log w
-    np.expm1(e, out=e)
-    return _finish(ys, v, ts, e, ys * (-k / (1.0 + p)), k, lambda: _dup_f_limit(ys, p, k))
+def _dup_base(v: np.ndarray, p: float, k: float) -> _Base:
+    a = k / (1.0 + p)
+    return _Base([_dup_log_w(-math.expm1(-x), p, k) for x in v[:, 0].tolist()],
+                 0.0, -a, a / 2.0 - a * a / 2.0 - a * a * p / (1.0 + p))
 
 
-def _trunc_f_limit(ys: np.ndarray, p: float, which: int) -> np.ndarray:
+def _trunc_base(v: np.ndarray, p: float, which: int) -> _Base:
+    # phi lives in [-1, 1] on the domain (phi2 hits -1 exactly at its right
+    # end) and phi1 crosses zero inside it when p < 1/2; log phi comes from
+    # log1p where phi > 0.
     c = (1.0 - p) / p if which == 1 else 1.0 / p
-    return 1.0 - 2.0 * ys * c + c * c * ys * (ys - 1.0) / 2.0
-
-
-def _trunc_f(ys: np.ndarray, v, p: float, which: int) -> np.ndarray:
-    """Truncated-deletion Lambda integrand on v in [0, log(1+2p)].
-
-    The base w of the inner power is (1 - d e^v)/p (which=1) or
-    ((1+p) - e^v)/p (which=2); both equal 1 - c*(e^v - 1) with c the same
-    constant that multiplies y, both live in [-1, 1] on the domain (w2 hits
-    -1 exactly at the right endpoint), and w1 crosses zero inside it when
-    p < 1/2.  Every node takes expm1(y log|w| + v), with log w from log1p
-    where w > 0; where w <= 0 the integer power w^y e^v is the signed
-    exp(y log|w| + v), so E = sgn (E + 1) - 1 (no small-v cancellation is
-    possible there).
-    """
-    nodes = v[:, 0].tolist()
-    ts = [-math.expm1(-x) for x in nodes]
-    c = (1.0 - p) / p if which == 1 else 1.0 / p
-    tev = [math.expm1(x) for x in nodes]  # t * e^v
+    tev = [math.expm1(x) for x in v[:, 0].tolist()]  # t * e^v
     w = [1.0 - c * x for x in tev]
     # At w = 0, w^y e^v is e^v at y = 0 and exp(-800 y + v) = 0 past it.
     log_w = [math.log1p(-c * x) if wi > 0.0 else math.log(-wi) if wi < 0.0 else -800.0
              for x, wi in zip(tev, w)]
-    e = _col(log_w) * ys
-    e += v
-    np.expm1(e, out=e)
-    neg = np.array([not wi > 0.0 for wi in w])
-    if neg.any():
-        sgn = np.where(ys % 2 == 1, -1.0, 1.0)
-        if neg.all():
-            e *= sgn
-            e += sgn - 1.0
-        else:  # the panel that straddles w = 0
-            e[neg] = e[neg] * sgn + (sgn - 1.0)
-    return _finish(ys, v, ts, e, 1.0 - ys * c, c, lambda: _trunc_f_limit(ys, p, which))
+    return _Base(log_w, 1.0, -c, -(c + c * c) / 2.0, [not wi > 0.0 for wi in w])
 
 
 def _trunc_breaks(p: float) -> np.ndarray:
@@ -217,12 +146,20 @@ class _Spec:
     """The q-free facts of one dual variant.
 
     S(y) = g(ys, p, lambdas) - drift(ys, p), each written in the operation
-    order the tables are built with.  The lambdas are the integrals of
-    f(ys, v, p, key) over v for each key in keys(p): over the exp tail
-    [0, 60], or over [0, log(1+2p)] for the truncated construction, every
-    key at every y a block samples in one quadrature (_lambdas).  Each f
-    returns its own t -> 0 limit near v = 0 (_finish); the quadrature
-    substitutes nothing.  gap_limit is the KL-gap's x -> infinity limit at
+    order the tables are built with.  The lambdas are the integrals over v
+    of numerics._f for base(v, p, key), one per key in keys(p): over the
+    exp tail [0, 60], or over [0, log(1+2p)] for the truncated construction,
+    every key at every y a block samples in one quadrature (_lambdas).  The
+    bases phi, each with its b and the c1, c2 of its log (numerics._Base):
+
+      sticky 1       (1-t)/(1-pt) = G^-1(1 - t), G(z) = z(1-p)/(1-pz)    b = 1
+      sticky 2       1/(1+pt)                                            b = 0
+      duplication k  G^-1(1 - kt), G(z) = z(1-p+pz), k in {1, p, 1-p}    b = 0
+      trunc 1        (1 - (1-p) e^v)/p = 1 - c (e^v - 1), c = (1-p)/p    b = 1
+      trunc 2        (1 + p - e^v)/p = 1 - c (e^v - 1), c = 1/p          b = 1
+
+    G is the channel's pgf of the copies of one input bit; trunc's phi may
+    be <= 0.  gap_limit is the KL-gap's x -> infinity limit at
     delta = 1, weight_shift a constant added to every log-weight, and
     s_table another variant whose S-table this one reads.
     """
@@ -231,7 +168,7 @@ class _Spec:
     g: Callable
     drift: Callable
     gap_limit: Callable[[float], float]
-    f: Callable | None = None
+    base: Callable | None = None
     keys: Callable[[float], tuple] = lambda p: ()
     truncated: bool = False
     weight_shift: Callable[[float], float] = lambda p: 0.0
@@ -258,7 +195,7 @@ _SPECS = {
         g=lambda ys, p, lam: _lgamma(ys) - lam[0] - lam[1],
         drift=lambda ys, p: ys * binary_entropy(p),
         gap_limit=lambda p: 0.0,
-        f=_sticky_f,
+        base=_sticky_base,
         keys=lambda p: (1, 2),
     ),
     DualVariant.DUPLICATION_ZERO_GAP: _Spec(
@@ -266,7 +203,7 @@ _SPECS = {
         g=lambda ys, p, lam: lam[0] - lam[1] - lam[2],
         drift=lambda ys, p: ys * binary_entropy(p) / (1.0 + p),
         gap_limit=lambda p: 0.0,
-        f=_dup_f,
+        base=_dup_base,
         keys=lambda p: (1.0, p, 1.0 - p),
     ),
     DualVariant.GEOMDEL_CONVEXITY: _CONVEXITY_SPEC,
@@ -275,7 +212,7 @@ _SPECS = {
         g=lambda ys, p, lam: lam[1] - lam[0] - _lgamma(ys + 1.0),
         drift=lambda ys, p: ys * (log_integral_li(1.0 / (1.0 + 2.0 * p)) + binary_entropy(p) / p),
         gap_limit=lambda p: 0.0,
-        f=_trunc_f,
+        base=_trunc_base,
         keys=lambda p: (1, 2),
         truncated=True,
     ),
@@ -349,7 +286,7 @@ def _lambdas(spec: _Spec, groups: list[np.ndarray], p: float) -> np.ndarray:
     else:
         interval, breaks = (0.0, numerics._EXP_TAIL_SPAN), numerics._exp_tail_breaks(0.0)
     problem = numerics.QuadratureProblem(
-        lambda v: np.stack([spec.f(ys, v, p, k) for k in keys], axis=1),
+        lambda v: np.stack([_f(ys, v, spec.base(v, p, k)) for k in keys], axis=1),
         interval,
         groups=tuple((stop, _quad_tol(g)) for stop, g in zip(stops, groups)),
     )
@@ -378,11 +315,8 @@ def _g_view(variant: DualVariant, y, p: float, name: str):
 
 
 def lambda1_sticky(y, p: float):
-    """Lambda_1(y) = int_0^1 f_1(y, t) dt for the sticky construction.
-
-    Grows like log Gamma(y(1-p)); the t -> 0 limit of f_1 is
-    1 + y(1-p)(y(1-p) - 3 - p)/2 and the t -> 1 limit is 0.
-    """
+    """Lambda_1(y) = int_0^1 f_1(y, t) dt for the sticky construction; grows
+    like log Gamma(y(1-p))."""
     return _lambda_view(DualVariant.STICKY_ZERO_GAP, y, p, "lambda1_sticky")[0]
 
 
@@ -401,11 +335,7 @@ def g_sticky(y, p: float):
 
 
 def lambdas_duplication(y, p: float):
-    """The three duplication Lambda integrals (coefficients k = 1, p, 1-p).
-
-    The integrands extend continuously to [0, 1]; the t -> 0 limits are
-    k^2 (y(y-1)/(2(1+p)^2) - y p/(1+p)^3) and the t -> 1 limits are 0.
-    """
+    """The three duplication Lambda integrals (coefficients k = 1, p, 1-p)."""
     return _lambda_view(DualVariant.DUPLICATION_ZERO_GAP, y, p, "lambdas_duplication")
 
 

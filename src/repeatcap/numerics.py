@@ -43,7 +43,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -254,6 +254,54 @@ def _exp_tail_breaks(lo: float) -> np.ndarray:
 _LIMIT_VC = 2e-8
 
 
+# Every Lambda integrand (duals) and log_gamma_via_integral's is
+# (t lin - expm1(A)) e^-v / (-t v), t = 1 - e^-v, for one base phi:
+# A = y log |phi(v)| + b v and lin = y c1 + b, A's first order in v, with
+# log phi = c1 v + c2 v^2 + O(v^3).  The numerator 1 + t lin - phi^y e^(bv),
+# taken literally, loses half the mantissa by v ~ 1e-8; as t lin - expm1(A)
+# it does not.  Where phi <= 0, phi^y e^(bv) is the signed (-1)^y exp(A)
+# (phi^y is read at integer y only).  Below _LIMIT_VC in v (1 + y |c1|) the
+# limit a1/2 + a2 + a1^2/2 of A = a1 v + a2 v^2 takes over, a1 = lin,
+# a2 = y c2.
+#
+# Quantities of v alone are computed per node with math and broadcast over
+# y: numpy's vectorized expm1/log1p/exp round differently from libm on a few
+# percent of inputs, and whether numpy takes its vector or its scalar route
+# depends on the array's length and layout; with math a node's value does
+# not depend on which other nodes share its column.
+
+
+class _Base(NamedTuple):
+    log_abs: list  # log |phi| per node
+    b: float
+    c1: float
+    c2: float
+    nonpositive: Sequence = ()  # per node, whether phi <= 0 (trunc only)
+
+
+def _col(values) -> np.ndarray:
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
+def _f(ys: np.ndarray, v: np.ndarray, base: _Base) -> np.ndarray:
+    """The integrand for base at a (n, 1) node column v, as (n, len(ys))."""
+    nodes = v[:, 0].tolist()
+    ts = [-math.expm1(-x) for x in nodes]
+    e = _col(base.log_abs) * ys
+    e += base.b * v  # A = y log |phi| + b v
+    np.expm1(e, out=e)
+    if any(base.nonpositive):  # there phi^y e^(bv) - 1 = -exp(A) - 1 at odd y
+        neg = np.array(base.nonpositive)
+        e[neg] = np.where(ys % 2 == 1, -2.0 - e[neg], e[neg])
+    lin = ys * base.c1 + base.b
+    e -= _col(ts) * lin
+    e *= _col([math.exp(-x) / (t * x) for x, t in zip(nodes, ts)])
+    if min(nodes) < _LIMIT_VC:
+        limit = lin * (1.0 + lin) / 2.0 + ys * base.c2
+        e = np.where(v * (1.0 + ys * abs(base.c1)) < _LIMIT_VC, limit, e)
+    return e
+
+
 # _lgamma sums the Stirling series from _LG_X0 up and shifts smaller
 # arguments there by the recurrence.  The series' coefficients are
 # B_2k / (2k (2k-1)), k = 7 .. 1 (Horner order in 1/x^2); at x = 10 the
@@ -363,10 +411,9 @@ def log_gamma_via_integral(z: float) -> float:
 
     log Gamma(1+z) = int_0^1 (1 - t z - (1-t)^z) / (t log(1-t)) dt.
 
-    After v = -log(1-t) the integrand becomes
-    (expm1(-v z) + z t) / (t v) * exp(-v) on [0, inf), its numerator
-    grouped like the Lambda integrands' (duals).  Its Taylor limit z(z-1)/2
-    takes over where v (1 + z) drops below _LIMIT_VC.
+    After v = -log(1-t) this is the Lambda integrand _f with base
+    phi = 1 - t = e^-v, b = 0, c1 = -1 and c2 = 0 at y = z.  At abs_tol
+    1e-12 it stays within 1e-13 of log_gamma for z up to 100.
     """
     z = float(z)
     if not 0.0 <= z < math.inf:
@@ -375,11 +422,9 @@ def log_gamma_via_integral(z: float) -> float:
         return 0.0
 
     def fv(v: np.ndarray) -> np.ndarray:
-        t = -np.expm1(-v)
-        f = (np.expm1(-v * z) + z * t) / (t * v) * np.exp(-v)
-        return np.where(v * (1.0 + z) < _LIMIT_VC, z * (z - 1.0) / 2.0, f)[:, 0]
+        return _f(np.array([z]), v, _Base((-v[:, 0]).tolist(), 0.0, -1.0, 0.0))[:, 0]
 
-    value, _ = integrate_exp_tail(fv, 0.0)
+    value, _ = integrate_exp_tail(fv, 0.0, abs_tol=1e-12)
     return float(value)
 
 

@@ -135,6 +135,22 @@ def test_as_bound_variant():
         as_bound_variant("nonsense")
 
 
+def test_conv_balance_delta_saturates_instead_of_overflowing():
+    # gap(1) < 1/2 there, so the balance exponent passes 709 before the cap at 1
+    assert deletion_delta(0.9998, "conv") == 1.0
+
+
+def test_underflowed_trunc_delta_is_a_bound_error():
+    with pytest.raises(bounds.BoundComputationError, match=r"underflows to 0 \(p = 0\.9998,"):
+        geomdel_bound(0.9998, "trunc")
+
+
+def test_infeasible_q_opt_is_a_bound_error_not_a_bound():
+    # every computable q reads 0 there: the sup lies past the series cap
+    with pytest.raises(bounds.BoundComputationError, match=r"p = 0\.99995, StickyExact.*series cap"):
+        compute_bound(Family.GEOMETRIC_STICKY, None, 0.99995)
+
+
 def test_deletion_delta_rules():
     p = 0.3
     d = 1.0 - p

@@ -54,6 +54,14 @@ def test_bound_bad_p_exits_2(capsys):
     assert err.strip() != ""
 
 
+def test_bound_computation_error_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--family", "geomdel", "--variant", "trunc", "--p", "0.9998"
+    )
+    assert code == 3
+    assert out == "" and "p = 0.9998" in err
+
+
 def test_bound_missing_flags_exits_2(capsys):
     code, _, err = run_cli(capsys, "bound")
     assert code == 2

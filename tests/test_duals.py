@@ -634,6 +634,29 @@ _QUADRATURE_VARIANTS = (
 
 
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
+@pytest.mark.parametrize("p", (1e-3, 0.3, 0.9, 0.999))
+def test_integrand_limit_meets_the_direct_form_at_the_switch(variant, p):
+    # The t -> 0 limit acts only below v (1 + y |c1|) = _LIMIT_VC, too close
+    # to 0 for any Lambda value to see a wrong c2.  Just below the switch
+    # (the limit) and just above it (the direct form) the integrand must
+    # agree.  With m = 1 + y max(1, |c1|), the direct form's rounding noise
+    # there is about eps m^2 / _LIMIT_VC ~ 1e-8 m^2 and its distance from the
+    # limit about _LIMIT_VC m^2, so 1e-6 m^2 holds both, and a c2 off by a
+    # relative 1e-3 breaks it.
+    spec = duals._SPECS[variant]
+    for key in spec.keys(p):
+        c1 = spec.base(np.array([[1.0]]), p, key).c1
+        for y in (1.0, 2.0, 7.0, 100.0):
+            switch = numerics._LIMIT_VC / (1.0 + y * abs(c1))
+            below, above = (
+                numerics._f(np.array([y]), v, spec.base(v, p, key))[0, 0]
+                for v in np.array([[[1.0 - 1e-6]], [[1.0 + 1e-6]]]) * switch
+            )
+            m = 1.0 + y * max(1.0, abs(c1))
+            assert abs(below - above) <= 1e-6 * m * m, (key, y, below, above)
+
+
+@pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
 @pytest.mark.parametrize("p", (0.3, 0.9))
 def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
     # The block y = 1..1024 reaches nodes v below _LIMIT_VC, where the
@@ -655,7 +678,7 @@ def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
 
     monkeypatch.setattr(numerics, "integrate", per_node)
     reference = duals._STable(variant, p).upto(1024)
-    assert min(nodes) < duals._LIMIT_VC
+    assert min(nodes) < numerics._LIMIT_VC
     assert np.array_equal(batched[0], reference)
 
 
