@@ -20,7 +20,9 @@ mu = (log Z)' increases with q, and F = log_norm - mu log q, the negative
 Legendre transform of log Z, is concave in mu; each value above is F (less
 a constant) over a positive affine function of mu.  So once a positive
 value descends it never rises again, and the q scan stops at the first
-sustained descent past the peak (numerics.maximize_concave).  The sticky and
+sustained descent past the peak (numerics.maximize_concave).  As mu
+increases with q, the infeasible q are a prefix of the q-grid, and the
+scan starts past it, at a grid point found by bisection.  The sticky and
 duplication duals have zero gap, so eps = 0 there.  The deletion bound
 comes in three flavors differing in the dual and its mass-at-zero rule:
 
@@ -43,6 +45,7 @@ bound_nats / log 2.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -50,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from repeatcap import tables
+from repeatcap import numerics, tables
 from repeatcap.channels import Family, RepeatChannel, reduction_params
 from repeatcap.duals import (
     _DELTA_SCANS,
@@ -64,7 +67,7 @@ from repeatcap.duals import (
     convexity_gap_scan,
     r_p,
 )
-from repeatcap.numerics import _SERIES_HARD_CAP, QuadratureError, maximize_concave
+from repeatcap.numerics import QuadratureError, maximize_concave
 
 _LOG2 = math.log(2.0)
 _Q_OPT_TOL = 1e-7  # golden-section tolerance on q_opt
@@ -152,9 +155,11 @@ def _q_grid(p: float) -> np.ndarray:
     # The optimum sits near 1 for retentive channels (the mean constraint
     # forces 1 - q = O(1 - p); 1 - q* = 2.6e-3 at p = 0.99), so once 1 - p
     # is small a geometric cluster is appended that reaches 1 - q =
-    # 2e-2 (1 - p), floored at 2e-5.  The scan stops just past the peak,
-    # so the S-table, about 28/(1-q) terms for the largest q read, follows
-    # q* rather than the cluster's end.
+    # 2e-2 (1 - p), floored at 2e-5.  The scan starts at the first feasible
+    # point, which _first_feasible bisects for (about half of the points
+    # lie before it at p >= 0.9), and stops just past the peak, so the
+    # S-table, about 28/(1-q) terms for the largest q read, follows q*
+    # rather than the cluster's end.
     lo = max(2e-5, 2e-2 * (1.0 - p))
     parts = [np.linspace(0.01, 0.99, 64)]
     if lo < 1e-2:
@@ -307,13 +312,19 @@ def _dual_at(p: float, variant: BoundVariant, pieces: _Pieces, q: float):
         ) from exc
 
 
-def _objective(p: float, variant: BoundVariant, pieces: _Pieces) -> Callable[[float], float]:
+def _objective(
+    p: float, variant: BoundVariant, pieces: _Pieces, unconverged: list | None = None
+) -> Callable[[float], float]:
+    """The objective in q; a q whose series did not converge reads 0 and is
+    appended to unconverged, when given."""
     d = 1.0 - p
     log_delta = math.log(pieces.delta)
 
     def objective(q: float) -> float:
         dual = _dual_at(p, variant, pieces, q)
         if not dual.series_converged:
+            if unconverged is not None:
+                unconverged.append(q)
             return 0.0
         mu = dual.mean
         if mu < pieces.threshold:
@@ -325,17 +336,54 @@ def _objective(p: float, variant: BoundVariant, pieces: _Pieces) -> Callable[[fl
     return objective
 
 
+# _first_feasible probes no grid point above this q.  Up to it every
+# variant's series reads at most 768 terms, inside an S-table's first
+# 1024-entry block, so a probe never grows a table; S values depend on the
+# blocks a table grew by, and the scan alone decides those.
+_PROBE_Q_MAX = 0.96
+
+
+def _first_feasible(objective: Callable[[float], float], grid: np.ndarray) -> int:
+    """The index of the first grid point q <= _PROBE_Q_MAX where objective
+    is not 0, or the number of such points when there is none.  Bisection
+    finds it because the infeasible q (dual mean below the threshold) are a
+    prefix of the grid: the dual mean rises with q."""
+    lo, hi = 0, int(np.searchsorted(grid, _PROBE_Q_MAX, side="right"))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if objective(float(grid[mid])) != 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _optimize(p: float, variant: BoundVariant) -> BoundResult:
     pieces = _pieces(p, variant)
-    objective = _objective(p, variant, pieces)
-    res = maximize_concave(objective, 1e-6, 1.0 - 1e-6, _q_grid(p), _Q_OPT_TOL)
+    unconverged: list[float] = []
+    # cached: the scan reads again the grid points the bisection probed past k
+    objective = functools.cache(_objective(p, variant, pieces, unconverged))
+    grid = _q_grid(p)
+    # The scan from grid[k] on, with the bracket's left end at grid[k - 1],
+    # is the whole grid's scan without its head of zeros, which neither
+    # stop the scan nor set its noise scale: same bracket, same result.
+    k = _first_feasible(objective, grid)
+    lo = 1e-6 if k == 0 else float(grid[k - 1])
+    res = maximize_concave(objective, lo, 1.0 - 1e-6, grid[k:], _Q_OPT_TOL)
     q_opt = float(res.arg)
     nats = float(res.value)
+    cap = numerics._SERIES_HARD_CAP
+    past = [q for q in unconverged if q > q_opt]
+    if past:
+        raise BoundComputationError(
+            f"the series at q = {min(past):.8g}, above q_opt = {q_opt:.8g}, did not converge "
+            f"(p = {p}, {variant.value}): the sup may lie past the series cap of {cap} terms"
+        )
     at_opt = _dual_at(p, variant, pieces, q_opt)
     if not (at_opt.series_converged and at_opt.mean >= pieces.threshold):
         raise BoundComputationError(
             f"q_opt = {q_opt:.8g} is infeasible (p = {p}, {variant.value}): the sup lies "
-            f"past the series cap of {_SERIES_HARD_CAP} terms, or no q is feasible"
+            f"past the series cap of {cap} terms, or no q is feasible"
         )
     bits = nats / _LOG2
     return BoundResult(

@@ -575,7 +575,7 @@ def build_dual(
     delta: float = 1.0,
 ) -> DualDistribution:
     """Construct the dual: sum its normalizer and mean series off the cached
-    weight table.
+    weight table, both in one numerics.sum_series pass.
 
     On numerics._SERIES_HARD_CAP exhaustion the distribution is still
     returned with series_converged False and the unresolved tail estimate
@@ -604,17 +604,16 @@ def build_dual(
         vals = table.upto(int(ys[-1]))
         return vals[ys - 1] + shift + ys * logq
 
-    norm = sum_series(log_term)
-    mean_num = sum_series(lambda ys: log_term(ys) + np.log(ys))
+    series = sum_series(log_term)
     if variant in _DELETION_VARIANTS:
-        log_normalizer = float(np.logaddexp(math.log(delta), norm.log_sum))
+        log_normalizer = float(np.logaddexp(math.log(delta), series.log_sum))
     else:
-        log_normalizer = norm.log_sum
+        log_normalizer = series.log_sum
     return dual(
         log_normalizer,
-        math.exp(mean_num.log_sum - log_normalizer),
-        (norm.terms_used, norm.tail_bound),
-        norm.converged and mean_num.converged,
+        math.exp(series.log_moment - log_normalizer),
+        (series.terms_used, series.tail_bound),
+        series.converged,
     )
 
 

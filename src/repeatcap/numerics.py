@@ -29,12 +29,15 @@ problem without groups is one group under abs_tol.
 Series are summed in log-space (streaming log-sum-exp) and stop at the
 first term Y whose geometric tail estimate term(Y) r/(1-r), with the ratio
 r = term(Y+1)/term(Y) read off the terms themselves, falls below a
-relative tolerance.  The estimate bounds the remainder only if no later
-ratio exceeds r.  The dual weights behave like q^y/sqrt(y), whose ratios
-rise toward q, so for them it falls short of the true remainder.  At q_opt
-for p in {0.1, 0.3, 0.5, 0.9, 0.99} the shortfall is at most 0.07 % for the
-sticky, duplication and convexity duals, and 3.7-21 % for the truncated
-dual, whose log-weights alternate between even and odd y (21 % at p = 0.1).
+relative tolerance.  One pass over the terms sums the series and its first
+moment, sum y term(y), each under its own stop, so a dual's normalizer and
+mean read the weights once.  The estimate bounds the remainder only if no
+later ratio exceeds r.  The dual weights behave like q^y/sqrt(y), whose
+ratios rise toward q, so for them it falls short of the true remainder.  At
+q_opt for p in {0.1, 0.3, 0.5, 0.9, 0.99} the shortfall is at most 0.07 %
+for the sticky, duplication and convexity duals, and 3.7-21 % for the
+truncated dual, whose log-weights alternate between even and odd y (21 % at
+p = 0.1).
 """
 
 from __future__ import annotations
@@ -494,57 +497,95 @@ _MAX_BLOCK = 4096
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """log_sum sums the terms y = 1..terms_used.  tail_bound is the
-    geometric estimate term(Y) r/(1-r) of the remainder past Y = terms_used,
-    r = term(Y+1)/term(Y): a bound on it only if no later ratio exceeds r
-    (see the module docstring).  converged is False when _SERIES_HARD_CAP
-    terms were read without the estimate meeting the tolerance."""
+    """log_sum sums the terms y = 1..terms_used, and log_moment the terms
+    times y, y = 1..moment_terms, each stopped by its own tail estimate.
+    tail_bound is log_sum's geometric estimate term(Y) r/(1-r) of the
+    remainder past Y = terms_used, r = term(Y+1)/term(Y): a bound on it only
+    if no later ratio exceeds r (see the module docstring).  converged is
+    False when either part read _SERIES_HARD_CAP terms without its estimate
+    meeting the tolerance."""
 
     log_sum: float
     terms_used: int
     tail_bound: float
     converged: bool
+    log_moment: float
+    moment_terms: int
 
 
-def sum_series(log_term: Callable) -> SeriesResult:
-    """Sum the nonnegative series sum_{y >= 1} exp(log_term(y)) in log-space.
+class _Partial:
+    """One series inside sum_series: the log-sum of the terms y = 1..used,
+    the last term read (it waits for the next block's first to give its
+    ratio), and, once the tail estimate has met the tolerance, the stop as
+    (log sum, terms, tail estimate)."""
 
-    log_term takes an integer array of y and returns a float array of the
-    same shape.  The summation stops at the first y where the geometric
-    tail estimate term(y) r/(1-r), r = term(y+1)/term(y), drops below
-    _SERIES_REL_TOL times the partial sum; a ratio r >= 1 estimates nothing.
-    Terms are read in blocks that start at 256 and double up to _MAX_BLOCK.
-    A block decides all but its last term, which waits for the next block's
-    first, so a short series reads (and makes its caller tabulate) few terms.
-    """
-    log_rel = math.log(_SERIES_REL_TOL)
-    log_sum = -math.inf
-    used = 0  # terms summed into log_sum
-    last_tail = math.inf
-    lt = np.empty(0)  # terms read past used, not yet summed
-    size = 256
-    while used + lt.size < _SERIES_HARD_CAP:
-        start = used + lt.size + 1
-        ys = np.arange(start, min(start + size, _SERIES_HARD_CAP + 1), dtype=np.int64)
-        size = min(2 * size, _MAX_BLOCK)
-        new = log_term(ys)
-        if np.any(np.isnan(new)):
-            raise ValueError("log_term returned NaN")
-        lt = np.concatenate((lt, new))
-        prefix = np.logaddexp.accumulate(np.concatenate(([log_sum], lt[:-1])))[1:]
+    def __init__(self):
+        self.log_sum = -math.inf
+        self.used = 0
+        self.pending = np.empty(0)
+        self.last_tail = math.inf
+        self.stop = None
+
+    def feed(self, new: np.ndarray, log_rel: float) -> None:
+        lt = np.concatenate((self.pending, new))
+        prefix = np.logaddexp.accumulate(np.concatenate(([self.log_sum], lt[:-1])))[1:]
         with np.errstate(divide="ignore", invalid="ignore"):
             log_r = np.diff(lt)
             log_tail = np.where(log_r < 0.0, lt[1:] - np.log(-np.expm1(log_r)), math.inf)
         idx = np.flatnonzero(log_tail <= log_rel + prefix)
         if idx.size > 0:
             k = int(idx[0])
-            return SeriesResult(float(prefix[k]), used + k + 1, float(np.exp(log_tail[k])), True)
-        log_sum = float(prefix[-1])
-        used += lt.size - 1
-        lt = lt[-1:]
+            self.stop = (float(prefix[k]), self.used + k + 1, float(np.exp(log_tail[k])))
+            return
+        self.log_sum = float(prefix[-1])
+        self.used += lt.size - 1
+        self.pending = lt[-1:]
         if np.isfinite(log_tail[-1]):
-            last_tail = float(np.exp(log_tail[-1]))
-    return SeriesResult(float(np.logaddexp(log_sum, lt[0])), used + 1, last_tail, False)
+            self.last_tail = float(np.exp(log_tail[-1]))
+
+    def result(self) -> tuple[float, int, float, bool]:
+        """The stop, or at the cap the sum of every term read, unconverged."""
+        if self.stop is not None:
+            return (*self.stop, True)
+        log_sum = float(np.logaddexp(self.log_sum, self.pending[0]))
+        return log_sum, self.used + 1, self.last_tail, False
+
+
+def sum_series(log_term: Callable) -> SeriesResult:
+    """Sum the nonnegative series sum_{y >= 1} exp(log_term(y)) and its first
+    moment sum_{y >= 1} y exp(log_term(y)) in log-space, in one pass.
+
+    log_term takes an integer array of y and returns a float array of the
+    same shape; it is called once per block, and the moment's terms are
+    log_term(y) + log y.  Each sum stops at the first y where its geometric
+    tail estimate term(y) r/(1-r), r = term(y+1)/term(y), drops below
+    _SERIES_REL_TOL times its partial sum; a ratio r >= 1 estimates nothing.
+    Terms are read in blocks that start at 256 and double up to _MAX_BLOCK,
+    until both sums have stopped.  A block decides all but its last term,
+    which waits for the next block's first, so a short series reads (and
+    makes its caller tabulate) few terms.
+    """
+    log_rel = math.log(_SERIES_REL_TOL)
+    norm, moment = _Partial(), _Partial()
+    read = 0
+    size = 256
+    while read < _SERIES_HARD_CAP and (norm.stop is None or moment.stop is None):
+        ys = np.arange(read + 1, min(read + 1 + size, _SERIES_HARD_CAP + 1), dtype=np.int64)
+        size = min(2 * size, _MAX_BLOCK)
+        new = log_term(ys)
+        if np.any(np.isnan(new)):
+            raise ValueError("log_term returned NaN")
+        read += ys.size
+        if norm.stop is None:
+            norm.feed(new, log_rel)
+        if moment.stop is None:
+            log_y = np.log(ys)
+            log_y += new
+            moment.feed(log_y, log_rel)
+    log_sum, used, tail, converged = norm.result()
+    log_moment, moment_terms, _, moment_converged = moment.result()
+    converged = converged and moment_converged
+    return SeriesResult(log_sum, used, tail, converged, log_moment, moment_terms)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from repeatcap import bounds, channels, duals
+from repeatcap import bounds, channels, duals, numerics
 from repeatcap.bounds import (
     BoundResult,
     BoundVariant,
@@ -312,6 +312,71 @@ def test_q_opt_is_inside_the_grid_near_p_one(variant, p):
     grid = bounds._q_grid(p)
     res = compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, p)
     assert grid[0] < res.q_opt < grid[-1]
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty caches around the test, so that it starts cold and leaves no
+    table grown under its own settings to a later test."""
+    duals.clear_caches()
+    yield
+    duals.clear_caches()
+
+
+def _whole_grid_optimum(p, variant):
+    """(bound_nats, q_opt, mu_opt) by maximize_concave over the whole
+    q-grid from its first point, with no bisection past its zeros."""
+    pieces = bounds._pieces(p, variant)
+    objective = bounds._objective(p, variant, pieces)
+    res = maximize_concave(objective, 1e-6, 1.0 - 1e-6, bounds._q_grid(p), bounds._Q_OPT_TOL)
+    dual = bounds.build_dual(pieces.con.dual, p, res.arg, delta=pieces.delta)
+    return res.value, res.arg, dual.mean
+
+
+def _table_sizes():
+    return {key: table._vals.size for key, table in duals._TABLES.items()}
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("variant", _OPTIMIZED)
+def test_bisection_past_the_zeros_leaves_the_optimum_and_tables_unchanged(variant, p, cold_tables):
+    res = bounds._optimize(p, variant)
+    sizes = _table_sizes()
+    duals.clear_caches()
+    assert (res.bound_nats, res.q_opt, res.mu_opt) == _whole_grid_optimum(p, variant)
+    assert _table_sizes() == sizes
+
+
+@pytest.mark.parametrize("p", [0.9, 0.99])
+@pytest.mark.parametrize("variant", _OPTIMIZED)
+def test_a_bound_builds_at_most_45_duals(variant, p, monkeypatch):
+    # a scan of the whole grid builds 66-95 there; the bisection skips the
+    # grid's head of infeasible q
+    calls = []
+    build = bounds.build_dual
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "build_dual", counted)
+    compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, p)
+    assert len(calls) <= 45
+
+
+@pytest.mark.parametrize(
+    "variant, cap", [(BoundVariant.GEOMDEL_DELTA_D, 8000), (BoundVariant.STICKY_EXACT, 9000)]
+)
+def test_an_unconverged_series_past_q_opt_is_a_bound_error(variant, cap, cold_tables, monkeypatch):
+    # Under these caps the series stop converging below q* at p = 0.99, and
+    # the best q they reach reads 0.298590 bits for delta-d and 0.354673 for
+    # sticky, below the sups 0.338927 and 0.368459: not upper bounds.
+    monkeypatch.setattr(numerics, "_SERIES_HARD_CAP", cap)
+    with pytest.raises(
+        bounds.BoundComputationError,
+        match=rf"\(p = 0\.99, {variant.value}\): .* series cap of {cap} terms",
+    ):
+        compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, 0.99)
 
 
 def test_objective_zero_below_threshold():

@@ -377,6 +377,53 @@ def test_sum_series_hard_cap_reported(monkeypatch):
     assert res.terms_used == 5000
 
 
+def _geometric(ys):
+    return ys * math.log(0.9)
+
+
+def _parity(ys):
+    # trunc-like: the log-weights alternate between even and odd y
+    return ys * math.log(0.97) - 0.5 * np.log(ys) + np.where(ys % 2 == 0, 0.7, -0.7)
+
+
+def _late_moment(ys):
+    # q^y / sqrt(y), q = 0.965: the sum stops at y = 718, before the second
+    # block ends at 768, and the moment at y = 827, in the third block
+    return ys * math.log(0.965) - 0.5 * np.log(ys)
+
+
+def _single(ys):
+    return np.where(ys == 1, math.log(3.0), -np.inf)
+
+
+@pytest.mark.parametrize("log_term", [_geometric, _parity, _late_moment, _single])
+def test_sum_series_moment_is_a_separate_sum_of_log_term_plus_log_y(log_term):
+    res = sum_series(log_term)
+    alone = sum_series(lambda ys: log_term(ys) + np.log(ys))
+    assert res.converged and alone.converged
+    assert res.log_moment == alone.log_sum
+    assert res.moment_terms == alone.terms_used
+    assert res.moment_terms >= res.terms_used
+
+
+def test_sum_series_moment_stops_in_a_later_block():
+    res = sum_series(_late_moment)
+    assert res.terms_used == 718 < 768 < res.moment_terms == 827
+
+
+def test_sum_series_is_unconverged_when_only_the_moment_hits_the_cap(monkeypatch):
+    # 0.9^y stops at y = 263 and its moment at y = 295, past this cap
+    monkeypatch.setattr(numerics, "_SERIES_HARD_CAP", 280)
+    res = sum_series(_geometric)
+    assert res.terms_used == 263 and res.moment_terms == 280
+    assert not res.converged
+
+
+def test_sum_series_nan_term_raises():
+    with pytest.raises(ValueError, match="NaN"):
+        sum_series(lambda ys: np.where(ys == 2, np.nan, -1.0 * ys))
+
+
 # 64 evenly spaced interior points of (0, 1).
 _GRID = np.linspace(0.0, 1.0, 66)[1:-1]
 
