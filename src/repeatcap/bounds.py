@@ -13,7 +13,8 @@ capacity bound.  Concretely, with mu = E[Y^(q)] the dual mean and d = 1-p:
                                                              mu >= p/(1-p)
 
 each maximized over q in (0, 1), where infeasible q (dual mean below the
-reduction threshold) contribute objective value 0.  Each objective is
+reduction threshold) contribute objective value 0 and a q whose series did
+not converge raises BoundComputationError.  Each objective is
 quasi-concave in q on the feasible set: with theta = log q and
 Z = delta [deletion] + sum_y a(y) e^(theta y), log Z is convex in theta, so
 mu = (log Z)' increases with q, and F = log_norm - mu log q, the negative
@@ -45,7 +46,6 @@ bound_nats / log 2.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -123,9 +123,9 @@ class BoundComputationError(RuntimeError):
 class BoundResult:
     """An optimized capacity upper bound at one channel parameter.
 
-    bound_bits = bound_nats / log 2.  feasible records that the dual mean
-    constraint was met at q_opt; an optimized bound whose q_opt is
-    infeasible raises BoundComputationError instead.  clamped_to_one marks raw
+    bound_bits = bound_nats / log 2.  feasible is always True: an optimized
+    bound whose q_opt is infeasible raises BoundComputationError instead,
+    and the field stays only for the records format.  clamped_to_one marks raw
     values above the trivial 1 bit/use cap; the raw value is still reported.
     epsilon_used is the KL-gap infimum entering the bound (0 for the
     zero-gap constructions, NaN for the closed-form elementary bound).
@@ -303,29 +303,29 @@ def _pieces(p: float, variant: BoundVariant) -> _Pieces:
     return _Pieces(con, delta, eps, threshold)
 
 
-def _dual_at(p: float, variant: BoundVariant, pieces: _Pieces, q: float):
-    try:
-        return build_dual(pieces.con.dual, p, q, delta=pieces.delta)
-    except QuadratureError as exc:
-        raise BoundComputationError(
-            f"quadrature failure at q = {q:.8g} (p = {p}, {variant.value}): {exc}"
-        ) from exc
-
-
 def _objective(
-    p: float, variant: BoundVariant, pieces: _Pieces, unconverged: list | None = None
+    p: float, variant: BoundVariant, pieces: _Pieces, built: dict | None = None
 ) -> Callable[[float], float]:
-    """The objective in q; a q whose series did not converge reads 0 and is
-    appended to unconverged, when given."""
+    """The objective in q; the dual built at each q is kept in built.  A q
+    whose series was refused or did not converge raises, not reads 0."""
     d = 1.0 - p
     log_delta = math.log(pieces.delta)
+    built = {} if built is None else built
 
     def objective(q: float) -> float:
-        dual = _dual_at(p, variant, pieces, q)
+        if q not in built:
+            try:
+                built[q] = build_dual(pieces.con.dual, p, q, delta=pieces.delta)
+            except QuadratureError as exc:
+                raise BoundComputationError(
+                    f"quadrature failure at q = {q:.8g} (p = {p}, {variant.value}): {exc}"
+                ) from exc
+        dual = built[q]
         if not dual.series_converged:
-            if unconverged is not None:
-                unconverged.append(q)
-            return 0.0
+            raise BoundComputationError(
+                f"the series at q = {q:.8g} did not converge (p = {p}, {variant.value}): "
+                f"the sup may lie past the series cap of {numerics._SERIES_HARD_CAP} terms"
+            )
         mu = dual.mean
         if mu < pieces.threshold:
             return 0.0
@@ -360,30 +360,26 @@ def _first_feasible(objective: Callable[[float], float], grid: np.ndarray) -> in
 
 def _optimize(p: float, variant: BoundVariant) -> BoundResult:
     pieces = _pieces(p, variant)
-    unconverged: list[float] = []
-    # cached: the scan reads again the grid points the bisection probed past k
-    objective = functools.cache(_objective(p, variant, pieces, unconverged))
+    # every dual the search builds, by q: the scan and the golden section
+    # read again the points the bisection probed, and mu_opt is read here
+    built: dict = {}
+    objective = _objective(p, variant, pieces, built)
     grid = _q_grid(p)
     # The scan from grid[k] on, with the bracket's left end at grid[k - 1],
     # is the whole grid's scan without its head of zeros, which neither
     # stop the scan nor set its noise scale: same bracket, same result.
+    # The series length grows with q, so no q past one whose series did not
+    # converge converges either: the objective raises at the first.
     k = _first_feasible(objective, grid)
     lo = 1e-6 if k == 0 else float(grid[k - 1])
     res = maximize_concave(objective, lo, 1.0 - 1e-6, grid[k:], _Q_OPT_TOL)
     q_opt = float(res.arg)
     nats = float(res.value)
-    cap = numerics._SERIES_HARD_CAP
-    past = [q for q in unconverged if q > q_opt]
-    if past:
+    mu_opt = built[q_opt].mean
+    if mu_opt < pieces.threshold:
         raise BoundComputationError(
-            f"the series at q = {min(past):.8g}, above q_opt = {q_opt:.8g}, did not converge "
-            f"(p = {p}, {variant.value}): the sup may lie past the series cap of {cap} terms"
-        )
-    at_opt = _dual_at(p, variant, pieces, q_opt)
-    if not (at_opt.series_converged and at_opt.mean >= pieces.threshold):
-        raise BoundComputationError(
-            f"q_opt = {q_opt:.8g} is infeasible (p = {p}, {variant.value}): the sup lies "
-            f"past the series cap of {cap} terms, or no q is feasible"
+            f"q_opt = {q_opt:.8g} is infeasible (p = {p}, {variant.value}): the sup lies past "
+            f"the series cap of {numerics._SERIES_HARD_CAP} terms, or no q is feasible"
         )
     bits = nats / _LOG2
     return BoundResult(
@@ -392,7 +388,7 @@ def _optimize(p: float, variant: BoundVariant) -> BoundResult:
         bound_nats=nats,
         bound_bits=bits,
         q_opt=q_opt,
-        mu_opt=float(at_opt.mean),
+        mu_opt=mu_opt,
         epsilon_used=pieces.eps,
         feasible=True,
         clamped_to_one=bits > 1.0,
@@ -403,8 +399,9 @@ def objective_curve(p: float, variant, q_values) -> list[float]:
     """The quasi-concave function under the sup, in nats, at each q in q_values.
 
     Zero marks the infeasible region (dual mean below the reduction
-    threshold, or a series past the convergence guard).  Not defined for
-    the closed-form elementary bound.
+    threshold).  A q whose series was refused or did not converge raises
+    BoundComputationError naming the series cap.  Not defined for the
+    closed-form elementary bound.
     """
     p = _validate_p(p)
     variant = as_bound_variant(variant)

@@ -176,10 +176,10 @@ class _Spec:
 
 
 def _conv_g(ys: np.ndarray, p: float, lam) -> np.ndarray:
-    """log C(y/p - 1, y) = lgamma(y/p) - lgamma(y+1) - lgamma(y(1-p)/p),
-    the three log-gammas taken in one call (the variant has no Lambdas)."""
-    lg = _lgamma(np.stack((ys / p, ys + 1.0, ys * (1.0 - p) / p)))
-    return lg[0] - lg[1] - lg[2]
+    """log C(y/p - 1, y) = lgamma(y/p) - lgamma(y+1) - lgamma(y(1-p)/p)
+    (the variant has no Lambdas).  Three calls, not one on their stack,
+    about halve the temporaries of a large block such as gap_scan's."""
+    return _lgamma(ys / p) - _lgamma(ys + 1.0) - _lgamma(ys * (1.0 - p) / p)
 
 
 _CONVEXITY_SPEC = _Spec(
@@ -372,7 +372,7 @@ def r_p(x, p: float):
         tv = _col([-math.expm1(-x) * x for x in nodes])
         return np.exp(-xs * v) * -np.expm1(xs * log_ratio) / tv
 
-    val, _ = integrate_exp_tail(fv, v_t, abs_tol=1e-12)
+    val, _ = integrate_exp_tail(fv, v_t)
     return float(val[0]) if scalar else val
 
 
@@ -387,7 +387,7 @@ def r_p_envelope(p: float) -> float:
     def fv(v: np.ndarray) -> np.ndarray:
         return np.array([math.exp(-x) / (-math.expm1(-x) * x) for x in v[:, 0].tolist()])
 
-    val, _ = integrate_exp_tail(fv, v_t, abs_tol=1e-12)
+    val, _ = integrate_exp_tail(fv, v_t)
     return float(val)
 
 
@@ -673,13 +673,15 @@ def gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
     an integer at most hi + x, so the scan evaluates numerics._lgamma once,
     on 0..max hi + x_max + 1, and each x reads slices of that array instead
     of calling it.  The kernel's value at x does not depend on the array
-    holding it, so the slices equal the per-call values bit for bit."""
+    holding it, so the slices equal the per-call values bit for bit.  The
+    S-table grows once, to max hi, rather than once per 1024-entry block."""
     if isinstance(x_max, bool) or not isinstance(x_max, (int, np.integer)) or x_max < 1:
         raise ValueError(f"x_max must be an integer >= 1, got {x_max!r}")
     channel = RepeatChannel(_VARIANT_FAMILY[variant], p)
     table = _get_table(variant, p)
     shift = _SPECS[variant].weight_shift(p)
     los, his = channels._windows(channel, np.arange(1, x_max + 1))
+    s_vals = table.upto(int(his.max()))
     log_gamma = _slice_reader(_lgamma(np.arange(int(his.max()) + x_max + 2, dtype=float)))
     out = np.empty(x_max, dtype=float)
     for x, lo, hi in zip(range(1, x_max + 1), los.tolist(), his.tolist()):
@@ -687,7 +689,7 @@ def gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
         lp = channels.output_log_pmf(channel, x, ys, log_gamma)
         pm = np.exp(lp)
         k = int(lo == 0)  # S covers y >= 1 from index k
-        out[x - 1] = -float(np.dot(pm, lp)) + float(np.dot(pm[k:], table.upto(hi)[lo + k - 1:]))
+        out[x - 1] = -float(np.dot(pm, lp)) + float(np.dot(pm[k:], s_vals[lo + k - 1:hi]))
         if shift:
             out[x - 1] += shift * float(np.sum(pm[k:]))
     return out

@@ -231,16 +231,17 @@ def integrate(
 # An exp(-v) factor is below 9e-27 past v = 60, far below every tolerance
 # used in this package.
 _EXP_TAIL_SPAN = 60.0
+_EXP_TAIL_TOL = 1e-12  # absolute tolerance of every exp-tail integral
 
 
-def integrate_exp_tail(fv: Callable, lo: float, *, abs_tol: float = 1e-10):
-    """Integrate fv over [lo, lo + 60] for integrands with an exp(-v) tail.
+def integrate_exp_tail(fv: Callable, lo: float):
+    """Integrate fv, with an exp(-v) tail, over [lo, lo + 60] to _EXP_TAIL_TOL.
 
     From lo = 0, where the v = -log(1-t) substitution parks the removable
     t = 0 singularity, the seed panels cluster geometrically at the left
     endpoint; from any other lo they are 16 equal panels.
     """
-    problem = QuadratureProblem(fv, (lo, lo + _EXP_TAIL_SPAN), abs_tol=abs_tol)
+    problem = QuadratureProblem(fv, (lo, lo + _EXP_TAIL_SPAN), abs_tol=_EXP_TAIL_TOL)
     return integrate(problem, breakpoints=_exp_tail_breaks(lo))
 
 
@@ -415,8 +416,8 @@ def log_gamma_via_integral(z: float) -> float:
     log Gamma(1+z) = int_0^1 (1 - t z - (1-t)^z) / (t log(1-t)) dt.
 
     After v = -log(1-t) this is the Lambda integrand _f with base
-    phi = 1 - t = e^-v, b = 0, c1 = -1 and c2 = 0 at y = z.  At abs_tol
-    1e-12 it stays within 1e-13 of log_gamma for z up to 100.
+    phi = 1 - t = e^-v, b = 0, c1 = -1 and c2 = 0 at y = z.  At
+    _EXP_TAIL_TOL = 1e-12 it stays within 1e-13 of log_gamma for z up to 100.
     """
     z = float(z)
     if not 0.0 <= z < math.inf:
@@ -427,7 +428,7 @@ def log_gamma_via_integral(z: float) -> float:
     def fv(v: np.ndarray) -> np.ndarray:
         return _f(np.array([z]), v, _Base((-v[:, 0]).tolist(), 0.0, -1.0, 0.0))[:, 0]
 
-    value, _ = integrate_exp_tail(fv, 0.0, abs_tol=1e-12)
+    value, _ = integrate_exp_tail(fv, 0.0)
     return float(value)
 
 

@@ -347,21 +347,39 @@ def test_bisection_past_the_zeros_leaves_the_optimum_and_tables_unchanged(varian
     assert _table_sizes() == sizes
 
 
+def _trace_builds(monkeypatch) -> list:
+    """(q, series_converged) of every bounds.build_dual call from now on."""
+    builds = []
+    build = bounds.build_dual
+
+    def traced(*args, **kwargs):
+        dual = build(*args, **kwargs)
+        builds.append((dual.q, dual.series_converged))
+        return dual
+
+    monkeypatch.setattr(bounds, "build_dual", traced)
+    return builds
+
+
 @pytest.mark.parametrize("p", [0.9, 0.99])
 @pytest.mark.parametrize("variant", _OPTIMIZED)
 def test_a_bound_builds_at_most_45_duals(variant, p, monkeypatch):
     # a scan of the whole grid builds 66-95 there; the bisection skips the
     # grid's head of infeasible q
-    calls = []
-    build = bounds.build_dual
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(bounds, "build_dual", counted)
+    builds = _trace_builds(monkeypatch)
     compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, p)
-    assert len(calls) <= 45
+    assert len(builds) <= 45
+
+
+@pytest.mark.parametrize("p", [0.3, 0.9])
+@pytest.mark.parametrize("variant", _OPTIMIZED)
+def test_a_bound_builds_each_q_once(variant, p, monkeypatch):
+    # the bisection, the scan, the golden section and mu_opt share the
+    # duals built
+    builds = _trace_builds(monkeypatch)
+    compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, p)
+    qs = [q for q, _ in builds]
+    assert len(set(qs)) == len(qs)
 
 
 @pytest.mark.parametrize(
@@ -377,6 +395,24 @@ def test_an_unconverged_series_past_q_opt_is_a_bound_error(variant, cap, cold_ta
         match=rf"\(p = 0\.99, {variant.value}\): .* series cap of {cap} terms",
     ):
         compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, 0.99)
+
+
+def test_the_search_stops_at_the_first_unconverged_series(cold_tables, monkeypatch):
+    variant = BoundVariant.GEOMDEL_DELTA_D
+    monkeypatch.setattr(numerics, "_SERIES_HARD_CAP", 8000)
+    builds = _trace_builds(monkeypatch)
+    with pytest.raises(bounds.BoundComputationError, match="series cap of 8000 terms"):
+        compute_bound(Family.GEOMETRIC_DELETION, variant, 0.99)
+    # the last dual built is the first unconverged one
+    assert [ok for _, ok in builds].index(False) == len(builds) - 1
+    # nor does objective_curve read 0 there, or at a q refused upfront
+    # (25 / (1 - q) terms above the cap)
+    for q in (builds[-1][0], 0.999):
+        with pytest.raises(
+            bounds.BoundComputationError,
+            match=rf"q = {q:.8g} did not converge .* series cap of 8000 terms",
+        ):
+            objective_curve(0.99, variant, [q])
 
 
 def test_objective_zero_below_threshold():
