@@ -14,18 +14,28 @@ capacity bound.  Concretely, with mu = E[Y^(q)] the dual mean and d = 1-p:
 
 each maximized over q in (0, 1), where infeasible q (dual mean below the
 reduction threshold) contribute objective value 0 and a q whose series did
-not converge raises BoundComputationError.  Each objective is
-quasi-concave in q on the feasible set: with theta = log q and
+not converge raises BoundComputationError.  With theta = log q and
 Z = delta [deletion] + sum_y a(y) e^(theta y), log Z is convex in theta, so
 mu = (log Z)' increases with q, and F = log_norm - mu log q, the negative
-Legendre transform of log Z, is concave in mu; each value above is F (less
-a constant) over a positive affine function of mu.  So once a positive
-value descends it never rises again, and the q scan stops at the first
-sustained descent past the peak (numerics.maximize_concave).  As mu
-increases with q, the infeasible q are a prefix of the q-grid, and the
-scan starts past it, at a grid point found by bisection.  The sticky and
-duplication duals have zero gap, so eps = 0 there.  The deletion bound
-comes in three flavors differing in the dual and its mass-at-zero rule:
+Legendre transform of log Z, has dF/dmu = -log q.  Setting the derivative
+of each value in mu to zero gives its first-order condition:
+
+    sticky, duplication:  log Z(q*) = 0,
+                          bound -log q*/(1-p) and -(1+p) log q* nats,
+    deletion:             log Z(q*) + log q* = eps + d log delta,
+                          bound -p log q*/(1-p) nats.
+
+Each left side increases with q, and each value rises below q* and falls
+above it, so q* is a monotone root: bisection over the q-grid's points up
+to 0.96 and a walk up the grid bracket it between two grid points, and
+Brent's method in log(1 - q) solves it there (numerics.find_root).  The
+value and mu_opt are read at q*.  If mu(q*) is below the threshold, the
+constraint binds and the sup sits where mu reaches the threshold; such a
+bound scans the q-grid from its first feasible point, found by the same
+bisection, and golden-sections around the best point
+(numerics.maximize_concave).  The sticky and duplication duals have zero
+gap, so eps = 0 there.  The deletion bound comes in three flavors
+differing in the dual and its mass-at-zero rule:
 
     Conv:   convexity-based weights, balance delta (gap limit 1/2)
     Trunc:  truncated-integral weights, balance delta (gap limit 0, so
@@ -70,7 +80,8 @@ from repeatcap.duals import (
 from repeatcap.numerics import QuadratureError, maximize_concave
 
 _LOG2 = math.log(2.0)
-_Q_OPT_TOL = 1e-7  # golden-section tolerance on q_opt
+_Q_OPT_TOL = 1e-7  # golden-section tolerance on q_opt where the constraint binds
+_THETA_TOL = 1e-10  # root tolerance on theta = log(1 - q*) elsewhere
 
 # Mass-at-zero rules (deletion_delta) and reference-table selectors
 # (verify_tables), in the order the CLI offers them.
@@ -155,11 +166,12 @@ def _q_grid(p: float) -> np.ndarray:
     # The optimum sits near 1 for retentive channels (the mean constraint
     # forces 1 - q = O(1 - p); 1 - q* = 2.6e-3 at p = 0.99), so once 1 - p
     # is small a geometric cluster is appended that reaches 1 - q =
-    # 2e-2 (1 - p), floored at 2e-5.  The scan starts at the first feasible
-    # point, which _first_feasible bisects for (about half of the points
-    # lie before it at p >= 0.9), and stops just past the peak, so the
-    # S-table, about 28/(1-q) terms for the largest q read, follows q*
-    # rather than the cluster's end.
+    # 2e-2 (1 - p), floored at 2e-5.  The root's bracket is the first grid
+    # interval where the first-order condition turns nonnegative, and no q
+    # above it is read, so the S-table, about 28/(1-q) terms for the
+    # largest q read, follows q* rather than the cluster's end.  A binding
+    # bound's scan starts at the first feasible point and stops just past
+    # the peak.
     lo = max(2e-5, 2e-2 * (1.0 - p))
     parts = [np.linspace(0.01, 0.99, 64)]
     if lo < 1e-2:
@@ -197,20 +209,33 @@ def _geomdel_value(log_norm, mu, log_q, d, log_delta, eps):
     return p * (-eps - d * log_delta + log_norm - mu * log_q) / (d * (1.0 + mu))
 
 
+# The first-order conditions in the dual mean, as G(q) = 0 with G rising in
+# q: log Z = 0 for the zero-gap duals, and log Z + log q = eps + d log delta
+# for deletion, whose value divides by 1 + mu rather than mu.
+def _zero_gap_foc(log_norm, log_q, d, log_delta, eps):
+    return log_norm
+
+
+def _geomdel_foc(log_norm, log_q, d, log_delta, eps):
+    return log_norm + log_q - eps - d * log_delta
+
+
 def _truncated_gap_scan(p: float, x_max: int) -> np.ndarray:
     return r_p(np.arange(1, x_max + 1, dtype=float), p)
 
 
 @dataclass(frozen=True)
 class _Construction:
-    """One bound variant: its dual and the value formula under the sup (None
-    for the closed form, which evaluates its dual analytically).  Deletion
-    duals also carry gap_scan(p, x_max), their KL-gap at delta = 1 for
-    x = 1..x_max, and whether their recommended delta is the balance rule
-    (else 1-p).  The channel family is the dual's."""
+    """One bound variant: its dual, the value formula under the sup and its
+    first-order condition in the dual mean (None for the closed form, which
+    evaluates its dual analytically).  Deletion duals also carry
+    gap_scan(p, x_max), their KL-gap at delta = 1 for x = 1..x_max, and
+    whether their recommended delta is the balance rule (else 1-p).  The
+    channel family is the dual's."""
 
     dual: DualVariant
     value_from: Callable[..., float] | None = None
+    foc: Callable[..., float] | None = None
     gap_scan: Callable[[float, int], np.ndarray] | None = None
     balance: bool = False
 
@@ -220,16 +245,21 @@ class _Construction:
 
 
 _CONSTRUCTIONS = {
-    BoundVariant.STICKY_EXACT: _Construction(DualVariant.STICKY_ZERO_GAP, _sticky_value),
-    BoundVariant.DUPLICATION_EXACT: _Construction(DualVariant.DUPLICATION_ZERO_GAP, _dup_value),
+    BoundVariant.STICKY_EXACT: _Construction(
+        DualVariant.STICKY_ZERO_GAP, _sticky_value, _zero_gap_foc
+    ),
+    BoundVariant.DUPLICATION_EXACT: _Construction(
+        DualVariant.DUPLICATION_ZERO_GAP, _dup_value, _zero_gap_foc
+    ),
     BoundVariant.GEOMDEL_CONV: _Construction(
-        DualVariant.GEOMDEL_CONVEXITY, _geomdel_value, _delta_scan, balance=True
+        DualVariant.GEOMDEL_CONVEXITY, _geomdel_value, _geomdel_foc, _delta_scan, balance=True
     ),
     BoundVariant.GEOMDEL_TRUNC: _Construction(
-        DualVariant.GEOMDEL_TRUNCATED, _geomdel_value, _truncated_gap_scan, balance=True
+        DualVariant.GEOMDEL_TRUNCATED, _geomdel_value, _geomdel_foc, _truncated_gap_scan,
+        balance=True,
     ),
     BoundVariant.GEOMDEL_DELTA_D: _Construction(
-        DualVariant.GEOMDEL_CONVEXITY, _geomdel_value, _delta_scan
+        DualVariant.GEOMDEL_CONVEXITY, _geomdel_value, _geomdel_foc, _delta_scan
     ),
     BoundVariant.GEOMDEL_ELEMENTARY: _Construction(DualVariant.INVERSE_BINOMIAL),
 }
@@ -303,29 +333,35 @@ def _pieces(p: float, variant: BoundVariant) -> _Pieces:
     return _Pieces(con, delta, eps, threshold)
 
 
+def _dual_at(p: float, variant: BoundVariant, pieces: _Pieces, built: dict, q: float):
+    """The dual at q, built once and kept in built.  A q whose series was
+    refused or did not converge raises, not reads 0."""
+    if q not in built:
+        try:
+            built[q] = build_dual(pieces.con.dual, p, q, delta=pieces.delta)
+        except QuadratureError as exc:
+            raise BoundComputationError(
+                f"quadrature failure at q = {q:.8g} (p = {p}, {variant.value}): {exc}"
+            ) from exc
+    dual = built[q]
+    if not dual.series_converged:
+        raise BoundComputationError(
+            f"the series at q = {q:.8g} did not converge (p = {p}, {variant.value}): "
+            f"the sup may lie past the series cap of {numerics._SERIES_HARD_CAP} terms"
+        )
+    return dual
+
+
 def _objective(
     p: float, variant: BoundVariant, pieces: _Pieces, built: dict | None = None
 ) -> Callable[[float], float]:
-    """The objective in q; the dual built at each q is kept in built.  A q
-    whose series was refused or did not converge raises, not reads 0."""
+    """The objective in q; the dual built at each q is kept in built."""
     d = 1.0 - p
     log_delta = math.log(pieces.delta)
     built = {} if built is None else built
 
     def objective(q: float) -> float:
-        if q not in built:
-            try:
-                built[q] = build_dual(pieces.con.dual, p, q, delta=pieces.delta)
-            except QuadratureError as exc:
-                raise BoundComputationError(
-                    f"quadrature failure at q = {q:.8g} (p = {p}, {variant.value}): {exc}"
-                ) from exc
-        dual = built[q]
-        if not dual.series_converged:
-            raise BoundComputationError(
-                f"the series at q = {q:.8g} did not converge (p = {p}, {variant.value}): "
-                f"the sup may lie past the series cap of {numerics._SERIES_HARD_CAP} terms"
-            )
+        dual = _dual_at(p, variant, pieces, built, q)
         mu = dual.mean
         if mu < pieces.threshold:
             return 0.0
@@ -336,45 +372,92 @@ def _objective(
     return objective
 
 
-# _first_feasible probes no grid point above this q.  Up to it every
-# variant's series reads at most 768 terms, inside an S-table's first
-# 1024-entry block, so a probe never grows a table; S values depend on the
-# blocks a table grew by, and the scan alone decides those.
+def _condition(
+    p: float, variant: BoundVariant, pieces: _Pieces, built: dict | None = None
+) -> Callable[[float], float]:
+    """G(q), the first-order condition's left side less its right side: it
+    rises with q, and its root is q*.  The dual built at each q is kept in
+    built."""
+    d = 1.0 - p
+    log_delta = math.log(pieces.delta)
+    built = {} if built is None else built
+
+    def condition(q: float) -> float:
+        dual = _dual_at(p, variant, pieces, built, q)
+        return pieces.con.foc(dual.log_normalizer, math.log(q), d, log_delta, pieces.eps)
+
+    return condition
+
+
+# _first_index probes no grid point above this q.  Up to it every variant's
+# series reads at most 768 terms, inside an S-table's first 1024-entry
+# block, so a probe never grows a table; S values depend on the blocks a
+# table grew by, and the search past the probes decides those.
 _PROBE_Q_MAX = 0.96
 
 
-def _first_feasible(objective: Callable[[float], float], grid: np.ndarray) -> int:
-    """The index of the first grid point q <= _PROBE_Q_MAX where objective
-    is not 0, or the number of such points when there is none.  Bisection
-    finds it because the infeasible q (dual mean below the threshold) are a
-    prefix of the grid: the dual mean rises with q."""
+def _first_index(holds: Callable[[float], bool], grid: np.ndarray) -> int:
+    """The index of the first grid point q <= _PROBE_Q_MAX where holds(q),
+    or the number of such points when there is none.  holds must fail on a
+    prefix of the grid and hold past it, as feasibility (the dual mean
+    rises with q) and the first-order condition's sign (it rises with q)
+    do, so bisection finds it."""
     lo, hi = 0, int(np.searchsorted(grid, _PROBE_Q_MAX, side="right"))
     while lo < hi:
         mid = (lo + hi) // 2
-        if objective(float(grid[mid])) != 0.0:
+        if holds(float(grid[mid])):
             hi = mid
         else:
             lo = mid + 1
     return lo
 
 
+def _root(p: float, variant: BoundVariant, condition: Callable[[float], float], grid) -> float:
+    """q* with condition(q*) = 0, by Brent's method in theta = log(1 - q)
+    inside the first grid interval where the condition turns nonnegative.
+    No q above that interval's right end is evaluated: a probe past the
+    root would only grow the S-table."""
+    j = _first_index(lambda q: condition(q) >= 0.0, grid)
+    while j < grid.size and condition(float(grid[j])) < 0.0:
+        j += 1
+    if j == grid.size:
+        raise BoundComputationError(
+            f"the first-order condition has no root on the q-grid (p = {p}, {variant.value}): "
+            f"it is still negative at the grid's last q = {grid[-1]:.8g}, so the root lies past "
+            f"it, towards the series cap of {numerics._SERIES_HARD_CAP} terms"
+        )
+    a, b = 1e-6 if j == 0 else float(grid[j - 1]), float(grid[j])
+    # the q read at each theta, so that the bracket's ends read their grid points
+    q_at = {math.log1p(-a): a, math.log1p(-b): b}
+
+    def in_theta(theta: float) -> float:
+        return condition(q_at.setdefault(theta, -math.expm1(theta)))
+
+    ends = [(theta, condition(q)) for theta, q in q_at.items()]
+    return q_at[numerics.find_root(in_theta, *ends, _THETA_TOL)]
+
+
 def _optimize(p: float, variant: BoundVariant) -> BoundResult:
     pieces = _pieces(p, variant)
-    # every dual the search builds, by q: the scan and the golden section
-    # read again the points the bisection probed, and mu_opt is read here
+    # every dual the search builds, by q: the bracket, the root, the scan,
+    # the golden section and mu_opt read again the points already built
     built: dict = {}
     objective = _objective(p, variant, pieces, built)
     grid = _q_grid(p)
-    # The scan from grid[k] on, with the bracket's left end at grid[k - 1],
-    # is the whole grid's scan without its head of zeros, which neither
-    # stop the scan nor set its noise scale: same bracket, same result.
     # The series length grows with q, so no q past one whose series did not
-    # converge converges either: the objective raises at the first.
-    k = _first_feasible(objective, grid)
-    lo = 1e-6 if k == 0 else float(grid[k - 1])
-    res = maximize_concave(objective, lo, 1.0 - 1e-6, grid[k:], _Q_OPT_TOL)
-    q_opt = float(res.arg)
-    nats = float(res.value)
+    # converge converges either: the search raises at the first.
+    q_opt = _root(p, variant, _condition(p, variant, pieces, built), grid)
+    nats = objective(q_opt)
+    if built[q_opt].mean < pieces.threshold:
+        # The constraint binds: the sup sits where the dual mean reaches the
+        # threshold.  Scan from the first feasible grid point; the scan from
+        # grid[k] on, with the bracket's left end at grid[k - 1], is the
+        # whole grid's scan without its head of zeros, which neither stop
+        # the scan nor set its noise scale: same bracket, same result.
+        k = _first_index(lambda q: objective(q) != 0.0, grid)
+        lo = 1e-6 if k == 0 else float(grid[k - 1])
+        res = maximize_concave(objective, lo, 1.0 - 1e-6, grid[k:], _Q_OPT_TOL)
+        q_opt, nats = float(res.arg), float(res.value)
     mu_opt = built[q_opt].mean
     if mu_opt < pieces.threshold:
         raise BoundComputationError(

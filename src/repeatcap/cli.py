@@ -24,6 +24,7 @@ import numpy as np
 from repeatcap.bounds import (
     _CONSTRUCTIONS,
     _Q_OPT_TOL,
+    _THETA_TOL,
     DELTA_RULES,
     TABLE_SELECTORS,
     BoundComputationError,
@@ -195,7 +196,7 @@ def _cmd_bound(params: dict) -> int:
     family = _family(params)
     result = compute_bound(family, as_bound_variant(params["variant"]), params["p"])
     meta = None if params["no_meta"] else records.run_metadata(
-        {"q_opt": _Q_OPT_TOL, "series_rel": _SERIES_REL_TOL}
+        {"q_opt": _Q_OPT_TOL, "log1mq_root": _THETA_TOL, "series_rel": _SERIES_REL_TOL}
     )
     sys.stdout.write(records.dump_json(records.bound_json(result, meta=meta)))
     if params["nats"]:
