@@ -14,12 +14,14 @@ v = 60 (integrate_exp_tail).  The engine here then only has to integrate
 smooth functions over finite intervals.
 
 The quadrature rule is the 7-point Gauss / 15-point Kronrod pair with
-adaptive bisection.  Every integrand takes the 15 nodes of one panel at
-once, as a (15, 1) column, and returns one row per node, so each panel
-costs one call.  All nodes are interior, so the integrand is never
-evaluated at panel endpoints, but a node can come arbitrarily close to one:
-each integrand returns its own analytic limit where its closed form runs
-out of mantissa, and a row that is not finite is a QuadratureError.
+adaptive bisection.  Every integrand takes the 15 nodes of each of several
+panels at once, as one (n, 1) column with n a multiple of 15, and returns
+one row per node.  The seed panels go in batches of up to _BATCH_VALUES
+values and the two halves of a bisection in one call, so a call's overhead
+is shared by many panels.  All nodes are interior, so the integrand is
+never evaluated at panel endpoints, but a node can come arbitrarily close
+to one: each integrand returns its own analytic limit where its closed form
+runs out of mantissa, and a row that is not finite is a QuadratureError.
 
 One adaptive loop serves every problem.  A stack of integrals may be split
 into column groups, each with its own tolerance: the groups share one
@@ -126,11 +128,13 @@ class QuadratureError(RuntimeError):
 class QuadratureProblem:
     """An integral over a finite interval (lo, hi), lo < hi.
 
-    integrand(v) receives the 15 Kronrod nodes of one panel as a (15, 1)
-    column and returns one row per node: shape (15,) for a scalar integral,
-    or (15, ..., m) for a stack of integrals sharing the same variable
-    (integrated componentwise).  The integrand must be finite at every
-    node; a row that is not is a QuadratureError naming the node.
+    integrand(v) receives the 15 Kronrod nodes of each of k panels, one
+    panel after another, as a (15k, 1) column and returns one row per node:
+    shape (15k,) for a scalar integral, or (15k, ..., m) for a stack of
+    integrals sharing the same variable (integrated componentwise).  A row
+    that depends on its node alone makes the result independent of how the
+    panels are batched.  The integrand must be finite at every node; a row
+    that is not is a QuadratureError naming the node.
 
     Without groups the whole stack is one group under abs_tol, and its
     error estimate is the worst component.  groups, as ((stop, abs_tol),
@@ -153,35 +157,44 @@ class QuadratureProblem:
             raise ValueError("abs_tol must be positive")
 
 
+# A call holds as many panels as fit in this many values (nodes times the
+# stack's width, read off the first call), and at least the two halves of a
+# bisection; the cap keeps a wide stack's temporaries small.
+_BATCH_VALUES = 1 << 14
+
+
 def _eval_column(problem: QuadratureProblem, nodes: np.ndarray) -> np.ndarray:
     """The integrand at the node column; every row must be finite."""
+    n = nodes.size
     vals = np.asarray(problem.integrand(nodes[:, None]), dtype=float)
-    if vals.ndim < 1 or vals.shape[0] != 15:
+    if vals.ndim < 1 or vals.shape[0] != n:
         raise ValueError(
-            "an integrand takes a (15, 1) node column and returns shape (15,) "
-            f"or (15, ..., m); got shape {vals.shape}"
+            f"an integrand takes a ({n}, 1) node column and returns shape ({n},) "
+            f"or ({n}, ..., m); got shape {vals.shape}"
         )
-    bad = np.flatnonzero(~np.isfinite(vals.reshape(15, -1)).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(vals.reshape(n, -1)).all(axis=1))
     if bad.size:
         node = float(nodes[bad[0]])
         raise QuadratureError(f"integrand returned a non-finite value at node {node!r}")
     return vals
 
 
-def _panel(problem: QuadratureProblem, a: float, b: float):
-    """K15 value of one panel, and per group its worst |K15 - G7| and |K15|."""
+def _panels(problem: QuadratureProblem, spans: Sequence[tuple[float, float]]):
+    """Per panel (a, b) of spans, from one integrand call: its K15 value,
+    and per group its worst |K15 - G7| and |K15|."""
+    a, b = np.array(spans).T[..., None]  # (k, 1) columns
     half = 0.5 * (b - a)
-    stack = _eval_column(problem, 0.5 * (a + b) + half * _NODES15)
-    kg = half * (_KG_WEIGHTS @ stack.reshape(15, -1))
-    k15 = kg[0].reshape(stack.shape[1:]).copy()  # not a view pinning kg
+    stack = _eval_column(problem, (0.5 * (a + b) + half * _NODES15).reshape(-1))
+    k = len(spans)
+    kg = half[..., None] * (_KG_WEIGHTS @ stack.reshape(k, 15, -1))
+    k15 = kg[:, 0].reshape((k, *stack.shape[1:])).copy()  # not a view pinning kg
+    kg[:, 1] -= kg[:, 0]
+    np.abs(kg, out=kg)  # rows |K15|, |K15 - G7|
     # Groups split the stack's last axis; without groups one row holds it all.
-    width = stack.shape[-1] if problem.groups else kg.shape[1]
+    width = stack.shape[-1] if problem.groups else kg.shape[2]
     starts = [0] + [stop for stop, _ in problem.groups[:-1]]
-
-    def by_group(x):
-        return tuple(np.maximum.reduceat(x.reshape(-1, width), starts, axis=1).max(axis=0).tolist())
-
-    return k15, by_group(np.abs(kg[0] - kg[1])), by_group(np.abs(kg[0]))
+    worst = np.maximum.reduceat(kg.reshape(k, 2, -1, width), starts, axis=3).max(axis=2).tolist()
+    return [(v, tuple(err), tuple(mag)) for v, (mag, err) in zip(k15, worst)]
 
 
 def integrate(
@@ -206,13 +219,17 @@ def integrate(
     heap = []
     counter = itertools.count()
 
-    def push(a, b):
-        k15, err, mag = _panel(problem, a, b)
-        rank = max(e / tol for e, tol in zip(err, tols))
-        heapq.heappush(heap, (-rank, next(counter), a, b, k15, err, mag))
+    def push(spans):
+        for (a, b), (k15, err, mag) in zip(spans, _panels(problem, spans)):
+            rank = max(e / tol for e, tol in zip(err, tols))
+            heapq.heappush(heap, (-rank, next(counter), a, b, k15, err, mag))
 
-    for a, b in zip(edges[:-1], edges[1:]):
-        push(a, b)
+    seeds = list(zip(edges[:-1], edges[1:]))
+    size = 2  # until the first call gives the stack's width
+    while seeds:
+        batch, seeds = seeds[:size], seeds[size:]
+        push(batch)
+        size = max(2, _BATCH_VALUES // (15 * heap[0][4].size))
     while True:
         errs = [math.fsum(col) for col in zip(*(item[5] for item in heap))]
         mags = [math.fsum(col) for col in zip(*(item[6] for item in heap))]
@@ -226,8 +243,7 @@ def integrate(
             )
         _, _, a, b, *_ = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        push(a, m)
-        push(m, b)
+        push([(a, m), (m, b)])
     return np.sum([item[4] for item in heap], axis=0), errs if problem.groups else errs[0]
 
 
@@ -275,7 +291,8 @@ _LIMIT_VC = 2e-8
 # y: numpy's vectorized expm1/log1p/exp round differently from libm on a few
 # percent of inputs, and whether numpy takes its vector or its scalar route
 # depends on the array's length and layout; with math a node's value does
-# not depend on which other nodes share its column.
+# not depend on which other nodes, of its own panel or of the panels batched
+# with it, share its column.
 
 
 class _Base(NamedTuple):

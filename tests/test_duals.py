@@ -686,23 +686,66 @@ def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
 @pytest.mark.parametrize("p", (0.3, 0.9))
 def test_s_table_block_is_one_quadrature_call(monkeypatch, variant, p):
     # The first block spans six scale chunks; they are error groups of one
-    # call over one shared panel set, not one call each.
+    # call over one shared panel set, not one call each.  Its integrand
+    # calls take the panels in batches: the seed batches and the bisection
+    # pairs hold at least two panels each, so calls are at most half the
+    # panels, rounded up.
     integrate = numerics.integrate
-    panels = []
+    panels, calls = [], []
 
     def counted(problem, **kwargs):
         inner = problem.integrand
         panels.append(0)
+        calls.append(0)
 
-        def per_panel(t):
-            panels[-1] += 1
+        def per_batch(t):
+            panels[-1] += len(t) // 15
+            calls[-1] += 1
             return inner(t)
 
-        return integrate(dataclasses.replace(problem, integrand=per_panel), **kwargs)
+        return integrate(dataclasses.replace(problem, integrand=per_batch), **kwargs)
 
     monkeypatch.setattr(numerics, "integrate", counted)
     duals._STable(variant, p).upto(1024)
     assert len(panels) == 1 and panels[0] <= 64, panels
+    assert 2 * calls[0] <= panels[0] + 1 and calls[0] <= 32, (calls, panels)
+
+
+def _one_panel_per_call(monkeypatch) -> list[int]:
+    # Sets numerics.integrate to a wrapper that hands the integrand 15 nodes
+    # (one panel) per call; returns the row counts of the engine's calls.
+    integrate = numerics.integrate
+    rows = []
+
+    def per_panel(problem, **kwargs):
+        inner = problem.integrand
+
+        def split(t):
+            rows.append(len(t))
+            return np.concatenate([inner(t[i : i + 15]) for i in range(0, len(t), 15)])
+
+        return integrate(dataclasses.replace(problem, integrand=split), **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate", per_panel)
+    return rows
+
+
+@pytest.mark.parametrize("p", (0.05, 0.6, 0.99))
+def test_r_p_batched_matches_one_panel_per_call(monkeypatch, p):
+    xs = np.arange(1, 501)
+    batched = r_p(xs, p), r_p_envelope(p)
+    rows = _one_panel_per_call(monkeypatch)
+    assert np.array_equal(r_p(xs, p), batched[0])
+    assert r_p_envelope(p) == batched[1]
+    assert max(rows) > 15  # the engine batched panels that the wrapper split
+
+
+@pytest.mark.parametrize("z", (0.5, 7.0, 100.0))
+def test_log_gamma_via_integral_batched_matches_one_panel_per_call(monkeypatch, z):
+    batched = numerics.log_gamma_via_integral(z)
+    rows = _one_panel_per_call(monkeypatch)
+    assert numerics.log_gamma_via_integral(z) == batched
+    assert max(rows) > 15
 
 
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)

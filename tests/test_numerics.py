@@ -204,7 +204,9 @@ def test_integrate_constant_and_linear():
     assert abs(val - 0.5) <= max(1e-14, err)
 
 
-def test_integrate_calls_once_per_panel_with_a_node_column():
+def test_integrate_calls_once_per_batch_with_a_node_column():
+    # Both seed panels go in the first call; sqrt's singular end then takes
+    # bisections, each one call with both halves.
     shapes = []
 
     def integrand(t):
@@ -213,12 +215,46 @@ def test_integrate_calls_once_per_panel_with_a_node_column():
 
     val, _ = integrate(QuadratureProblem(integrand, (0.0, 1.0)), breakpoints=[0.5])
     assert abs(val - 1.0) <= 1e-14
-    assert shapes == [(15, 1), (15, 1)]
+    assert shapes == [(30, 1)]
+
+    def root(t):
+        shapes.append(t.shape)
+        return np.sqrt(t[:, 0])
+
+    shapes.clear()
+    val, _ = integrate(QuadratureProblem(root, (0.0, 1.0)))
+    assert abs(val - 2.0 / 3.0) <= 1e-10
+    assert shapes[0] == (15, 1) and len(shapes) > 5 and set(shapes[1:]) == {(30, 1)}
+
+
+def test_integrate_batches_seed_panels_within_the_value_budget():
+    # 300 seed panels of an 8-wide stack: the first call holds two panels
+    # and gives the width, each later one as many as fit in the budget, and
+    # the calls hold every panel's nodes once, in push order.
+    width = 8
+    columns = []
+
+    def integrand(t):
+        columns.append(t[:, 0].copy())
+        return t * np.arange(1.0, width + 1.0)
+
+    edges = np.linspace(0.0, 1.0, 301)
+    val, _ = integrate(QuadratureProblem(integrand, (0.0, 1.0)), breakpoints=edges[1:-1])
+    assert np.allclose(val, np.arange(1.0, width + 1.0) / 2.0, rtol=0.0, atol=1e-14)
+    per_call = numerics._BATCH_VALUES // (15 * width)
+    assert [c.size // 15 for c in columns] == [2, per_call, per_call, 300 - 2 - 2 * per_call]
+    assert all(c.size * width <= numerics._BATCH_VALUES for c in columns)
+    a, b = edges[:-1, None], edges[1:, None]
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * numerics._NODES15
+    assert np.array_equal(np.concatenate(columns), nodes.reshape(-1))
 
 
 def test_integrate_rejects_a_per_node_integrand():
     with pytest.raises(ValueError, match="column"):
         integrate(QuadratureProblem(lambda t: 1.0, (0.0, 1.0)))
+    # the message names the node count of the call that failed
+    with pytest.raises(ValueError, match=r"takes a \(30, 1\) node column .* got shape \(15,\)$"):
+        integrate(QuadratureProblem(lambda t: np.ones(15), (0.0, 1.0)), breakpoints=[0.5])
 
 
 def test_integrate_polynomials_exact():
