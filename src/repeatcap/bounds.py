@@ -5,37 +5,40 @@ distribution Y satisfies D_KL(Y_x || Y) >= -log_norm + E[Y_x] * (-log q)
 - eps for every input run length x >= 1 (eps the infimum of the KL-gap),
 then the capacity of the mean-limited auxiliary channel is bounded affinely
 in its mean, and the run-length reduction turns that into a per-symbol
-capacity bound.  Concretely, with mu = E[Y^(q)] the dual mean and d = 1-p:
+capacity bound.  Concretely, with mu = E[Y^(q)] the dual mean, d = 1-p and
+delta the dual's mass at zero, every bound is
 
-    sticky:       (log_norm - mu log q) / (mu (1-p)),        mu >= 1/(1-p)
-    duplication:  (1+p) (log_norm - mu log q) / mu,          mu >= 1+p
-    deletion:     p (-eps - d log delta + log_norm - mu log q) / (d (1+mu)),
-                                                             mu >= p/(1-p)
+    num (log_norm - mu log q - eps - d log delta) / (den (m + mu)),
+    mu >= threshold,
 
-each maximized over q in (0, 1), where infeasible q (dual mean below the
-reduction threshold) contribute objective value 0 and a q whose series did
-not converge raises BoundComputationError.  With theta = log q and
+maximized over q in (0, 1), with per construction
+
+                    num     den    m    threshold
+    sticky:         1       d      0    1/(1-p)
+    duplication:    1+p     1      0    1+p
+    deletion:       p       d      1    p/(1-p)
+
+The sticky and duplication duals have zero gap and no mass at zero, so
+eps = 0 and delta = 1 there.  Infeasible q (dual mean below the reduction
+threshold) contribute objective value 0, and a q whose series did not
+converge raises BoundComputationError.  With theta = log q and
 Z = delta [deletion] + sum_y a(y) e^(theta y), log Z is convex in theta, so
 mu = (log Z)' increases with q, and F = log_norm - mu log q, the negative
-Legendre transform of log Z, has dF/dmu = -log q.  Setting the derivative
-of each value in mu to zero gives its first-order condition:
+Legendre transform of log Z, has dF/dmu = -log q.  Setting the value's
+derivative in mu to zero gives the first-order condition
 
-    sticky, duplication:  log Z(q*) = 0,
-                          bound -log q*/(1-p) and -(1+p) log q* nats,
-    deletion:             log Z(q*) + log q* = eps + d log delta,
-                          bound -p log q*/(1-p) nats.
+    G(q*) = log Z(q*) + m log q* - eps - d log delta = 0,
+    bound -num log q* / den nats.
 
-Each left side increases with q, and each value rises below q* and falls
-above it, so q* is a monotone root: bisection over the q-grid's points up
-to 0.96 and a walk up the grid bracket it between two grid points, and
-Brent's method in log(1 - q) solves it there (numerics.find_root).  The
-value and mu_opt are read at q*.  If mu(q*) is below the threshold, the
-constraint binds and the sup sits where mu reaches the threshold; such a
-bound scans the q-grid from its first feasible point, found by the same
-bisection, and golden-sections around the best point
-(numerics.maximize_concave).  The sticky and duplication duals have zero
-gap, so eps = 0 there.  The deletion bound comes in three flavors
-differing in the dual and its mass-at-zero rule:
+G increases with q, and the value rises below q* and falls above it, so
+q* is a monotone root: bisection over the q-grid's points up to 0.96 and a
+walk up the grid bracket it between two grid points, and Brent's method in
+log(1 - q) solves it there (numerics.find_root).  The value and mu_opt are
+read at q*.  If mu(q*) is below the threshold, the constraint binds and the
+sup sits where mu reaches the threshold; such a bound scans the q-grid from
+its first feasible point, found by the same bisection, and golden-sections
+around the best point (numerics.maximize_concave).  The deletion bound
+comes in three flavors differing in the dual and its mass-at-zero rule:
 
     Conv:   convexity-based weights, balance delta (gap limit 1/2)
     Trunc:  truncated-integral weights, balance delta (gap limit 0, so
@@ -57,7 +60,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,6 +71,7 @@ from repeatcap.duals import (
     _DELTA_SCANS,
     _EPS_SCAN_X_MAX,
     _SPECS,
+    _TABLES_LOCK,
     DualVariant,
     _delta_rule,
     _infimum,
@@ -180,44 +183,17 @@ def _q_grid(p: float) -> np.ndarray:
     return grid[(grid > 0.0) & (grid < 1.0)]
 
 
-_SCAN_LOCK = threading.Lock()
-
-
 def _delta_scan(p: float, x_max: int = _EPS_SCAN_X_MAX) -> np.ndarray:
+    # The scan runs outside the lock: the lock is not re-entrant, and the
+    # scan's S-table lookup takes it.
     key = (float(p), int(x_max))
-    with _SCAN_LOCK:
-        cached = _DELTA_SCANS.get(key)
-    if cached is not None:
-        return cached
-    scan = convexity_gap_scan(p, x_max)
-    with _SCAN_LOCK:
-        _DELTA_SCANS[key] = scan
+    with _TABLES_LOCK:
+        scan = _DELTA_SCANS.get(key)
+    if scan is None:
+        scan = convexity_gap_scan(p, x_max)
+        with _TABLES_LOCK:
+            _DELTA_SCANS[key] = scan
     return scan
-
-
-def _sticky_value(log_norm, mu, log_q, d, log_delta, eps):
-    return (log_norm - mu * log_q) / (mu * d)
-
-
-def _dup_value(log_norm, mu, log_q, d, log_delta, eps):
-    p = 1.0 - d
-    return (1.0 + p) * (log_norm - mu * log_q) / mu
-
-
-def _geomdel_value(log_norm, mu, log_q, d, log_delta, eps):
-    p = 1.0 - d
-    return p * (-eps - d * log_delta + log_norm - mu * log_q) / (d * (1.0 + mu))
-
-
-# The first-order conditions in the dual mean, as G(q) = 0 with G rising in
-# q: log Z = 0 for the zero-gap duals, and log Z + log q = eps + d log delta
-# for deletion, whose value divides by 1 + mu rather than mu.
-def _zero_gap_foc(log_norm, log_q, d, log_delta, eps):
-    return log_norm
-
-
-def _geomdel_foc(log_norm, log_q, d, log_delta, eps):
-    return log_norm + log_q - eps - d * log_delta
 
 
 def _truncated_gap_scan(p: float, x_max: int) -> np.ndarray:
@@ -226,16 +202,16 @@ def _truncated_gap_scan(p: float, x_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Construction:
-    """One bound variant: its dual, the value formula under the sup and its
-    first-order condition in the dual mean (None for the closed form, which
-    evaluates its dual analytically).  Deletion duals also carry
-    gap_scan(p, x_max), their KL-gap at delta = 1 for x = 1..x_max, and
-    whether their recommended delta is the balance rule (else 1-p).  The
-    channel family is the dual's."""
+    """One bound variant: its dual and the template's constants (module
+    docstring), scale(d) -> (num, den) and m; scale is None for the closed
+    form, which evaluates its dual analytically.  scale reads p back as
+    1 - d.  Deletion duals also carry gap_scan(p, x_max), their KL-gap at
+    delta = 1 for x = 1..x_max, and whether their recommended delta is the
+    balance rule (else 1-p).  The channel family is the dual's."""
 
     dual: DualVariant
-    value_from: Callable[..., float] | None = None
-    foc: Callable[..., float] | None = None
+    scale: Callable[[float], tuple[float, float]] | None = None
+    m: float = 0.0
     gap_scan: Callable[[float, int], np.ndarray] | None = None
     balance: bool = False
 
@@ -244,22 +220,23 @@ class _Construction:
         return _SPECS[self.dual].family
 
 
+def _deletion_scale(d: float) -> tuple[float, float]:
+    return 1.0 - d, d
+
+
 _CONSTRUCTIONS = {
-    BoundVariant.STICKY_EXACT: _Construction(
-        DualVariant.STICKY_ZERO_GAP, _sticky_value, _zero_gap_foc
-    ),
+    BoundVariant.STICKY_EXACT: _Construction(DualVariant.STICKY_ZERO_GAP, lambda d: (1.0, d)),
     BoundVariant.DUPLICATION_EXACT: _Construction(
-        DualVariant.DUPLICATION_ZERO_GAP, _dup_value, _zero_gap_foc
+        DualVariant.DUPLICATION_ZERO_GAP, lambda d: (1.0 + (1.0 - d), 1.0)
     ),
     BoundVariant.GEOMDEL_CONV: _Construction(
-        DualVariant.GEOMDEL_CONVEXITY, _geomdel_value, _geomdel_foc, _delta_scan, balance=True
+        DualVariant.GEOMDEL_CONVEXITY, _deletion_scale, 1.0, _delta_scan, balance=True
     ),
     BoundVariant.GEOMDEL_TRUNC: _Construction(
-        DualVariant.GEOMDEL_TRUNCATED, _geomdel_value, _geomdel_foc, _truncated_gap_scan,
-        balance=True,
+        DualVariant.GEOMDEL_TRUNCATED, _deletion_scale, 1.0, _truncated_gap_scan, balance=True
     ),
     BoundVariant.GEOMDEL_DELTA_D: _Construction(
-        DualVariant.GEOMDEL_CONVEXITY, _geomdel_value, _geomdel_foc, _delta_scan
+        DualVariant.GEOMDEL_CONVEXITY, _deletion_scale, 1.0, _delta_scan
     ),
     BoundVariant.GEOMDEL_ELEMENTARY: _Construction(DualVariant.INVERSE_BINOMIAL),
 }
@@ -268,7 +245,7 @@ _CONSTRUCTIONS = {
 def _optimized(family: Family) -> tuple[BoundVariant, ...]:
     """The family's q-optimized constructions; its default bound is their best."""
     return tuple(
-        v for v, c in _CONSTRUCTIONS.items() if c.family is family and c.value_from is not None
+        v for v, c in _CONSTRUCTIONS.items() if c.family is family and c.scale is not None
     )
 
 
@@ -303,90 +280,72 @@ def deletion_delta(p: float, variant, rule: str = "recommended") -> float:
     return _delta(_CONSTRUCTIONS[variant], p, rule)
 
 
-@dataclass(frozen=True)
-class _Pieces:
-    """Everything that fixes one objective before the q-optimization."""
+class _Search:
+    """One bound's search over q at p.  delta, eps and the reduction
+    threshold are fixed once, before any q, and every dual the search
+    builds is kept by q, so the bracket, the root, the scan, the golden
+    section and mu_opt read each point's dual once."""
 
-    con: _Construction
-    delta: float
-    eps: float
-    threshold: float
+    def __init__(self, p: float, variant: BoundVariant):
+        con = _CONSTRUCTIONS[variant]
+        if con.scale is None:
+            raise ValueError(f"no q-objective for variant {variant}")
+        self.p, self.con, self.built = p, con, {}
+        self.where = f"(p = {p}, {variant.value})"
+        self.d = 1.0 - p
+        self.num, self.den = con.scale(self.d)
+        self.threshold = reduction_params(RepeatChannel(con.family, p)).lam
+        self.delta, self.eps = 1.0, 0.0
+        if con.gap_scan is not None:
+            try:
+                scan = con.gap_scan(p, _EPS_SCAN_X_MAX)
+            except QuadratureError as exc:
+                raise BoundComputationError(
+                    f"quadrature failure in the gap scan {self.where}: {exc}"
+                ) from exc
+            self.delta = _delta(con, p, "recommended", scan)
+            if self.delta == 0.0:
+                raise BoundComputationError(f"the balance delta underflows to 0 {self.where}")
+            self.eps = _infimum(*_delta_rule(con.dual, scan, p, self.delta))
+        self.log_delta = math.log(self.delta)
 
-
-def _pieces(p: float, variant: BoundVariant) -> _Pieces:
-    con = _CONSTRUCTIONS[variant]
-    if con.value_from is None:
-        raise ValueError(f"no q-objective for variant {variant}")
-    threshold = reduction_params(RepeatChannel(con.family, p)).lam
-    if con.gap_scan is None:
-        return _Pieces(con, 1.0, 0.0, threshold)
-    try:
-        scan = con.gap_scan(p, _EPS_SCAN_X_MAX)
-    except QuadratureError as exc:
-        raise BoundComputationError(
-            f"quadrature failure in the gap scan (p = {p}, {variant.value}): {exc}"
-        ) from exc
-    delta = _delta(con, p, "recommended", scan)
-    if delta == 0.0:
-        raise BoundComputationError(f"the balance delta underflows to 0 (p = {p}, {variant.value})")
-    eps = _infimum(*_delta_rule(scan, _SPECS[con.dual].gap_limit(p), p, delta))
-    return _Pieces(con, delta, eps, threshold)
-
-
-def _dual_at(p: float, variant: BoundVariant, pieces: _Pieces, built: dict, q: float):
-    """The dual at q, built once and kept in built.  A q whose series was
-    refused or did not converge raises, not reads 0."""
-    if q not in built:
-        try:
-            built[q] = build_dual(pieces.con.dual, p, q, delta=pieces.delta)
-        except QuadratureError as exc:
+    def dual(self, q: float):
+        """The dual at q, built once.  A q whose series was refused or did
+        not converge raises, not reads 0."""
+        if q not in self.built:
+            try:
+                self.built[q] = build_dual(self.con.dual, self.p, q, delta=self.delta)
+            except QuadratureError as exc:
+                raise BoundComputationError(
+                    f"quadrature failure at q = {q:.8g} {self.where}: {exc}"
+                ) from exc
+        dual = self.built[q]
+        if not dual.series_converged:
             raise BoundComputationError(
-                f"quadrature failure at q = {q:.8g} (p = {p}, {variant.value}): {exc}"
-            ) from exc
-    dual = built[q]
-    if not dual.series_converged:
-        raise BoundComputationError(
-            f"the series at q = {q:.8g} did not converge (p = {p}, {variant.value}): "
-            f"the sup may lie past the series cap of {numerics._SERIES_HARD_CAP} terms"
-        )
-    return dual
+                f"the series at q = {q:.8g} did not converge {self.where}: "
+                f"the sup may lie past the series cap of {numerics._SERIES_HARD_CAP} terms"
+            )
+        return dual
 
-
-def _objective(
-    p: float, variant: BoundVariant, pieces: _Pieces, built: dict | None = None
-) -> Callable[[float], float]:
-    """The objective in q; the dual built at each q is kept in built."""
-    d = 1.0 - p
-    log_delta = math.log(pieces.delta)
-    built = {} if built is None else built
-
-    def objective(q: float) -> float:
-        dual = _dual_at(p, variant, pieces, built, q)
-        mu = dual.mean
-        if mu < pieces.threshold:
+    def objective(self, q: float) -> float:
+        """The value under the sup at q, 0 where the dual mean is below the
+        threshold."""
+        dual = self.dual(q)
+        log_norm, mu = dual.log_normalizer, dual.mean
+        if mu < self.threshold:
             return 0.0
-        return pieces.con.value_from(
-            dual.log_normalizer, mu, math.log(q), d, log_delta, pieces.eps
+        return (
+            self.num * (-self.eps - self.d * self.log_delta + log_norm - mu * math.log(q))
+            / (self.den * (self.con.m + mu))
         )
 
-    return objective
-
-
-def _condition(
-    p: float, variant: BoundVariant, pieces: _Pieces, built: dict | None = None
-) -> Callable[[float], float]:
-    """G(q), the first-order condition's left side less its right side: it
-    rises with q, and its root is q*.  The dual built at each q is kept in
-    built."""
-    d = 1.0 - p
-    log_delta = math.log(pieces.delta)
-    built = {} if built is None else built
-
-    def condition(q: float) -> float:
-        dual = _dual_at(p, variant, pieces, built, q)
-        return pieces.con.foc(dual.log_normalizer, math.log(q), d, log_delta, pieces.eps)
-
-    return condition
+    def condition(self, q: float) -> float:
+        """G(q), the first-order condition's left side less its right side:
+        it rises with q, and its root is q*."""
+        return (
+            self.dual(q).log_normalizer + self.con.m * math.log(q)
+            - self.eps - self.d * self.log_delta
+        )
 
 
 # _first_index probes no grid point above this q.  Up to it every variant's
@@ -412,17 +371,18 @@ def _first_index(holds: Callable[[float], bool], grid: np.ndarray) -> int:
     return lo
 
 
-def _root(p: float, variant: BoundVariant, condition: Callable[[float], float], grid) -> float:
-    """q* with condition(q*) = 0, by Brent's method in theta = log(1 - q)
-    inside the first grid interval where the condition turns nonnegative.
-    No q above that interval's right end is evaluated: a probe past the
-    root would only grow the S-table."""
+def _root(search: _Search, grid: np.ndarray) -> float:
+    """q* with search.condition(q*) = 0, by Brent's method in
+    theta = log(1 - q) inside the first grid interval where the condition
+    turns nonnegative.  No q above that interval's right end is evaluated:
+    a probe past the root would only grow the S-table."""
+    condition = search.condition
     j = _first_index(lambda q: condition(q) >= 0.0, grid)
     while j < grid.size and condition(float(grid[j])) < 0.0:
         j += 1
     if j == grid.size:
         raise BoundComputationError(
-            f"the first-order condition has no root on the q-grid (p = {p}, {variant.value}): "
+            f"the first-order condition has no root on the q-grid {search.where}: "
             f"it is still negative at the grid's last q = {grid[-1]:.8g}, so the root lies past "
             f"it, towards the series cap of {numerics._SERIES_HARD_CAP} terms"
         )
@@ -438,30 +398,26 @@ def _root(p: float, variant: BoundVariant, condition: Callable[[float], float], 
 
 
 def _optimize(p: float, variant: BoundVariant) -> BoundResult:
-    pieces = _pieces(p, variant)
-    # every dual the search builds, by q: the bracket, the root, the scan,
-    # the golden section and mu_opt read again the points already built
-    built: dict = {}
-    objective = _objective(p, variant, pieces, built)
+    search = _Search(p, variant)
     grid = _q_grid(p)
     # The series length grows with q, so no q past one whose series did not
     # converge converges either: the search raises at the first.
-    q_opt = _root(p, variant, _condition(p, variant, pieces, built), grid)
-    nats = objective(q_opt)
-    if built[q_opt].mean < pieces.threshold:
+    q_opt = _root(search, grid)
+    nats = search.objective(q_opt)
+    if search.dual(q_opt).mean < search.threshold:
         # The constraint binds: the sup sits where the dual mean reaches the
         # threshold.  Scan from the first feasible grid point; the scan from
         # grid[k] on, with the bracket's left end at grid[k - 1], is the
         # whole grid's scan without its head of zeros, which neither stop
         # the scan nor set its noise scale: same bracket, same result.
-        k = _first_index(lambda q: objective(q) != 0.0, grid)
+        k = _first_index(lambda q: search.objective(q) != 0.0, grid)
         lo = 1e-6 if k == 0 else float(grid[k - 1])
-        res = maximize_concave(objective, lo, 1.0 - 1e-6, grid[k:], _Q_OPT_TOL)
+        res = maximize_concave(search.objective, lo, 1.0 - 1e-6, grid[k:], _Q_OPT_TOL)
         q_opt, nats = float(res.arg), float(res.value)
-    mu_opt = built[q_opt].mean
-    if mu_opt < pieces.threshold:
+    mu_opt = search.dual(q_opt).mean
+    if mu_opt < search.threshold:
         raise BoundComputationError(
-            f"q_opt = {q_opt:.8g} is infeasible (p = {p}, {variant.value}): the sup lies past "
+            f"q_opt = {q_opt:.8g} is infeasible {search.where}: the sup lies past "
             f"the series cap of {numerics._SERIES_HARD_CAP} terms, or no q is feasible"
         )
     bits = nats / _LOG2
@@ -472,7 +428,7 @@ def _optimize(p: float, variant: BoundVariant) -> BoundResult:
         bound_bits=bits,
         q_opt=q_opt,
         mu_opt=mu_opt,
-        epsilon_used=pieces.eps,
+        epsilon_used=search.eps,
         feasible=True,
         clamped_to_one=bits > 1.0,
     )
@@ -490,8 +446,8 @@ def objective_curve(p: float, variant, q_values) -> list[float]:
     variant = as_bound_variant(variant)
     if variant is None or variant is BoundVariant.GEOMDEL_ELEMENTARY:
         raise ValueError("objective_curve needs a single optimized variant")
-    objective = _objective(p, variant, _pieces(p, variant))
-    return [objective(float(q)) for q in q_values]
+    search = _Search(p, variant)
+    return [search.objective(float(q)) for q in q_values]
 
 
 def sticky_bound(p: float) -> BoundResult:

@@ -40,7 +40,7 @@ from repeatcap.bounds import (
     verify_tables,
 )
 from repeatcap.channels import Family
-from repeatcap.duals import _SPECS, _delta_rule, gap_scan
+from repeatcap.duals import _delta_rule, gap_scan
 from repeatcap.numerics import _SERIES_REL_TOL, QuadratureError
 from repeatcap import records
 from repeatcap.simulate import INPUT_SOURCES, SimConfig, run_monte_carlo
@@ -317,9 +317,7 @@ def _cmd_klgap(params: dict) -> int:
     # The gaps and their limit depend on neither q nor the dual's series,
     # so no dual is built: the CSV is the q-free scan under the delta rule.
     dual = _CONSTRUCTIONS[variant].dual
-    gaps, limit = _delta_rule(
-        gap_scan(dual, p, x_max), _SPECS[dual].gap_limit(p), p, delta
-    )
+    gaps, limit = _delta_rule(dual, gap_scan(dual, p, x_max), p, delta)
     rows = [(str(x), repr(g)) for x, g in enumerate(gaps.tolist(), start=1)]
     rows.append(("limit", repr(limit)))
     _write_csv(params, records.KLGAP_CSV_HEADER, rows)

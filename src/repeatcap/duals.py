@@ -700,12 +700,14 @@ def convexity_gap_scan(p: float, x_max: int) -> np.ndarray:
     return gap_scan(DualVariant.GEOMDEL_CONVEXITY, p, x_max)
 
 
-def _delta_rule(gaps: np.ndarray, limit: float, p: float, delta: float):
-    """gaps (x = 1, 2, ...) and their limit with the mass at zero set to delta:
-    gap(x) - d log delta + d^x log delta and limit - d log delta, d = 1 - p."""
+def _delta_rule(variant: DualVariant, gaps: np.ndarray, p: float, delta: float):
+    """A variant's gaps (x = 1, 2, ...) and their x -> infinity limit with
+    the mass at zero set to delta: gap(x) - d log delta + d^x log delta and
+    limit - d log delta, d = 1 - p."""
     d = 1.0 - p
     log_delta = math.log(delta)
     xs = np.arange(1, gaps.size + 1, dtype=float)
+    limit = _SPECS[variant].gap_limit(p)
     with np.errstate(under="ignore"):
         return gaps - d * log_delta + d**xs * log_delta, limit - d * log_delta
 
@@ -737,8 +739,9 @@ def kl_gap_profile(
     """The KL-gap for x = 1..x_max against the dual's bound line: the
     variant's gap_scan under the dual's delta rule."""
     _check_pairing(channel, dual)
-    limit = _SPECS[dual.variant].gap_limit(dual.p)
-    gaps, limit = _delta_rule(gap_scan(dual.variant, dual.p, x_max), limit, dual.p, dual.delta)
+    gaps, limit = _delta_rule(
+        dual.variant, gap_scan(dual.variant, dual.p, x_max), dual.p, dual.delta
+    )
     return KLGapProfile(
         line_slope=-math.log(dual.q),
         line_intercept=dual.log_normalizer - (1.0 - dual.p) * math.log(dual.delta),

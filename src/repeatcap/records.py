@@ -11,6 +11,7 @@ cells as empty strings.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import io
 import json
@@ -139,14 +140,7 @@ def simulation_json(
         "success_rate": success_rate,
     }
     if verbose:
-        obj["reports"] = [
-            {
-                "edit_distance": r.edit_distance,
-                "output_length": r.output_length,
-                "success": r.success,
-            }
-            for r in reports
-        ]
+        obj["reports"] = [dataclasses.asdict(r) for r in reports]
     if meta is not None:
         obj["meta"] = meta
     return obj
@@ -155,18 +149,9 @@ def simulation_json(
 def verification_json(verification, *, meta: dict | None = None) -> dict:
     obj = {
         "all_passed": verification.all_passed,
+        # note, the last field, only where a computation failed
         "checks": [
-            {
-                "table_id": c.table_id,
-                "p": c.p,
-                "column": c.column,
-                "expected": c.expected,
-                "computed": c.computed,
-                "deviation": c.deviation,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-                **({"note": c.note} if c.note else {}),
-            }
+            {k: v for k, v in dataclasses.asdict(c).items() if k != "note" or v}
             for c in verification.checks
         ],
     }

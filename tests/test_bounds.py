@@ -178,7 +178,7 @@ def test_deletion_delta_rules():
 def test_deletion_delta_is_the_optimized_delta(variant, p):
     # deletion_delta scans the gap at x = 1 only; the bound reads x = 1 off
     # its full scan.  Both go through the same balance rule.
-    optimized = bounds._pieces(p, variant).delta
+    optimized = bounds._Search(p, variant).delta
     assert abs(deletion_delta(p, variant, "recommended") - optimized) <= 1e-12
 
 
@@ -250,7 +250,7 @@ def test_objective_curve_consistency():
         objective_curve(0.3, BoundVariant.GEOMDEL_ELEMENTARY, [0.5])
 
 
-_OPTIMIZED = [v for v, c in bounds._CONSTRUCTIONS.items() if c.value_from is not None]
+_OPTIMIZED = [v for v, c in bounds._CONSTRUCTIONS.items() if c.scale is not None]
 
 
 @pytest.mark.parametrize("p", [0.3, 0.9])
@@ -270,7 +270,7 @@ def test_objective_never_exceeds_the_reported_bound(variant, p):
 def test_early_stop_matches_the_full_scan(variant, p):
     # The scan stops before the end of the grid, yet has already seen the
     # grid point where the full objective curve peaks.
-    objective = bounds._objective(p, variant, bounds._pieces(p, variant))
+    objective = bounds._Search(p, variant).objective
     grid = bounds._q_grid(p)
     seen = []
 
@@ -319,7 +319,7 @@ def test_every_optimized_scan_is_unimodal(variant, p, monkeypatch):
     monkeypatch.setattr(bounds, "maximize_concave", traced)
     res = compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, p)
     grid = bounds._q_grid(p)
-    condition = bounds._condition(p, variant, bounds._pieces(p, variant))
+    condition = bounds._Search(p, variant).condition
     j = _bracket(condition, grid)
     values = [condition(float(q)) for q in grid[: j + 1]]
     assert np.all(np.diff(values) >= 0.0)
@@ -359,10 +359,11 @@ def cold_tables():
 def _whole_grid_optimum(p, variant):
     """(bound_nats, q_opt, mu_opt) by maximize_concave over the whole
     q-grid from its first point, with no bisection past its zeros."""
-    pieces = bounds._pieces(p, variant)
-    objective = bounds._objective(p, variant, pieces)
-    res = maximize_concave(objective, 1e-6, 1.0 - 1e-6, bounds._q_grid(p), bounds._Q_OPT_TOL)
-    dual = bounds.build_dual(pieces.con.dual, p, res.arg, delta=pieces.delta)
+    search = bounds._Search(p, variant)
+    res = maximize_concave(
+        search.objective, 1e-6, 1.0 - 1e-6, bounds._q_grid(p), bounds._Q_OPT_TOL
+    )
+    dual = bounds.build_dual(search.con.dual, p, res.arg, delta=search.delta)
     return res.value, res.arg, dual.mean
 
 
@@ -407,10 +408,10 @@ _CLOSED_FORM = {
 @pytest.mark.parametrize("p", [0.3, 0.9])
 @pytest.mark.parametrize("variant", _OPTIMIZED)
 def test_the_root_solves_the_first_order_condition(variant, p):
-    pieces = bounds._pieces(p, variant)
-    condition = bounds._condition(p, variant, pieces)
+    search = bounds._Search(p, variant)
+    condition = search.condition
     grid = bounds._q_grid(p)
-    q_star = bounds._root(p, variant, condition, grid)
+    q_star = bounds._root(search, grid)
     # the bracket holds the sign change, and q* lies inside it
     j = _bracket(condition, grid)
     assert condition(float(grid[j - 1])) < 0.0 <= condition(float(grid[j]))
@@ -418,18 +419,61 @@ def test_the_root_solves_the_first_order_condition(variant, p):
     # the residual is within the root's tolerance times the slope in theta,
     # (1 + mu) (1 - q) / q at most, and the sign changes within it
     theta = math.log1p(-q_star)
-    mu = bounds.build_dual(pieces.con.dual, p, q_star, pieces.delta).mean
+    mu = bounds.build_dual(search.con.dual, p, q_star, search.delta).mean
     slope = (1.0 + mu) * (1.0 - q_star) / q_star
     assert abs(condition(q_star)) <= 2.0 * bounds._THETA_TOL * slope
     step = 2.0 * bounds._THETA_TOL
     assert condition(-math.expm1(theta + step)) <= 0.0 <= condition(-math.expm1(theta - step))
     # where the constraint does not bind, the bound is the closed form at q*
-    res = compute_bound(pieces.con.family, variant, p)
+    res = compute_bound(search.con.family, variant, p)
     if (variant, p) in _BINDING:
-        assert res.q_opt > q_star and res.mu_opt >= pieces.threshold
+        assert res.q_opt > q_star and res.mu_opt >= search.threshold
     else:
         assert res.q_opt == q_star
         assert abs(res.bound_nats - _CLOSED_FORM[variant](q_star, p)) <= 1e-9 * res.bound_nats
+
+
+# The module docstring's value and first-order condition for each family,
+# written out as the constructions evaluated them before they shared one
+# template: p read back as 1 - d, and no eps or log delta terms for the
+# zero-gap duals.
+def _docstring_value(family, log_norm, mu, log_q, d, log_delta, eps):
+    if family is Family.GEOMETRIC_STICKY:
+        return (log_norm - mu * log_q) / (mu * d)
+    p = 1.0 - d
+    if family is Family.ELEMENTARY_DUPLICATION:
+        return (1.0 + p) * (log_norm - mu * log_q) / mu
+    return p * (-eps - d * log_delta + log_norm - mu * log_q) / (d * (1.0 + mu))
+
+
+def _docstring_condition(family, log_norm, log_q, d, log_delta, eps):
+    if family is Family.GEOMETRIC_DELETION:
+        return log_norm + log_q - eps - d * log_delta
+    return log_norm
+
+
+@pytest.mark.parametrize("p", [0.3, 0.9])
+@pytest.mark.parametrize("variant", _OPTIMIZED)
+def test_the_template_is_the_docstring_formulas(variant, p):
+    search = bounds._Search(p, variant)
+    family, d, log_delta = search.con.family, 1.0 - p, math.log(search.delta)
+    # the grid's first three feasible points
+    feasible = []
+    for q in bounds._q_grid(p).tolist():
+        dual = bounds.build_dual(search.con.dual, p, q, delta=search.delta)
+        if dual.mean >= search.threshold:
+            feasible.append((q, dual))
+        if len(feasible) == 3:
+            break
+    assert len(feasible) == 3
+    for q, dual in feasible:
+        log_norm, mu, log_q = dual.log_normalizer, dual.mean, math.log(q)
+        assert search.objective(q) == _docstring_value(
+            family, log_norm, mu, log_q, d, log_delta, search.eps
+        )
+        assert search.condition(q) == _docstring_condition(
+            family, log_norm, log_q, d, log_delta, search.eps
+        )
 
 
 def _trace_builds(monkeypatch) -> list:

@@ -11,6 +11,8 @@ from repeatcap.bounds import (
     BoundVariant,
     Family,
     SweepFailure,
+    TableVerification,
+    _check_value,
     compute_bound,
     verify_tables,
 )
@@ -115,8 +117,16 @@ def test_simulation_json_shape():
     assert obj["n"] == 5 and obj["lambda"] == 50.0 and obj["trials"] == 3
     assert "reports" not in obj
     obj = simulation_json(config, rate, reports, verbose=True)
+    assert list(obj) == [
+        "n", "lambda", "epsilon", "trials", "seed", "input_source", "success_rate", "reports"
+    ]
     assert len(obj["reports"]) == 3
-    assert set(obj["reports"][0]) == {"edit_distance", "output_length", "success"}
+    assert all(list(r) == ["edit_distance", "output_length", "success"] for r in obj["reports"])
+
+
+_CHECK_KEYS = [
+    "table_id", "p", "column", "expected", "computed", "deviation", "tolerance", "passed"
+]
 
 
 def test_verification_json_shape():
@@ -124,9 +134,24 @@ def test_verification_json_shape():
     obj = verification_json(verification, meta=run_metadata({"t": 1e-3}))
     assert obj["all_passed"] is True
     assert len(obj["checks"]) == 9
-    check = obj["checks"][0]
-    assert {"table_id", "p", "expected", "computed", "deviation", "passed"} <= set(check)
+    assert list(obj) == ["all_passed", "checks", "meta"]
+    assert all(list(check) == _CHECK_KEYS for check in obj["checks"])
     assert obj["meta"]["tolerances"] == {"t": 1e-3}
+
+
+def test_verification_json_notes_only_a_failed_computation():
+    # note comes last, and only on a check whose computation errored
+    p, result = 0.3, compute_bound(Family.GEOMETRIC_STICKY, None, 0.3)
+    checks = (
+        _check_value("T1_sticky", p, "ours", result.bound_bits, result, 1e-5),
+        _check_value("T1_sticky", p, "ours", result.bound_bits + 1.0, result, 1e-5),
+        _check_value("T1_sticky", p, "ours", 0.5, SweepFailure(p, None, "boom"), 1e-5),
+    )
+    obj = verification_json(TableVerification(checks))
+    assert obj["all_passed"] is False
+    assert [c["passed"] for c in obj["checks"]] == [True, False, False]
+    assert [list(c) for c in obj["checks"]] == [_CHECK_KEYS, _CHECK_KEYS, _CHECK_KEYS + ["note"]]
+    assert obj["checks"][2]["note"] == "boom"
 
 
 def test_dump_json_format():
