@@ -184,8 +184,8 @@ def _q_grid(p: float) -> np.ndarray:
 
 
 def _delta_scan(p: float, x_max: int = _EPS_SCAN_X_MAX) -> np.ndarray:
-    # The scan runs outside the lock: the lock is not re-entrant, and the
-    # scan's S-table lookup takes it.
+    # The scan runs outside the lock, so a thread scanning one p does not
+    # hold up S-table lookups for every other p.
     key = (float(p), int(x_max))
     with _TABLES_LOCK:
         scan = _DELTA_SCANS.get(key)

@@ -35,14 +35,25 @@ quadrature at every y.  The Lambda views integrate at the y they are given.
 
 The KL-gap is q-independent too: -log y0 and E[Y_x] log q cancel against
 the q^y weights, so Delta(x) = H(Y_x) + sum_{y>=1} Y_x(y) (S(y) + c), c the
-variant's constant weight shift.  gap_scan holds this identity for the conv
-and delta-d bounds, kl_gap_profile and epsilon_inf (the trunc bound reads its
-closed form r_p).  Both it and kl_divergence, which sums the KL directly
-against a built dual as an independent check of the identity, sum each Y_x
-over its support window (channels._windows): two-sided, each tail
-certified by the law's Chernoff bound to hold at most 1e-15 of the mass.
-gap_scan reads log Y_x(y) for every x as slices of one log-gamma array
-built once per scan.
+variant's constant weight shift.  gap_scan is the one gap behind the conv
+and delta-d bounds, kl_gap_profile, epsilon_inf and klgap (the trunc bound
+reads its closed form r_p).  For the convexity weights it is one integral
+per x (_conv_gap): Y_x is negative binomial with pgf G(z)^x,
+G(z) = (1-p)/(1-pz), the drift cancels the x log(1-p) terms, and
+Malmsten's integral for log Gamma puts every expectation inside one
+t-integral, where it becomes a power of G:
+
+    Delta(x) = int_0^inf [e^(-xt) (1 - B) + A1 - A2] / (1 - e^(-t)) dt/t,
+    B = G(e^-t)^x,  A1 = G(e^(-t/p))^x,  A2 = G(e^(-(1-p)t/p))^x,
+
+which is log Gamma(x) - E log Gamma(Y_x + x) + E[log Gamma(Y_x/p) -
+log Gamma(Y_x (1-p)/p)] with log Gamma(x)'s own integral folded in.  The
+inverse binomial adds c P(Y_x >= 1) = c (1 - (1-p)^x).  For every other
+variant gap_scan sums each Y_x over its support window (channels._windows):
+two-sided, each tail certified by the law's Chernoff bound to hold at most
+1e-15 of the mass, log Y_x(y) read for every x as slices of one log-gamma
+array built once per scan.  kl_divergence sums the KL directly against a
+built dual over the same windows, an independent check of both routes.
 A dual may have its mass at y = 0 rescaled to alpha*delta (delta in (0,1]);
 the normalizers then satisfy 1/alpha = delta + 1/y0 - 1 and the gap becomes
 Delta_delta(x) = Delta(x) - d log delta + d^x log delta, d = 1 - p, written
@@ -178,7 +189,7 @@ class _Spec:
 def _conv_g(ys: np.ndarray, p: float, lam) -> np.ndarray:
     """log C(y/p - 1, y) = lgamma(y/p) - lgamma(y+1) - lgamma(y(1-p)/p)
     (the variant has no Lambdas).  Three calls, not one on their stack,
-    about halve the temporaries of a large block such as gap_scan's."""
+    about halve the temporaries of a large S-table block."""
     return _lgamma(ys / p) - _lgamma(ys + 1.0) - _lgamma(ys * (1.0 - p) / p)
 
 
@@ -664,19 +675,153 @@ def _slice_reader(lg: np.ndarray) -> Callable:
 
 
 def gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
-    """Delta(x) at delta = 1 for x = 1..x_max for any dual variant, by the
-    identity in the module docstring.  The weight shift enters once, as a
-    scalar times P(Y_x >= 1).
-
-    Each Y_x is summed over its support window (channels._windows, computed
-    for every x at once).  Every log-gamma argument of log Y_x(y) there is
-    an integer at most hi + x, so the scan evaluates numerics._lgamma once,
-    on 0..max hi + x_max + 1, and each x reads slices of that array instead
-    of calling it.  The kernel's value at x does not depend on the array
-    holding it, so the slices equal the per-call values bit for bit.  The
-    S-table grows once, to max hi, rather than once per 1024-entry block."""
+    """Delta(x) at delta = 1 for x = 1..x_max for any dual variant: the
+    convexity integral (_conv_gap) for the variants on the convexity
+    weights, plus the weight shift times P(Y_x >= 1); the summed scan
+    (_summed_gap_scan) for the others."""
     if isinstance(x_max, bool) or not isinstance(x_max, (int, np.integer)) or x_max < 1:
         raise ValueError(f"x_max must be an integer >= 1, got {x_max!r}")
+    if (_SPECS[variant].s_table or variant) is not DualVariant.GEOMDEL_CONVEXITY:
+        return _summed_gap_scan(variant, p, x_max)
+    p = _validate_p(p)
+    gaps = _conv_gap(p, int(x_max))
+    shift = _SPECS[variant].weight_shift(p)
+    if shift:
+        gaps += shift * -np.expm1(np.arange(1.0, x_max + 1.0) * math.log1p(-p))
+    return gaps
+
+
+# The convexity gap's rule: composite 16-point Gauss-Legendre in u = log t
+# over [log 1e-22, log(80 max(1, p/(1-p)))], _CONV_TAIL_PANELS equal panels
+# up to t = 1e-8 and _CONV_PANELS equal panels past it.  Near t = 0 the
+# integrand (in u) is about x t (3-p) / (2(1-p)), smooth enough in u for
+# two wide panels; the lower cut drops 5e-17 of it at x = 500, p = 0.999,
+# where a cut at 1e-13 would drop 5e-8.  A2 decays on the scale
+# t ~ p/(1-p), which the upper cut follows.  Over x <= 500 and p in
+# [0.05, 0.999], 12 panels past 1e-8 reach the float64 floor, 10 miss it by
+# up to 4e-13 and 8 by 8e-11; 16 leave a margin.
+_CONV_TAIL_PANELS = 2
+_CONV_PANELS = 16
+# 16-point Gauss-Legendre on [-1, 1], the positive nodes and their weights
+# (Newton on P_16 at 40 digits, rounded to nearest; numpy's leggauss gives
+# the same nodes and weights within 2 ulp).
+# Written out, not computed at import, which would load LAPACK's pages
+# into every process that imports the package.
+_GL_HALF_NODES = np.array([
+    0.9894009349916499, 0.9445750230732326, 0.8656312023878318, 0.755404408355003,
+    0.6178762444026438, 0.45801677765722737, 0.2816035507792589, 0.09501250983763744,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.027152459411754096, 0.062253523938647894, 0.09515851168249279, 0.12462897125553388,
+    0.14959598881657674, 0.16915651939500254, 0.18260341504492358, 0.1894506104550685,
+])
+_GL_NODES = np.concatenate((-_GL_HALF_NODES, _GL_HALF_NODES[::-1]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS, _GL_HALF_WEIGHTS[::-1]))
+# No temporary of the integrand holds more than this many values (128 kB):
+# a larger one is mapped afresh by the allocator on every block, and its
+# page faults cost more than the block's arithmetic.
+_CONV_BLOCK_VALUES = 1 << 14
+
+
+def _expm1_minus_id(s: np.ndarray) -> np.ndarray:
+    """e^s - 1 - s elementwise to a few ulp: by its Taylor series where
+    |s| < 1, where e^s - 1 and s cancel (the first term dropped is
+    1.6e-17 of the sum at |s| = 1), and directly elsewhere."""
+    out = np.expm1(s) - s
+    near = np.abs(s) < 1.0
+    z = s[near]
+    acc = np.zeros_like(z)
+    for k in range(18, 1, -1):
+        acc = acc * z + 1.0 / math.factorial(k)
+    out[near] = acc * z * z
+    return out
+
+
+def _conv_columns(p: float) -> np.ndarray:
+    """The t-only parts of the convexity integrand at the rule's n nodes
+    t, as five rows: a1 = log G(e^(-t/p)), -d1, a2 = log G(e^(-(1-p)t/p)),
+    d2 and the weight w / (1 - e^-t).
+
+    With d1 = a1 - log G(e^-t) + t >= 0 and d2 = -t - a2 <= 0 the
+    numerator is e^(x a2) expm1(x d2) - e^(x a1) expm1(-x d1): the four 1s
+    of e^(-xt) - e^(-xt) B + A1 - A2 cancel in two pairs before rounding,
+    and neither factor of a pair overflows.  d1 is
+    t + log1p(-p e^-t) - log1p(-p e^(-t/p)).  Both d1 and d2 are O(t^2) as
+    t -> 0, where those forms cancel, so below t = 1 they are taken from
+    d1 = log1p((phi(t) + p phi(-t/p)) / (1 - p e^(-t/p))),
+    d2 = log1p((phi(-t) - p phi(-t/p)) / (1 - p)), phi(s) = e^s - 1 - s."""
+    tail = math.log(1e-8)
+    edges = np.concatenate((
+        np.linspace(math.log(1e-22), tail, _CONV_TAIL_PANELS + 1)[:-1],
+        np.linspace(tail, math.log(80.0 * max(1.0, p / (1.0 - p))), _CONV_PANELS + 1),
+    ))
+    half = 0.5 * np.diff(edges)[:, None]
+    t = np.exp((edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel())
+    w = (half * _GL_WEIGHTS).ravel() / -np.expm1(-t)
+    r = p / (1.0 - p)
+
+    def log_g(s):  # log G(e^-s)
+        return -np.log1p(r * -np.expm1(-s))
+
+    a1, a2 = log_g(t / p), log_g((1.0 - p) * t / p)
+    with np.errstate(under="ignore"):
+        d1 = t + np.log1p(-p * np.exp(-t)) - np.log1p(-p * np.exp(-t / p))
+    d2 = -t - a2
+    near = t < 1.0
+    s = t[near]
+    phi_p = p * _expm1_minus_id(-s / p)
+    d1[near] = np.log1p((_expm1_minus_id(s) + phi_p) / (1.0 - p - p * np.expm1(-s / p)))
+    d2[near] = np.log1p((_expm1_minus_id(-s) - phi_p) / (1.0 - p))
+    return np.stack((a1, -d1, a2, d2, w))
+
+
+def _conv_block(cols: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The convexity integral at each x of xs (floats) from the rows of
+    _conv_columns: elementwise over (x, node), each x's row summed by
+    np.sum.  No BLAS call, so the bits do not depend on the BLAS thread
+    count, and a row's sum does not depend on the other rows, so neither
+    do they on the block."""
+    a1, neg_d1, a2, d2, w = cols
+    xs = xs[:, None]
+    with np.errstate(under="ignore"):
+        neg = np.exp(xs * a1)
+        tmp = np.expm1(xs * neg_d1)
+        neg *= tmp
+        pos = np.exp(xs * a2)
+        np.multiply(xs, d2, out=tmp)
+        pos *= np.expm1(tmp, out=tmp)
+    pos -= neg
+    pos *= w
+    return pos.sum(axis=1)
+
+
+def _conv_gap(p: float, x_max: int) -> np.ndarray:
+    """Delta(x) of the convexity dual at delta = 1 for x = 1..x_max, by the
+    integral in the module docstring on the fixed rule of _conv_columns,
+    x in blocks of at most _CONV_BLOCK_VALUES (node, x) values.  Within
+    1e-13 of 30-digit direct sums at x <= 500, p <= 0.999."""
+    cols = _conv_columns(p)
+    step = max(1, _CONV_BLOCK_VALUES // cols.shape[1])
+    out = np.empty(x_max)
+    for lo in range(0, x_max, step):
+        out[lo:lo + step] = _conv_block(cols, np.arange(lo + 1.0, min(lo + step, x_max) + 1.0))
+    return out
+
+
+def _summed_gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
+    """Delta(x) for x = 1..x_max for any dual variant by the identity in the
+    module docstring, each Y_x summed over its support window
+    (channels._windows, computed for every x at once).  The weight shift
+    enters once, as a scalar times P(Y_x >= 1).
+
+    Every log-gamma argument of log Y_x(y) there is an integer at most
+    hi + x, so the scan evaluates numerics._lgamma once, on
+    0..max hi + x_max + 1, and each x reads slices of that array instead of
+    calling it.  The kernel's value at x does not depend on the array
+    holding it, so the slices equal the per-call values bit for bit.  The
+    products are summed by np.sum, not by a BLAS dot, whose split across
+    threads would move the last bits with the thread count.  The S-table
+    grows once, to max hi, rather than once per 1024-entry block."""
     channel = RepeatChannel(_VARIANT_FAMILY[variant], p)
     table = _get_table(variant, p)
     shift = _SPECS[variant].weight_shift(p)
@@ -689,7 +834,7 @@ def gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
         lp = channels.output_log_pmf(channel, x, ys, log_gamma)
         pm = np.exp(lp)
         k = int(lo == 0)  # S covers y >= 1 from index k
-        out[x - 1] = -float(np.dot(pm, lp)) + float(np.dot(pm[k:], s_vals[lo + k - 1:hi]))
+        out[x - 1] = -float(np.sum(pm * lp)) + float(np.sum(pm[k:] * s_vals[lo + k - 1:hi]))
         if shift:
             out[x - 1] += shift * float(np.sum(pm[k:]))
     return out

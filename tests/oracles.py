@@ -149,6 +149,46 @@ LOG_GAMMA_4_5 = 2.4537365708424422205
 # implementations and a direct truncated-KL summation agree on it
 EPSILON_CONV_HALF = 0.5844038221104629
 
+# KL-gap Delta(x) of the deletion convexity dual at delta = 1, keyed by p
+# (the double nearest each value), then x.  Summed directly over the
+# support in 45-digit mpmath, not by any integral: Delta(x) = H(Y_x) +
+# sum_{y>=1} Y_x(y) S(y), Y_x(y) = C(y+x-1, y) (1-p)^x p^y and
+# S(y) = log C(y/p - 1, y) - y h(p)/p, every term from mpmath.loggamma,
+# outward from the mode until a term and its mass fall under 1e-50.  The
+# summed mass is 1 within 1e-40 at every key.
+CONV_GAP = {
+    0.3: {
+        1: 0.482337912113862695650605115731,
+        7: 0.557204348343315838077308022814,
+        64: 0.502407549679255261525723524722,
+        500: 0.500291158359585904734049124606,
+    },
+    0.6: {
+        1: 0.595759597274412257785737446473,
+        7: 0.494924511606911727273569224687,
+        64: 0.499304263408481244758438310409,
+        500: 0.499911088368133092879713714175,
+    },
+    0.9: {
+        1: 0.409641228314338781745527990173,
+        7: 0.477402654314156299304802997453,
+        64: 0.497774501664750751521743070749,
+        500: 0.499718090611951246644685209641,
+    },
+    0.99: {
+        1: 0.205151239506056966343729498,
+        7: 0.47373865967280963080659251065,
+        64: 0.497404566198451673946183780001,
+        500: 0.499671189485016554589157641898,
+    },
+    0.999: {
+        1: 0.163847244005663872861289645831,
+        7: 0.473386892139823557419622991766,
+        64: 0.497368910596993203863711442185,
+        500: 0.499666666766329429010276595691,
+    },
+}
+
 
 def simpson_longdouble(f, a: float, b: float, panels: int) -> float:
     """Composite Simpson rule with longdouble accumulation.

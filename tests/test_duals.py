@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -506,7 +510,7 @@ def _per_x_gaps(variant, p, x_max, support):
         lp = output_log_pmf(channel, x, ys)
         pm = np.exp(lp)
         k = int(ys[0] == 0)
-        gap = -float(np.dot(pm, lp)) + float(np.dot(pm[k:], table.upto(int(ys[-1]))[ys[k] - 1:]))
+        gap = -float(np.sum(pm * lp)) + float(np.sum(pm[k:] * table.upto(int(ys[-1]))[ys[k] - 1:]))
         if shift:
             gap += shift * float(np.sum(pm[k:]))
         gaps.append(gap)
@@ -516,12 +520,19 @@ def _per_x_gaps(variant, p, x_max, support):
 @pytest.mark.parametrize("variant", list(DualVariant))
 @pytest.mark.parametrize("p", (0.3, 0.9))
 def test_gap_scan_equals_the_per_x_scipy_loop(variant, p):
-    # The scan reads slices of one shared log-gamma array; the plain loop
-    # over the same windows, calling log-gamma per x, gives the same floats.
+    # The summed scan reads slices of one shared log-gamma array; the plain
+    # loop over the same windows, calling log-gamma per x, gives the same
+    # floats.  The convexity weights' gap is the integral, which the sums
+    # hold to their own rounding.
     def window(channel, x):
         return ConditionalOutputLaw(channel, x).truncated_support()
 
-    assert duals.gap_scan(variant, p, 60).tolist() == _per_x_gaps(variant, p, 60, window)
+    want = _per_x_gaps(variant, p, 60, window)
+    assert duals._summed_gap_scan(variant, p, 60).tolist() == want
+    if variant in (DualVariant.GEOMDEL_CONVEXITY, DualVariant.INVERSE_BINOMIAL):
+        assert np.max(np.abs(duals.gap_scan(variant, p, 60) - want)) <= 1e-12
+    else:
+        assert duals.gap_scan(variant, p, 60).tolist() == want
 
 
 @pytest.mark.parametrize("variant, p, x_max", [
@@ -529,36 +540,95 @@ def test_gap_scan_equals_the_per_x_scipy_loop(variant, p):
     (DualVariant.GEOMDEL_CONVEXITY, 0.99, 500),
 ])
 def test_gap_scan_matches_the_wide_support_reference(variant, p, x_max):
+    # The windows drop nothing the wide support keeps: the summed scan,
+    # for every variant, on the windows against the wide support.
     want = _per_x_gaps(variant, p, x_max, _wide_support)
-    assert np.max(np.abs(duals.gap_scan(variant, p, x_max) - want)) <= 1e-12
+    assert np.max(np.abs(duals._summed_gap_scan(variant, p, x_max) - want)) <= 1e-12
 
 
-def _scan_points(monkeypatch) -> list[int]:
-    # The number of points convexity_gap_scan(0.99, 500) reads, per x.
-    points = []
-    pmf = channels.output_log_pmf
-
-    def counted(channel, x, ys, *rest):
-        points.append(len(ys))
-        return pmf(channel, x, ys, *rest)
-
-    monkeypatch.setattr(channels, "output_log_pmf", counted)
-    convexity_gap_scan(0.99, 500)
-    return points
+def _window_points() -> np.ndarray:
+    # The points of the deletion law's windows at p = 0.99, x = 1..500.
+    lo, hi = channels._windows(RepeatChannel(Family.GEOMETRIC_DELETION, 0.99), np.arange(1, 501))
+    return hi - lo + 1
 
 
-def test_convexity_gap_scan_cost_in_support_points(monkeypatch):
-    # A count-based cost guard: the windows of convexity_gap_scan(0.99, 500)
+def test_deletion_windows_cost_in_support_points():
+    # A count-based cost guard: the windows of Y_x at p = 0.99, x <= 500,
     # hold at most 16e6 points (the 40-stddev support held 42.1e6).
-    points = _scan_points(monkeypatch)
-    assert len(points) == 500 and sum(points) <= 16_000_000
+    points = _window_points()
+    assert points.size == 500 and points.sum() <= 16_000_000
 
 
-def test_windows_are_pulled_in_to_the_certified_edges(monkeypatch):
+def test_windows_are_pulled_in_to_the_certified_edges():
     # Newton steps from the certified side pull each edge in: the windows of
-    # convexity_gap_scan(0.99, 500) hold at most 12.7e6 points (12.48e6 at
+    # Y_x at p = 0.99, x <= 500, hold at most 12.7e6 points (12.48e6 at
     # the tightest certified edges, 13.5e6 when edges only moved outward).
-    assert sum(_scan_points(monkeypatch)) <= 12_700_000
+    assert _window_points().sum() <= 12_700_000
+
+
+@pytest.mark.parametrize("p", sorted(oracles.CONV_GAP))
+def test_convexity_gap_matches_the_mpmath_direct_sums(p):
+    # The integral against 30-digit sums over the support, which share no
+    # step with it; it reaches about 2e-14 at p = 0.999.
+    gaps = convexity_gap_scan(p, 500)
+    for x, want in oracles.CONV_GAP[p].items():
+        assert abs(gaps[x - 1] - want) <= 1e-13, x
+
+
+@pytest.mark.parametrize("p", (0.05, 0.3, 0.6, 0.9, 0.99, 0.999))
+def test_convexity_gap_rule_is_resolved(monkeypatch, p):
+    # Doubling the panels moves no gap at x <= 7 by more than rounding.
+    gaps = convexity_gap_scan(p, 7)
+    monkeypatch.setattr(duals, "_CONV_PANELS", 2 * duals._CONV_PANELS)
+    monkeypatch.setattr(duals, "_CONV_TAIL_PANELS", 2 * duals._CONV_TAIL_PANELS)
+    assert np.max(np.abs(convexity_gap_scan(p, 7) - gaps)) <= 1e-13
+
+
+def test_convexity_gap_cost_in_integrand_values(monkeypatch):
+    # A count-based cost guard: convexity_gap_scan(p, 500) evaluates the
+    # integrand at 288 nodes for each x, 144 000 values, in blocks of at
+    # most 2^14 values (128 kB a temporary), and does not read a window.
+    sizes = []
+    block = duals._conv_block
+
+    def counted(cols, xs):
+        sizes.append(cols.shape[1] * xs.size)
+        return block(cols, xs)
+
+    def no_window(*args):
+        raise AssertionError("the convexity gap read a support window")
+
+    monkeypatch.setattr(duals, "_conv_block", counted)
+    monkeypatch.setattr(channels, "_windows", no_window)
+    convexity_gap_scan(0.999, 500)
+    assert sum(sizes) <= 144_000 and max(sizes) <= 1 << 14
+
+
+def test_convexity_gap_does_not_depend_on_x_max():
+    # Each x's value is summed alone, so the delta rule's scan of x = 1 and
+    # the bound's scan of x <= 500 agree bit for bit.
+    assert convexity_gap_scan(0.9, 1)[0] == convexity_gap_scan(0.9, 500)[0]
+    assert convexity_gap_scan(0.9, 200).tolist() == convexity_gap_scan(0.9, 500)[:200].tolist()
+
+
+def test_gap_bits_do_not_depend_on_the_blas_thread_count():
+    # No gap path calls BLAS, whose dots split across threads: one and two
+    # OpenBLAS threads give the same bytes.
+    script = (
+        "import sys\n"
+        "from repeatcap import duals\n"
+        "a = duals.gap_scan(duals.DualVariant.STICKY_ZERO_GAP, 0.99, 200)\n"
+        "b = duals.convexity_gap_scan(0.99, 500)\n"
+        "sys.stdout.write((a.tobytes() + b.tobytes()).hex())\n"
+    )
+    src = str(pathlib.Path(duals.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        out.append(run.stdout)
+    assert len(out[0]) == 2 * 8 * 700 and out[0] == out[1]
 
 
 @pytest.mark.parametrize("x_max", (True, 2.5, 0))
@@ -580,14 +650,19 @@ def test_convexity_gap_at_half_exceeds_limit():
 
 
 def test_convexity_scan_matches_direct_kl():
-    # closed-form scan vs truncated-summation KL route, two code paths
+    # The integral against kl_divergence, two code paths: the bound line
+    # minus the KL summed over the window of Y_x against a built dual.
     p, q = 0.6, 0.9
     channel = RepeatChannel(Family.GEOMETRIC_DELETION, p)
     dual = build_dual(DualVariant.GEOMDEL_CONVEXITY, p, q)
-    profile = kl_gap_profile(channel, dual, 12)
-    scan = convexity_gap_scan(p, 12)
-    for x in range(1, 13):
-        assert abs(profile.gaps[x] - scan[x - 1]) <= 1e-9, x
+    scan = convexity_gap_scan(p, 30)
+    for x in (1, 7, 30):
+        direct = (
+            dual.log_normalizer
+            - math.log(q) * ConditionalOutputLaw(channel, x).mean
+            - kl_divergence(channel, x, dual)
+        )
+        assert abs(scan[x - 1] - direct) <= 1e-12, x
 
 
 def test_convexity_limit_candidate():
