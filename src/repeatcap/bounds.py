@@ -348,10 +348,9 @@ class _Search:
         )
 
 
-# _first_index probes no grid point above this q.  Up to it every variant's
-# series reads at most 768 terms, inside an S-table's first 1024-entry
-# block, so a probe never grows a table; S values depend on the blocks a
-# table grew by, and the search past the probes decides those.
+# _first_index probes no grid point above this q, a cost bound: up to it
+# every variant's series reads at most 768 terms, inside an S-table's first
+# lattice unit, so no probe pays for table growth.
 _PROBE_Q_MAX = 0.96
 
 

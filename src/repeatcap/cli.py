@@ -169,10 +169,10 @@ def _require(params: dict, *names: str) -> None:
 
 
 def _workers() -> int:
-    cap = int(os.environ.get("REPEATCAP_THREADS", os.cpu_count() or 1))
-    if cap < 1:
+    cap = os.environ.get("REPEATCAP_THREADS", str(os.cpu_count() or 1))
+    if not (cap.isdecimal() and int(cap) > 0):
         raise ValueError("REPEATCAP_THREADS must be a positive integer")
-    return cap
+    return int(cap)
 
 
 def _family(params: dict) -> Family:

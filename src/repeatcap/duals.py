@@ -23,14 +23,14 @@ order at t = 0 (_Spec lists the bases).  After v = -log(1-t) every one is
 numerics._f, which owns the cancellation-free grouping and the t -> 0 limit.
 
 Everything q-independent (the Lambda values, hence the shifted log-weights
-S(y) = g(y) - y * rate) is cached per (variant, p) in lazily grown tables,
-because the bound optimization evaluates many q against the same table.
-The Lambdas are analytic in y, so a table block takes them by quadrature
-only at y below 64 and at rounded Chebyshev nodes of each larger scale
-chunk, and from Chebyshev interpolants in y elsewhere (_STable): one
-interpolant per chunk, or one per parity for the truncated construction,
-whose Lambda_2 carries a (-1)^y part.  Each interpolant must pass an error
-estimate from its trailing coefficients; one that fails is replaced by
+S(y) = g(y) - y * rate) is cached per (variant, p) for the many q a bound
+evaluates, in tables grown by whole units of one lattice, [1, 1024] and
+then (2^k, 2^(k+1)], so S(y) depends on (variant, p, y) alone (_STable).
+A unit takes the Lambdas, analytic in y, by quadrature at y below 64 and
+at rounded Chebyshev nodes of each larger scale chunk, and from Chebyshev
+interpolants in y elsewhere: one per chunk, or one per parity for the
+truncated construction, whose Lambda_2 carries a (-1)^y part.  One that
+fails an error estimate from its trailing coefficients gives way to
 quadrature at every y.  The Lambda views integrate at the y they are given.
 
 The KL-gap is q-independent too: -log y0 and E[Y_x] log q cancel against
@@ -160,7 +160,7 @@ class _Spec:
     order the tables are built with.  The lambdas are the integrals over v
     of numerics._f for base(v, p, key), one per key in keys(p): over the
     exp tail [0, 60], or over [0, log(1+2p)] for the truncated construction,
-    every key at every y a block samples in one quadrature (_lambdas).  The
+    every key at every y a unit samples in one quadrature (_lambdas).  The
     bases phi, each with its b and the c1, c2 of its log (numerics._Base):
 
       sticky 1       (1-t)/(1-pt) = G^-1(1 - t), G(z) = z(1-p)/(1-pz)    b = 1
@@ -189,7 +189,7 @@ class _Spec:
 def _conv_g(ys: np.ndarray, p: float, lam) -> np.ndarray:
     """log C(y/p - 1, y) = lgamma(y/p) - lgamma(y+1) - lgamma(y(1-p)/p)
     (the variant has no Lambdas).  Three calls, not one on their stack,
-    about halve the temporaries of a large S-table block."""
+    about halve the temporaries of a large S-table unit."""
     return _lgamma(ys / p) - _lgamma(ys + 1.0) - _lgamma(ys * (1.0 - p) / p)
 
 
@@ -271,10 +271,10 @@ def _quad_tol(ys: np.ndarray) -> float:
 
 def _scale_chunks(ys: np.ndarray):
     # The integrands peak near v ~ 1/y and Lambda grows like y log y, so
-    # one tolerance over a block spanning decades of y would be too loose
+    # one tolerance over a unit spanning decades of y would be too loose
     # for its small y or unattainable for its large y.  Chunking ascending
     # y geometrically gives each single-scale chunk its own error group and
-    # _quad_tol in the block's one quadrature call.
+    # _quad_tol in the unit's one quadrature call.
     lo = 0
     while lo < ys.size:
         hi = max(lo + 1, int(np.searchsorted(ys, 4.0 * ys[lo])))
@@ -302,14 +302,14 @@ def _lambdas(spec: _Spec, groups: list[np.ndarray], p: float) -> np.ndarray:
         groups=tuple((stop, _quad_tol(g)) for stop, g in zip(stops, groups)),
     )
     # numerics.integrate is looked up on the module, so a wrapper set there
-    # (a trace, a test) sees every S-table block and Lambda view
+    # (a trace, a test) sees every S-table unit and Lambda view
     val, _ = numerics.integrate(problem, breakpoints=breaks, max_panels=1024)
     return val
 
 
 def _lambda_view(variant: DualVariant, y, p: float, name: str, y_min=1.0) -> tuple:
     """The variant's Lambda integrals at y (a scalar, or an array in any
-    order), one per key, through the same quadrature as an S-table block."""
+    order), one per key, through the same quadrature as an S-table unit."""
     p = _validate_p(p)
     ys, scalar = _as_y_array(y)
     if not np.all(np.isfinite(ys) & (ys >= y_min)):
@@ -429,24 +429,24 @@ def _interpolate(vals: np.ndarray, k: np.ndarray, m: int) -> tuple[np.ndarray, f
 class _STable:
     """Lazily grown table of the q-free log-weight part S(y), y = 1..n.
 
-    S(y) = g(y) - y * rate, so a dual's log-weight is S(y) + y log q.  A
-    request past the end grows the table to the requested size rounded up
-    to a multiple of _TABLE_STEP, so the table holds little more than the
-    series read.  Each growth block is one quadrature call (_lambdas), its
-    scale chunks error groups of that call.  A chunk of at most
-    4 * _CHEB_NODES entries (every chunk below y = 64, and a block's short
-    last chunk) is integrated at every y.  A larger one is integrated at _CHEB_NODES rounded
-    Chebyshev-Lobatto nodes per interpolation class and filled from each
-    class's Chebyshev interpolant of each Lambda, which is analytic in y
-    there and converges geometrically.  The classes are the chunk itself,
+    S(y) = g(y) - y * rate, so a dual's log-weight is S(y) + y log q.  The
+    table grows by whole units of a fixed lattice: y = 1.._TABLE_STEP, then
+    (n, 2n] for the table's size n.  So S(y) depends on (variant, p, y)
+    alone, not on the order of requests, and growth copies linear work in
+    all.  Each unit is one quadrature call (_lambdas), its scale chunks
+    error groups of that call; a unit past the first is one chunk.  A chunk
+    of at most 4 * _CHEB_NODES entries (below y = 64, and y = 1024) is
+    integrated at every y.  A larger one is integrated at _CHEB_NODES
+    rounded Chebyshev-Lobatto nodes per interpolation class and filled from
+    each class's Chebyshev interpolant of each Lambda, which is analytic in
+    y there and converges geometrically.  The classes are the chunk itself,
     or, for the truncated construction, its even and its odd y: there w2
     reaches -1, so Lambda_2 carries a (-1)^y part that is smooth within a
     parity but not across.  An interpolant is used only if its error
     estimate (_interpolate) is at most half the chunk's _quad_tol, which
-    leaves the other half to the quadrature error it carries over from
-    its nodes; the classes that fail take a second quadrature call at all
-    their y.
-    Growth is serialized by a lock so DualDistribution instances can be
+    leaves the other half to the quadrature error it carries over from its
+    nodes; the classes that fail take a second quadrature call at all their
+    y.  Growth is serialized by a lock so DualDistribution instances can be
     shared across threads.
     """
 
@@ -461,10 +461,11 @@ class _STable:
         if ymax > self._vals.size:
             with self._lock:
                 if ymax > self._vals.size:
-                    new_size = -(-ymax // _TABLE_STEP) * _TABLE_STEP
-                    lo = self._vals.size + 1
-                    block = np.arange(lo, new_size + 1, dtype=float)
-                    self._vals = np.concatenate((self._vals, self._compute(block)))
+                    units, end = [self._vals], self._vals.size
+                    while end < ymax:
+                        lo, end = end + 1, max(_TABLE_STEP, 2 * end)
+                        units.append(self._compute(np.arange(lo, end + 1, dtype=float)))
+                    self._vals = np.concatenate(units)
         return self._vals[:ymax]
 
     def _compute(self, ys: np.ndarray) -> np.ndarray:
@@ -820,8 +821,7 @@ def _summed_gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
     calling it.  The kernel's value at x does not depend on the array
     holding it, so the slices equal the per-call values bit for bit.  The
     products are summed by np.sum, not by a BLAS dot, whose split across
-    threads would move the last bits with the thread count.  The S-table
-    grows once, to max hi, rather than once per 1024-entry block."""
+    threads would move the last bits with the thread count."""
     channel = RepeatChannel(_VARIANT_FAMILY[variant], p)
     table = _get_table(variant, p)
     shift = _SPECS[variant].weight_shift(p)

@@ -455,6 +455,14 @@ def test_threads_env_parallel_path(capsys, monkeypatch):
     assert "9 passed" in out
 
 
+@pytest.mark.parametrize("threads", ["0", "two", "1.5", ""])
+def test_threads_env_not_a_positive_integer_exits_2(capsys, monkeypatch, threads):
+    monkeypatch.setenv("REPEATCAP_THREADS", threads)
+    code, out, err = run_cli(capsys, "verify", "--only", "T2")
+    assert code == 2 and out == ""
+    assert err == "error: REPEATCAP_THREADS must be a positive integer\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2

@@ -193,8 +193,8 @@ def test_lambda_views_do_not_depend_on_the_other_ys(name, p):
 @pytest.mark.parametrize("name", tuple(_VIEWS))
 def test_large_y_lambdas_match_the_oracles(name, p):
     # Checked independently of the package's quadrature: the Lambda views
-    # and the S-table grown block by block, as the series grows it, against
-    # 50-digit values at y = 1000 (first block), 3000 and 10000 (growth blocks).
+    # and the S-table grown unit by unit, as the series grows it, against
+    # 50-digit values at y = 1000 (first unit), 3000 and 10000 (later units).
     view, variant, wants = _VIEWS[name]
     ys = np.array([1000.0, 3000.0, 10000.0])
     table = duals._STable(variant, p)
@@ -734,7 +734,7 @@ def test_integrand_limit_meets_the_direct_form_at_the_switch(variant, p):
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
 @pytest.mark.parametrize("p", (0.3, 0.9))
 def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
-    # The block y = 1..1024 reaches nodes v below _LIMIT_VC, where the
+    # The unit y = 1..1024 reaches nodes v below _LIMIT_VC, where the
     # Taylor limits blend in.  Both routes must give the same bits, build after build.
     batched = [duals._STable(variant, p).upto(1024).copy() for _ in range(2)]
     assert np.array_equal(batched[0], batched[1])
@@ -760,7 +760,7 @@ def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
 @pytest.mark.parametrize("p", (0.3, 0.9))
 def test_s_table_block_is_one_quadrature_call(monkeypatch, variant, p):
-    # The first block spans six scale chunks; they are error groups of one
+    # The first unit spans six scale chunks; they are error groups of one
     # call over one shared panel set, not one call each.  Its integrand
     # calls take the panels in batches: the seed batches and the bisection
     # pairs hold at least two panels each, so calls are at most half the
@@ -839,13 +839,48 @@ def test_r_p_and_envelope_at_extreme_p(p):
     assert math.isfinite(envelope) and envelope > vals[0]
 
 
-def test_s_table_growth_path_within_tolerance():
+def test_s_table_growth_path_is_exact():
     one_call = duals._STable(DualVariant.STICKY_ZERO_GAP, 0.9).upto(20000)
     stepped = duals._STable(DualVariant.STICKY_ZERO_GAP, 0.9)
     for ymax in range(4097, 20000, 4097):
         stepped.upto(ymax)
-    tol = duals._quad_tol(np.arange(1.0, 20001.0))
-    assert np.max(np.abs(stepped.upto(20000) - one_call)) <= tol
+    assert np.array_equal(stepped.upto(20000), one_call)
+
+
+_ONE_SHOT: dict = {}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((DualVariant.STICKY_ZERO_GAP, DualVariant.DUPLICATION_ZERO_GAP,
+                     DualVariant.GEOMDEL_TRUNCATED, DualVariant.GEOMDEL_CONVEXITY)),
+    st.sampled_from((1e-3, 0.3, 0.9, 0.999)),
+    st.lists(st.integers(1, 20480), min_size=1, max_size=5),
+)
+def test_s_table_values_do_not_depend_on_growth_order(variant, p, sizes):
+    # Every S value is a function of (variant, p, y): a table grown by any
+    # sequence of requests reads the bits of one grown in a single request.
+    key = (variant, p)
+    if key not in _ONE_SHOT:
+        _ONE_SHOT[key] = duals._STable(variant, p).upto(20480)
+    table = duals._STable(variant, p)
+    for ymax in sizes:
+        assert np.array_equal(table.upto(ymax), _ONE_SHOT[key][:ymax]), ymax
+
+
+def test_bound_does_not_depend_on_what_grew_its_table_first():
+    sticky = DualVariant.STICKY_ZERO_GAP
+    prepare = {
+        "cold": lambda: None,
+        "after a gap scan": lambda: duals.gap_scan(sticky, 0.999, 500),
+        "after growth to 200 000": lambda: duals._get_table(sticky, 0.999).upto(200_000),
+    }
+    bits = {}
+    for name, step in prepare.items():
+        duals.clear_caches()
+        step()
+        bits[name] = bounds.compute_bound(Family.GEOMETRIC_STICKY, None, 0.999).bound_bits
+    assert len(set(bits.values())) == 1, bits
 
 
 def _integrand_widths(monkeypatch) -> list[list[int]]:
@@ -884,11 +919,12 @@ def _assert_within_chunk_tolerance(got, want, ys):
 
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
 @pytest.mark.parametrize("p", (1e-3, 0.05, 0.3, 0.9, 0.999))
-@pytest.mark.parametrize("first", (1, 19457))
-def test_interpolated_s_table_matches_the_direct_lambdas(monkeypatch, variant, p, first):
-    # The first block and a growth block near y = 2e4, built from Chebyshev
-    # nodes, against quadrature at every y, chunk by chunk within _quad_tol.
-    ys = np.arange(first, first + 1024, dtype=float)
+@pytest.mark.parametrize("unit", ((1, 1024), (8193, 16384)))
+def test_interpolated_s_table_matches_the_direct_lambdas(monkeypatch, variant, p, unit):
+    # The first lattice unit and the unit (8192, 16384], built from
+    # Chebyshev nodes, against quadrature at every y, chunk by chunk within
+    # _quad_tol.
+    ys = np.arange(unit[0], unit[1] + 1, dtype=float)
     want = _direct_s(variant, ys, p)
     calls = _integrand_widths(monkeypatch)
     got = duals._STable(variant, p)._compute(ys)
@@ -915,12 +951,31 @@ def test_failing_interpolation_classes_are_integrated_directly(monkeypatch):
 
 
 def test_s_table_integrand_calls_stay_narrow(monkeypatch):
-    # A count-based cost guard: sampling the chunks at Chebyshev nodes keeps
-    # every integrand call of a 20 480-entry block under 200 y (every y of
-    # the block went through each call before).
+    # A count-based cost guard: a table grown to y = 20 000 is built as the
+    # six lattice units up to 32 768, one quadrature call each, and sampling
+    # the chunks at Chebyshev nodes keeps every integrand call under 200 y.
     calls = _integrand_widths(monkeypatch)
     duals._STable(DualVariant.STICKY_ZERO_GAP, 0.9).upto(20000)
-    assert len(calls) == 1 and max(calls[0]) <= 200, calls
+    assert len(calls) == 6 and max(max(c) for c in calls) <= 200, calls
+
+
+def test_s_table_growth_computes_once_per_unit(monkeypatch):
+    # A cost guard: the series of a cold sticky bound at p = 0.9999 reads
+    # past y = 10^6, and its table of Y entries takes one _compute call per
+    # lattice unit, 1 + log2(Y / 1024) of them.
+    compute = duals._STable._compute
+    calls = []
+
+    def counted(self, ys):
+        calls.append(ys.size)
+        return compute(self, ys)
+
+    monkeypatch.setattr(duals._STable, "_compute", counted)
+    duals.clear_caches()
+    bounds.compute_bound(Family.GEOMETRIC_STICKY, None, 0.9999)
+    size = duals._TABLES[(DualVariant.STICKY_ZERO_GAP, 0.9999)]._vals.size
+    assert size > 10**6
+    assert len(calls) <= 1 + math.ceil(math.log2(size / 1024)), calls
 
 
 def test_s_table_holds_what_the_series_reads():
