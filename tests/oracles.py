@@ -221,16 +221,24 @@ def sticky_f1_raw_v(y: float, p: float, vs: np.ndarray) -> np.ndarray:
     return out
 
 
-def dp_edit_distance(a, b) -> int:
-    """Textbook O(len(a) * len(b)) Levenshtein distance."""
+def dp_last_column(a, b) -> list[int]:
+    """The textbook O(len(a) * len(b)) Levenshtein DP's last column: entry r
+    is the distance between a[:r] and all of b."""
     a, b = list(a), list(b)
     prev = list(range(len(b) + 1))
+    column = [len(b)]
     for i, ca in enumerate(a, 1):
         cur = [i] + [0] * len(b)
         for j, cb in enumerate(b, 1):
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
         prev = cur
-    return prev[len(b)]
+        column.append(cur[len(b)])
+    return column
+
+
+def dp_edit_distance(a, b) -> int:
+    """Textbook Levenshtein distance, the DP's corner."""
+    return dp_last_column(a, b)[-1]
 
 
 def monte_carlo_reference(config):

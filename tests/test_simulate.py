@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dp_edit_distance, monte_carlo_reference
+from oracles import dp_edit_distance, dp_last_column, monte_carlo_reference
 from repeatcap import simulate
 from repeatcap.simulate import (
     SimConfig,
@@ -157,6 +157,27 @@ def test_validate_config_errors():
     validate_config(
         SimConfig(**{**good, "input_source": "user_supplied", "input_bits": "0101"})
     )
+
+
+@pytest.mark.parametrize("bits", [[0.5, 1.7], [0.5, 1.5], [0, 2], [-1, 1], [1, 256], "0é", "01\u00b9"])
+def test_input_bits_must_be_exactly_0_or_1(bits):
+    # fractions are not truncated to bits, and a non-ASCII string gets the
+    # same error as any other bad symbol
+    config = SimConfig(n=2, lam=2.0, epsilon=0.1, trials=1, seed=0,
+                       input_source="user_supplied", input_bits=bits)
+    with pytest.raises(ValueError, match="input bits must be 0 or 1"):
+        validate_config(config)
+    with pytest.raises(ValueError, match="input bits must be 0 or 1"):
+        sample_channel_output(bits, 2.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="input bits must be 0 or 1"):
+        run_length_decode(bits, 2.0)
+
+
+def test_input_bits_accept_exact_bits_of_any_dtype():
+    for bits in ([0.0, 1.0], [False, True], np.array([0, 1], dtype=np.int64), "01"):
+        validate_config(SimConfig(n=2, lam=2.0, epsilon=0.1, trials=1, seed=0,
+                                  input_source="user_supplied", input_bits=bits))
+        assert simulate._as_bit_array(bits).tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -346,3 +367,57 @@ def test_edit_distances_band_edge(m):
         if dist > 0:
             below = simulate._edit_distances(sub_xs, sub_texts, [dist - 1] * pairs.size)
             assert (below >= want[pairs]).all()
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
+def test_lockstep_columns_are_the_dp_columns_of_both_halves(m):
+    # The combine reads every row of both lanes' final columns: with the
+    # whole matrix stepped each row is the DP's, and with a narrow band none
+    # is below it (every value is the cost of a real alignment).
+    xs, texts = _pairs_for(m, np.random.default_rng(m))
+    want = []
+    for x, text in zip(xs, texts):
+        half = len(text) // 2
+        want.append((dp_last_column(x, text[:half]), dp_last_column(x[::-1], text[half:][::-1])))
+    for band in (2 * m + 3, 0, 2):
+        forward, backward = (np.concatenate(halves) for halves in
+                             zip(*simulate._lockstep(xs, texts, band)))
+        assert forward.shape == backward.shape == (len(xs), m + 1)
+        for i, (want_forward, want_backward) in enumerate(want):
+            if band == 2 * m + 3:
+                assert forward[i].tolist() == want_forward
+                assert backward[i].tolist() == want_backward
+            else:
+                assert (forward[i] >= want_forward).all()
+                assert (backward[i] >= want_backward).all()
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Up to three texts against one pattern of 1-200 bits, each text 0 to
+    2m + 3 bits, either random or the pattern cut or repeated with a few
+    bits flipped (small distances), and a random band."""
+    m = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, 2, m, dtype=np.uint8)
+    texts = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(0, 2 * m + 3))
+        if draw(st.booleans()):
+            text = rng.integers(0, 2, length, dtype=np.uint8)
+        else:
+            text = np.resize(x, length)
+            if length:
+                text[rng.integers(0, length, draw(st.integers(0, 4)))] ^= 1
+        texts.append(text)
+    return x, texts, draw(st.integers(0, 2 * m + 3))
+
+
+@settings(deadline=None)
+@given(_kernel_cases())
+def test_split_kernel_is_exact_within_its_band_and_never_low(case):
+    x, texts, band = case
+    got = simulate._edit_distances([x] * len(texts), texts, [band] * len(texts))
+    for dist, text in zip(got.tolist(), texts):
+        want = dp_edit_distance(x, text)
+        assert dist == want if band >= want else dist >= want
