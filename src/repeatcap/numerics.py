@@ -17,10 +17,10 @@ The quadrature rule is the 7-point Gauss / 15-point Kronrod pair with
 adaptive bisection.  Every integrand takes the 15 nodes of each of several
 panels at once, as one (n, 1) column with n a multiple of 15, and returns
 one row per node.  The seed panels go in batches of up to _BATCH_VALUES
-values and the two halves of a bisection in one call, so a call's overhead
-is shared by many panels.  All nodes are interior, so the integrand is
-never evaluated at panel endpoints, but a node can come arbitrarily close
-to one: each integrand returns its own analytic limit where its closed form
+values and the two halves of a bisection in one call when both fit, so a
+call's overhead is shared by many panels.  All nodes are interior, so the
+integrand is never evaluated at panel endpoints, but a node can come
+arbitrarily close to one: each integrand returns its own analytic limit where its closed form
 runs out of mantissa, and a row that is not finite is a QuadratureError.
 
 One adaptive loop serves every problem.  A stack of integrals may be split
@@ -158,8 +158,8 @@ class QuadratureProblem:
 
 
 # A call holds as many panels as fit in this many values (nodes times the
-# stack's width, read off the first call), and at least the two halves of a
-# bisection; the cap keeps a wide stack's temporaries small.
+# stack's width, read off the first call, which holds two), and at least
+# one; the cap keeps a wide stack's temporaries small.
 _BATCH_VALUES = 1 << 14
 
 
@@ -220,16 +220,17 @@ def integrate(
     counter = itertools.count()
 
     def push(spans):
-        for (a, b), (k15, err, mag) in zip(spans, _panels(problem, spans)):
-            rank = max(e / tol for e, tol in zip(err, tols))
-            heapq.heappush(heap, (-rank, next(counter), a, b, k15, err, mag))
+        for lo in range(0, len(spans), size):
+            batch = spans[lo:lo + size]
+            for (a, b), (k15, err, mag) in zip(batch, _panels(problem, batch)):
+                rank = max(e / tol for e, tol in zip(err, tols))
+                heapq.heappush(heap, (-rank, next(counter), a, b, k15, err, mag))
 
     seeds = list(zip(edges[:-1], edges[1:]))
     size = 2  # until the first call gives the stack's width
-    while seeds:
-        batch, seeds = seeds[:size], seeds[size:]
-        push(batch)
-        size = max(2, _BATCH_VALUES // (15 * heap[0][4].size))
+    push(seeds[:2])
+    size = max(1, _BATCH_VALUES // (15 * heap[0][4].size))
+    push(seeds[2:])
     while True:
         errs = [math.fsum(col) for col in zip(*(item[5] for item in heap))]
         mags = [math.fsum(col) for col in zip(*(item[6] for item in heap))]

@@ -19,14 +19,18 @@ give the same decode from that output); the decode comes with the cost of
 one explicit alignment, which bounds the trial's edit distance.  Then one
 numpy kernel, _edit_distances, measures all of the chunk's trials at once.
 It splits each trial's text at its middle column (Hirschberg) and runs
-the two halves, the second reversed from the end corner, through a
-banded Myers bit-parallel recurrence in lockstep, stepping only the words
-within that bound of each half's diagonal; the distance is the least sum
-of the two halves' final columns over the middle column's rows.  A chunk
-so takes about half as many sequential text steps as its longest text.
-edit_distance stays the single-pair function for any symbols; for one
-pair it is faster than the kernel (at n = 4000 on a 2-vCPU x86 machine,
-about 12 ms against 55-70 ms).
+the two halves, the second reversed from the end corner, through a Myers
+bit-parallel recurrence in lockstep.  An alignment of cost D <= bound
+only passes through cells (i, j) with |i - j| + |(n - i) - (len - j)|
+<= D (Ukkonen's cutoff from both corners), one band of about D + 1
+diagonals that serves both halves, so only the words on those diagonals
+are stepped.  The distance is the least sum of the two halves' final
+columns over the rows where that band crosses the middle column, and
+only those rows are read.  A chunk so takes about half as many
+sequential text steps as its longest text.  edit_distance stays the
+single-pair function for any symbols; for one pair it is faster than the
+kernel (at n = 4000 on a 2-vCPU x86 machine, about 10-14 ms against
+45-70 ms).
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ INPUT_SOURCES = ("uniform_random", "all_alternating", "user_supplied")
 # trial's two halves); bounds its memory.
 _CHUNK = 128
 
-# Trials whose final columns are read and combined at a time, so the int32
-# columns held at once stay small (64 kB at n = 4000).
-_READ = 2
+# Trials whose crossing rows are read and combined at a time, so the arrays
+# held at once stay small (under 0.5 MB for a 1 500-row band).
+_READ = 4
 
-# Text steps whose symbols _lockstep gathers at once.
+# Text steps whose symbols _deltas gathers, as sel masks, at once.
 _BLOCK = 32
 
 
@@ -239,27 +243,33 @@ def _edit_distances(xs, decoded, bands=None) -> np.ndarray:
     decoded[c:][::-1]).  With F and B their final columns, the distance is
     min over r of F(r) + B(n - r).  Every alignment crosses column c at
     some row r, so the minimum is the distance when both columns are
-    exact; and each F(r) + B(n - r) is the cost of a real alignment, one
-    through (r, c), so it never reads low.
+    exact there; and each F(r) + B(n - r) is the cost of a real
+    alignment, one through (r, c), so it never reads low.
 
-    bands[i] >= the distance of pair i makes it exact; a chunk steps the
-    band of its largest.  Reaching a cell (i, j) costs at least |i - j|
-    and leaving it for the end corner at least |(n - i) - (len - j)|, so
-    an optimal alignment of cost D <= band keeps within the band of the
-    start corner's diagonal, which the forward lane steps, and of the end
-    corner's, which the reversed lane steps; both halves of it are
-    stepped, and F and B are exact at the row where it crosses column c.
-    The default band, max(n, len(decoded[i])), covers the whole matrix.
-    A distance above its band comes back too high, never too low.  Memory
-    is O(_CHUNK * (n + longest text)) for any number of trials.
+    bands[i] >= the distance of pair i makes it exact.  Reaching a cell
+    (i, j) costs at least |i - j| and leaving it for the end corner at
+    least |(n - i) - (len - j)|, so an alignment of cost D passes only
+    through cells whose diagonal k = i - j has |k| + |delta - k| <= D,
+    delta = n - len (Ukkonen's cutoff, Inf. Control 64, 1985, taken from
+    both corners): k lies in [(delta - D) / 2, (delta + D) / 2].  In the
+    reversed lane the same cell lies on diagonal delta - k, which meets
+    the same inequality, so one range serves both lanes.  A chunk steps
+    the union of its trials' ranges, [kmin, kmax], and reads F and B only
+    at the rows where an optimal alignment can cross column c, r - c in
+    [kmin, kmax].  The default band, max(n, len(decoded[i])), is at least
+    every distance.  A distance above its band comes back too high, never
+    too low.  Memory is O(_CHUNK * (n + longest text)) for any number of
+    trials.
     """
     if bands is None:
         bands = [max(len(x), len(d)) for x, d in zip(xs, decoded)]
     out = [np.zeros(0, np.int64)]
     for lo in range(0, len(decoded), _CHUNK):
-        band = max(bands[lo:lo + _CHUNK])
-        for forward, backward in _lockstep(xs[lo:lo + _CHUNK], decoded[lo:lo + _CHUNK], band):
-            out.append((forward + backward[:, ::-1]).min(axis=1))
+        delta = len(xs[0]) - np.array([len(d) for d in decoded[lo:lo + _CHUNK]])
+        band = np.asarray(bands[lo:lo + _CHUNK])
+        kmin, kmax = int(((delta - band) // 2).min()), int(((delta + band) // 2).max())
+        for forward, backward in _lockstep(xs[lo:lo + _CHUNK], decoded[lo:lo + _CHUNK], kmin, kmax):
+            out.append((forward + backward).min(axis=1))
     return np.concatenate(out, dtype=np.int64)
 
 
@@ -288,44 +298,88 @@ def _lanes(xs, decoded):
     )
 
 
-def _lockstep(xs, decoded, band):
-    """Final columns of both halves of every trial (see _edit_distances),
-    stepped together by Myers' bit-parallel recurrence (J. ACM 46(3),
-    1999).
+def _lockstep(xs, decoded, kmin, kmax):
+    """Both halves of every trial (see _edit_distances), stepped by
+    _deltas on the diagonals kmin..kmax, and their final columns at the
+    rows where the two halves can meet.
 
     Yields, for each group of _READ trials in order, (forward, backward):
-    two int32 arrays whose row i is trial i's forward lane's final column
-    D[r][J], r = 0..n, and its reversed lane's, J being the lane's text
-    length.
+    two int32 arrays of kmax - kmin + 1 columns.  With c trial i's middle
+    column and r_t = c + kmin + t clipped to [0, n], row i holds its
+    forward lane's final column at row r_t, F(r_t), and its reversed
+    lane's at row n - r_t, B(n - r_t).  An alignment on those diagonals
+    crosses column c only at such a row; a clipped r_t repeats row 0 or
+    n, so every crossing row in range is read and none outside it.
 
-    The delta vectors live in (ceil(n / 64), lanes) uint64 arrays, word 0
-    holding positions 0-63, and one pass of the step loop (a few dozen
-    numpy calls) advances every lane by one text symbol.  Columns run
-    longest text first, so the lanes still reading text are the first k
-    columns, and k only shrinks.  A lane's match mask is P0 ^ sel, where
-    P0 marks the pattern's zeros and sel is all ones if its symbol is 1;
-    the symbols of the next _BLOCK steps are gathered at once.
+    A column is read from the deltas: D[r][J] = J + the number of pv bits
+    minus the number of mv bits among rows 0..r - 1.  The whole words
+    below a lane's first crossing row are counted by popcount, and only
+    the words from there on are unpacked.
+    """
+    n = len(xs[0])
+    lengths, column, (pv, mv) = _deltas(xs, decoded, kmin, kmax)
+    words = pv.shape[0]
+    # below[w, column] = pv bits minus mv bits in the words under word w
+    below = np.zeros((words + 1, pv.shape[1]), dtype=np.int32)
+    below[1:] = np.bitwise_count(pv)
+    below[1:] -= np.bitwise_count(mv)
+    np.cumsum(below, axis=0, out=below)
+    # a lane's crossing rows span kmax - kmin + 1 rows, so their prefixes
+    # lie within reach words from the one holding its first
+    crossing = np.arange(kmax - kmin + 1)
+    reach = np.arange(-(-(kmax - kmin + 63) // 64))
+    for lo in range(0, lengths.size, 2 * _READ):
+        rows = np.clip(lengths[lo:lo + 2 * _READ:2, None] + kmin + crossing, 0, n)
+        rows = np.stack([rows, n - rows], axis=1).reshape(-1, crossing.size)
+        cols = column[lo:lo + 2 * _READ, None]
+        first = rows.min(axis=1, keepdims=True) // 64
+        at = np.minimum(first + reach, words - 1), cols
+        bits = [np.unpackbits(np.ascontiguousarray(v[at], dtype="<u8").view(np.uint8),
+                              axis=1, bitorder="little").view(np.int8) for v in (pv, mv)]
+        read = np.zeros((rows.shape[0], bits[0].shape[1] + 1), dtype=np.int32)
+        np.cumsum(bits[0] - bits[1], axis=1, dtype=np.int32, out=read[:, 1:])
+        # flat offsets into read, one row per lane: a plain take is faster
+        # than take_along_axis here
+        rows -= 64 * first
+        rows += np.arange(0, read.size, read.shape[1])[:, None]
+        values = read.ravel().take(rows)
+        values += lengths[lo:lo + 2 * _READ, None] + below[first, cols]
+        yield values[0::2], values[1::2]
+
+
+def _deltas(xs, decoded, kmin, kmax):
+    """Every lane of _lanes stepped to the end of its text by Myers'
+    bit-parallel recurrence (J. ACM 46(3), 1999), on the diagonals
+    kmin <= i - j <= kmax.
+
+    Returns (lengths, column, deltas): each lane's text length, the
+    column that holds lane l, and deltas, a (2, ceil(n / 64), lanes)
+    uint64 array of the final pv and mv vectors, word 0 holding positions
+    0-63.
+
+    One pass of the step loop (a few dozen numpy calls) advances every
+    lane by one text symbol.  Columns run longest text first, so the lanes
+    still reading text are the first k columns, and k only shrinks.  A
+    lane's match mask is P0 ^ sel, where P0 marks the pattern's zeros and
+    sel is all ones if its symbol is 1; the sel masks of the next _BLOCK
+    steps are made at once.
 
     At text column j only the words [lo, hi) holding a row i with
-    |i - j| <= band are stepped: a block whose inner axis is contiguous,
-    sliding only up.  Additions carry across its words through a ripple
-    loop that stops once no carry is left; shifts carry each word's top
-    bit into the next.  Words below the window stay frozen.  The lowest
-    stepped word takes Myers' block rule for a +1 horizontal delta at its
-    top: no carry enters, ph shifts in 1 and mh 0 (carry_in's first row,
-    reset when the window moves).  A word joins in its initial state.
-    So every value is the cost of a real alignment path: it grows by one
-    per column along each row of a frozen word, and by one per row
-    through a word yet to join.  Such +1 edges are a legal DP boundary,
-    on which Myers' formulas stay exact, so no value falls below the true
-    D[r][J].  A path of cost D stays within |i - j| <= D (Ukkonen, Inf.
-    Control 64, 1985): if an optimal path to (r, J) costs at most band,
-    it is stepped throughout, and D[r][J] is exact.
-
-    The column is read from the deltas: D[r][J] = J + the number of pv
-    bits minus the number of mv bits among rows 0..r - 1, each frozen
-    word as it stood when it froze.  Carries and shifts only move up, so
-    bits above n - 1 never reach the rows below them.
+    kmin <= i - j <= kmax are stepped: a block whose inner axis is
+    contiguous, both of whose ends only slide up.  Additions carry across
+    its words through a ripple loop that stops once no carry is left;
+    shifts carry each word's top bit into the next.  Words below the
+    window stay frozen.  The lowest stepped word takes Myers' block rule
+    for a +1 horizontal delta at its top: no carry enters, ph shifts in 1
+    and mh 0 (carry_in's first row, reset when the window moves).  A word
+    joins in its initial state.  So every value is the cost of a real
+    alignment path: it grows by one per column along each row of a frozen
+    word, and by one per row through a word yet to join.  Such +1 edges
+    are a legal DP boundary, on which Myers' formulas stay exact, so no
+    value falls below the true D[r][J].  If an optimal path to (r, J)
+    keeps to the diagonals kmin..kmax, it is stepped throughout, and
+    D[r][J] is exact.  Carries and shifts only move up, so bits above
+    n - 1 never reach the rows below them.
     """
     n = len(xs[0])
     p0, text, start, step, lengths = _lanes(xs, decoded)
@@ -335,42 +389,44 @@ def _lockstep(xs, decoded, band):
     p0 = np.ascontiguousarray(p0[order].T)
     block = np.arange(_BLOCK)[:, None]
 
-    # xv, eq then ph, xh then mh, pv, mv: ph and mh take the slots of eq and
-    # xh once those are spent, and lie next to each other for the shifts
-    vectors = np.zeros((5, words, lanes), dtype=np.uint64)
-    vectors[3] = ~np.uint64(0)
+    # xv, eq then ph, xh then mh: ph and mh take the slots of eq and xh
+    # once those are spent, and lie next to each other for the shifts
+    work = np.zeros((3, words, lanes), dtype=np.uint64)
+    deltas = np.zeros((2, words, lanes), dtype=np.uint64)
+    deltas[0] = ~np.uint64(0)
     carry_in = np.zeros((2, words + 1, lanes), dtype=np.uint64)
     carry = np.empty((words, lanes), dtype=bool)
-    sel = np.empty(lanes, dtype=np.uint64)
     for k in range(lanes, 0, -1):
-        window, sel_k = None, sel[:k]
+        window = None
         for j in range(steps[k], steps[k - 1]):
             if j % _BLOCK == 0:  # clipped: past its end a lane's symbols go unread
-                symbols = text.take(start[:k] + step[:k] * (block + j), mode="clip")
-            # bit rows j - band .. j + band of text column j + 1
-            lo = min(max(j - band, 0), n - 1) // 64
-            hi = min(j + band, n - 1) // 64 + 1
+                sel = np.negative(text.take(start[:k] + step[:k] * (block + j), mode="clip"),
+                                  dtype=np.uint64)
+            # bit rows j + kmin .. j + kmax of text column j + 1
+            lo = min(max(j + kmin, 0), n - 1) // 64
+            hi = min(max(j + kmax, 0), n - 1) // 64 + 1
             if window != (lo, hi):
                 window = lo, hi
-                xv, eq, xh, pv, mv = vectors[:, lo:hi, :k]
-                h = vectors[1:3, lo:hi, :k]
+                xv, eq, xh = work[:, lo:hi, :k]
+                h = work[1:, lo:hi, :k]
                 ph, mh = h
+                pv, mv = deltas[:, lo:hi, :k]
                 p0_w, carry_w = p0[lo:hi, :k], carry[: hi - lo - 1, :k]
                 cin = carry_in[:, lo:hi + 1, :k]
                 cin[0, 0], cin[1, 0] = 1, 0
-            np.negative(symbols[j % _BLOCK, :k], out=sel_k, dtype=np.uint64)
-            np.bitwise_xor(p0_w, sel_k, out=eq)
+            np.bitwise_xor(p0_w, sel[j % _BLOCK, :k], out=eq)
             np.bitwise_or(eq, mv, out=xv)
             # xh = (((eq & pv) + pv) ^ pv) | eq, the sum carried across words
             np.bitwise_and(eq, pv, out=xh)
             np.add(xh, pv, out=xh)
-            c = np.less(xh[:-1], pv[:-1], out=carry_w)
-            for w in range(1, hi - lo):
-                upper = xh[w:]
-                upper += c
-                c = (c & (upper == 0))[:-1]
-                if not c.any():
-                    break
+            if hi - lo > 1:
+                c = np.less(xh[:-1], pv[:-1], out=carry_w)
+                for w in range(1, hi - lo):
+                    upper = xh[w:]
+                    upper += c
+                    c = (c & (upper == 0))[:-1]
+                    if not c.any():
+                        break
             np.bitwise_xor(xh, pv, out=xh)
             np.bitwise_or(xh, eq, out=xh)
             # ph = mv | ~(xh | pv), mh = pv & xh
@@ -387,17 +443,9 @@ def _lockstep(xs, decoded, band):
             np.invert(pv, out=pv)
             np.bitwise_or(pv, mh, out=pv)
             np.bitwise_and(ph, xv, out=mv)
-    rank = np.empty(lanes, dtype=np.intp)
-    rank[order] = np.arange(lanes)
-    for lo in range(0, lanes, 2 * _READ):
-        rows = rank[lo:lo + 2 * _READ]
-        pv, mv = np.unpackbits(
-            np.ascontiguousarray(vectors[3:, :, rows].transpose(0, 2, 1), dtype="<u8").view(np.uint8),
-            axis=2, count=n, bitorder="little").view(np.int8)
-        column = np.zeros((rows.size, n + 1), dtype=np.int32)
-        np.cumsum(pv - mv, axis=1, dtype=np.int32, out=column[:, 1:])
-        column += lengths[lo:lo + 2 * _READ, None]
-        yield column[0::2], column[1::2]
+    column = np.empty(lanes, dtype=np.intp)
+    column[order] = np.arange(lanes)
+    return lengths, column, deltas
 
 
 def _input_bits(config: SimConfig, rng) -> np.ndarray:

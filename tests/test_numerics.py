@@ -249,6 +249,23 @@ def test_integrate_batches_seed_panels_within_the_value_budget():
     assert np.array_equal(np.concatenate(columns), nodes.reshape(-1))
 
 
+def test_integrate_holds_one_panel_per_call_when_two_exceed_the_budget():
+    # A 1 000-wide stack: one panel is 15 000 values and two are over the
+    # budget, so after the first call (two seed panels, before the width is
+    # known) every seed panel and every bisection half takes a call of its
+    # own.
+    width = 1000
+    panels = []
+
+    def integrand(t):
+        panels.append(t.size // 15)
+        return np.sqrt(t) * np.ones(width)
+
+    val, _ = integrate(QuadratureProblem(integrand, (0.0, 1.0)), breakpoints=[0.25, 0.5, 0.75])
+    assert np.allclose(val, 2.0 / 3.0, rtol=0.0, atol=1e-10)
+    assert panels[0] == 2 and len(panels) > 5 and set(panels[1:]) == {1}
+
+
 def test_integrate_rejects_a_per_node_integrand():
     with pytest.raises(ValueError, match="column"):
         integrate(QuadratureProblem(lambda t: 1.0, (0.0, 1.0)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,40 +370,56 @@ def test_edit_distances_band_edge(m):
             assert (below >= want[pairs]).all()
 
 
+def _diagonals(n, texts, bands):
+    """The kernel's range of k = i - j for texts against an n-bit pattern:
+    the union over texts of |k| + |delta - k| <= band, delta = n - len."""
+    delta, bands = n - np.array([len(t) for t in texts]), np.array(bands)
+    return int(((delta - bands) // 2).min()), int(((delta + bands) // 2).max())
+
+
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
 def test_lockstep_columns_are_the_dp_columns_of_both_halves(m):
-    # The combine reads every row of both lanes' final columns: with the
-    # whole matrix stepped each row is the DP's, and with a narrow band none
-    # is below it (every value is the cost of a real alignment).
+    # The combine reads both lanes' final columns at the crossing rows
+    # r = c + kmin .. c + kmax, clipped to [0, m], and at no others: each
+    # position holds its own row, so with the whole matrix stepped it is
+    # the DP's value there, and with a narrow band none is below it (every
+    # value is the cost of a real alignment).
     xs, texts = _pairs_for(m, np.random.default_rng(m))
     want = []
     for x, text in zip(xs, texts):
         half = len(text) // 2
-        want.append((dp_last_column(x, text[:half]), dp_last_column(x[::-1], text[half:][::-1])))
+        want.append((half, dp_last_column(x, text[:half]),
+                     dp_last_column(x[::-1], text[half:][::-1])))
     for band in (2 * m + 3, 0, 2):
+        kmin, kmax = _diagonals(m, texts, [band] * len(texts))
         forward, backward = (np.concatenate(halves) for halves in
-                             zip(*simulate._lockstep(xs, texts, band)))
-        assert forward.shape == backward.shape == (len(xs), m + 1)
-        for i, (want_forward, want_backward) in enumerate(want):
+                             zip(*simulate._lockstep(xs, texts, kmin, kmax)))
+        assert forward.shape == backward.shape == (len(xs), kmax - kmin + 1)
+        for i, (half, want_forward, want_backward) in enumerate(want):
+            rows = [min(max(half + k, 0), m) for k in range(kmin, kmax + 1)]
+            at_rows = np.array(want_forward)[rows], np.array(want_backward)[[m - r for r in rows]]
             if band == 2 * m + 3:
-                assert forward[i].tolist() == want_forward
-                assert backward[i].tolist() == want_backward
+                assert forward[i].tolist() == at_rows[0].tolist()
+                assert backward[i].tolist() == at_rows[1].tolist()
             else:
-                assert (forward[i] >= want_forward).all()
-                assert (backward[i] >= want_backward).all()
+                assert (forward[i] >= at_rows[0]).all()
+                assert (backward[i] >= at_rows[1]).all()
 
 
 @st.composite
 def _kernel_cases(draw):
-    """Up to three texts against one pattern of 1-200 bits, each text 0 to
-    2m + 3 bits, either random or the pattern cut or repeated with a few
-    bits flipped (small distances), and a random band."""
-    m = draw(st.integers(1, 200))
+    """Up to four texts against one pattern of 1-150 bits, each with its
+    own band.  A text is much shorter than the pattern (at most m // 4
+    bits) or up to 4m + 8 bits, either random or the pattern cut or
+    repeated with a few bits flipped (small distances); its band runs from
+    0, below the length difference, to past both lengths, so the texts of
+    one chunk differ in both delta and band."""
+    m = draw(st.integers(1, 150))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.integers(0, 2, m, dtype=np.uint8)
-    texts = []
-    for _ in range(draw(st.integers(1, 3))):
-        length = draw(st.integers(0, 2 * m + 3))
+    texts, bands = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.one_of(st.integers(0, m // 4), st.integers(0, 4 * m + 8)))
         if draw(st.booleans()):
             text = rng.integers(0, 2, length, dtype=np.uint8)
         else:
@@ -410,14 +427,36 @@ def _kernel_cases(draw):
             if length:
                 text[rng.integers(0, length, draw(st.integers(0, 4)))] ^= 1
         texts.append(text)
-    return x, texts, draw(st.integers(0, 2 * m + 3))
+        bands.append(draw(st.integers(0, max(m, length) + 2)))
+    return x, texts, bands
 
 
 @settings(deadline=None)
 @given(_kernel_cases())
 def test_split_kernel_is_exact_within_its_band_and_never_low(case):
-    x, texts, band = case
-    got = simulate._edit_distances([x] * len(texts), texts, [band] * len(texts))
-    for dist, text in zip(got.tolist(), texts):
+    x, texts, bands = case
+    got = simulate._edit_distances([x] * len(texts), texts, bands)
+    for dist, text, band in zip(got.tolist(), texts, bands):
         want = dp_edit_distance(x, text)
         assert dist == want if band >= want else dist >= want
+
+
+def test_kernel_peak_memory_is_no_more_than_the_full_column_reads():
+    # One benchmark-sized op (100 trials, n = 4000, lambda = 2, seed 1):
+    # the kernel that read every row of both final columns peaked at
+    # 1 648 465 traced bytes, and the windowed read may hold no more.
+    xs, decoded, bands = [], [], []
+    for child in np.random.SeedSequence(1).spawn(100):
+        rng = np.random.default_rng(child)
+        x = rng.integers(0, 2, 4000, dtype=np.uint8)
+        decode, bound = simulate._decode_runs(x, 2.0, rng.poisson(2.0, x.size))
+        xs.append(x)
+        decoded.append(decode)
+        bands.append(bound)
+    tracemalloc.start()
+    try:
+        simulate._edit_distances(xs, decoded, bands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_650_000
