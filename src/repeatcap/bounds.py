@@ -31,14 +31,16 @@ derivative in mu to zero gives the first-order condition
     bound -num log q* / den nats.
 
 G increases with q, and the value rises below q* and falls above it, so
-q* is a monotone root: bisection over the q-grid's points up to 0.96 and a
-walk up the grid bracket it between two grid points, and Brent's method in
-log(1 - q) solves it there (numerics.find_root).  The value and mu_opt are
-read at q*.  If mu(q*) is below the threshold, the constraint binds and the
-sup sits where mu reaches the threshold; such a bound scans the q-grid from
-its first feasible point, found by the same bisection, and golden-sections
-around the best point (numerics.maximize_concave).  The deletion bound
-comes in three flavors differing in the dual and its mass-at-zero rule:
+q* is a monotone root.  In theta = log q, G is convex with G' = mu + m, so
+Newton's method solves it from one dual per iterate: a tangent lands at or
+right of the root, and from there the iterates fall to it.  The value and
+mu_opt are read at q*.  If mu(q*) is below the threshold, the constraint
+binds and the sup sits where mu reaches the threshold; Newton stops at the
+first iterate right of q* that shows it, and the bound scans the q-grid
+from its first feasible point, found by bisection above that iterate, and
+golden-sections around the best point (numerics.maximize_concave).  The
+deletion bound comes in three flavors differing in the dual and its
+mass-at-zero rule:
 
     Conv:   convexity-based weights, balance delta (gap limit 1/2)
     Trunc:  truncated-integral weights, balance delta (gap limit 0, so
@@ -84,7 +86,11 @@ from repeatcap.numerics import QuadratureError, maximize_concave
 
 _LOG2 = math.log(2.0)
 _Q_OPT_TOL = 1e-7  # golden-section tolerance on q_opt where the constraint binds
-_THETA_TOL = 1e-10  # root tolerance on theta = log(1 - q*) elsewhere
+# Newton's method stops once a step in log q is at most _NEWTON_REL |log q|,
+# or at most 4 ulp(q), below which rounding in q leaves nothing to resolve;
+# needing more than _NEWTON_MAX_STEPS steps is an error.
+_NEWTON_REL = 1e-13
+_NEWTON_MAX_STEPS = 60
 
 # Mass-at-zero rules (deletion_delta) and reference-table selectors
 # (verify_tables), in the order the CLI offers them.
@@ -166,15 +172,14 @@ class SweepFailure:
 
 
 def _q_grid(p: float) -> np.ndarray:
-    # The optimum sits near 1 for retentive channels (the mean constraint
-    # forces 1 - q = O(1 - p); 1 - q* = 2.6e-3 at p = 0.99), so once 1 - p
-    # is small a geometric cluster is appended that reaches 1 - q =
-    # 2e-2 (1 - p), floored at 2e-5.  The root's bracket is the first grid
-    # interval where the first-order condition turns nonnegative, and no q
-    # above it is read, so the S-table, about 28/(1-q) terms for the
-    # largest q read, follows q* rather than the cluster's end.  A binding
-    # bound's scan starts at the first feasible point and stops just past
-    # the peak.
+    # The points a binding bound's scan reads (_optimize).  The optimum sits
+    # near 1 for retentive channels (the mean constraint forces
+    # 1 - q = O(1 - p); 1 - q* = 2.6e-3 at p = 0.99), so once 1 - p is
+    # small a geometric cluster is appended that reaches 1 - q =
+    # 2e-2 (1 - p), floored at 2e-5.  The scan starts at the first feasible
+    # point and stops just past the peak, so the S-table, about 28/(1-q)
+    # terms for the largest q read, follows the peak rather than the
+    # cluster's end.
     lo = max(2e-5, 2e-2 * (1.0 - p))
     parts = [np.linspace(0.01, 0.99, 64)]
     if lo < 1e-2:
@@ -183,21 +188,29 @@ def _q_grid(p: float) -> np.ndarray:
     return grid[(grid > 0.0) & (grid < 1.0)]
 
 
-def _delta_scan(p: float, x_max: int = _EPS_SCAN_X_MAX) -> np.ndarray:
-    # The scan runs outside the lock, so a thread scanning one p does not
-    # hold up S-table lookups for every other p.
-    key = (float(p), int(x_max))
-    with _TABLES_LOCK:
-        scan = _DELTA_SCANS.get(key)
-    if scan is None:
-        scan = convexity_gap_scan(p, x_max)
+def _cached(scan: Callable[[float, int], np.ndarray]) -> Callable[[float, int], np.ndarray]:
+    """scan(p, x_max), kept in _DELTA_SCANS by (scan, p, x_max), so that a
+    bound and deletion_delta read one array."""
+
+    def cached(p: float, x_max: int) -> np.ndarray:
+        # The scan runs outside the lock, so a thread scanning one p does
+        # not hold up S-table lookups for every other p.
+        key = (scan, float(p), int(x_max))
         with _TABLES_LOCK:
-            _DELTA_SCANS[key] = scan
-    return scan
+            gaps = _DELTA_SCANS.get(key)
+        if gaps is None:
+            gaps = scan(p, x_max)
+            with _TABLES_LOCK:
+                _DELTA_SCANS[key] = gaps
+        return gaps
+
+    return cached
 
 
-def _truncated_gap_scan(p: float, x_max: int) -> np.ndarray:
-    return r_p(np.arange(1, x_max + 1, dtype=float), p)
+# Both read their scan function by name at call time, as a wrapper put on
+# the module attribute expects.
+_delta_scan = _cached(lambda p, x_max: convexity_gap_scan(p, x_max))
+_truncated_gap_scan = _cached(lambda p, x_max: r_p(np.arange(1, x_max + 1, dtype=float), p))
 
 
 @dataclass(frozen=True)
@@ -251,7 +264,9 @@ def _optimized(family: Family) -> tuple[BoundVariant, ...]:
 
 def _delta(con: _Construction, p: float, rule: str, scan=None) -> float:
     """delta under rule 'one', 'd' or 'recommended'; the balance rule reads
-    the gap at x = 1 from scan, scanning x = 1 alone when none is given."""
+    the gap at x = 1 from scan, or from the bound's own scan
+    gap_scan(p, _EPS_SCAN_X_MAX) when none is given, so that both read the
+    same value."""
     if rule not in DELTA_RULES:
         raise ValueError(f"unknown delta rule {rule!r}")
     d = 1.0 - p
@@ -259,7 +274,7 @@ def _delta(con: _Construction, p: float, rule: str, scan=None) -> float:
         return 1.0
     if rule == "d" or not con.balance:
         return d
-    gap1 = float((con.gap_scan(p, 1) if scan is None else scan)[0])
+    gap1 = float((con.gap_scan(p, _EPS_SCAN_X_MAX) if scan is None else scan)[0])
     return math.exp(min(-(gap1 - _SPECS[con.dual].gap_limit(p)) / d, 0.0))
 
 
@@ -283,8 +298,8 @@ def deletion_delta(p: float, variant, rule: str = "recommended") -> float:
 class _Search:
     """One bound's search over q at p.  delta, eps and the reduction
     threshold are fixed once, before any q, and every dual the search
-    builds is kept by q, so the bracket, the root, the scan, the golden
-    section and mu_opt read each point's dual once."""
+    builds is kept by q, so the root, the scan, the golden section and
+    mu_opt read each point's dual once."""
 
     def __init__(self, p: float, variant: BoundVariant):
         con = _CONSTRUCTIONS[variant]
@@ -347,6 +362,37 @@ class _Search:
             - self.eps - self.d * self.log_delta
         )
 
+    def root(self) -> float:
+        """q*, by Newton's method on G in theta = log q with G' = mu + m,
+        or an iterate right of q* whose dual mean is below the threshold:
+        the mean rises with q, so the constraint binds at q* too, and the
+        binding search needs no more of the root.
+
+        G is convex in theta, so each tangent lands at or right of theta*,
+        and from there the iterates fall to it.  A step may shrink 1 - q
+        at most 4x, so a start left of the root does not overshoot towards
+        the series cap.  The start is 1 - d/4: the mean constraint keeps
+        1 - q* at 0.21-0.44 d for the sticky and deletion channels over
+        the tables.  Duplication's q* stays within 0.58-0.72 at every p,
+        so its start is 0.7."""
+        if self.con.family is Family.ELEMENTARY_DUPLICATION:
+            q = 0.7
+        else:
+            q = 1.0 - 0.25 * self.d
+        for _ in range(_NEWTON_MAX_STEPS):
+            theta = math.log(q)
+            g, mu = self.condition(q), self.dual(q).mean
+            if g >= 0.0 and mu < self.threshold:
+                return q
+            step = g / (mu + self.con.m)
+            if abs(step) <= max(_NEWTON_REL * abs(theta), 4.0 * math.ulp(q)):
+                return q
+            q = min(math.exp(theta - step), 1.0 - 0.25 * (1.0 - q))
+        raise BoundComputationError(
+            f"Newton's method on the first-order condition took more than "
+            f"{_NEWTON_MAX_STEPS} steps {self.where}"
+        )
+
 
 # _first_index probes no grid point above this q, a cost bound: up to it
 # every variant's series reads at most 768 terms, inside an S-table's first
@@ -354,13 +400,12 @@ class _Search:
 _PROBE_Q_MAX = 0.96
 
 
-def _first_index(holds: Callable[[float], bool], grid: np.ndarray) -> int:
-    """The index of the first grid point q <= _PROBE_Q_MAX where holds(q),
-    or the number of such points when there is none.  holds must fail on a
-    prefix of the grid and hold past it, as feasibility (the dual mean
-    rises with q) and the first-order condition's sign (it rises with q)
-    do, so bisection finds it."""
-    lo, hi = 0, int(np.searchsorted(grid, _PROBE_Q_MAX, side="right"))
+def _first_index(holds: Callable[[float], bool], grid: np.ndarray, lo: int) -> int:
+    """The index of the first grid point q <= _PROBE_Q_MAX, from lo on,
+    where holds(q), or max(lo, the number of such points) when there is
+    none.  holds must fail on a prefix of the grid and hold past it, as
+    feasibility does (the dual mean rises with q), so bisection finds it."""
+    hi = int(np.searchsorted(grid, _PROBE_Q_MAX, side="right"))
     while lo < hi:
         mid = (lo + hi) // 2
         if holds(float(grid[mid])):
@@ -370,46 +415,22 @@ def _first_index(holds: Callable[[float], bool], grid: np.ndarray) -> int:
     return lo
 
 
-def _root(search: _Search, grid: np.ndarray) -> float:
-    """q* with search.condition(q*) = 0, by Brent's method in
-    theta = log(1 - q) inside the first grid interval where the condition
-    turns nonnegative.  No q above that interval's right end is evaluated:
-    a probe past the root would only grow the S-table."""
-    condition = search.condition
-    j = _first_index(lambda q: condition(q) >= 0.0, grid)
-    while j < grid.size and condition(float(grid[j])) < 0.0:
-        j += 1
-    if j == grid.size:
-        raise BoundComputationError(
-            f"the first-order condition has no root on the q-grid {search.where}: "
-            f"it is still negative at the grid's last q = {grid[-1]:.8g}, so the root lies past "
-            f"it, towards the series cap of {numerics._SERIES_HARD_CAP} terms"
-        )
-    a, b = 1e-6 if j == 0 else float(grid[j - 1]), float(grid[j])
-    # the q read at each theta, so that the bracket's ends read their grid points
-    q_at = {math.log1p(-a): a, math.log1p(-b): b}
-
-    def in_theta(theta: float) -> float:
-        return condition(q_at.setdefault(theta, -math.expm1(theta)))
-
-    ends = [(theta, condition(q)) for theta, q in q_at.items()]
-    return q_at[numerics.find_root(in_theta, *ends, _THETA_TOL)]
-
-
 def _optimize(p: float, variant: BoundVariant) -> BoundResult:
     search = _Search(p, variant)
-    grid = _q_grid(p)
     # The series length grows with q, so no q past one whose series did not
-    # converge converges either: the search raises at the first.
-    q_opt = _root(search, grid)
+    # converge converges either: the search raises at the first it reads.
+    q_opt = search.root()
     nats = search.objective(q_opt)
     if search.dual(q_opt).mean < search.threshold:
         # The constraint binds: the sup sits where the dual mean reaches the
-        # threshold.  Scan from the first feasible grid point; the scan from
-        # grid[k] on, with the bracket's left end at grid[k - 1], is the
-        # whole grid's scan without its head of zeros, which neither stop
-        # the scan nor set its noise scale: same bracket, same result.
-        k = _first_index(lambda q: search.objective(q) != 0.0, grid)
+        # threshold, above q_opt, since the mean rises with q.  Scan from
+        # the first feasible grid point; the scan from grid[k] on, with the
+        # bracket's left end at grid[k - 1], is the whole grid's scan
+        # without its head of zeros, which neither stop the scan nor set
+        # its noise scale: same bracket, same result.
+        grid = _q_grid(p)
+        above = int(np.searchsorted(grid, q_opt, side="right"))
+        k = _first_index(lambda q: search.objective(q) != 0.0, grid, above)
         lo = 1e-6 if k == 0 else float(grid[k - 1])
         res = maximize_concave(search.objective, lo, 1.0 - 1e-6, grid[k:], _Q_OPT_TOL)
         q_opt, nats = float(res.arg), float(res.value)
@@ -493,8 +514,9 @@ def geomdel_elementary_bound(p: float) -> BoundResult:
 
     It comes from fixing delta = d and q = 1 - d/2 in the inverse-binomial
     construction and bounding the normalizer analytically instead of
-    optimizing; the value tends to 1/(2 log 2) ~ 0.7214 bits as p -> 1 and
-    stays below 0.73 bits for d <= 1e-3.
+    optimizing; the value tends to 1/(2 log 2) ~ 0.7214 bits as p -> 1.  It
+    rises with d and crosses 0.73 bits at d ~ 8.31e-4 (0.731494 bits at
+    d = 1e-3).
     """
     p = _validate_p(p)
     d = 1.0 - p

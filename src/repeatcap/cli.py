@@ -23,8 +23,8 @@ import numpy as np
 
 from repeatcap.bounds import (
     _CONSTRUCTIONS,
+    _NEWTON_REL,
     _Q_OPT_TOL,
-    _THETA_TOL,
     DELTA_RULES,
     TABLE_SELECTORS,
     BoundComputationError,
@@ -196,7 +196,7 @@ def _cmd_bound(params: dict) -> int:
     family = _family(params)
     result = compute_bound(family, as_bound_variant(params["variant"]), params["p"])
     meta = None if params["no_meta"] else records.run_metadata(
-        {"q_opt": _Q_OPT_TOL, "log1mq_root": _THETA_TOL, "series_rel": _SERIES_REL_TOL}
+        {"q_opt": _Q_OPT_TOL, "newton_log_q": _NEWTON_REL, "series_rel": _SERIES_REL_TOL}
     )
     sys.stdout.write(records.dump_json(records.bound_json(result, meta=meta)))
     if params["nats"]:

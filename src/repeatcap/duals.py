@@ -497,9 +497,9 @@ class _STable:
 
 
 _TABLES: dict[tuple[DualVariant, float], _STable] = {}
-# Convexity gap scans by (p, x_max).  bounds fills it around its own
-# convexity_gap_scan lookup; it lives here so clear_caches empties it too.
-_DELTA_SCANS: dict[tuple[float, int], np.ndarray] = {}
+# Gap scans by (scan, p, x_max).  bounds fills it around its conv and trunc
+# scans; it lives here so clear_caches empties it too.
+_DELTA_SCANS: dict[tuple, np.ndarray] = {}
 _TABLES_LOCK = threading.Lock()
 
 

@@ -1,5 +1,5 @@
-"""Numerical substrate: quadrature, special functions, series, 1-D search
-and root finding.
+"""Numerical substrate: quadrature, special functions, series and 1-D
+search.
 
 Every integral in this package is, after a change of variables, of the form
 
@@ -66,7 +66,6 @@ __all__ = [
     "log_integral_li",
     "sum_series",
     "maximize_concave",
-    "find_root",
 ]
 
 # 7-point Gauss / 15-point Kronrod pair on [-1, 1] (QUADPACK dqk15 data).
@@ -684,56 +683,3 @@ def maximize_concave(
             if f_ > best_f:
                 best_x, best_f = float(x_), float(f_)
     return OptimizeResult(arg=best_x, value=best_f, unimodal=unimodal, n_evals=n_evals)
-
-
-def find_root(
-    f: Callable[[float], float],
-    lo: tuple[float, float],
-    hi: tuple[float, float],
-    tol: float,
-) -> float:
-    """A root of f inside a bracket, by Brent's method (scipy's brentq).
-
-    lo and hi are (x, f(x)) pairs whose values differ in sign, or one of
-    which is 0; f is not called at them again.  Each step takes an inverse
-    quadratic or secant step when it stays well inside the bracket, and a
-    bisection otherwise.  Returns an x at which f was evaluated (or an end
-    of the bracket) within tol + 4 eps |x| of a sign change of f.  Raises
-    ValueError when the bracket has no sign change.
-    """
-    (xpre, fpre), (xcur, fcur) = lo, hi
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError(
-            f"no sign change in the bracket: f({xpre!r}) = {fpre!r}, f({xcur!r}) = {fcur!r}"
-        )
-    xblk = fblk = spre = scur = 0.0
-    while True:
-        if (fpre < 0.0) != (fcur < 0.0):  # xblk is the end opposite xcur
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # xcur is the better end
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * tol + 2.0 * _EPS * abs(xcur)
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = float(f(xcur))

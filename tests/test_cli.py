@@ -533,7 +533,7 @@ def test_bound_metadata_reads_the_solver_tolerances(capsys):
     code, out, _ = run_cli(capsys, "bound", "--family", "sticky", "--p", "0.3")
     assert code == 0
     assert json.loads(out)["meta"]["tolerances"] == {
-        "q_opt": bounds._Q_OPT_TOL, "log1mq_root": bounds._THETA_TOL,
+        "q_opt": bounds._Q_OPT_TOL, "newton_log_q": bounds._NEWTON_REL,
         "series_rel": numerics._SERIES_REL_TOL,
     }
 

@@ -1,5 +1,4 @@
-"""Quadrature, special functions, series summation, root finding, concave
-maximization."""
+"""Quadrature, special functions, series summation, concave maximization."""
 
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ from repeatcap.numerics import (
     QuadratureError,
     QuadratureProblem,
     binary_entropy,
-    find_root,
     integrate,
     log_gamma,
     log_gamma_via_integral,
@@ -546,56 +544,6 @@ def test_maximize_concave_quasiconcave_scans_nonpositive_in_full():
     assert set(_GRID.tolist()) <= set(seen)
     assert res.n_evals > 64
     assert abs(res.arg - 0.3) <= 1e-7
-
-
-def _traced_root(f, a, b, tol):
-    """find_root on [a, b], and every x it evaluated f at, ends included."""
-    seen = {a, b}
-
-    def traced(x):
-        seen.add(x)
-        return f(x)
-
-    return find_root(traced, (a, f(a)), (b, f(b)), tol), seen
-
-
-@pytest.mark.parametrize(
-    "f, a, b, root",
-    [
-        (lambda x: x * x - 2.0, 0.0, 2.0, math.sqrt(2.0)),
-        (lambda x: math.cos(x) - x, 1.0, 0.0, 0.7390851332151607),  # reversed ends
-        (lambda x: math.expm1(x) - 1e-3, -5.0, 5.0, math.log1p(1e-3)),
-        (lambda x: math.tanh(40.0 * (x + 7.5)), -10.0, 0.0, -7.5),  # a step at theta scale
-        (lambda x: (x - 0.3) ** 3, 0.0, 1.0, 0.3),  # a flat root
-    ],
-)
-@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
-def test_find_root_meets_its_tolerance(f, a, b, root, tol):
-    x, seen = _traced_root(f, a, b, tol)
-    assert x in seen
-    assert abs(x - root) <= tol + 4.0 * np.finfo(float).eps * abs(x)
-
-
-def test_find_root_takes_interpolation_steps():
-    # a smooth root needs far fewer evaluations than bisection to 1e-12
-    x, seen = _traced_root(lambda x: math.log(x) - 1.0, 1.0, 10.0, 1e-12)
-    assert abs(x - math.e) <= 1e-12
-    assert len(seen) <= 12
-
-
-def test_find_root_returns_an_end_at_a_zero():
-    calls = []
-    f = lambda x: calls.append(x) or x - 1.0  # noqa: E731
-    assert find_root(f, (1.0, 0.0), (3.0, 2.0), 1e-10) == 1.0
-    assert find_root(f, (-1.0, -2.0), (1.0, 0.0), 1e-10) == 1.0
-    assert calls == []
-
-
-def test_find_root_rejects_a_bracket_without_a_sign_change():
-    with pytest.raises(ValueError, match="no sign change"):
-        find_root(lambda x: x, (1.0, 1.0), (2.0, 2.0), 1e-10)
-    with pytest.raises(ValueError, match="no sign change"):
-        find_root(lambda x: -x, (1.0, -1.0), (2.0, -2.0), 1e-10)
 
 
 def test_maximize_concave_validation():
