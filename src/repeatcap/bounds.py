@@ -44,7 +44,8 @@ mass-at-zero rule:
 
     Conv:   convexity-based weights, balance delta (gap limit 1/2)
     Trunc:  truncated-integral weights, balance delta (gap limit 0, so
-            delta = exp(-R_p(1)/d))
+            delta = exp(-R_p(1)/d)); past the scan's x <= 500 eps takes
+            R_p(1) (1 - d^500), which R_p >= 0 makes a lower bound
     DeltaD: convexity-based weights with the alternative delta = 1-p,
             which wins for p close to 1
 
@@ -321,7 +322,13 @@ class _Search:
             self.delta = _delta(con, p, "recommended", scan)
             if self.delta == 0.0:
                 raise BoundComputationError(f"the balance delta underflows to 0 {self.where}")
-            self.eps = _infimum(*_delta_rule(con.dual, scan, p, self.delta))
+            gaps, limit = _delta_rule(con.dual, scan, p, self.delta)
+            if con.dual is DualVariant.GEOMDEL_TRUNCATED:
+                # R_p >= 0, so every modified gap past the scan's end X is
+                # at least -d log delta (1 - d^X) = R_p(1) (1 - d^X); the
+                # limit alone misses the dip at x of order 1/p past X.
+                limit *= 1.0 - self.d**_EPS_SCAN_X_MAX
+            self.eps = _infimum(gaps, limit)
         self.log_delta = math.log(self.delta)
 
     def dual(self, q: float):

@@ -38,7 +38,7 @@ the q^y weights, so Delta(x) = H(Y_x) + sum_{y>=1} Y_x(y) (S(y) + c), c the
 variant's constant weight shift.  gap_scan is the one gap behind the conv
 and delta-d bounds, kl_gap_profile, epsilon_inf and klgap (the trunc bound
 reads its closed form r_p).  For the convexity weights it is one integral
-per x (_conv_gap): Y_x is negative binomial with pgf G(z)^x,
+per x (_conv_columns): Y_x is negative binomial with pgf G(z)^x,
 G(z) = (1-p)/(1-pz), the drift cancels the x log(1-p) terms, and
 Malmsten's integral for log Gamma puts every expectation inside one
 t-integral, where it becomes a power of G:
@@ -48,12 +48,13 @@ t-integral, where it becomes a power of G:
 
 which is log Gamma(x) - E log Gamma(Y_x + x) + E[log Gamma(Y_x/p) -
 log Gamma(Y_x (1-p)/p)] with log Gamma(x)'s own integral folded in.  The
-inverse binomial adds c P(Y_x >= 1) = c (1 - (1-p)^x).  For every other
-variant gap_scan sums each Y_x over its support window (channels._windows):
-two-sided, each tail certified by the law's Chernoff bound to hold at most
-1e-15 of the mass, log Y_x(y) read for every x as slices of one log-gamma
-array built once per scan.  kl_divergence sums the KL directly against a
-built dual over the same windows, an independent check of both routes.
+inverse binomial adds c P(Y_x >= 1) = c (1 - (1-p)^x).  One kernel,
+_gap_block, sums it and r_p on fixed Gauss-Legendre rules, each x alone.
+For every other variant gap_scan sums each Y_x over its support window
+(channels._windows): two-sided, each tail certified by the law's Chernoff
+bound to hold at most 1e-15 of the mass, log Y_x(y) read for every x as
+slices of one log-gamma array built once per scan.  kl_divergence sums
+the KL against a built dual over the same windows, checking both routes.
 A dual may have its mass at y = 0 rescaled to alpha*delta (delta in (0,1]);
 the normalizers then satisfy 1/alpha = delta + 1/y0 - 1 and the gap becomes
 Delta_delta(x) = Delta(x) - d log delta + d^x log delta, d = 1 - p, written
@@ -74,16 +75,7 @@ from numpy.polynomial.chebyshev import chebval, chebvander
 
 from repeatcap import channels, numerics
 from repeatcap.channels import ConditionalOutputLaw, Family, RepeatChannel
-from repeatcap.numerics import (
-    _Base,
-    _col,
-    _f,
-    _lgamma,
-    binary_entropy,
-    integrate_exp_tail,
-    log_integral_li,
-    sum_series,
-)
+from repeatcap.numerics import _Base, _f, _lgamma, binary_entropy, log_integral_li, sum_series
 
 
 class DualVariant(enum.Enum):
@@ -295,7 +287,7 @@ def _lambdas(spec: _Spec, groups: list[np.ndarray], p: float) -> np.ndarray:
     if spec.truncated:
         interval, breaks = (0.0, math.log1p(2.0 * p)), _trunc_breaks(p)
     else:
-        interval, breaks = (0.0, numerics._EXP_TAIL_SPAN), numerics._exp_tail_breaks(0.0)
+        interval, breaks = (0.0, numerics._EXP_TAIL_SPAN), numerics._EXP_TAIL_BREAKS
     problem = numerics.QuadratureProblem(
         lambda v: np.stack([_f(ys, v, spec.base(v, p, k)) for k in keys], axis=1),
         interval,
@@ -358,48 +350,6 @@ def g_duplication(y, p: float):
 def lambda_trunc_geomdel(y, p: float):
     """The two truncated-deletion Lambda integrals over t in [0, 2p/(1+2p)]."""
     return _lambda_view(DualVariant.GEOMDEL_TRUNCATED, y, p, "lambda_trunc_geomdel", 0.0)
-
-
-def r_p(x, p: float):
-    """R_p(x): the KL-gap of the truncated deletion dual, nonnegative and
-    exponentially decaying in x.
-
-    R_p(x) = -int_T^1 (1-t)^(x-1) (1 - ((1-p)/(1-p(1-t)))^x) / (t log(1-t)) dt
-    with T = 2p/(1+2p); in v coordinates the integrand is
-    exp(-x v) (1 - (d/(1 - p e^-v))^x) / (t v) on [log(1+2p), inf).
-    """
-    p = _validate_p(p)
-    xs, scalar = _as_y_array(x)
-    if not np.all(np.isfinite(xs) & (xs >= 1.0)):
-        raise ValueError("r_p requires finite x >= 1")
-    log_d = math.log1p(-p)
-    v_t = math.log1p(2.0 * p)
-
-    def fv(v: np.ndarray) -> np.ndarray:
-        nodes = v[:, 0].tolist()
-        # 1 - ratio^x through expm1: for small p the ratio is 1 - O(p) and
-        # 1 - ratio**x would keep only the noise of its last bits
-        log_ratio = _col([log_d - math.log1p(-p * math.exp(-x)) for x in nodes])
-        tv = _col([-math.expm1(-x) * x for x in nodes])
-        return np.exp(-xs * v) * -np.expm1(xs * log_ratio) / tv
-
-    val, _ = integrate_exp_tail(fv, v_t)
-    return float(val[0]) if scalar else val
-
-
-def r_p_envelope(p: float) -> float:
-    """I_p = int_T^1 dt / (-t log(1-t)); R_p(x) <= (1+2p)^-(x-1) * I_p.
-
-    I_p exists for every finite p > 0, not only for a channel's p < 1."""
-    if not 0.0 < p < math.inf:
-        raise ValueError(f"r_p_envelope requires finite p > 0, got {p}")
-    v_t = math.log1p(2.0 * p)
-
-    def fv(v: np.ndarray) -> np.ndarray:
-        return np.array([math.exp(-x) / (-math.expm1(-x) * x) for x in v[:, 0].tolist()])
-
-    val, _ = integrate_exp_tail(fv, v_t)
-    return float(val)
 
 
 _TABLE_STEP = 1024
@@ -677,7 +627,7 @@ def _slice_reader(lg: np.ndarray) -> Callable:
 
 def gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
     """Delta(x) at delta = 1 for x = 1..x_max for any dual variant: the
-    convexity integral (_conv_gap) for the variants on the convexity
+    convexity integral (_conv_columns) for the variants on the convexity
     weights, plus the weight shift times P(Y_x >= 1); the summed scan
     (_summed_gap_scan) for the others."""
     if isinstance(x_max, bool) or not isinstance(x_max, (int, np.integer)) or x_max < 1:
@@ -685,7 +635,7 @@ def gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
     if (_SPECS[variant].s_table or variant) is not DualVariant.GEOMDEL_CONVEXITY:
         return _summed_gap_scan(variant, p, x_max)
     p = _validate_p(p)
-    gaps = _conv_gap(p, int(x_max))
+    gaps = _gap_integral(_conv_columns(p), np.arange(1.0, x_max + 1.0))
     shift = _SPECS[variant].weight_shift(p)
     if shift:
         gaps += shift * -np.expm1(np.arange(1.0, x_max + 1.0) * math.log1p(-p))
@@ -703,6 +653,14 @@ def gap_scan(variant: DualVariant, p: float, x_max: int) -> np.ndarray:
 # up to 4e-13 and 8 by 8e-11; 16 leave a margin.
 _CONV_TAIL_PANELS = 2
 _CONV_PANELS = 16
+# R_p's rule: the same in u = log(v - v_t), _R_P_PANELS equal panels over
+# [log 1e-22, log 60].  In u the integrand rises like e^u up to about
+# log v_t and falls like e^(-x e^u) past about -log x, smooth on the scale
+# of one unit of u wherever v_t sits, so equal panels serve every p; past
+# v_t + 60 it is below 9e-27.  Over x <= 500 and p from 1e-9 to 0.9999,
+# doubling 24 panels moves no value by more than 1e-16, doubling 20 by
+# 4e-15 and doubling 16 by 2e-13.
+_R_P_PANELS = 24
 # 16-point Gauss-Legendre on [-1, 1], the positive nodes and their weights
 # (Newton on P_16 at 40 digits, rounded to nearest; numpy's leggauss gives
 # the same nodes and weights within 2 ulp).
@@ -721,7 +679,15 @@ _GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS, _GL_HALF_WEIGHTS[::-1]))
 # No temporary of the integrand holds more than this many values (128 kB):
 # a larger one is mapped afresh by the allocator on every block, and its
 # page faults cost more than the block's arithmetic.
-_CONV_BLOCK_VALUES = 1 << 14
+_GAP_BLOCK_VALUES = 1 << 14
+
+
+def _gl_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The composite 16-point Gauss-Legendre rule in u over the panels
+    between consecutive edges: its nodes as e^u, and its weights in u."""
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = np.exp((edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel())
+    return nodes, (half * _GL_WEIGHTS).ravel()
 
 
 def _expm1_minus_id(s: np.ndarray) -> np.ndarray:
@@ -740,8 +706,8 @@ def _expm1_minus_id(s: np.ndarray) -> np.ndarray:
 
 def _conv_columns(p: float) -> np.ndarray:
     """The t-only parts of the convexity integrand at the rule's n nodes
-    t, as five rows: a1 = log G(e^(-t/p)), -d1, a2 = log G(e^(-(1-p)t/p)),
-    d2 and the weight w / (1 - e^-t).
+    t, as the five rows _gap_block takes: a1 = log G(e^(-t/p)), -d1,
+    a2 = log G(e^(-(1-p)t/p)), d2 and the weight w / (1 - e^-t).
 
     With d1 = a1 - log G(e^-t) + t >= 0 and d2 = -t - a2 <= 0 the
     numerator is e^(x a2) expm1(x d2) - e^(x a1) expm1(-x d1): the four 1s
@@ -752,13 +718,11 @@ def _conv_columns(p: float) -> np.ndarray:
     d1 = log1p((phi(t) + p phi(-t/p)) / (1 - p e^(-t/p))),
     d2 = log1p((phi(-t) - p phi(-t/p)) / (1 - p)), phi(s) = e^s - 1 - s."""
     tail = math.log(1e-8)
-    edges = np.concatenate((
+    t, w = _gl_rule(np.concatenate((
         np.linspace(math.log(1e-22), tail, _CONV_TAIL_PANELS + 1)[:-1],
         np.linspace(tail, math.log(80.0 * max(1.0, p / (1.0 - p))), _CONV_PANELS + 1),
-    ))
-    half = 0.5 * np.diff(edges)[:, None]
-    t = np.exp((edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel())
-    w = (half * _GL_WEIGHTS).ravel() / -np.expm1(-t)
+    )))
+    w /= -np.expm1(-t)
     r = p / (1.0 - p)
 
     def log_g(s):  # log G(e^-s)
@@ -776,36 +740,83 @@ def _conv_columns(p: float) -> np.ndarray:
     return np.stack((a1, -d1, a2, d2, w))
 
 
-def _conv_block(cols: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The convexity integral at each x of xs (floats) from the rows of
-    _conv_columns: elementwise over (x, node), each x's row summed by
-    np.sum.  No BLAS call, so the bits do not depend on the BLAS thread
-    count, and a row's sum does not depend on the other rows, so neither
-    do they on the block."""
-    a1, neg_d1, a2, d2, w = cols
+def _r_p_nodes(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R_p's rule from v_t = log(1+2p): its nodes v, its weights times the
+    factor 1 / (t v) that the integrands of R_p and I_p share, and
+    t = 1 - e^-v."""
+    s, w = _gl_rule(np.linspace(math.log(1e-22), math.log(60.0), _R_P_PANELS + 1))
+    v = math.log1p(2.0 * p) + s
+    t = -np.expm1(-v)
+    return v, w * s / (t * v), t
+
+
+def r_p(x, p: float):
+    """R_p(x): the KL-gap of the truncated deletion dual, nonnegative and
+    exponentially decaying in x.
+
+    R_p(x) = -int_T^1 (1-t)^(x-1) (1 - ((1-p)/(1-p(1-t)))^x) / (t log(1-t)) dt
+    with T = 2p/(1+2p); in v coordinates the integrand is
+    exp(-x v) (1 - ratio^x) / (t v) on [log(1+2p), inf), ratio =
+    d / (1 - p e^-v).  It is one single-term gap integral (_gap_block) on
+    R_p's fixed rule, so its value at x does not depend on the other x.
+    """
+    p = _validate_p(p)
+    xs, scalar = _as_y_array(x)
+    if not np.all(np.isfinite(xs) & (xs >= 1.0)):
+        raise ValueError("r_p requires finite x >= 1")
+    v, w, t = _r_p_nodes(p)
+    # log ratio = log1p(-p t / (1 - p e^-v)), free of the cancellation of
+    # log(1-p) - log(1 - p e^-v), and 1 - ratio^x through expm1: for small
+    # p the ratio is 1 - O(p), and 1 - ratio**x would keep only the noise
+    # of its last bits
+    val = _gap_integral(np.stack((-v, np.log1p(-p * t / (1.0 - p * np.exp(-v))), w)), xs)
+    return float(val[0]) if scalar else val
+
+
+def r_p_envelope(p: float) -> float:
+    """I_p = int_T^1 dt / (-t log(1-t)); R_p(x) <= (1+2p)^-(x-1) * I_p.
+
+    I_p exists for every finite p > 0, not only for a channel's p < 1.
+    It is int exp(-v) / (t v) dv on R_p's rule."""
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"r_p_envelope requires finite p > 0, got {p}")
+    v, w, _ = _r_p_nodes(p)
+    return float(np.sum(np.exp(-v) * w))
+
+
+def _gap_block(cols: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """A gap integral at each x of xs (floats) from the rows of its rule:
+    the sum over nodes of w (e^(x a2) expm1(x d2) - e^(x a1) expm1(x e1))
+    for the rows (a1, e1, a2, d2, w) of _conv_columns, and of
+    -w e^(x a1) expm1(x e1) for the rows (a1, e1, w) of r_p.  Elementwise
+    over (x, node), each x's row summed by np.sum.  No BLAS call, so the
+    bits do not depend on the BLAS thread count, and a row's sum does not
+    depend on the other rows, so neither do they on the block."""
+    *rows, w = cols
     xs = xs[:, None]
     with np.errstate(under="ignore"):
-        neg = np.exp(xs * a1)
-        tmp = np.expm1(xs * neg_d1)
+        neg = np.exp(xs * rows[0])
+        tmp = np.expm1(xs * rows[1])
         neg *= tmp
-        pos = np.exp(xs * a2)
-        np.multiply(xs, d2, out=tmp)
-        pos *= np.expm1(tmp, out=tmp)
-    pos -= neg
-    pos *= w
-    return pos.sum(axis=1)
+        if len(rows) == 2:
+            out = np.negative(neg, out=neg)
+        else:
+            out = np.exp(xs * rows[2])
+            np.multiply(xs, rows[3], out=tmp)
+            out *= np.expm1(tmp, out=tmp)
+            out -= neg
+    out *= w
+    return out.sum(axis=1)
 
 
-def _conv_gap(p: float, x_max: int) -> np.ndarray:
-    """Delta(x) of the convexity dual at delta = 1 for x = 1..x_max, by the
-    integral in the module docstring on the fixed rule of _conv_columns,
-    x in blocks of at most _CONV_BLOCK_VALUES (node, x) values.  Within
-    1e-13 of 30-digit direct sums at x <= 500, p <= 0.999."""
-    cols = _conv_columns(p)
-    step = max(1, _CONV_BLOCK_VALUES // cols.shape[1])
-    out = np.empty(x_max)
-    for lo in range(0, x_max, step):
-        out[lo:lo + step] = _conv_block(cols, np.arange(lo + 1.0, min(lo + step, x_max) + 1.0))
+def _gap_integral(cols: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """_gap_block at every x of xs, in blocks of at most _GAP_BLOCK_VALUES
+    (x, node) values.  The convexity gap is within 1e-13 of 30-digit
+    direct sums at x <= 500, p <= 0.999."""
+    step = max(1, _GAP_BLOCK_VALUES // cols.shape[1])
+    out = np.empty(xs.size)
+    for lo in range(0, xs.size, step):
+        out[lo:lo + step] = _gap_block(cols, xs[lo:lo + step])
     return out
 
 

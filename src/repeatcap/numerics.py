@@ -1,7 +1,8 @@
 """Numerical substrate: quadrature, special functions, series and 1-D
 search.
 
-Every integral in this package is, after a change of variables, of the form
+Every adaptive integral in this package (the Lambdas and
+log_gamma_via_integral) is, after a change of variables, of the form
 
     I = int_a^b F(v) dv,    F smooth on (a, b) with finite endpoint limits,
 
@@ -10,8 +11,10 @@ numerator and t*log(1-t) vanish at t = 0) and a slowly dying 1/log(1-t)
 factor at t = 1.  Direct quadrature in t loses 4+ digits near both ends, so
 callers substitute v = -log(1-t), which turns log(1-t) into -v exactly and
 gives the integrand an exp(-v) tail; the semi-infinite range is cut at
-v = 60 (integrate_exp_tail).  The engine here then only has to integrate
-smooth functions over finite intervals.
+v = _EXP_TAIL_SPAN = 60, every such integral from v = 0.  The engine here
+then only has to integrate smooth functions over finite intervals.  The
+two KL-gap integrals (the convexity gap and R_p, in duals) take one fixed
+Gauss-Legendre rule each instead.
 
 The quadrature rule is the 7-point Gauss / 15-point Kronrod pair with
 adaptive bisection.  Every integrand takes the 15 nodes of each of several
@@ -59,7 +62,6 @@ __all__ = [
     "SeriesResult",
     "OptimizeResult",
     "integrate",
-    "integrate_exp_tail",
     "log_gamma",
     "log_gamma_via_integral",
     "binary_entropy",
@@ -248,26 +250,11 @@ def integrate(
 
 
 # An exp(-v) factor is below 9e-27 past v = 60, far below every tolerance
-# used in this package.
+# used in this package.  The seed panels of an exp-tail integral cluster
+# geometrically at v = 0, where the v = -log(1-t) substitution parks the
+# removable t = 0 singularity.
 _EXP_TAIL_SPAN = 60.0
-_EXP_TAIL_TOL = 1e-12  # absolute tolerance of every exp-tail integral
-
-
-def integrate_exp_tail(fv: Callable, lo: float):
-    """Integrate fv, with an exp(-v) tail, over [lo, lo + 60] to _EXP_TAIL_TOL.
-
-    From lo = 0, where the v = -log(1-t) substitution parks the removable
-    t = 0 singularity, the seed panels cluster geometrically at the left
-    endpoint; from any other lo they are 16 equal panels.
-    """
-    problem = QuadratureProblem(fv, (lo, lo + _EXP_TAIL_SPAN), abs_tol=_EXP_TAIL_TOL)
-    return integrate(problem, breakpoints=_exp_tail_breaks(lo))
-
-
-def _exp_tail_breaks(lo: float) -> np.ndarray:
-    if lo == 0.0:
-        return np.geomspace(1e-9, _EXP_TAIL_SPAN, 40)[:-1]
-    return lo + np.linspace(0.0, _EXP_TAIL_SPAN, 17)[1:-1]
+_EXP_TAIL_BREAKS = np.geomspace(1e-9, _EXP_TAIL_SPAN, 40)[:-1]
 
 
 # A numerator t*lin - expm1(A), t = 1 - e^-v, with A and lin linear in a
@@ -436,8 +423,9 @@ def log_gamma_via_integral(z: float) -> float:
     log Gamma(1+z) = int_0^1 (1 - t z - (1-t)^z) / (t log(1-t)) dt.
 
     After v = -log(1-t) this is the Lambda integrand _f with base
-    phi = 1 - t = e^-v, b = 0, c1 = -1 and c2 = 0 at y = z.  At
-    _EXP_TAIL_TOL = 1e-12 it stays within 1e-13 of log_gamma for z up to 100.
+    phi = 1 - t = e^-v, b = 0, c1 = -1 and c2 = 0 at y = z, integrated
+    over [0, _EXP_TAIL_SPAN].  At an absolute tolerance of 1e-12 it stays
+    within 1e-13 of log_gamma for z up to 100.
     """
     z = float(z)
     if not 0.0 <= z < math.inf:
@@ -448,7 +436,8 @@ def log_gamma_via_integral(z: float) -> float:
     def fv(v: np.ndarray) -> np.ndarray:
         return _f(np.array([z]), v, _Base((-v[:, 0]).tolist(), 0.0, -1.0, 0.0))[:, 0]
 
-    value, _ = integrate_exp_tail(fv, 0.0)
+    problem = QuadratureProblem(fv, (0.0, _EXP_TAIL_SPAN), abs_tol=1e-12)
+    value, _ = integrate(problem, breakpoints=_EXP_TAIL_BREAKS)
     return float(value)
 
 

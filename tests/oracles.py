@@ -21,9 +21,10 @@ agree to 1e-11.
 
 Live helpers: a composite Simpson rule in longdouble and a textbook
 dynamic-programming edit distance, both written independently of the
-package implementations they check; and the Monte Carlo run as a plain
+package implementations they check; the Monte Carlo run as a plain
 per-trial loop over the simulator's single-trial functions, the reference
-for its batched run.
+for its batched run; and R_p and I_p by the package's adaptive
+Gauss-Kronrod engine, the reference for their fixed Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from repeatcap import simulate
+from repeatcap import numerics, simulate
 
 # integral of f1(y, t) over t in [0, 1] for the sticky construction,
 # f1 = (1 + t - t y (1-p) - (1-t)^(y-1) / (1-pt)^y) / (t log(1-t))
@@ -261,3 +262,35 @@ def monte_carlo_reference(config):
             )
         )
     return sum(r.success for r in reports) / len(reports), reports
+
+
+def _exp_tail_adaptive(fv, lo: float):
+    """int fv over [lo, lo + 60] by numerics.integrate, from 16 equal seed
+    panels, to an absolute 1e-12."""
+    problem = numerics.QuadratureProblem(fv, (lo, lo + 60.0), abs_tol=1e-12)
+    value, _ = numerics.integrate(problem, breakpoints=lo + np.linspace(0.0, 60.0, 17)[1:-1])
+    return value
+
+
+def r_p_adaptive(xs: np.ndarray, p: float) -> np.ndarray:
+    """R_p(x) at the floats xs, as r_p computed it before its fixed rule:
+    exp(-x v) (1 - ratio^x) / (t v) on [v_t, v_t + 60], v_t = log(1+2p),
+    by the adaptive engine, every per-node scalar from math."""
+    log_d = math.log1p(-p)
+
+    def fv(v):
+        nodes = v[:, 0].tolist()
+        log_ratio = np.array([log_d - math.log1p(-p * math.exp(-x)) for x in nodes])[:, None]
+        tv = np.array([-math.expm1(-x) * x for x in nodes])[:, None]
+        return np.exp(-xs * v) * -np.expm1(xs * log_ratio) / tv
+
+    return _exp_tail_adaptive(fv, math.log1p(2.0 * p))
+
+
+def i_p_adaptive(p: float) -> float:
+    """I_p = int exp(-v) / (t v) dv on [v_t, v_t + 60] by the adaptive engine."""
+
+    def fv(v):
+        return np.array([math.exp(-x) / (-math.expm1(-x) * x) for x in v[:, 0].tolist()])
+
+    return float(_exp_tail_adaptive(fv, math.log1p(2.0 * p)))

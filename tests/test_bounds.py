@@ -201,9 +201,18 @@ def test_deletion_delta_rules():
 @pytest.mark.parametrize("variant", (BoundVariant.GEOMDEL_CONV, BoundVariant.GEOMDEL_TRUNC))
 @pytest.mark.parametrize("p", [row[0] for row in tables.T3_GEOMDEL.rows])
 def test_deletion_delta_is_the_optimized_delta(variant, p):
-    # Both read x = 1 off the same full scan, whose values depend on the
-    # other x in it by about one ulp, through the same balance rule.
     assert deletion_delta(p, variant, "recommended") == bounds._Search(p, variant).delta
+
+
+@pytest.mark.parametrize("p", (1e-3, 2e-3, 5e-3))
+def test_trunc_eps_bounds_the_gap_past_the_scan(p):
+    # Below p ~ 0.007 the modified trunc gap dips below its limit past the
+    # 500-x scan, at x of order 1/p; eps must stay below that dip too.
+    eps = geomdel_bound(p, "trunc").epsilon_used
+    gaps, _ = duals._delta_rule(
+        DualVariant.GEOMDEL_TRUNCATED, r_p(np.arange(1, 20001), p), p, deletion_delta(p, "trunc")
+    )
+    assert eps <= gaps.min()
 
 
 def test_delta_d_rule_needs_no_gap_scan(monkeypatch):

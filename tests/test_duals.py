@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeatcap import bounds, channels, duals, numerics
+from repeatcap import bounds, channels, duals, numerics, tables
 from repeatcap.channels import ConditionalOutputLaw, Family, RepeatChannel, output_log_pmf
 from repeatcap.duals import (
     DualVariant,
@@ -225,6 +225,39 @@ def test_r_p_small_p_oracle_values():
         got = r_p(xs, p)
         for x, want in values.items():
             assert abs(got[x - 1] - want) <= 1e-14, (x, p)
+
+
+# R_p's reference grid: every T3 p and the extremes on either side.
+_R_P_GRID = sorted(
+    {row[0] for row in tables.T3_GEOMDEL.rows} | {1e-9, 1e-6, 1e-4, 1e-3, 0.999, 0.9999}
+)
+
+
+def test_r_p_matches_the_adaptive_reference(monkeypatch):
+    # The fixed rule against the adaptive engine it replaced (x <= 500),
+    # and neither r_p nor r_p_envelope calls that engine.
+    xs = np.arange(1.0, 501.0)
+    want = {p: oracles.r_p_adaptive(xs, p) for p in _R_P_GRID}
+    envelopes = {p: oracles.i_p_adaptive(p) for p in (0.05, 0.3, 1.5)}
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("r_p called numerics.integrate")
+
+    monkeypatch.setattr(numerics, "integrate", no_engine)
+    for p in _R_P_GRID:
+        assert np.max(np.abs(r_p(xs, p) - want[p])) <= 1e-13, p
+    for p, env in envelopes.items():
+        assert abs(r_p_envelope(p) - env) <= 1e-13, p
+
+
+@pytest.mark.parametrize("p", (1e-9, 1e-3, 0.05, 0.6, 0.99, 0.9999))
+def test_r_p_rule_is_resolved(monkeypatch, p):
+    # Doubling the panels moves no value at x <= 500 by more than rounding.
+    xs = np.arange(1.0, 501.0)
+    vals, env = r_p(xs, p), r_p_envelope(p)
+    monkeypatch.setattr(duals, "_R_P_PANELS", 2 * duals._R_P_PANELS)
+    assert np.max(np.abs(r_p(xs, p) - vals)) <= 1e-14
+    assert abs(r_p_envelope(p) - env) <= 1e-14 * env  # I_p ~ 1/(2p) as p -> 0
 
 
 def test_r_p_decay_and_envelope():
@@ -589,7 +622,7 @@ def test_convexity_gap_cost_in_integrand_values(monkeypatch):
     # integrand at 288 nodes for each x, 144 000 values, in blocks of at
     # most 2^14 values (128 kB a temporary), and does not read a window.
     sizes = []
-    block = duals._conv_block
+    block = duals._gap_block
 
     def counted(cols, xs):
         sizes.append(cols.shape[1] * xs.size)
@@ -598,7 +631,7 @@ def test_convexity_gap_cost_in_integrand_values(monkeypatch):
     def no_window(*args):
         raise AssertionError("the convexity gap read a support window")
 
-    monkeypatch.setattr(duals, "_conv_block", counted)
+    monkeypatch.setattr(duals, "_gap_block", counted)
     monkeypatch.setattr(channels, "_windows", no_window)
     convexity_gap_scan(0.999, 500)
     assert sum(sizes) <= 144_000 and max(sizes) <= 1 << 14
@@ -606,9 +639,12 @@ def test_convexity_gap_cost_in_integrand_values(monkeypatch):
 
 def test_convexity_gap_does_not_depend_on_x_max():
     # Each x's value is summed alone, so the delta rule's scan of x = 1 and
-    # the bound's scan of x <= 500 agree bit for bit.
+    # the bound's scan of x <= 500 agree bit for bit; r_p's too.
     assert convexity_gap_scan(0.9, 1)[0] == convexity_gap_scan(0.9, 500)[0]
     assert convexity_gap_scan(0.9, 200).tolist() == convexity_gap_scan(0.9, 500)[:200].tolist()
+    for p in (1e-3, 0.9):
+        assert r_p(1, p) == r_p(np.arange(1, 501), p)[0]
+        assert r_p(np.arange(1, 201), p).tolist() == r_p(np.arange(1, 501), p)[:200].tolist()
 
 
 def test_gap_bits_do_not_depend_on_the_blas_thread_count():
@@ -619,7 +655,8 @@ def test_gap_bits_do_not_depend_on_the_blas_thread_count():
         "from repeatcap import duals\n"
         "a = duals.gap_scan(duals.DualVariant.STICKY_ZERO_GAP, 0.99, 200)\n"
         "b = duals.convexity_gap_scan(0.99, 500)\n"
-        "sys.stdout.write((a.tobytes() + b.tobytes()).hex())\n"
+        "c = duals.r_p(range(1, 501), 0.99)\n"
+        "sys.stdout.write((a.tobytes() + b.tobytes() + c.tobytes()).hex())\n"
     )
     src = str(pathlib.Path(duals.__file__).resolve().parents[1])
     out = []
@@ -628,7 +665,7 @@ def test_gap_bits_do_not_depend_on_the_blas_thread_count():
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         out.append(run.stdout)
-    assert len(out[0]) == 2 * 8 * 700 and out[0] == out[1]
+    assert len(out[0]) == 2 * 8 * 1200 and out[0] == out[1]
 
 
 @pytest.mark.parametrize("x_max", (True, 2.5, 0))
@@ -803,16 +840,6 @@ def _one_panel_per_call(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(numerics, "integrate", per_panel)
     return rows
-
-
-@pytest.mark.parametrize("p", (0.05, 0.6, 0.99))
-def test_r_p_batched_matches_one_panel_per_call(monkeypatch, p):
-    xs = np.arange(1, 501)
-    batched = r_p(xs, p), r_p_envelope(p)
-    rows = _one_panel_per_call(monkeypatch)
-    assert np.array_equal(r_p(xs, p), batched[0])
-    assert r_p_envelope(p) == batched[1]
-    assert max(rows) > 15  # the engine batched panels that the wrapper split
 
 
 @pytest.mark.parametrize("z", (0.5, 7.0, 100.0))
