@@ -322,13 +322,7 @@ class _Search:
             self.delta = _delta(con, p, "recommended", scan)
             if self.delta == 0.0:
                 raise BoundComputationError(f"the balance delta underflows to 0 {self.where}")
-            gaps, limit = _delta_rule(con.dual, scan, p, self.delta)
-            if con.dual is DualVariant.GEOMDEL_TRUNCATED:
-                # R_p >= 0, so every modified gap past the scan's end X is
-                # at least -d log delta (1 - d^X) = R_p(1) (1 - d^X); the
-                # limit alone misses the dip at x of order 1/p past X.
-                limit *= 1.0 - self.d**_EPS_SCAN_X_MAX
-            self.eps = _infimum(gaps, limit)
+            self.eps = _infimum(con.dual, *_delta_rule(con.dual, scan, p, self.delta), p)
         self.log_delta = math.log(self.delta)
 
     def dual(self, q: float):

@@ -58,7 +58,7 @@ the KL against a built dual over the same windows, checking both routes.
 A dual may have its mass at y = 0 rescaled to alpha*delta (delta in (0,1]);
 the normalizers then satisfy 1/alpha = delta + 1/y0 - 1 and the gap becomes
 Delta_delta(x) = Delta(x) - d log delta + d^x log delta, d = 1 - p, written
-once in _delta_rule; _infimum takes its inf against the x -> infinity limit.
+once in _delta_rule; _infimum takes its inf against a floor past the scan.
 """
 
 from __future__ import annotations
@@ -563,8 +563,8 @@ def build_dual(
     shift = _SPECS[variant].weight_shift(p)
 
     def log_term(ys: np.ndarray) -> np.ndarray:
-        vals = table.upto(int(ys[-1]))
-        return vals[ys - 1] + shift + ys * logq
+        # ys is a run of consecutive y, so the table is read as a slice
+        return table.upto(int(ys[-1]))[int(ys[0]) - 1:int(ys[-1])] + shift + ys * logq
 
     series = sum_series(log_term)
     if variant in _DELETION_VARIANTS:
@@ -868,8 +868,14 @@ def _delta_rule(variant: DualVariant, gaps: np.ndarray, p: float, delta: float):
         return gaps - d * log_delta + d**xs * log_delta, limit - d * log_delta
 
 
-def _infimum(gaps: np.ndarray, limit: float) -> float:
-    """inf over x >= 1 of the gap: the scan's minimum or the analytic limit."""
+def _infimum(variant: DualVariant, gaps, limit: float, p: float) -> float:
+    """inf over x >= 1 of a modified gap scanned at x = 1..X: the scan's minimum
+    or the floor past X, its limit, or limit (1 - d^X) for the truncated variant."""
+    if variant is DualVariant.GEOMDEL_TRUNCATED:
+        # R_p >= 0, so the modified gap R_p(x) + limit (1 - d^(x-1)),
+        # d = 1 - p, is at least this past X; the limit alone misses its
+        # dip at x of order 1/p.
+        limit *= 1.0 - (1.0 - p) ** len(gaps)
     return min(float(np.min(gaps)), limit)
 
 
@@ -909,6 +915,6 @@ def kl_gap_profile(
 def epsilon_inf(
     channel: RepeatChannel, dual: DualDistribution, x_max: int = _EPS_SCAN_X_MAX
 ) -> float:
-    """inf over x >= 1 of the KL-gap: min of the scan and the analytic limit."""
+    """inf over x >= 1 of the KL-gap, as the bounds take eps (_infimum)."""
     profile = kl_gap_profile(channel, dual, x_max)
-    return _infimum(np.array(list(profile.gaps.values())), profile.limit_candidate)
+    return _infimum(dual.variant, list(profile.gaps.values()), profile.limit_candidate, dual.p)

@@ -32,18 +32,18 @@ panel set, the loop bisects the panel whose error is largest relative to
 its group's tolerance, and it stops once every group meets its own.  A
 problem without groups is one group under abs_tol.
 
-Series are summed in log-space (streaming log-sum-exp) and stop at the
-first term Y whose geometric tail estimate term(Y) r/(1-r), with the ratio
-r = term(Y+1)/term(Y) read off the terms themselves, falls below a
-relative tolerance.  One pass over the terms sums the series and its first
-moment, sum y term(y), each under its own stop, so a dual's normalizer and
-mean read the weights once.  The estimate bounds the remainder only if no
-later ratio exceeds r.  The dual weights behave like q^y/sqrt(y), whose
-ratios rise toward q, so for them it falls short of the true remainder.  At
-q_opt for p in {0.1, 0.3, 0.5, 0.9, 0.99} the shortfall is at most 0.07 %
-for the sticky, duplication and convexity duals, and 3.7-21 % for the
-truncated dual, whose log-weights alternate between even and odd y (21 % at
-p = 0.1).
+Series are summed in linear space, each on one scale (its largest term),
+and stop at the first term Y whose geometric tail estimate term(Y) r/(1-r),
+with the ratio r = term(Y+1)/term(Y) read off the terms themselves, falls
+below a relative tolerance.  One pass over the terms sums the series and
+its first moment, sum y term(y), each under its own stop, so a dual's
+normalizer and mean read the weights once.  The estimate bounds the
+remainder only if no later ratio exceeds r.  The dual weights behave like
+q^y/sqrt(y), whose ratios rise toward q, so for them it falls short of the
+true remainder.  At q_opt for p in {0.1, 0.3, 0.5, 0.9, 0.99} the shortfall
+is at most 0.07 % for the sticky, duplication and convexity duals, and
+3.7-21 % for the truncated dual, whose log-weights alternate between even
+and odd y (21 % at p = 0.1).
 """
 
 from __future__ import annotations
@@ -523,47 +523,28 @@ class SeriesResult:
     moment_terms: int
 
 
-class _Partial:
-    """One series inside sum_series: the log-sum of the terms y = 1..used,
-    the last term read (it waits for the next block's first to give its
-    ratio), and, once the tail estimate has met the tolerance, the stop as
-    (log sum, terms, tail estimate)."""
+def _log_tail(a: float, b: float) -> float:
+    """log of the tail estimate at a term e^a followed by e^b (inf if b >= a)."""
+    return b - math.log(-math.expm1(b - a)) if b < a else math.inf
 
-    def __init__(self):
-        self.log_sum = -math.inf
-        self.used = 0
-        self.pending = np.empty(0)
-        self.last_tail = math.inf
-        self.stop = None
 
-    def feed(self, new: np.ndarray, log_rel: float) -> None:
-        lt = np.concatenate((self.pending, new))
-        prefix = np.logaddexp.accumulate(np.concatenate(([self.log_sum], lt[:-1])))[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_r = np.diff(lt)
-            log_tail = np.where(log_r < 0.0, lt[1:] - np.log(-np.expm1(log_r)), math.inf)
-        idx = np.flatnonzero(log_tail <= log_rel + prefix)
-        if idx.size > 0:
-            k = int(idx[0])
-            self.stop = (float(prefix[k]), self.used + k + 1, float(np.exp(log_tail[k])))
-            return
-        self.log_sum = float(prefix[-1])
-        self.used += lt.size - 1
-        self.pending = lt[-1:]
-        if np.isfinite(log_tail[-1]):
-            self.last_tail = float(np.exp(log_tail[-1]))
-
-    def result(self) -> tuple[float, int, float, bool]:
-        """The stop, or at the cap the sum of every term read, unconverged."""
-        if self.stop is not None:
-            return (*self.stop, True)
-        log_sum = float(np.logaddexp(self.log_sum, self.pending[0]))
-        return log_sum, self.used + 1, self.last_tail, False
+def _first_stops(w: np.ndarray, c: int, total: list) -> list:
+    """For each row of w, one sum's terms on its scale, the first column
+    k >= c whose tail estimate w[k+1]/(1-r), r = w[k+1]/w[k], is below
+    _SERIES_REL_TOL times total plus w[:k+1], or None."""
+    # Multiplied out by w[k], r >= 1 or a zero term fails the test, no 0/0.
+    rhs = w[:, c:-1].cumsum(axis=1)
+    rhs += [[t + s] for t, s in zip(total, w[:, :c].sum(axis=1).tolist())]
+    tmp = np.subtract(w[:, c:-1], w[:, c + 1:])
+    rhs *= tmp
+    rhs *= _SERIES_REL_TOL
+    hits = np.multiply(w[:, c + 1:], w[:, c:-1], out=tmp) < rhs
+    return [c + k if hits[i, k] else None for i, k in enumerate(hits.argmax(axis=1).tolist())]
 
 
 def sum_series(log_term: Callable) -> SeriesResult:
     """Sum the nonnegative series sum_{y >= 1} exp(log_term(y)) and its first
-    moment sum_{y >= 1} y exp(log_term(y)) in log-space, in one pass.
+    moment sum_{y >= 1} y exp(log_term(y)) in one pass.
 
     log_term takes an integer array of y and returns a float array of the
     same shape; it is called once per block, and the moment's terms are
@@ -574,28 +555,64 @@ def sum_series(log_term: Callable) -> SeriesResult:
     until both sums have stopped.  A block decides all but its last term,
     which waits for the next block's first, so a short series reads (and
     makes its caller tabulate) few terms.
+
+    Each sum keeps a scale, its largest log-term so far, and a float total
+    of e^(log-term - scale), rescaled only when a larger term arrives.
     """
-    log_rel = math.log(_SERIES_REL_TOL)
-    norm, moment = _Partial(), _Partial()
+    scale = [-math.inf, -math.inf]
+    total = [0.0, 0.0]
+    tail = [math.inf, math.inf]
+    stop: list = [None, None]
+    carried = [-math.inf, -math.inf]  # y = 0 adds nothing to the first block
     read = 0
     size = 256
-    while read < _SERIES_HARD_CAP and (norm.stop is None or moment.stop is None):
+    while read < _SERIES_HARD_CAP and None in stop:
         ys = np.arange(read + 1, min(read + 1 + size, _SERIES_HARD_CAP + 1), dtype=np.int64)
         size = min(2 * size, _MAX_BLOCK)
-        new = log_term(ys)
-        if np.any(np.isnan(new)):
-            raise ValueError("log_term returned NaN")
+        # One row per sum; column j holds y = read + j, column 0 the carried
+        # term, which the block decides with all but its last column.
+        lt = np.empty((2, ys.size + 1))
+        lt[:, 0] = carried
+        lt[0, 1:] = log_term(ys)
+        np.log(ys, out=lt[1, 1:])
+        lt[1, 1:] += lt[0, 1:]
+        for i, peak in enumerate(lt.max(axis=1).tolist()):
+            if math.isnan(peak):
+                raise ValueError("log_term returned NaN")
+            if peak > scale[i]:
+                total[i] *= math.exp(scale[i] - peak)
+                scale[i] = peak
+        # a scale still at -inf has only -inf terms, which w reads as 0
+        w = np.subtract(lt, [[s] if s > -math.inf else [0.0] for s in scale])
+        np.exp(w, out=w)
+        sums = w[:, :-1].sum(axis=1).tolist()
+        # A stop at column k needs w[k+1] below the tolerance times the
+        # partial sum, so the stop test runs only from where that can hold.
+        screen = w[:, 1:] <= [[2.0 * _SERIES_REL_TOL * (t + s)] for t, s in zip(total, sums)]
+        cols = screen.argmax(axis=1).tolist()
+        live = [i for i in (0, 1) if stop[i] is None]
+        starts = [cols[i] for i in live if screen[i, cols[i]]]
+        ks = _first_stops(w, min(starts), total) if starts else [None, None]
+        ends = lt[:, -2:].tolist()
+        for i in live:
+            k = ks[i]
+            if k is not None:
+                log_sum = scale[i] + math.log(total[i] + w[i, : k + 1].sum())
+                stop[i] = (log_sum, read + k, math.exp(_log_tail(lt[i, k], lt[i, k + 1])), True)
+                continue
+            total[i] += sums[i]
+            carried[i] = ends[i][1]
+            if math.isfinite(log_tail := _log_tail(*ends[i])):
+                tail[i] = math.exp(log_tail)
         read += ys.size
-        if norm.stop is None:
-            norm.feed(new, log_rel)
-        if moment.stop is None:
-            log_y = np.log(ys)
-            log_y += new
-            moment.feed(log_y, log_rel)
-    log_sum, used, tail, converged = norm.result()
-    log_moment, moment_terms, _, moment_converged = moment.result()
-    converged = converged and moment_converged
-    return SeriesResult(log_sum, used, tail, converged, log_moment, moment_terms)
+        del lt, w, screen  # free before log_term grows a table for the next block
+    for i in (0, 1):
+        if stop[i] is None:  # at the cap: every term read, unconverged
+            shift = scale[i] if scale[i] > -math.inf else 0.0
+            rest = total[i] + math.exp(carried[i] - shift)
+            stop[i] = (shift + math.log(rest) if rest else -math.inf, read, tail[i], False)
+    (log_sum, used, tail_bound, converged), (log_moment, moment_terms, _, moment_ok) = stop
+    return SeriesResult(log_sum, used, tail_bound, converged and moment_ok, log_moment, moment_terms)
 
 
 @dataclass(frozen=True)

@@ -207,12 +207,18 @@ def test_deletion_delta_is_the_optimized_delta(variant, p):
 @pytest.mark.parametrize("p", (1e-3, 2e-3, 5e-3))
 def test_trunc_eps_bounds_the_gap_past_the_scan(p):
     # Below p ~ 0.007 the modified trunc gap dips below its limit past the
-    # 500-x scan, at x of order 1/p; eps must stay below that dip too.
+    # 500-x scan, at x of order 1/p; eps must stay below that dip too, and
+    # so must epsilon_inf, which puts the same floor past the scan.
     eps = geomdel_bound(p, "trunc").epsilon_used
     gaps, _ = duals._delta_rule(
         DualVariant.GEOMDEL_TRUNCATED, r_p(np.arange(1, 20001), p), p, deletion_delta(p, "trunc")
     )
     assert eps <= gaps.min()
+    search = bounds._Search(p, BoundVariant.GEOMDEL_TRUNC)
+    dual = duals.build_dual(DualVariant.GEOMDEL_TRUNCATED, p, 0.5, delta=search.delta)
+    view = duals.epsilon_inf(channels.RepeatChannel(Family.GEOMETRIC_DELETION, p), dual)
+    assert view <= gaps.min()
+    assert abs(view - search.eps) <= 1e-11
 
 
 def test_delta_d_rule_needs_no_gap_scan(monkeypatch):

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repeatcap import numerics
-from repeatcap.duals import r_p_envelope
+from repeatcap import bounds, numerics
+from repeatcap.bounds import BoundVariant
+from repeatcap.duals import build_dual, r_p_envelope
 from repeatcap.numerics import (
     OptimizeResult,
     QuadratureError,
@@ -428,6 +431,14 @@ def test_sum_series_hard_cap_reported(monkeypatch):
     res = sum_series(lambda ys: -np.log(ys.astype(float)) * 2.0)
     assert not res.converged
     assert res.terms_used == 5000
+    # The cap falls inside a block.  The sum is every term read, and
+    # tail_bound the estimate from the last ratio read,
+    # term(Y) / (1 - r), r = term(Y) / term(Y - 1), Y the cap.
+    terms = [1.0 / y**2 for y in range(1, 5001)]
+    r = terms[-1] / terms[-2]
+    assert res.moment_terms == 5000
+    assert abs(res.log_sum - math.log(math.fsum(terms))) <= 1e-13
+    assert abs(res.tail_bound - terms[-1] / (1.0 - r)) <= 1e-9 * res.tail_bound
 
 
 def _geometric(ys):
@@ -475,6 +486,102 @@ def test_sum_series_is_unconverged_when_only_the_moment_hits_the_cap(monkeypatch
 def test_sum_series_nan_term_raises():
     with pytest.raises(ValueError, match="NaN"):
         sum_series(lambda ys: np.where(ys == 2, np.nan, -1.0 * ys))
+
+
+def _plain_stop(terms):
+    """A plain loop over the float terms y = 1, 2, ... that stops as
+    sum_series does: the exact sum up to the stop, the stop, and its tail
+    estimate.  A zero term, like a ratio r >= 1, estimates nothing."""
+    total = 0.0
+    for y, (term, following) in enumerate(zip(terms, terms[1:]), start=1):
+        total += term
+        r = following / term if term > 0.0 else math.inf
+        if r < 1.0 and term * r / (1.0 - r) <= numerics._SERIES_REL_TOL * total:
+            return math.fsum(terms[:y]), y, term * r / (1.0 - r)
+    raise AssertionError("the terms end before the loop stops")
+
+
+def _check_against_plain_loops(log_term, n_terms):
+    res = sum_series(log_term)
+    ys = np.arange(1, n_terms + 1)
+    terms = np.exp(log_term(ys))
+    total, used, tail = _plain_stop(terms.tolist())
+    moment, moment_used, _ = _plain_stop((ys * terms).tolist())
+    assert res.converged
+    assert (res.terms_used, res.moment_terms) == (used, moment_used)
+    # the sums within 1e-13 relative
+    assert abs(res.log_sum - math.log(total)) <= 1e-13
+    assert abs(res.log_moment - math.log(moment)) <= 1e-13
+    assert abs(res.tail_bound - tail) <= 1e-9 * tail
+    return res
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 0.999), st.floats(0.0, 3.0), st.floats(0.0, 1.0))
+def test_sum_series_matches_a_plain_loop(q, a, b):
+    # Ratios that rise toward q, as the dual weights' do, and for b > 0
+    # alternate between even and odd y, as the truncated dual's do.
+    def log_term(ys):
+        return ys * math.log(q) - a * np.log(ys) + np.where(ys % 2 == 0, b, -b)
+
+    _check_against_plain_loops(log_term, int(50 / (1.0 - q)) + 200)
+
+
+def test_sum_series_rescales_to_a_peak_several_blocks_in():
+    # The terms rise to their peak at y = 4 000, in the fifth block, by a
+    # factor of e^290, so each block's larger terms rescale the sums.
+    res = _check_against_plain_loops(lambda ys: ys * math.log(0.99) + 40.0 * np.log(ys), 30_000)
+    assert res.terms_used > 7936
+
+
+@pytest.mark.parametrize("start", (600, 800))
+def test_sum_series_support_starting_in_a_later_block(start):
+    # No terms up to y = start: the second block, or the first two blocks
+    # whole, read as zero, and the geometric tail after start stops as
+    # 0.9^y alone does.
+    def log_term(ys):
+        return np.where(ys > start, (ys - start) * math.log(0.9), -np.inf)
+
+    res = _check_against_plain_loops(log_term, start + 1000)
+    assert res.terms_used == start + sum_series(_geometric).terms_used
+
+
+def test_sum_series_reads_doubling_blocks_and_none_past_both_stops():
+    # A block past _MAX_BLOCK or past the stops would grow a dual's S-table
+    # further than its series needs.
+    asked = []
+
+    def log_term(ys):
+        asked.append((int(ys[0]), ys.size))
+        return ys * math.log(0.999) - 0.5 * np.log(ys)
+
+    res = sum_series(log_term)
+    sizes = [size for _, size in asked]
+    assert sizes[:5] == [256, 512, 1024, 2048, 4096] and set(sizes[5:]) == {4096}
+    assert [lo for lo, _ in asked] == [1 + sum(sizes[:i]) for i in range(len(sizes))]
+    last_decided = max(res.terms_used, res.moment_terms) + 1
+    assert asked[-1][0] <= last_decided < asked[-1][0] + asked[-1][1]
+
+
+@pytest.mark.parametrize(
+    "variant",
+    (BoundVariant.STICKY_EXACT, BoundVariant.GEOMDEL_CONV, BoundVariant.GEOMDEL_TRUNC),
+)
+def test_dual_normalizer_and_mean_match_fsum_at_q_opt(variant):
+    p = 0.99
+    search = bounds._Search(p, variant)
+    q = bounds.compute_bound(search.con.family, variant, p).q_opt
+    dual = build_dual(search.con.dual, p, q, delta=search.delta)
+    # the dual's own series, read again for where its moment stopped
+    series = sum_series(dual.log_weight)
+    used, moment_used = series.terms_used, series.moment_terms
+    assert used == dual.truncation[0]
+    ys = np.arange(1, max(used, moment_used) + 1)
+    weights = np.exp(dual.log_weight(ys))
+    z = math.fsum(weights[:used]) + (search.delta if dual.support_start == 0 else 0.0)
+    assert abs(dual.log_normalizer - math.log(z)) <= 1e-14
+    mean = math.fsum(ys[:moment_used] * weights[:moment_used]) / z
+    assert abs(dual.mean - mean) <= 1e-14 * mean
 
 
 # 64 evenly spaced interior points of (0, 1).
