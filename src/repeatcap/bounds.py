@@ -37,10 +37,10 @@ right of the root, and from there the iterates fall to it.  The value and
 mu_opt are read at q*.  If mu(q*) is below the threshold, the constraint
 binds and the sup sits where mu reaches the threshold; Newton stops at the
 first iterate right of q* that shows it, and the bound scans the q-grid
-from its first feasible point, found by bisection above that iterate, and
-golden-sections around the best point (numerics.maximize_concave).  The
-deletion bound comes in three flavors differing in the dual and its
-mass-at-zero rule:
+from the first grid point above that iterate, past which its zeros run
+out within a point or two, and golden-sections around the best point
+(numerics.maximize_concave).  The deletion bound comes in three flavors
+differing in the dual and its mass-at-zero rule:
 
     Conv:   convexity-based weights, balance delta (gap limit 1/2)
     Trunc:  truncated-integral weights, balance delta (gap limit 0, so
@@ -177,8 +177,8 @@ def _q_grid(p: float) -> np.ndarray:
     # near 1 for retentive channels (the mean constraint forces
     # 1 - q = O(1 - p); 1 - q* = 2.6e-3 at p = 0.99), so once 1 - p is
     # small a geometric cluster is appended that reaches 1 - q =
-    # 2e-2 (1 - p), floored at 2e-5.  The scan starts at the first feasible
-    # point and stops just past the peak, so the S-table, about 28/(1-q)
+    # 2e-2 (1 - p), floored at 2e-5.  The scan starts above Newton's last
+    # iterate and stops just past the peak, so the S-table, about 28/(1-q)
     # terms for the largest q read, follows the peak rather than the
     # cluster's end.
     lo = max(2e-5, 2e-2 * (1.0 - p))
@@ -263,11 +263,9 @@ def _optimized(family: Family) -> tuple[BoundVariant, ...]:
     )
 
 
-def _delta(con: _Construction, p: float, rule: str, scan=None) -> float:
+def _delta(con: _Construction, p: float, rule: str) -> float:
     """delta under rule 'one', 'd' or 'recommended'; the balance rule reads
-    the gap at x = 1 from scan, or from the bound's own scan
-    gap_scan(p, _EPS_SCAN_X_MAX) when none is given, so that both read the
-    same value."""
+    the gap at x = 1 from the cached scan the bound's eps reads (gap_scan)."""
     if rule not in DELTA_RULES:
         raise ValueError(f"unknown delta rule {rule!r}")
     d = 1.0 - p
@@ -275,7 +273,7 @@ def _delta(con: _Construction, p: float, rule: str, scan=None) -> float:
         return 1.0
     if rule == "d" or not con.balance:
         return d
-    gap1 = float((con.gap_scan(p, _EPS_SCAN_X_MAX) if scan is None else scan)[0])
+    gap1 = float(con.gap_scan(p, _EPS_SCAN_X_MAX)[0])
     return math.exp(min(-(gap1 - _SPECS[con.dual].gap_limit(p)) / d, 0.0))
 
 
@@ -313,13 +311,8 @@ class _Search:
         self.threshold = reduction_params(RepeatChannel(con.family, p)).lam
         self.delta, self.eps = 1.0, 0.0
         if con.gap_scan is not None:
-            try:
-                scan = con.gap_scan(p, _EPS_SCAN_X_MAX)
-            except QuadratureError as exc:
-                raise BoundComputationError(
-                    f"quadrature failure in the gap scan {self.where}: {exc}"
-                ) from exc
-            self.delta = _delta(con, p, "recommended", scan)
+            scan = con.gap_scan(p, _EPS_SCAN_X_MAX)
+            self.delta = _delta(con, p, "recommended")
             if self.delta == 0.0:
                 raise BoundComputationError(f"the balance delta underflows to 0 {self.where}")
             self.eps = _infimum(con.dual, *_delta_rule(con.dual, scan, p, self.delta), p)
@@ -395,27 +388,6 @@ class _Search:
         )
 
 
-# _first_index probes no grid point above this q, a cost bound: up to it
-# every variant's series reads at most 768 terms, inside an S-table's first
-# lattice unit, so no probe pays for table growth.
-_PROBE_Q_MAX = 0.96
-
-
-def _first_index(holds: Callable[[float], bool], grid: np.ndarray, lo: int) -> int:
-    """The index of the first grid point q <= _PROBE_Q_MAX, from lo on,
-    where holds(q), or max(lo, the number of such points) when there is
-    none.  holds must fail on a prefix of the grid and hold past it, as
-    feasibility does (the dual mean rises with q), so bisection finds it."""
-    hi = int(np.searchsorted(grid, _PROBE_Q_MAX, side="right"))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(float(grid[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _optimize(p: float, variant: BoundVariant) -> BoundResult:
     search = _Search(p, variant)
     # The series length grows with q, so no q past one whose series did not
@@ -424,14 +396,12 @@ def _optimize(p: float, variant: BoundVariant) -> BoundResult:
     nats = search.objective(q_opt)
     if search.dual(q_opt).mean < search.threshold:
         # The constraint binds: the sup sits where the dual mean reaches the
-        # threshold, above q_opt, since the mean rises with q.  Scan from
-        # the first feasible grid point; the scan from grid[k] on, with the
-        # bracket's left end at grid[k - 1], is the whole grid's scan
-        # without its head of zeros, which neither stop the scan nor set
-        # its noise scale: same bracket, same result.
+        # threshold, above q_opt, since the mean rises with q.  The scan from
+        # grid[k], the first grid point above q_opt, with the bracket's left
+        # end at grid[k - 1], is the whole grid's scan without zeros, which
+        # neither stop the scan nor set its noise scale: same result.
         grid = _q_grid(p)
-        above = int(np.searchsorted(grid, q_opt, side="right"))
-        k = _first_index(lambda q: search.objective(q) != 0.0, grid, above)
+        k = int(np.searchsorted(grid, q_opt, side="right"))
         lo = 1e-6 if k == 0 else float(grid[k - 1])
         res = maximize_concave(search.objective, lo, 1.0 - 1e-6, grid[k:], _Q_OPT_TOL)
         q_opt, nats = float(res.arg), float(res.value)

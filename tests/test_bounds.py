@@ -30,7 +30,7 @@ from repeatcap.bounds import (
 )
 from repeatcap.channels import Family
 from repeatcap.duals import DualVariant, r_p
-from repeatcap.numerics import QuadratureError, maximize_concave
+from repeatcap.numerics import maximize_concave
 
 import oracles
 
@@ -72,13 +72,9 @@ def test_geomdel_auto_takes_minimum():
 
 
 def _failing_r_p(x, p):
-    raise QuadratureError("quadrature did not converge within 512 panels")
-
-
-def test_trunc_gap_scan_failure_is_a_bound_error(monkeypatch):
-    monkeypatch.setattr(bounds, "r_p", _failing_r_p)
-    with pytest.raises(bounds.BoundComputationError, match=r"p = 0\.0001, GeomDelTrunc"):
-        geomdel_bound(1e-4, "trunc")
+    # the error that drops a construction from auto, as trunc's delta
+    # underflow does at p = 0.9998
+    raise bounds.BoundComputationError("trunc cannot be computed here")
 
 
 def test_geomdel_auto_skips_a_construction_that_fails(monkeypatch):
@@ -219,6 +215,18 @@ def test_trunc_eps_bounds_the_gap_past_the_scan(p):
     view = duals.epsilon_inf(channels.RepeatChannel(Family.GEOMETRIC_DELETION, p), dual)
     assert view <= gaps.min()
     assert abs(view - search.eps) <= 1e-11
+
+
+@pytest.mark.parametrize("p", (0.01, 0.05, 0.3, 0.9, 0.995))
+def test_trunc_eps_is_the_infimum_of_a_long_reference_scan(p):
+    # From p = 0.01 on the modified trunc gap's argmin lies inside the
+    # 500-x scan, so eps is the infimum over x <= 20 000 and the limit
+    # exactly: R_p at x does not depend on the other x in the call.
+    eps = geomdel_bound(p, "trunc").epsilon_used
+    gaps, limit = duals._delta_rule(
+        DualVariant.GEOMDEL_TRUNCATED, r_p(np.arange(1, 20001), p), p, deletion_delta(p, "trunc")
+    )
+    assert eps == min(float(gaps.min()), limit)
 
 
 def test_delta_d_rule_needs_no_gap_scan(monkeypatch):
@@ -404,7 +412,7 @@ def cold_tables():
 
 def _whole_grid_optimum(p, variant):
     """(bound_nats, q_opt, mu_opt) by maximize_concave over the whole
-    q-grid from its first point, with no bisection past its zeros."""
+    q-grid from its first point, zeros and all."""
     search = bounds._Search(p, variant)
     res = maximize_concave(
         search.objective, 1e-6, 1.0 - 1e-6, bounds._q_grid(p), bounds._Q_OPT_TOL
@@ -421,8 +429,8 @@ def _table_sizes():
 @pytest.mark.parametrize("variant", _OPTIMIZED)
 def test_bisection_past_the_zeros_leaves_the_optimum_and_tables_unchanged(variant, p, cold_tables):
     # A binding bound is the whole grid's scan, bit for bit, on tables of
-    # the same size: its bisection starts above Newton's last iterate, past
-    # grid points that are all infeasible.  Elsewhere the root is the sup
+    # the same size: its scan starts above Newton's last iterate, past grid
+    # points that are all infeasible.  Elsewhere the root is the sup
     # the scan approximates: no lower than it, by more than rounding, and
     # on tables no larger.  It may be higher: the golden section stops up
     # to 1e-7 in q short of q*, which costs 2.5e-12 of the sticky value at
@@ -552,10 +560,11 @@ def test_the_table_constructions_build_few_duals(cold_tables, monkeypatch):
     # Every optimized construction at every T1/T2/T3 p (89, delta-d at each
     # T3 p), each cold, counted by the benchmark's own build_dual span, and
     # duplication at p = 0.99, past T2's last row.  Newton takes 4-6 builds
-    # per root; a binding bound adds its bisection and the scan from the
-    # first feasible point (29-35 in all).  The 89 took 1 062 builds with
-    # the bracket and Brent search, and take 552; the target is 580, and
-    # the limit of 560 also fails without the binding stop (579).
+    # per root; a binding bound adds the scan from the first grid point
+    # above Newton's last iterate and the golden section (29-35 in all).
+    # The 89 took 1 062 builds with the bracket and Brent search, and take
+    # 552; the target is 580, and the limit of 560 also fails without the
+    # binding stop (579).
     spans = _bench_spans(monkeypatch)
     counts = {}
     for table in tables.ALL_TABLES:
@@ -578,8 +587,8 @@ def test_the_table_constructions_build_few_duals(cold_tables, monkeypatch):
 @pytest.mark.parametrize("p", [0.3, 0.9])
 @pytest.mark.parametrize("variant", _OPTIMIZED)
 def test_a_bound_builds_each_q_once(variant, p, monkeypatch):
-    # the bisection, the scan, the golden section and mu_opt share the
-    # duals built
+    # the root, the scan, the golden section and mu_opt share the duals
+    # built
     builds = _trace_builds(monkeypatch)
     compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, p)
     qs = [q for q, _ in builds]
