@@ -5,40 +5,41 @@ distribution Y satisfies D_KL(Y_x || Y) >= -log_norm + E[Y_x] * (-log q)
 - eps for every input run length x >= 1 (eps the infimum of the KL-gap),
 then the capacity of the mean-limited auxiliary channel is bounded affinely
 in its mean, and the run-length reduction turns that into a per-symbol
-capacity bound.  Concretely, with mu = E[Y^(q)] the dual mean, d = 1-p and
-delta the dual's mass at zero, every bound is
+capacity bound.  Concretely, with mu = E[Y^(q)] the dual mean, d = 1-p,
+delta the dual's mass at zero and lambda = E[D] the mean number of copies
+of an input bit, every bound is
 
-    num (log_norm - mu log q - eps - d log delta) / (den (m + mu)),
-    mu >= threshold,
+    lambda (log_norm - mu log q - eps - d log delta) / (m + mu),
+    mu >= lambda,
 
 maximized over q in (0, 1), with per construction
 
-                    num     den    m    threshold
-    sticky:         1       d      0    1/(1-p)
-    duplication:    1+p     1      0    1+p
-    deletion:       p       d      1    p/(1-p)
+                    lambda     m
+    sticky:         1/(1-p)    0
+    duplication:    1+p        0
+    deletion:       p/(1-p)    1
 
 The sticky and duplication duals have zero gap and no mass at zero, so
-eps = 0 and delta = 1 there.  Infeasible q (dual mean below the reduction
-threshold) contribute objective value 0, and a q whose series did not
-converge raises BoundComputationError.  With theta = log q and
-Z = delta [deletion] + sum_y a(y) e^(theta y), log Z is convex in theta, so
-mu = (log Z)' increases with q, and F = log_norm - mu log q, the negative
-Legendre transform of log Z, has dF/dmu = -log q.  Setting the value's
-derivative in mu to zero gives the first-order condition
+eps = 0 and delta = 1 there.  Infeasible q (dual mean below lambda)
+contribute objective value 0, and a q whose series did not converge raises
+BoundComputationError.  With theta = log q and Z = delta [deletion] +
+sum_y a(y) e^(theta y), log Z is convex in theta, so mu = (log Z)'
+increases with q, and F = log_norm - mu log q, the negative Legendre
+transform of log Z, has dF/dmu = -log q.  Setting the value's derivative
+in mu to zero gives the first-order condition
 
     G(q*) = log Z(q*) + m log q* - eps - d log delta = 0,
-    bound -num log q* / den nats.
+    bound -lambda log q* nats.
 
 G increases with q, and the value rises below q* and falls above it, so
 q* is a monotone root.  In theta = log q, G is convex with G' = mu + m, so
 Newton's method solves it from one dual per iterate: a tangent lands at or
 right of the root, and from there the iterates fall to it.  The value and
-mu_opt are read at q*.  If mu(q*) is below the threshold, the constraint
-binds and the sup sits where mu reaches the threshold; Newton stops at the
-first iterate right of q* that shows it, and the bound scans the q-grid
-from the first grid point above that iterate, past which its zeros run
-out within a point or two, and golden-sections around the best point
+mu_opt are read at q*.  If mu(q*) is below lambda, the constraint binds
+and the sup sits where mu reaches lambda; Newton stops at the first
+iterate right of q* that shows it, and the bound scans the q-grid from the
+first grid point above that iterate, past which its zeros run out within a
+point or two, and golden-sections around the best point
 (numerics.maximize_concave).  The deletion bound comes in three flavors
 differing in the dual and its mass-at-zero rule:
 
@@ -189,18 +190,18 @@ def _q_grid(p: float) -> np.ndarray:
     return grid[(grid > 0.0) & (grid < 1.0)]
 
 
-def _cached(scan: Callable[[float, int], np.ndarray]) -> Callable[[float, int], np.ndarray]:
-    """scan(p, x_max), kept in _DELTA_SCANS by (scan, p, x_max), so that a
-    bound and deletion_delta read one array."""
+def _cached(scan: Callable[[float, int], np.ndarray]) -> Callable[[float], np.ndarray]:
+    """p -> scan(p, _EPS_SCAN_X_MAX), kept in _DELTA_SCANS by (scan, p), so
+    that a bound and deletion_delta read one array."""
 
-    def cached(p: float, x_max: int) -> np.ndarray:
+    def cached(p: float) -> np.ndarray:
         # The scan runs outside the lock, so a thread scanning one p does
         # not hold up S-table lookups for every other p.
-        key = (scan, float(p), int(x_max))
+        key = (scan, float(p))
         with _TABLES_LOCK:
             gaps = _DELTA_SCANS.get(key)
         if gaps is None:
-            gaps = scan(p, x_max)
+            gaps = scan(p, _EPS_SCAN_X_MAX)
             with _TABLES_LOCK:
                 _DELTA_SCANS[key] = gaps
         return gaps
@@ -216,17 +217,15 @@ _truncated_gap_scan = _cached(lambda p, x_max: r_p(np.arange(1, x_max + 1, dtype
 
 @dataclass(frozen=True)
 class _Construction:
-    """One bound variant: its dual and the template's constants (module
-    docstring), scale(d) -> (num, den) and m; scale is None for the closed
-    form, which evaluates its dual analytically.  scale reads p back as
-    1 - d.  Deletion duals also carry gap_scan(p, x_max), their KL-gap at
-    delta = 1 for x = 1..x_max, and whether their recommended delta is the
+    """One bound variant: its dual and the template's m (module docstring),
+    None for the closed form, which evaluates its dual analytically.
+    Deletion duals also carry gap_scan(p), their KL-gap at delta = 1 for
+    x = 1.._EPS_SCAN_X_MAX, and whether their recommended delta is the
     balance rule (else 1-p).  The channel family is the dual's."""
 
     dual: DualVariant
-    scale: Callable[[float], tuple[float, float]] | None = None
-    m: float = 0.0
-    gap_scan: Callable[[float, int], np.ndarray] | None = None
+    m: float | None = None
+    gap_scan: Callable[[float], np.ndarray] | None = None
     balance: bool = False
 
     @property
@@ -234,33 +233,23 @@ class _Construction:
         return _SPECS[self.dual].family
 
 
-def _deletion_scale(d: float) -> tuple[float, float]:
-    return 1.0 - d, d
-
-
 _CONSTRUCTIONS = {
-    BoundVariant.STICKY_EXACT: _Construction(DualVariant.STICKY_ZERO_GAP, lambda d: (1.0, d)),
-    BoundVariant.DUPLICATION_EXACT: _Construction(
-        DualVariant.DUPLICATION_ZERO_GAP, lambda d: (1.0 + (1.0 - d), 1.0)
-    ),
+    BoundVariant.STICKY_EXACT: _Construction(DualVariant.STICKY_ZERO_GAP, 0.0),
+    BoundVariant.DUPLICATION_EXACT: _Construction(DualVariant.DUPLICATION_ZERO_GAP, 0.0),
     BoundVariant.GEOMDEL_CONV: _Construction(
-        DualVariant.GEOMDEL_CONVEXITY, _deletion_scale, 1.0, _delta_scan, balance=True
+        DualVariant.GEOMDEL_CONVEXITY, 1.0, _delta_scan, balance=True
     ),
     BoundVariant.GEOMDEL_TRUNC: _Construction(
-        DualVariant.GEOMDEL_TRUNCATED, _deletion_scale, 1.0, _truncated_gap_scan, balance=True
+        DualVariant.GEOMDEL_TRUNCATED, 1.0, _truncated_gap_scan, balance=True
     ),
-    BoundVariant.GEOMDEL_DELTA_D: _Construction(
-        DualVariant.GEOMDEL_CONVEXITY, _deletion_scale, 1.0, _delta_scan
-    ),
+    BoundVariant.GEOMDEL_DELTA_D: _Construction(DualVariant.GEOMDEL_CONVEXITY, 1.0, _delta_scan),
     BoundVariant.GEOMDEL_ELEMENTARY: _Construction(DualVariant.INVERSE_BINOMIAL),
 }
 
 
 def _optimized(family: Family) -> tuple[BoundVariant, ...]:
     """The family's q-optimized constructions; its default bound is their best."""
-    return tuple(
-        v for v, c in _CONSTRUCTIONS.items() if c.family is family and c.scale is not None
-    )
+    return tuple(v for v, c in _CONSTRUCTIONS.items() if c.family is family and c.m is not None)
 
 
 def _delta(con: _Construction, p: float, rule: str) -> float:
@@ -273,7 +262,7 @@ def _delta(con: _Construction, p: float, rule: str) -> float:
         return 1.0
     if rule == "d" or not con.balance:
         return d
-    gap1 = float(con.gap_scan(p, _EPS_SCAN_X_MAX)[0])
+    gap1 = float(con.gap_scan(p)[0])
     return math.exp(min(-(gap1 - _SPECS[con.dual].gap_limit(p)) / d, 0.0))
 
 
@@ -295,23 +284,20 @@ def deletion_delta(p: float, variant, rule: str = "recommended") -> float:
 
 
 class _Search:
-    """One bound's search over q at p.  delta, eps and the reduction
-    threshold are fixed once, before any q, and every dual the search
-    builds is kept by q, so the root, the scan, the golden section and
-    mu_opt read each point's dual once."""
+    """One bound's search over q at p.  delta, eps and threshold, lambda =
+    E[D] (the objective's factor and the mean constraint), are fixed once,
+    before any q, and every dual the search builds is kept by q, so the
+    root, the scan, the golden section and mu_opt read each q's dual once."""
 
     def __init__(self, p: float, variant: BoundVariant):
         con = _CONSTRUCTIONS[variant]
-        if con.scale is None:
-            raise ValueError(f"no q-objective for variant {variant}")
         self.p, self.con, self.built = p, con, {}
         self.where = f"(p = {p}, {variant.value})"
         self.d = 1.0 - p
-        self.num, self.den = con.scale(self.d)
         self.threshold = reduction_params(RepeatChannel(con.family, p)).lam
         self.delta, self.eps = 1.0, 0.0
         if con.gap_scan is not None:
-            scan = con.gap_scan(p, _EPS_SCAN_X_MAX)
+            scan = con.gap_scan(p)
             self.delta = _delta(con, p, "recommended")
             if self.delta == 0.0:
                 raise BoundComputationError(f"the balance delta underflows to 0 {self.where}")
@@ -344,8 +330,8 @@ class _Search:
         if mu < self.threshold:
             return 0.0
         return (
-            self.num * (-self.eps - self.d * self.log_delta + log_norm - mu * math.log(q))
-            / (self.den * (self.con.m + mu))
+            self.threshold * (-self.eps - self.d * self.log_delta + log_norm - mu * math.log(q))
+            / (self.con.m + mu)
         )
 
     def condition(self, q: float) -> float:

@@ -16,10 +16,10 @@ the positive integers whose conditional output law Y_x for input x is
 
 The reduction needs three scalars per family: lam = E[D], lam_bar = E[D | D != 0],
 and p_nonzero = P(D != 0).  Each family's facts live in one _Law record in
-_LAWS; ConditionalOutputLaw reads them for one input x, and output_log_pmf
-and reduction_params are the module-level reads the summed gap scan and the
-bound thresholds use.  _windows cuts each Y_x to its support window, every x of a
-scan at once, both tails certified by the law's Chernoff bound.
+_LAWS; ConditionalOutputLaw reads them for one input x, output_log_pmf serves
+the summed gap scan, and reduction_params the bound template, whose factor
+and mean constraint are lam.  _windows cuts each Y_x to its support window,
+every x of a scan at once, both tails certified by the law's Chernoff bound.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from repeatcap.bounds import (
     _Q_OPT_TOL,
     DELTA_RULES,
     TABLE_SELECTORS,
-    BoundComputationError,
     SweepFailure,
     _check_family,
     _optimized,
@@ -41,7 +40,7 @@ from repeatcap.bounds import (
 )
 from repeatcap.channels import Family
 from repeatcap.duals import _delta_rule, gap_scan
-from repeatcap.numerics import _SERIES_REL_TOL, QuadratureError
+from repeatcap.numerics import _SERIES_REL_TOL
 from repeatcap import records
 from repeatcap.simulate import INPUT_SOURCES, SimConfig, run_monte_carlo
 
@@ -359,7 +358,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BoundComputationError, QuadratureError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -295,7 +295,7 @@ def _lambdas(spec: _Spec, groups: list[np.ndarray], p: float) -> np.ndarray:
     )
     # numerics.integrate is looked up on the module, so a wrapper set there
     # (a trace, a test) sees every S-table unit and Lambda view
-    val, _ = numerics.integrate(problem, breakpoints=breaks, max_panels=1024)
+    val, _ = numerics.integrate(problem, breakpoints=breaks)
     return val
 
 

@@ -303,7 +303,7 @@ def test_objective_curve_consistency():
         objective_curve(0.3, BoundVariant.GEOMDEL_ELEMENTARY, [0.5])
 
 
-_OPTIMIZED = [v for v, c in bounds._CONSTRUCTIONS.items() if c.scale is not None]
+_OPTIMIZED = [v for v, c in bounds._CONSTRUCTIONS.items() if c.m is not None]
 
 
 @pytest.mark.parametrize("p", [0.3, 0.9])
@@ -499,17 +499,13 @@ def test_the_root_solves_the_first_order_condition(variant, p):
         assert abs(res.bound_nats - _CLOSED_FORM[variant](q_star, p)) <= 1e-9 * res.bound_nats
 
 
-# The module docstring's value and first-order condition for each family,
-# written out as the constructions evaluated them before they shared one
-# template: p read back as 1 - d, and no eps or log delta terms for the
-# zero-gap duals.
-def _docstring_value(family, log_norm, mu, log_q, d, log_delta, eps):
-    if family is Family.GEOMETRIC_STICKY:
-        return (log_norm - mu * log_q) / (mu * d)
-    p = 1.0 - d
-    if family is Family.ELEMENTARY_DUPLICATION:
-        return (1.0 + p) * (log_norm - mu * log_q) / mu
-    return p * (-eps - d * log_delta + log_norm - mu * log_q) / (d * (1.0 + mu))
+# The module docstring's value and first-order condition for each family:
+# lambda = E[D] read from the channel at p itself, m = 1 for deletion, and
+# no eps or log delta terms for the zero-gap duals' condition.
+def _docstring_value(family, p, log_norm, mu, log_q, d, log_delta, eps):
+    lam = channels.reduction_params(channels.RepeatChannel(family, p)).lam
+    m = 1.0 if family is Family.GEOMETRIC_DELETION else 0.0
+    return lam * (-eps - d * log_delta + log_norm - mu * log_q) / (m + mu)
 
 
 def _docstring_condition(family, log_norm, log_q, d, log_delta, eps):
@@ -535,7 +531,7 @@ def test_the_template_is_the_docstring_formulas(variant, p):
     for q, dual in feasible:
         log_norm, mu, log_q = dual.log_normalizer, dual.mean, math.log(q)
         assert search.objective(q) == _docstring_value(
-            family, log_norm, mu, log_q, d, log_delta, search.eps
+            family, p, log_norm, mu, log_q, d, log_delta, search.eps
         )
         assert search.condition(q) == _docstring_condition(
             family, log_norm, log_q, d, log_delta, search.eps

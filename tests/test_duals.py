@@ -1020,7 +1020,7 @@ def test_s_table_of_a_short_series_is_one_step():
 
 
 def test_clear_caches_empties_gap_scans():
-    bounds._delta_scan(0.5, 3)
+    bounds._delta_scan(0.5)
     assert bounds._DELTA_SCANS
     duals.clear_caches()
     assert not bounds._DELTA_SCANS

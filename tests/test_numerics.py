@@ -351,6 +351,15 @@ def test_integrate_batched_interior_nan_raises():
     assert any(calls)
 
 
+def test_integrate_raises_at_its_panel_budget():
+    # a square wave with 63 jumps: a panel holding a jump keeps an error near
+    # its width, so 1e-12 would take about 40 bisections at each jump, far
+    # more panels than the budget
+    square = QuadratureProblem(lambda t: np.sign(np.sin(200.0 * t)), (0.0, 1.0), abs_tol=1e-12)
+    with pytest.raises(QuadratureError, match=r"did not converge within 1024 panels: err "):
+        integrate(square)
+
+
 def test_integrate_interval_validation():
     for interval in ((0.5, 0.2), (0.3, 0.3), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="finite with lo < hi"):
