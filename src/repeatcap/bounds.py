@@ -1,13 +1,16 @@
 """Analytical capacity upper bounds for binary repeat channels.
 
 Each bound instantiates the same duality template: if a candidate output
-distribution Y satisfies D_KL(Y_x || Y) >= -log_norm + E[Y_x] * (-log q)
-- eps for every input run length x >= 1 (eps the infimum of the KL-gap),
-then the capacity of the mean-limited auxiliary channel is bounded affinely
-in its mean, and the run-length reduction turns that into a per-symbol
-capacity bound.  Concretely, with mu = E[Y^(q)] the dual mean, d = 1-p,
-delta the dual's mass at zero and lambda = E[D] the mean number of copies
-of an input bit, every bound is
+distribution Y satisfies
+
+    D_KL(Y_x || Y) <= log_norm - E[Y_x] log q - d log delta - eps
+
+for every input run length x >= 1 (eps the infimum of the KL-gap, d = 1-p
+and delta the dual's mass at zero), then the capacity of the mean-limited
+auxiliary channel is bounded affinely in its mean, and the run-length
+reduction turns that into a per-symbol capacity bound.  Concretely, with
+mu = E[Y^(q)] the dual mean and lambda = E[D] the mean number of copies of
+an input bit, every bound is
 
     lambda (log_norm - mu log q - eps - d log delta) / (m + mu),
     mu >= lambda,

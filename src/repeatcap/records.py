@@ -94,12 +94,6 @@ def write_csv(stream, header, rows) -> None:
     writer.writerows(rows)
 
 
-def csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    write_csv(buf, header, rows)
-    return buf.getvalue()
-
-
 def _parse_cell(key: str, value: str):
     fmt = _BOUND_CSV_FORMAT.get(key, str)  # the error column is text
     if fmt is str:

@@ -16,21 +16,14 @@ run_monte_carlo takes the trials _CHUNK at a time.  It draws each trial's
 input and Poisson counts and decodes straight from the counts, without
 building the channel output (sample_channel_output and run_length_decode
 give the same decode from that output); the decode comes with the cost of
-one explicit alignment, which bounds the trial's edit distance.  Then one
-numpy kernel, _edit_distances, measures all of the chunk's trials at once.
-It splits each trial's text at its middle column (Hirschberg) and runs
-the two halves, the second reversed from the end corner, through a Myers
-bit-parallel recurrence in lockstep.  An alignment of cost D <= bound
-only passes through cells (i, j) with |i - j| + |(n - i) - (len - j)|
-<= D (Ukkonen's cutoff from both corners), one band of about D + 1
-diagonals that serves both halves, so only the words on those diagonals
-are stepped.  The distance is the least sum of the two halves' final
-columns over the rows where that band crosses the middle column, and
-only those rows are read.  A chunk so takes about half as many
-sequential text steps as its longest text.  edit_distance stays the
-single-pair function for any symbols; for one pair it is faster than the
-kernel (at n = 4000 on a 2-vCPU x86 machine, about 10-14 ms against
-45-70 ms).
+one explicit alignment, which bounds the trial's edit distance.  Then
+_edit_distances measures all of the chunk's trials at once on the
+diagonals that an alignment within that bound can use (Ukkonen's cutoff
+from both corners), by Myers' O(ND) greedy when they are few and by a
+Myers bit-parallel lockstep over both halves of each trial's text
+otherwise.  edit_distance stays the single-pair function for any symbols;
+for one pair it is faster than the lockstep (at n = 4000 on a 2-vCPU x86
+machine, about 10-14 ms against 45-70 ms).
 """
 
 from __future__ import annotations
@@ -52,6 +45,15 @@ _READ = 4
 
 # Text steps whose symbols _deltas gathers, as sel masks, at once.
 _BLOCK = 32
+
+# A chunk whose diagonal range is narrower than this goes to _greedy, a
+# wider one to _lockstep: about where the two take equal time on 100
+# trials at n = 4000 (measured on a 2-vCPU x86 machine).
+_GREEDY_WIDTH = 180
+
+# 64-bit windows a cell that _greedy's first pass left matching compares
+# per round.
+_SLIDE = 16
 
 
 @dataclass(frozen=True)
@@ -235,8 +237,11 @@ def edit_distance(a, b) -> int:
 def _edit_distances(xs, decoded, bands=None) -> np.ndarray:
     """edit_distance(xs[i], decoded[i]) for every i, as an int64 array.
 
-    Bits only, and every xs[i] has the same length n.  _lockstep runs up to
-    _CHUNK trials at a time, each split at the middle column of its text
+    Bits only, and every xs[i] has the same length n.  Up to _CHUNK trials
+    at a time go to _greedy when their diagonal range [kmin, kmax] (below)
+    has kmax - kmin < _GREEDY_WIDTH, and to _lockstep otherwise.
+
+    _lockstep splits each trial at the middle column of its text
     (Hirschberg, CACM 18(6), 1975), c = len(decoded[i]) // 2, into two
     lanes that each read about half of it: the first half forward (pattern
     x, text decoded[:c]) and the second reversed (x[::-1],
@@ -246,31 +251,156 @@ def _edit_distances(xs, decoded, bands=None) -> np.ndarray:
     exact there; and each F(r) + B(n - r) is the cost of a real
     alignment, one through (r, c), so it never reads low.
 
-    bands[i] >= the distance of pair i makes it exact.  Reaching a cell
-    (i, j) costs at least |i - j| and leaving it for the end corner at
-    least |(n - i) - (len - j)|, so an alignment of cost D passes only
-    through cells whose diagonal k = i - j has |k| + |delta - k| <= D,
-    delta = n - len (Ukkonen's cutoff, Inf. Control 64, 1985, taken from
-    both corners): k lies in [(delta - D) / 2, (delta + D) / 2].  In the
-    reversed lane the same cell lies on diagonal delta - k, which meets
-    the same inequality, so one range serves both lanes.  A chunk steps
-    the union of its trials' ranges, [kmin, kmax], and reads F and B only
-    at the rows where an optimal alignment can cross column c, r - c in
-    [kmin, kmax].  The default band, max(n, len(decoded[i])), is at least
-    every distance.  A distance above its band comes back too high, never
-    too low.  Memory is O(_CHUNK * (n + longest text)) for any number of
+    bands[i] >= the distance of pair i makes it exact, whichever kernel
+    runs.  Reaching a cell (i, j) costs at least |i - j| and leaving it
+    for the end corner at least |(n - i) - (len - j)|, so an alignment of
+    cost D passes only through cells whose diagonal k = i - j has
+    |k| + |delta - k| <= D, delta = n - len (Ukkonen's cutoff, Inf.
+    Control 64, 1985, taken from both corners): k lies in
+    [(delta - D) / 2, (delta + D) / 2].  In the reversed lane the same
+    cell lies on diagonal delta - k, which meets the same inequality, so
+    one range serves both lanes.  A chunk steps the union of its trials'
+    ranges, [kmin, kmax]; the lockstep reads F and B only at the rows
+    where an optimal alignment can cross column c, r - c in [kmin, kmax].
+    The default band, max(n, len(decoded[i])), is at least every
+    distance.  A distance above its band comes back too high, never too
+    low.  Memory is O(_CHUNK * (n + longest text)) for any number of
     trials.
     """
     if bands is None:
         bands = [max(len(x), len(d)) for x, d in zip(xs, decoded)]
     out = [np.zeros(0, np.int64)]
     for lo in range(0, len(decoded), _CHUNK):
-        delta = len(xs[0]) - np.array([len(d) for d in decoded[lo:lo + _CHUNK]])
+        chunk = xs[lo:lo + _CHUNK], decoded[lo:lo + _CHUNK]
+        delta = len(xs[0]) - np.array([len(d) for d in chunk[1]])
         band = np.asarray(bands[lo:lo + _CHUNK])
         kmin, kmax = int(((delta - band) // 2).min()), int(((delta + band) // 2).max())
-        for forward, backward in _lockstep(xs[lo:lo + _CHUNK], decoded[lo:lo + _CHUNK], kmin, kmax):
+        if kmax - kmin < _GREEDY_WIDTH:
+            out.append(_greedy(*chunk, kmin, kmax))
+            continue
+        for forward, backward in _lockstep(*chunk, kmin, kmax):
             out.append((forward + backward).min(axis=1))
     return np.concatenate(out, dtype=np.int64)
+
+
+def _packed(bits):
+    """Each bit array as little-endian uint64 words of its own, and its first bit's offset."""
+    words = np.array([-(-len(b) // 64) for b in bits], dtype=np.int64)
+    start = np.cumsum(words) - words
+    packed = np.zeros(8 * max(words.sum(), 1), dtype=np.uint8)
+    for b, w in zip(bits, start):
+        packed[8 * w: 8 * w + -(-len(b) // 8)] = np.packbits(b, bitorder="little")
+    return packed.view("<u8"), 64 * start
+
+
+def _matches(xw, tw, xpos, tpos, scratch):
+    """Into scratch[0], how many bits in a row from bit xpos of xw on equal
+    those from bit tpos of tw on, at most 64.  xpos and tpos are
+    overwritten; scratch is four int64 arrays of their shape."""
+    count, q, u, v = scratch
+    u, v, tmp = u.view(np.uint64), v.view(np.uint64), count.view(np.uint64)
+    for words, pos, out in (xw, xpos, u), (tw, tpos, v):
+        # out = (word >> s) | ((next word << 1) << (63 - s)), s = pos % 64:
+        # a shift by 64 would be out of range.  A position outside the words
+        # reads the first or last word (mode clip); _greedy cuts every slide
+        # at its diagonal's last row, so such bits go unused.
+        np.right_shift(pos, 6, out=q)
+        np.take(words, q, out=out, mode="clip")
+        q += 1
+        np.take(words, q, out=tmp, mode="clip")
+        shift = np.bitwise_and(pos, 63, out=pos).view(np.uint64)
+        np.right_shift(out, shift, out=out)
+        np.left_shift(tmp, np.uint64(1), out=tmp)
+        np.subtract(np.uint64(63), shift, out=shift)
+        np.left_shift(tmp, shift, out=tmp)
+        np.bitwise_or(out, tmp, out=out)
+    # trailing zeros of w = u ^ v: the bits of ~w & (w - 1), 64 when u == v
+    np.bitwise_xor(u, v, out=v)
+    np.subtract(v, np.uint64(1), out=u)
+    np.invert(v, out=v)
+    np.bitwise_and(u, v, out=u)
+    np.bitwise_count(u, out=count)
+
+
+def _greedy(xs, decoded, kmin, kmax):
+    """edit_distance(xs[i], decoded[i]) for every i, by Myers' O(ND) greedy
+    (Algorithmica 1, 1986) on the diagonals k = i - j in [kmin, kmax].
+
+    Iteration d sets R[t, k], the furthest row of diagonal k that trial t
+    reaches at cost d, for every trial and every |k| <= d at once: the
+    largest of R + 1, R[k - 1] + 1 and R[k + 1], clipped to the diagonal's
+    last row, then slid along its matches 64 bits at a time.  Trial t's
+    distance is the first d at which its end diagonal n - len reaches row
+    n.  No distance is low, and one is exact when every optimal alignment
+    keeps to the range (Myers' lemma holds on any run of whole diagonals);
+    a trial whose end diagonal or diagonal 0 lies outside it gets max(n, len).
+    """
+    n = len(xs[0])
+    lengths = np.array([len(d) for d in decoded], dtype=np.int64)
+    out = np.maximum(lengths, n)
+    (xw, xstart), (tw, tstart) = _packed(xs), _packed(decoded)
+    # column c holds diagonal kmin - 1 + c; columns 0 and -1 are never
+    # stepped and stay unreached
+    k = np.arange(kmin - 1, kmax + 2)
+    rows = np.full((lengths.size, k.size), -(1 << 40), dtype=np.int64)
+    last = np.minimum(lengths[:, None] + k, n)
+    # bit offsets of row 0 of each diagonal in the pattern and the text
+    xstart, tstart = xstart[:, None], tstart[:, None] - k
+    delta = n - lengths
+    live = (kmin <= np.minimum(delta, 0)) & (np.maximum(delta, 0) <= kmax)
+    # each trial's end diagonal in rows.ravel(), clipped where it is out of
+    # range (and the trial never live)
+    target = np.arange(0, rows.size, k.size) + np.clip(delta - kmin + 1, 0, k.size - 1)
+    # row 0 of diagonal 0 at cost 0 (when 0 is only a never-stepped edge
+    # column, no trial is live)
+    rows[:, k == 0] = -1
+    block = np.empty((6, rows.size), dtype=np.int64)
+    d = 0
+    while live.any():
+        # only |k| <= d: a path of cost |k| reaches diagonal k, so every cell
+        # stepped holds a reached row (or, on a diagonal off the trial's
+        # matrix, its clipped last row, which never slides)
+        lo, hi = max(kmin, -d) - kmin + 1, min(kmax, d) - kmin + 2
+        r = rows[:, lo:hi]
+        a, b, *scratch = (s[: r.size].reshape(r.shape) for s in block)
+        # R = max(R + 1, R[k - 1] + 1, R[k + 1]), clipped to the last row
+        np.maximum(r, rows[:, lo - 1:hi - 1], out=a)
+        a += 1
+        np.maximum(a, rows[:, lo + 1:hi + 1], out=a)
+        np.minimum(a, last[:, lo:hi], out=r)
+        # slide every cell by its first window, then the ones that matched
+        # all of it by _slide
+        np.add(xstart, r, out=a)
+        np.add(tstart[:, lo:hi], r, out=b)
+        _matches(xw, tw, a, b, scratch)
+        np.subtract(last[:, lo:hi], r, out=b)
+        np.minimum(scratch[0], b, out=a)
+        r += a
+        t, c = np.divmod(np.flatnonzero(a == 64), hi - lo)
+        _slide(xw, tw, rows, last, xstart, tstart, t, c + lo)
+        done = (rows.ravel().take(target) == n) & live
+        np.putmask(out, done, d)
+        live ^= done
+        d += 1
+    return out
+
+
+def _slide(xw, tw, rows, last, xstart, tstart, t, c):
+    """Slide _greedy's cells (t[i], c[i]) to their first mismatch, _SLIDE windows a round."""
+    span = 64 * np.arange(_SLIDE)
+    while t.size:
+        r = rows[t, c]
+        pos = np.empty((6, t.size, _SLIDE), dtype=np.int64)
+        np.add((xstart[t, 0] + r)[:, None], span, out=pos[0])
+        np.add((tstart[t, c] + r)[:, None], span, out=pos[1])
+        _matches(xw, tw, pos[0], pos[1], pos[2:])
+        # the whole windows before the first partial one, then its matches
+        # (none past the last window: a whole one's 64 is taken mod 64)
+        gained = 64 * np.cumprod(pos[2] == 64, axis=1).sum(axis=1)
+        gained += pos[2][np.arange(t.size), np.minimum(gained // 64, _SLIDE - 1)] % 64
+        np.minimum(gained, last[t, c] - r, out=gained)
+        rows[t, c] = r + gained
+        t, c = t[gained == 64 * _SLIDE], c[gained == 64 * _SLIDE]
 
 
 def _lanes(xs, decoded):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
@@ -22,12 +23,12 @@ from repeatcap.records import (
     bound_csv_row,
     bound_json,
     bound_record,
-    csv_text,
     dump_json,
     parse_bound_csv,
     run_metadata,
     simulation_json,
     verification_json,
+    write_csv,
 )
 from repeatcap.simulate import SimConfig, run_monte_carlo
 
@@ -63,8 +64,9 @@ def test_csv_round_trip():
         compute_bound(Family.GEOMETRIC_STICKY, BoundVariant.STICKY_EXACT, 0.3),
         compute_bound(Family.GEOMETRIC_DELETION, BoundVariant.GEOMDEL_CONV, 0.5),
     ]
-    text = csv_text(BOUND_CSV_HEADER, [bound_csv_row(r) for r in results])
-    parsed = parse_bound_csv(text)
+    buf = io.StringIO()
+    write_csv(buf, BOUND_CSV_HEADER, [bound_csv_row(r) for r in results])
+    parsed = parse_bound_csv(buf.getvalue())
     assert len(parsed) == 2
     for rec, result in zip(parsed, results):
         assert rec["p"] == result.p
@@ -79,12 +81,14 @@ def test_csv_round_trip():
 
 
 def test_parse_cell_typing():
-    text = csv_text(
+    buf = io.StringIO()
+    write_csv(
+        buf,
         BOUND_CSV_HEADER + ("error",),
         [["0.2", "StickyExact", "0.583611", "0.404536", "0.5", "2.0", "0.0", "true", "false", ""],
          ["1.7", "auto", "", "", "", "", "", "", "", "bad p"]],
     )
-    good, bad = parse_bound_csv(text)
+    good, bad = parse_bound_csv(buf.getvalue())
     assert good["feasible"] is True and good["clamped"] is False
     assert isinstance(good["q_opt"], float)
     assert good["error"] == ""

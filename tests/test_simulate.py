@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,27 +283,41 @@ def _pairs_for(m, rng):
     return xs, texts
 
 
+# The _GREEDY_WIDTH that sends every chunk of _edit_distances to the kernel
+# named, so each kernel keeps its coverage whichever one the rule picks.
+_KERNELS = {"_greedy": 1 << 62, "_lockstep": 0}
+
+
+def _routed(kernel):
+    return mock.patch.object(simulate, "_GREEDY_WIDTH", _KERNELS[kernel])
+
+
+@pytest.mark.parametrize("kernel", _KERNELS)
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
-def test_edit_distances_kernel_matches_both_references(m):
+def test_edit_distances_kernel_matches_both_references(m, kernel):
     xs, texts = _pairs_for(m, np.random.default_rng(m))
-    got = simulate._edit_distances(xs, texts)
+    with _routed(kernel):
+        got = simulate._edit_distances(xs, texts)
     assert got.tolist() == [edit_distance(x, t) for x, t in zip(xs, texts)]
     assert got.tolist() == [dp_edit_distance(x, t) for x, t in zip(xs, texts)]
 
 
-def test_edit_distances_kernel_batch_larger_than_a_chunk():
+@pytest.mark.parametrize("kernel", _KERNELS)
+def test_edit_distances_kernel_batch_larger_than_a_chunk(kernel):
     rng = np.random.default_rng(12)
     trials = 2 * simulate._CHUNK + 44
     xs = [rng.integers(0, 2, 65, dtype=np.uint8) for _ in range(trials)]
     texts = [rng.integers(0, 2, rng.integers(0, 100), dtype=np.uint8) for _ in range(trials)]
-    got = simulate._edit_distances(xs, texts)
+    with _routed(kernel):
+        got = simulate._edit_distances(xs, texts)
     assert got.tolist() == [edit_distance(x, t) for x, t in zip(xs, texts)]
     assert got.tolist() == [dp_edit_distance(x, t) for x, t in zip(xs, texts)]
 
 
 # n = 1, lambda < 1 (mostly empty decodes), all-alternating input, uniform
 # user inputs, more trials than one chunk, and the benchmark's n = 4000 at
-# lambda = 2, 20 (a band of about 240 that slides through the pattern) and 200
+# lambda = 2, 20 (a band of about 240 that slides through the pattern), 50,
+# 100 and 200 (both sides of the rule between the kernels)
 _REFERENCE_CONFIGS = [
     SimConfig(n=1, lam=2.0, epsilon=0.5, trials=50, seed=1),
     SimConfig(n=1, lam=0.3, epsilon=0.5, trials=50, seed=2),
@@ -318,6 +333,8 @@ _REFERENCE_CONFIGS = [
               input_source="user_supplied", input_bits="1" * 200),
     SimConfig(n=4000, lam=2.0, epsilon=0.1, trials=12, seed=11),
     SimConfig(n=4000, lam=20.0, epsilon=0.1, trials=12, seed=13),
+    SimConfig(n=4000, lam=50.0, epsilon=0.1, trials=12, seed=14),
+    SimConfig(n=4000, lam=100.0, epsilon=0.1, trials=12, seed=15),
     SimConfig(n=4000, lam=200.0, epsilon=0.1, trials=12, seed=12),
 ]
 
@@ -355,19 +372,56 @@ def test_alignment_bound_is_at_least_the_edit_distance(symbols, lam):
     assert simulate._decode_runs(x, lam, 0 * counts)[1] == x.size
 
 
+@pytest.mark.parametrize("kernel", _KERNELS)
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
-def test_edit_distances_band_edge(m):
+def test_edit_distances_band_edge(m, kernel):
     # A band equal to the distance is exact; one less may only overestimate.
     xs, texts = _pairs_for(m, np.random.default_rng(m))
     want = np.array([dp_edit_distance(x, t) for x, t in zip(xs, texts)])
-    for dist in np.unique(want):
-        pairs = np.flatnonzero(want == dist)
-        sub_xs, sub_texts = [xs[i] for i in pairs], [texts[i] for i in pairs]
-        assert simulate._edit_distances(sub_xs, sub_texts, [dist] * pairs.size).tolist() \
-            == want[pairs].tolist()
-        if dist > 0:
-            below = simulate._edit_distances(sub_xs, sub_texts, [dist - 1] * pairs.size)
-            assert (below >= want[pairs]).all()
+    with _routed(kernel):
+        for dist in np.unique(want):
+            pairs = np.flatnonzero(want == dist)
+            sub_xs, sub_texts = [xs[i] for i in pairs], [texts[i] for i in pairs]
+            assert simulate._edit_distances(sub_xs, sub_texts, [dist] * pairs.size).tolist() \
+                == want[pairs].tolist()
+            if dist > 0:
+                below = simulate._edit_distances(sub_xs, sub_texts, [dist - 1] * pairs.size)
+                assert (below >= want[pairs]).all()
+
+
+@pytest.mark.parametrize("kernel", _KERNELS)
+@pytest.mark.parametrize("lengths, bands", [
+    # ranges [9, 11] and [5, 5], then [-11, -9] and [-5, -5]: the union
+    # misses diagonal 0
+    ((80, 90), (2, 0)),
+    ((120, 110), (2, 0)),
+    # ranges [-1, 1] and [10, 10]: the second text's end diagonal, 20, lies
+    # outside [-1, 10]
+    ((100, 80), (2, 0)),
+    # ranges [-1, 1] and [-10, -10]: the end diagonal -20 lies outside
+    ((100, 120), (2, 0)),
+])
+def test_a_range_missing_diagonal_0_or_an_end_diagonal_never_reads_low(lengths, bands, kernel):
+    # 100-bit patterns against their own bits cut or repeated, one flipped:
+    # a first text of length 100 is at distance 1, within its band, and
+    # every other text is at least 10 away, outside its band.
+    rng = np.random.default_rng(sum(lengths))
+    xs, texts = [], []
+    for length in lengths:
+        x = rng.integers(0, 2, 100, dtype=np.uint8)
+        text = np.resize(x, length)
+        text[length // 2] ^= 1
+        xs.append(x)
+        texts.append(text)
+    want = [dp_edit_distance(x, t) for x, t in zip(xs, texts)]
+    with _routed(kernel):
+        got = simulate._edit_distances(xs, texts, list(bands)).tolist()
+    for dist, right, band, length in zip(got, want, bands, lengths):
+        assert dist >= right
+        if band >= right:
+            assert dist == right
+        elif kernel == "_greedy":
+            assert dist == max(100, length)
 
 
 def _diagonals(n, texts, bands):
@@ -431,32 +485,76 @@ def _kernel_cases(draw):
     return x, texts, bands
 
 
+@pytest.mark.parametrize("kernel", _KERNELS)
 @settings(deadline=None)
 @given(_kernel_cases())
-def test_split_kernel_is_exact_within_its_band_and_never_low(case):
+def test_split_kernel_is_exact_within_its_band_and_never_low(kernel, case):
     x, texts, bands = case
-    got = simulate._edit_distances([x] * len(texts), texts, bands)
+    with _routed(kernel):
+        got = simulate._edit_distances([x] * len(texts), texts, bands)
     for dist, text, band in zip(got.tolist(), texts, bands):
         want = dp_edit_distance(x, text)
         assert dist == want if band >= want else dist >= want
 
 
-def test_kernel_peak_memory_is_no_more_than_the_full_column_reads():
-    # One benchmark-sized op (100 trials, n = 4000, lambda = 2, seed 1):
-    # the kernel that read every row of both final columns peaked at
-    # 1 648 465 traced bytes, and the windowed read may hold no more.
+def _benchmark_chunk(lam, trials=100, seed=1):
+    """The patterns, decodes and alignment bounds of a benchmark-sized op:
+    trials at n = 4000 drawn as run_monte_carlo draws them."""
     xs, decoded, bands = [], [], []
-    for child in np.random.SeedSequence(1).spawn(100):
+    for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         x = rng.integers(0, 2, 4000, dtype=np.uint8)
-        decode, bound = simulate._decode_runs(x, 2.0, rng.poisson(2.0, x.size))
+        decode, bound = simulate._decode_runs(x, lam, rng.poisson(lam, x.size))
         xs.append(x)
         decoded.append(decode)
         bands.append(bound)
+    return xs, decoded, bands
+
+
+@pytest.mark.parametrize("lam", [2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0])
+def test_both_kernels_agree_on_benchmark_trials(lam):
+    xs, decoded, bands = _benchmark_chunk(lam, trials=2, seed=int(lam))
+    got = {}
+    for kernel in _KERNELS:
+        with _routed(kernel):
+            got[kernel] = simulate._edit_distances(xs, decoded, bands).tolist()
+    assert got["_greedy"] == got["_lockstep"]
+
+
+@pytest.mark.parametrize("lam, kernel", [
+    (2.0, "_lockstep"), (20.0, "_lockstep"), (50.0, "_greedy"), (200.0, "_greedy"),
+])
+def test_the_rule_sends_each_benchmark_chunk_to_its_kernel(lam, kernel, monkeypatch):
+    called = []
+    for name in _KERNELS:
+        def spy(*args, _name=name, _kernel=getattr(simulate, name)):
+            called.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(simulate, name, spy)
+    simulate._edit_distances(*_benchmark_chunk(lam))
+    assert called == [kernel]
+
+
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        simulate._edit_distances(xs, decoded, bands)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1_650_000
+
+
+@pytest.mark.parametrize("lam", [2.0, 50.0, 200.0])
+def test_kernel_peak_memory_is_no_more_than_the_full_column_reads(lam):
+    # One benchmark-sized op (100 trials, n = 4000, seed 1).  At lambda = 2,
+    # on the lockstep, the kernel that read every row of both final columns
+    # peaked at 1 648 465 traced bytes, and the windowed read may hold no
+    # more.  At lambda = 50 and 200 the rule picks _greedy, whose peak may
+    # be no higher than the lockstep's on the same chunk.
+    xs, decoded, bands = _benchmark_chunk(lam)
+    peak = _traced_peak(lambda: simulate._edit_distances(xs, decoded, bands))
+    if lam == 2.0:
+        assert peak <= 1_650_000
+    else:
+        with _routed("_lockstep"):
+            assert peak <= _traced_peak(lambda: simulate._edit_distances(xs, decoded, bands))
