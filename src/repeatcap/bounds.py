@@ -68,7 +68,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -78,10 +77,10 @@ from repeatcap.duals import (
     _DELTA_SCANS,
     _EPS_SCAN_X_MAX,
     _SPECS,
-    _TABLES_LOCK,
     DualVariant,
     _delta_rule,
     _infimum,
+    _memo,
     _validate_p,
     build_dual,
     convexity_gap_scan,
@@ -193,42 +192,31 @@ def _q_grid(p: float) -> np.ndarray:
     return grid[(grid > 0.0) & (grid < 1.0)]
 
 
-def _cached(scan: Callable[[float, int], np.ndarray]) -> Callable[[float], np.ndarray]:
-    """p -> scan(p, _EPS_SCAN_X_MAX), kept in _DELTA_SCANS by (scan, p), so
-    that a bound and deletion_delta read one array."""
-
-    def cached(p: float) -> np.ndarray:
-        # The scan runs outside the lock, so a thread scanning one p does
-        # not hold up S-table lookups for every other p.
-        key = (scan, float(p))
-        with _TABLES_LOCK:
-            gaps = _DELTA_SCANS.get(key)
-        if gaps is None:
-            gaps = scan(p, _EPS_SCAN_X_MAX)
-            with _TABLES_LOCK:
-                _DELTA_SCANS[key] = gaps
-        return gaps
-
-    return cached
+# Each deletion dual's KL-gap at delta = 1 for x = 1.._EPS_SCAN_X_MAX.  Each
+# reads its scan function by name at call time, as a wrapper put on the
+# module attribute expects.
+_GAP_SCANS = {
+    DualVariant.GEOMDEL_CONVEXITY: lambda p: convexity_gap_scan(p, _EPS_SCAN_X_MAX),
+    DualVariant.GEOMDEL_TRUNCATED: lambda p: r_p(np.arange(1, _EPS_SCAN_X_MAX + 1, dtype=float), p),
+}
 
 
-# Both read their scan function by name at call time, as a wrapper put on
-# the module attribute expects.
-_delta_scan = _cached(lambda p, x_max: convexity_gap_scan(p, x_max))
-_truncated_gap_scan = _cached(lambda p, x_max: r_p(np.arange(1, x_max + 1, dtype=float), p))
+def _gap_scan(dual: DualVariant, p: float) -> np.ndarray:
+    """The dual's gap scan at p, kept in _DELTA_SCANS by (dual, p), so that
+    conv, delta-d and deletion_delta read one array."""
+    return _memo(_DELTA_SCANS, (dual, p), lambda: _GAP_SCANS[dual](p))
 
 
 @dataclass(frozen=True)
 class _Construction:
     """One bound variant: its dual and the template's m (module docstring),
     None for the closed form, which evaluates its dual analytically.
-    Deletion duals also carry gap_scan(p), their KL-gap at delta = 1 for
-    x = 1.._EPS_SCAN_X_MAX, and whether their recommended delta is the
-    balance rule (else 1-p).  The channel family is the dual's."""
+    Deletion constructions also carry whether their recommended delta is
+    the balance rule (else 1-p); a dual in _GAP_SCANS has a KL-gap and so
+    an eps.  The channel family is the dual's."""
 
     dual: DualVariant
     m: float | None = None
-    gap_scan: Callable[[float], np.ndarray] | None = None
     balance: bool = False
 
     @property
@@ -239,25 +227,27 @@ class _Construction:
 _CONSTRUCTIONS = {
     BoundVariant.STICKY_EXACT: _Construction(DualVariant.STICKY_ZERO_GAP, 0.0),
     BoundVariant.DUPLICATION_EXACT: _Construction(DualVariant.DUPLICATION_ZERO_GAP, 0.0),
-    BoundVariant.GEOMDEL_CONV: _Construction(
-        DualVariant.GEOMDEL_CONVEXITY, 1.0, _delta_scan, balance=True
-    ),
-    BoundVariant.GEOMDEL_TRUNC: _Construction(
-        DualVariant.GEOMDEL_TRUNCATED, 1.0, _truncated_gap_scan, balance=True
-    ),
-    BoundVariant.GEOMDEL_DELTA_D: _Construction(DualVariant.GEOMDEL_CONVEXITY, 1.0, _delta_scan),
+    BoundVariant.GEOMDEL_CONV: _Construction(DualVariant.GEOMDEL_CONVEXITY, 1.0, balance=True),
+    BoundVariant.GEOMDEL_TRUNC: _Construction(DualVariant.GEOMDEL_TRUNCATED, 1.0, balance=True),
+    BoundVariant.GEOMDEL_DELTA_D: _Construction(DualVariant.GEOMDEL_CONVEXITY, 1.0),
     BoundVariant.GEOMDEL_ELEMENTARY: _Construction(DualVariant.INVERSE_BINOMIAL),
 }
 
 
-def _optimized(family: Family) -> tuple[BoundVariant, ...]:
-    """The family's q-optimized constructions; its default bound is their best."""
-    return tuple(v for v, c in _CONSTRUCTIONS.items() if c.family is family and c.m is not None)
+def constructions(family: Family, variant: BoundVariant | None = None) -> tuple[BoundVariant, ...]:
+    """The constructions a request runs.  For variant None, the family's
+    q-optimized constructions, whose best is its default bound; else
+    (variant,), which must belong to the family (ValueError otherwise)."""
+    if variant is None:
+        return tuple(v for v, c in _CONSTRUCTIONS.items() if c.family is family and c.m is not None)
+    if _CONSTRUCTIONS[variant].family is not family:
+        raise ValueError(f"variant {variant.value} does not belong to {family.value}")
+    return (variant,)
 
 
 def _delta(con: _Construction, p: float, rule: str) -> float:
     """delta under rule 'one', 'd' or 'recommended'; the balance rule reads
-    the gap at x = 1 from the cached scan the bound's eps reads (gap_scan)."""
+    the gap at x = 1 from the cached scan the bound's eps reads (_gap_scan)."""
     if rule not in DELTA_RULES:
         raise ValueError(f"unknown delta rule {rule!r}")
     d = 1.0 - p
@@ -265,7 +255,7 @@ def _delta(con: _Construction, p: float, rule: str) -> float:
         return 1.0
     if rule == "d" or not con.balance:
         return d
-    gap1 = float(con.gap_scan(p)[0])
+    gap1 = float(_gap_scan(con.dual, p)[0])
     return math.exp(min(-(gap1 - _SPECS[con.dual].gap_limit(p)) / d, 0.0))
 
 
@@ -281,7 +271,7 @@ def deletion_delta(p: float, variant, rule: str = "recommended") -> float:
     """
     p = _validate_p(p)
     variant = as_bound_variant(variant)
-    if variant not in _optimized(Family.GEOMETRIC_DELETION):
+    if variant not in constructions(Family.GEOMETRIC_DELETION):
         raise ValueError(f"delta rules do not apply to variant {variant}")
     return _delta(_CONSTRUCTIONS[variant], p, rule)
 
@@ -299,8 +289,8 @@ class _Search:
         self.d = 1.0 - p
         self.threshold = reduction_params(RepeatChannel(con.family, p)).lam
         self.delta, self.eps = 1.0, 0.0
-        if con.gap_scan is not None:
-            scan = con.gap_scan(p)
+        if con.dual in _GAP_SCANS:
+            scan = _gap_scan(con.dual, p)
             self.delta = _delta(con, p, "recommended")
             if self.delta == 0.0:
                 raise BoundComputationError(f"the balance delta underflows to 0 {self.where}")
@@ -377,6 +367,13 @@ class _Search:
         )
 
 
+def _result(p: float, variant: BoundVariant, nats: float, q_opt: float, mu_opt: float,
+            eps: float) -> BoundResult:
+    bits = nats / _LOG2
+    return BoundResult(p, variant, nats, bits, q_opt, mu_opt, eps,
+                       feasible=True, clamped_to_one=bits > 1.0)
+
+
 def _optimize(p: float, variant: BoundVariant) -> BoundResult:
     search = _Search(p, variant)
     # The series length grows with q, so no q past one whose series did not
@@ -400,18 +397,7 @@ def _optimize(p: float, variant: BoundVariant) -> BoundResult:
             f"q_opt = {q_opt:.8g} is infeasible {search.where}: the sup lies past "
             f"the series cap of {numerics._SERIES_HARD_CAP} terms, or no q is feasible"
         )
-    bits = nats / _LOG2
-    return BoundResult(
-        p=p,
-        variant=variant,
-        bound_nats=nats,
-        bound_bits=bits,
-        q_opt=q_opt,
-        mu_opt=mu_opt,
-        epsilon_used=search.eps,
-        feasible=True,
-        clamped_to_one=bits > 1.0,
-    )
+    return _result(p, variant, nats, q_opt, mu_opt, search.eps)
 
 
 def objective_curve(p: float, variant, q_values) -> list[float]:
@@ -463,7 +449,7 @@ def geomdel_bound(p: float, variant) -> BoundResult:
     """
     p = _validate_p(p)
     variant = as_bound_variant(variant)
-    if variant not in _optimized(Family.GEOMETRIC_DELETION):
+    if variant not in constructions(Family.GEOMETRIC_DELETION):
         raise ValueError(f"geomdel_bound does not handle variant {variant}")
     return _optimize(p, variant)
 
@@ -482,26 +468,8 @@ def geomdel_elementary_bound(p: float) -> BoundResult:
     d = 1.0 - p
     if d >= 0.5:
         raise ValueError(f"elementary bound requires p > 1/2, got p = {p}")
-    q = 1.0 - d / 2.0
     nats = -d * math.log(d) - math.log1p(-d / 2.0) / d
-    bits = nats / _LOG2
-    return BoundResult(
-        p=p,
-        variant=BoundVariant.GEOMDEL_ELEMENTARY,
-        bound_nats=nats,
-        bound_bits=bits,
-        q_opt=q,
-        mu_opt=math.nan,
-        epsilon_used=math.nan,
-        feasible=True,
-        clamped_to_one=bits > 1.0,
-    )
-
-
-def _check_family(family: Family, variant: BoundVariant | None) -> None:
-    """Reject a variant (None: the family default) that belongs to another family."""
-    if variant is not None and _CONSTRUCTIONS[variant].family is not family:
-        raise ValueError(f"variant {variant.value} does not belong to {family.value}")
+    return _result(p, BoundVariant.GEOMDEL_ELEMENTARY, nats, 1.0 - d / 2.0, math.nan, math.nan)
 
 
 def best_bound(p: float, results) -> BoundResult | SweepFailure:
@@ -514,12 +482,11 @@ def best_bound(p: float, results) -> BoundResult | SweepFailure:
 
 
 def _bound_for(family: Family, variant: BoundVariant | None, p: float) -> BoundResult:
-    _check_family(family, variant)
+    candidates = constructions(family, variant)
     if variant is BoundVariant.GEOMDEL_ELEMENTARY:
         return geomdel_elementary_bound(p)
     # The family default is the best of its optimized constructions that
     # can be computed; the winner's identity stays in the variant field.
-    candidates = _optimized(family) if variant is None else (variant,)
     p = _validate_p(p)
     results, errors = [], []
     for v in candidates:
@@ -595,7 +562,8 @@ def sweep(
     """
     family = Family(family)
     variant = as_bound_variant(variant)
-    _check_family(family, variant)
+    constructions(family, variant)  # a variant of another family raises here
+    # one task per p: a None variant is the family default's one min row
     tasks = [(family, (variant,), float(p)) for p in p_values]
     return [r for (r,) in evaluate_points(tasks, max_workers)]
 

@@ -28,11 +28,10 @@ from repeatcap.bounds import (
     DELTA_RULES,
     TABLE_SELECTORS,
     SweepFailure,
-    _check_family,
-    _optimized,
     as_bound_variant,
     best_bound,
     compute_bound,
+    constructions,
     deletion_delta,
     evaluate_points,
     objective_curve,
@@ -217,12 +216,12 @@ def _cmd_sweep(params: dict) -> int:
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     ps = [float(x) for x in np.linspace(p_start, p_end, steps)]
-    _check_family(family, variant)
     # The deletion default gets one row per optimized construction plus the
-    # reported min curve; every other choice is one row per p.
-    per_construction = variant is None and len(_optimized(family)) > 1
-    variants = _optimized(family) if per_construction else (variant,)
-    tasks = [(family, variants, p) for p in ps]
+    # reported min curve; every other choice is one row per p, whose
+    # failure keeps the requested variant (None prints as auto).
+    variants = constructions(family, variant)
+    per_construction = len(variants) > 1
+    tasks = [(family, variants if per_construction else (variant,), p) for p in ps]
     results = []
     for p, at_p in zip(ps, evaluate_points(tasks, _workers())):
         results += [(None, r) for r in at_p]
@@ -242,12 +241,10 @@ def _cmd_sweep(params: dict) -> int:
 def _emit_inner(params: dict) -> int:
     _require(params, "family", "p")
     family = _family(params)
-    variant = as_bound_variant(params["variant"])
-    _check_family(family, variant)
-    if variant is None:
-        if len(_optimized(family)) > 1:
-            raise ValueError("--emit-inner for geomdel needs --variant conv|trunc|delta-d")
-        (variant,) = _optimized(family)
+    variants = constructions(family, as_bound_variant(params["variant"]))
+    if len(variants) > 1:
+        raise ValueError("--emit-inner for geomdel needs --variant conv|trunc|delta-d")
+    (variant,) = variants
     q_points = params["q_points"]
     if q_points < 2:
         raise ValueError(f"q_points must be >= 2, got {q_points}")
@@ -311,7 +308,7 @@ def _cmd_klgap(params: dict) -> int:
             raise ValueError("--variant only applies to the geomdel family")
         if rule not in (None, "one"):
             raise ValueError("delta rules only apply to deletion duals")
-        (variant,) = _optimized(family)
+        (variant,) = constructions(family)
         delta = 1.0
     # The gaps and their limit depend on neither q nor the dual's series,
     # so no dual is built: the CSV is the q-free scan under the delta rule.

@@ -447,25 +447,34 @@ class _STable:
 
 
 _TABLES: dict[tuple[DualVariant, float], _STable] = {}
-# Gap scans by (scan, p, x_max).  bounds fills it around its conv and trunc
-# scans; it lives here so clear_caches empties it too.
-_DELTA_SCANS: dict[tuple, np.ndarray] = {}
+# Each deletion dual's gap scan at delta = 1, by (dual, p).  bounds fills it
+# through _memo; it lives here so clear_caches empties it too.
+_DELTA_SCANS: dict[tuple[DualVariant, float], np.ndarray] = {}
 _TABLES_LOCK = threading.Lock()
+
+
+def _memo(store: dict, key, build: Callable[[], object]):
+    """store[key], made by build() on first use: the one get-or-build of
+    the q-free caches.  The build runs outside _TABLES_LOCK, so a slow one
+    for one key does not hold up lookups of every other; every caller gets
+    the first value stored."""
+    with _TABLES_LOCK:
+        value = store.get(key)
+    if value is None:
+        value = build()
+        with _TABLES_LOCK:
+            value = store.setdefault(key, value)
+    return value
 
 
 def _get_table(variant: DualVariant, p: float) -> _STable:
     kind = _SPECS[variant].s_table or variant
-    key = (kind, float(p))
-    with _TABLES_LOCK:
-        table = _TABLES.get(key)
-        if table is None:
-            table = _STable(kind, float(p))
-            _TABLES[key] = table
-    return table
+    return _memo(_TABLES, (kind, float(p)), lambda: _STable(kind, float(p)))
 
 
 def clear_caches() -> None:
-    """Empty every q-free cache: the S-tables and the gap scans."""
+    """Empty every q-free cache: the S-tables and the gap scans, so the
+    next bound at any p starts cold."""
     with _TABLES_LOCK:
         _TABLES.clear()
         _DELTA_SCANS.clear()

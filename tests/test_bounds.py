@@ -268,14 +268,20 @@ def test_bench_hook_points(monkeypatch):
     assert channels.reduction_params(channel).lam == 1.0
 
 
+def _bench(monkeypatch, stem, name=None):
+    """bench/<stem>.py, loaded read-only as sys.modules[name] (default
+    bench_<stem>) for the test's duration."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(name or f"bench_{stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _bench_spans(monkeypatch):
     """bench/spans.py, the benchmark's wrappers around the library's hooks."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
-    return spans
+    return _bench(monkeypatch, "spans")
 
 
 def test_bench_hook_points_take_the_bench_wrappers(monkeypatch):
@@ -292,6 +298,29 @@ def test_bench_hook_points_take_the_bench_wrappers(monkeypatch):
     assert optimizer.counts["evals"] > 0
     assert optimizer.counts["nonunimodal"] == 0
     assert tracer.layers["numerics.sum_series"].counts["terms"] > 0
+
+
+def test_bench_table_ops_start_cold_each_time(monkeypatch):
+    # The benchmark's TableOp empties the q-free caches in prepare, and its
+    # check_cold wants quadrature on every row and one convexity scan on a
+    # T3 row, which conv and delta-d share.  A renamed cache, or a memo key
+    # that split conv from delta-d, fails here rather than in a bench run.
+    spans = _bench_spans(monkeypatch)
+    _bench(monkeypatch, "oracles", "oracles")  # the name workloads imports
+    workloads = _bench(monkeypatch, "workloads")
+    for table, p, scans in (
+        (tables.T3_GEOMDEL, 0.9, 1),
+        (tables.T3_GEOMDEL, 0.9, 1),
+        (tables.T1_STICKY, 0.9, 0),
+    ):
+        op = workloads.TableOp(table, p)
+        op.prepare()
+        with spans.installed(spans.Tracer()) as tracer:
+            op.execute()
+        calls = tracer.calls()
+        assert op.check_cold(calls) == []
+        assert calls["duals.convexity_gap_scan"] == calls["duals.r_p"] == scans
+        assert calls["numerics.integrate"] > 0
 
 
 def test_objective_curve_consistency():
@@ -314,6 +343,43 @@ def test_objective_never_exceeds_the_reported_bound(variant, p):
     res = compute_bound(bounds._CONSTRUCTIONS[variant].family, variant, p)
     curve = objective_curve(p, variant, bounds._q_grid(p))
     assert max(curve) - res.bound_nats <= 1e-12 * abs(res.bound_nats)
+
+
+# Every table construction at both ends of its table, at p = 0.6, and at
+# the p near 1 where the deletion bounds bind: 31 of the 89, about 1.5 s.
+_PREMISE_ROWS = [
+    (variant, p)
+    for table, ps in (
+        (tables.T1_STICKY, (0.05, 0.3, 0.6, 0.85, 0.9, 0.95, 0.99)),
+        (tables.T2_DUPLICATION, (0.1, 0.5, 0.9)),
+        (tables.T3_GEOMDEL, (0.05, 0.3, 0.6, 0.85, 0.9, 0.95, 0.99)),
+    )
+    for p in ps
+    for variant in bounds.constructions(table.family)
+]
+
+
+@pytest.mark.parametrize("variant, p", _PREMISE_ROWS)
+def test_the_premise_holds_at_the_reported_optimum(variant, p):
+    # The premise every bound rests on (module docstring of bounds):
+    # gap(x) = log_norm - E[Y_x] log q - d log delta - D_KL(Y_x || Y) is at
+    # least eps at the reported q* and delta, here with D_KL summed by
+    # kl_divergence, apart from the gap scans behind eps.  The S-table's
+    # quadrature error grows with y, so x = 100 and 1 000 get 1e-9 x; the
+    # tail past the checked x is the gap scans' own.
+    con = bounds._CONSTRUCTIONS[variant]
+    res = compute_bound(con.family, variant, p)
+    channel = channels.RepeatChannel(con.family, p)
+    d = 1.0 - p if con.family is Family.GEOMETRIC_DELETION else 0.0
+    delta = deletion_delta(p, variant) if d else 1.0
+    dual = duals.build_dual(con.dual, p, res.q_opt, delta=delta)
+    for x in [*range(1, 33), 100, 1000]:
+        gap = (
+            dual.log_normalizer - d * math.log(delta)
+            - channels.ConditionalOutputLaw(channel, x).mean * math.log(res.q_opt)
+            - duals.kl_divergence(channel, x, dual)
+        )
+        assert gap - res.epsilon_used >= -1e-9 * (1 if x <= 32 else x), x
 
 
 @pytest.mark.parametrize("p", [0.3, 0.9])
@@ -565,7 +631,7 @@ def test_the_table_constructions_build_few_duals(cold_tables, monkeypatch):
     counts = {}
     for table in tables.ALL_TABLES:
         for row in table.rows:
-            for variant in bounds._optimized(table.family):
+            for variant in bounds.constructions(table.family):
                 duals.clear_caches()
                 with spans.installed(spans.Tracer()) as tracer:
                     compute_bound(table.family, variant, row[0])

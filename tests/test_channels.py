@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repeatcap import numerics
+from repeatcap import channels, numerics
 from repeatcap.channels import (
     ConditionalOutputLaw,
     Family,
@@ -171,3 +171,69 @@ def test_reduction_invariant():
 def test_stddev_positive():
     for fam in Family:
         assert _law(fam, 0.3, 4).stddev > 0.0
+
+
+# Degradations: a receiver that gives each output bit Geometric(s) >= 1
+# copies turns sticky(p) into sticky(p''), 1 - p'' = (1 - p)(1 - s); one
+# that keeps each output bit with probability r turns deletion(p) into
+# deletion(p'), p' = pr / (1 - p + pr).
+def _sticky_degraded(p, s):
+    return 1.0 - (1.0 - p) * (1.0 - s)
+
+
+def _deletion_degraded(p, r):
+    return p * r / (1.0 - p + p * r)
+
+
+@pytest.mark.parametrize("p", (0.3, 0.87))
+@pytest.mark.parametrize("s", (0.1, 0.5, 0.9))
+def test_sticky_degradation_composes_pgf_factors(p, s):
+    f = channels._LAWS[Family.GEOMETRIC_STICKY].pgf_factor
+    for z in np.linspace(0.0, 1.0, 21):
+        want = f(z, _sticky_degraded(p, s))
+        assert abs(f(f(z, s), p) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("p", (0.5, 0.86, 0.99))
+@pytest.mark.parametrize("r", (0.2, 0.7, 0.95))
+def test_deletion_degradation_composes_pgf_factors(p, r):
+    f = channels._LAWS[Family.GEOMETRIC_DELETION].pgf_factor
+    for z in np.linspace(0.0, 1.0, 21):
+        want = f(z, _deletion_degraded(p, r))
+        assert abs(f(1.0 - r + r * z, p) - want) <= 1e-14 * want
+
+
+def _thinning_pmf(y, r, ks):
+    """P(Bin(y, r) = k) at each k in ks."""
+    return np.array([math.comb(y, k) * r**k * (1.0 - r) ** (y - k) if k <= y else 0.0
+                     for k in ks.tolist()])
+
+
+@pytest.mark.parametrize(
+    "family, p, s",
+    [
+        (Family.GEOMETRIC_STICKY, 0.3, 0.5),
+        (Family.GEOMETRIC_STICKY, 0.87, 0.1),
+        (Family.GEOMETRIC_DELETION, 0.5, 0.7),
+        (Family.GEOMETRIC_DELETION, 0.86, 0.2),
+    ],
+)
+def test_a_degraded_output_law_is_the_degraded_channel(family, p, s):
+    # sum_y Y_x(y) (law of what y output bits become) against Y_x of the
+    # degraded channel.  Y_x past y = 600 holds under 1e-30 here.
+    sticky = family is Family.GEOMETRIC_STICKY
+    channel = RepeatChannel(family, p)
+    degraded = RepeatChannel(family, _sticky_degraded(p, s) if sticky else _deletion_degraded(p, s))
+    ks = np.arange(0, 120)
+    for x in range(1, 6):
+        ys = np.arange(0, 600)
+        composed = np.zeros(ks.size)
+        for y, w in zip(ys.tolist(), np.exp(output_log_pmf(channel, x, ys)).tolist()):
+            if w < 1e-18:  # all of them together move no value by 1e-15
+                continue
+            if sticky:
+                composed += w * np.exp(output_log_pmf(RepeatChannel(family, s), y, ks))
+            else:
+                composed += w * _thinning_pmf(y, s, ks)
+        want = np.exp(output_log_pmf(degraded, x, ks))
+        assert np.max(np.abs(composed - want)) <= 1e-12, x

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from oracles import R_P
-from repeatcap import duals, numerics
+from repeatcap import bounds, duals, numerics
 from repeatcap.bounds import deletion_delta
 from repeatcap.cli import main
 from repeatcap.records import parse_bound_csv
@@ -119,6 +119,35 @@ def test_geomdel_sweep_csv_same_with_and_without_workers(capsys, monkeypatch):
         outs.append(out)
     assert outs[0] == outs[1]
     assert len(outs[0].splitlines()) == 1 + 2 * 4
+
+
+def test_sweep_failure_rows_keep_their_labels(capsys, monkeypatch):
+    # A default that runs one construction is one task per p under the
+    # requested variant, so its failure row reads auto; the geomdel default
+    # runs a row per construction, a failing one under its own name, plus min.
+    monkeypatch.setenv("REPEATCAP_THREADS", "1")
+    code, out, _ = run_cli(
+        capsys, "sweep", "--family", "sticky",
+        "--p-start", "0.9", "--p-end", "0.99995", "--steps", "2",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[1] for r in rows] == ["StickyExact", "auto"]
+    assert "series cap" in rows[1][-1]
+
+    def failing_r_p(x, p):
+        raise bounds.BoundComputationError("trunc cannot be computed here")
+
+    duals.clear_caches()
+    monkeypatch.setattr(bounds, "r_p", failing_r_p)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--family", "geomdel",
+        "--p-start", "0.3", "--p-end", "0.5", "--steps", "2",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[1] for r in rows] == ["GeomDelConv", "GeomDelTrunc", "GeomDelDeltaD", "min"] * 2
+    assert [bool(r[-1]) for r in rows] == [False, True, False, False] * 2
 
 
 @pytest.mark.parametrize("command", ["bound", "sweep"])

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -1020,8 +1021,37 @@ def test_s_table_of_a_short_series_is_one_step():
 
 
 def test_clear_caches_empties_gap_scans():
-    bounds._delta_scan(0.5)
+    bounds._gap_scan(DualVariant.GEOMDEL_CONVEXITY, 0.5)
     assert bounds._DELTA_SCANS
     duals.clear_caches()
     assert not bounds._DELTA_SCANS
     assert not duals._TABLES
+
+
+def test_memo_gives_every_caller_the_first_value_stored():
+    # _memo builds outside its lock, so racing callers may each build; all
+    # of them must get the one value the store keeps.
+    def build():
+        return [object() for _ in range(200)]
+
+    for _ in range(20):
+        store, results = {}, []
+        start = threading.Barrier(8)
+
+        def worker():
+            start.wait(timeout=10)
+            results.append(duals._memo(store, "key", build))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(r is store["key"] for r in results)
