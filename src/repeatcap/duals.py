@@ -26,8 +26,10 @@ Everything q-independent (the Lambda values, hence the shifted log-weights
 S(y) = g(y) - y * rate) is cached per (variant, p) for the many q a bound
 evaluates, in tables grown by whole units of one lattice, [1, 1024] and
 then (2^k, 2^(k+1)], so S(y) depends on (variant, p, y) alone (_STable).
-A unit takes the Lambdas, analytic in y, by quadrature at y below 64 and
-at rounded Chebyshev nodes of each larger scale chunk, and from Chebyshev
+Each unit is one quadrature call seeded down to v = 1e-9, the first (y at
+most 1024) only down to its own floor (_FLOOR_KAPPA).  A unit takes the
+Lambdas, analytic in y, by quadrature at y below 64 and at rounded
+Chebyshev nodes of each larger scale chunk, and from Chebyshev
 interpolants in y elsewhere: one per chunk, or one per parity for the
 truncated construction, whose Lambda_2 carries a (-1)^y part.  One that
 fails an error estimate from its trailing coefficients gives way to
@@ -135,10 +137,14 @@ def _trunc_base(v: np.ndarray, p: float, which: int) -> _Base:
 
 def _trunc_breaks(p: float) -> np.ndarray:
     # Seed panels clustered geometrically at both ends.  At v = 0 sits the
-    # t -> 0 limit.  At v_t, w2 = -1, so w2^y e^v is a spike of width about
-    # p / ((1+2p) y), which no node of a wide last panel sees (it took
-    # 3.5e-4 off Lambda_2(3000) at p = 0.3); seven breakpoints approaching
-    # v_t give it a panel of its own width for any y up to ~1e7.
+    # t -> 0 limit: 50 seeds from v = 1e-9 (a call whose y are all at most
+    # _TABLE_STEP drops those below its floor, _FLOOR_KAPPA).  At v_t,
+    # w2 = -1, so w2^y e^v is a spike of width about p / ((1+2p) y), which
+    # no node of a wide last panel sees (it took 3.5e-4 off Lambda_2(3000)
+    # at p = 0.3); seven breakpoints approaching v_t give it a panel of its
+    # own width for any y up to ~1e6.  Past that the spike is narrower than
+    # the last seed panel, v_t / 8^7 (2.5e-8 against 3.3e-7 at y = 1e7 and
+    # p = 0.5).
     v_t = math.log1p(2.0 * p)
     right = v_t * (1.0 - 8.0 ** -np.arange(1.0, 8.0))
     return np.unique(np.concatenate(([0.0], np.geomspace(1e-9, v_t, 50), right)))
@@ -274,6 +280,17 @@ def _scale_chunks(ys: np.ndarray):
         lo = hi
 
 
+# The seed breakpoints reach down to v = 1e-9, for y up to ~1e7.  A call
+# whose every y is at most _TABLE_STEP (the first S-table unit, or a Lambda
+# view at such y) drops the seeds below h0 = _FLOOR_KAPPA / (max(1, y_max)
+# (1 + max_k |c1_k|)), the max because trunc's view takes y = 0: across
+# [0, h0] each exponent A = y log |phi| + b v moves by about _FLOOR_KAPPA,
+# so every column is a low-order polynomial there and one K15 panel
+# integrates it to rounding.  Later units keep every seed (flooring them
+# too moved sticky at p = 0.9999 by 1.6e-11 bits).
+_FLOOR_KAPPA = 0.1
+
+
 def _lambdas(spec: _Spec, groups: list[np.ndarray], p: float) -> np.ndarray:
     """The variant's Lambda integrals, one row per key, at the ys of groups
     concatenated: one quadrature of every key at every y, each group (an
@@ -288,6 +305,10 @@ def _lambdas(spec: _Spec, groups: list[np.ndarray], p: float) -> np.ndarray:
         interval, breaks = (0.0, math.log1p(2.0 * p)), _trunc_breaks(p)
     else:
         interval, breaks = (0.0, numerics._EXP_TAIL_SPAN), numerics._EXP_TAIL_BREAKS
+    y_max = float(ys.max())
+    if y_max <= _TABLE_STEP:
+        c1 = max(abs(spec.base(np.empty((0, 1)), p, k).c1) for k in keys)
+        breaks = breaks[breaks >= _FLOOR_KAPPA / (max(1.0, y_max) * (1.0 + c1))]
     problem = numerics.QuadratureProblem(
         lambda v: np.stack([_f(ys, v, spec.base(v, p, k)) for k in keys], axis=1),
         interval,
@@ -384,12 +405,14 @@ class _STable:
     (n, 2n] for the table's size n.  So S(y) depends on (variant, p, y)
     alone, not on the order of requests, and growth copies linear work in
     all.  Each unit is one quadrature call (_lambdas), its scale chunks
-    error groups of that call; a unit past the first is one chunk.  A chunk
-    of at most 4 * _CHEB_NODES entries (below y = 64, and y = 1024) is
-    integrated at every y.  A larger one is integrated at _CHEB_NODES
-    rounded Chebyshev-Lobatto nodes per interpolation class and filled from
-    each class's Chebyshev interpolant of each Lambda, which is analytic in
-    y there and converges geometrically.  The classes are the chunk itself,
+    error groups of that call; a unit past the first is one chunk.  The
+    first unit's seed panels start at its own floor in v (_FLOOR_KAPPA),
+    every later unit's at v = 1e-9.  A chunk of at most 4 * _CHEB_NODES
+    entries (below y = 64, and y = 1024) is integrated at every y.  A
+    larger one is integrated at _CHEB_NODES rounded Chebyshev-Lobatto nodes
+    per interpolation class and filled from each class's Chebyshev
+    interpolant of each Lambda, which is analytic in y there and converges
+    geometrically.  The classes are the chunk itself,
     or, for the truncated construction, its even and its odd y: there w2
     reaches -1, so Lambda_2 carries a (-1)^y part that is smooth within a
     parity but not across.  An interpolant is used only if its error

@@ -255,7 +255,9 @@ def integrate(
 # An exp(-v) factor is below 9e-27 past v = 60, far below every tolerance
 # used in this package.  The seed panels of an exp-tail integral cluster
 # geometrically at v = 0, where the v = -log(1-t) substitution parks the
-# removable t = 0 singularity.
+# removable t = 0 singularity; from v = 1e-9, fine enough for a Lambda at
+# y up to ~1e7.  A Lambda call whose y are all at most duals._TABLE_STEP
+# drops the seeds below its own floor (duals._FLOOR_KAPPA).
 _EXP_TAIL_SPAN = 60.0
 _EXP_TAIL_BREAKS = np.geomspace(1e-9, _EXP_TAIL_SPAN, 40)[:-1]
 

@@ -772,9 +772,11 @@ def test_integrand_limit_meets_the_direct_form_at_the_switch(variant, p):
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
 @pytest.mark.parametrize("p", (0.3, 0.9))
 def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
-    # The unit y = 1..1024 reaches nodes v below _LIMIT_VC, where the
-    # Taylor limits blend in.  Both routes must give the same bits, build after build.
-    batched = [duals._STable(variant, p).upto(1024).copy() for _ in range(2)]
+    # The unit y = 1025..2048 keeps the seeds down to v = 1e-9 and so reaches
+    # nodes below _LIMIT_VC, where the Taylor limits blend in (the first
+    # unit's floored seeds stop short of them).  Both routes must give the
+    # same bits over both units, build after build.
+    batched = [duals._STable(variant, p).upto(2048).copy() for _ in range(2)]
     assert np.array_equal(batched[0], batched[1])
 
     integrate = numerics.integrate
@@ -790,7 +792,7 @@ def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
         return integrate(dataclasses.replace(problem, integrand=one_node_per_call), **kwargs)
 
     monkeypatch.setattr(numerics, "integrate", per_node)
-    reference = duals._STable(variant, p).upto(1024)
+    reference = duals._STable(variant, p).upto(2048)
     assert min(nodes) < numerics._LIMIT_VC
     assert np.array_equal(batched[0], reference)
 
@@ -802,7 +804,9 @@ def test_s_table_block_is_one_quadrature_call(monkeypatch, variant, p):
     # call over one shared panel set, not one call each.  Its integrand
     # calls take the panels in batches: the seed batches and the bisection
     # pairs hold at least two panels each, so calls are at most half the
-    # panels, rounded up.
+    # panels, rounded up.  The unit's seeds start at its own floor
+    # (duals._FLOOR_KAPPA), which holds it to 22-36 panels here; seeds
+    # down to v = 1e-9 take 40 for sticky and duplication, 59-61 for trunc.
     integrate = numerics.integrate
     panels, calls = [], []
 
@@ -820,8 +824,25 @@ def test_s_table_block_is_one_quadrature_call(monkeypatch, variant, p):
 
     monkeypatch.setattr(numerics, "integrate", counted)
     duals._STable(variant, p).upto(1024)
-    assert len(panels) == 1 and panels[0] <= 64, panels
+    assert len(panels) == 1 and panels[0] <= 40, panels
     assert 2 * calls[0] <= panels[0] + 1 and calls[0] <= 32, (calls, panels)
+
+
+@pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
+@pytest.mark.parametrize("p", (1e-3, 0.05, 0.5, 0.99))
+def test_first_unit_seed_floor_keeps_values_within_tolerance(monkeypatch, variant, p):
+    # The first unit drops its seeds below v = _FLOOR_KAPPA / (y_max (1 +
+    # max |c1|)); with the constant 0 it keeps every seed down to 1e-9.  Its
+    # values move by well under its quadrature tolerance, and the units past
+    # it, which keep every seed either way, do not move at all.
+    floored = duals._STable(variant, p).upto(8192).copy()
+    monkeypatch.setattr(duals, "_FLOOR_KAPPA", 0.0)
+    reference = duals._STable(variant, p).upto(8192)
+    ys = np.arange(1.0, 1025.0)
+    tol = np.array([duals._quad_tol(ys[i : i + 1]) for i in range(ys.size)])
+    drift = np.abs(floored[:1024] - reference[:1024])
+    assert np.all(drift <= tol / 4.0), float((drift / tol).max())
+    assert np.array_equal(floored[1024:], reference[1024:])
 
 
 def _one_panel_per_call(monkeypatch) -> list[int]:
