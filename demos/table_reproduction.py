@@ -1,10 +1,11 @@
 """Recompute the embedded reference tables and print them side by side.
 
 Runs the same verification the `repeatcap verify` command uses, then
-prints published vs recomputed values per row.  Two known deviations are
-expected and flagged below: the deletion table's main entry at p = 0.6
+prints published vs recomputed values per row.  One entry is expected to
+deviate and is flagged below: the deletion table's main entry at p = 0.6
 (recomputed 0.208075 vs the printed 0.204186; the printed value is not
-reachable from the stated construction), and nothing else.
+reachable from the stated construction; README "Known deviations", item 1).
+The other documented failure, criterion 8, checks no table entry.
 
 Usage: python3 demos/table_reproduction.py
 """

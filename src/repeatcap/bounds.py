@@ -84,6 +84,7 @@ from repeatcap.duals import (
     _validate_p,
     build_dual,
     convexity_gap_scan,
+    gap_scan,
     r_p,
 )
 from repeatcap.numerics import QuadratureError, maximize_concave
@@ -95,6 +96,9 @@ _Q_OPT_TOL = 1e-7  # golden-section tolerance on q_opt where the constraint bind
 # needing more than _NEWTON_MAX_STEPS steps is an error.
 _NEWTON_REL = 1e-13
 _NEWTON_MAX_STEPS = 60
+# The tolerances a bound's run metadata reports.
+SOLVER_TOLERANCES = {"q_opt": _Q_OPT_TOL, "newton_log_q": _NEWTON_REL,
+                     "series_rel": numerics._SERIES_REL_TOL}
 
 # Mass-at-zero rules (deletion_delta) and reference-table selectors
 # (verify_tables), in the order the CLI offers them.
@@ -147,10 +151,10 @@ class BoundComputationError(RuntimeError):
 class BoundResult:
     """An optimized capacity upper bound at one channel parameter.
 
-    bound_bits = bound_nats / log 2.  feasible is always True: an optimized
-    bound whose q_opt is infeasible raises BoundComputationError instead,
-    and the field stays only for the records format.  clamped_to_one marks raw
-    values above the trivial 1 bit/use cap; the raw value is still reported.
+    bound_bits = bound_nats / log 2.  Every result is feasible: an optimized
+    bound whose q_opt is infeasible raises BoundComputationError instead.
+    clamped_to_one marks raw values above the trivial 1 bit/use cap; the raw
+    value is still reported.
     epsilon_used is the KL-gap infimum entering the bound (0 for the
     zero-gap constructions, NaN for the closed-form elementary bound).
     """
@@ -162,7 +166,6 @@ class BoundResult:
     q_opt: float
     mu_opt: float
     epsilon_used: float
-    feasible: bool
     clamped_to_one: bool
 
 
@@ -276,6 +279,30 @@ def deletion_delta(p: float, variant, rule: str = "recommended") -> float:
     return _delta(_CONSTRUCTIONS[variant], p, rule)
 
 
+def _single_variant(variant, caller: str) -> BoundVariant:
+    """variant as one q-optimized construction, else a ValueError."""
+    variant = as_bound_variant(variant)
+    if variant is None or variant is BoundVariant.GEOMDEL_ELEMENTARY:
+        raise ValueError(f"{caller} needs a single optimized variant")
+    return variant
+
+
+def gap_profile(p: float, variant, x_max: int, rule: str | None = None) -> tuple[np.ndarray, float]:
+    """A construction's q-free KL-gaps at x = 1..x_max and their limit, in
+    nats, under a delta rule: deletion_delta's (default 'recommended') for
+    a deletion dual, only None or 'one' (delta = 1) for the others."""
+    p = _validate_p(p)
+    con = _CONSTRUCTIONS[_single_variant(variant, "gap_profile")]
+    gaps = gap_scan(con.dual, p, x_max)
+    if con.dual in _GAP_SCANS:
+        delta = _delta(con, p, rule or "recommended")
+    elif rule in (None, "one"):
+        delta = 1.0
+    else:
+        raise ValueError("delta rules only apply to deletion duals")
+    return _delta_rule(con.dual, gaps, p, delta)
+
+
 class _Search:
     """One bound's search over q at p.  delta, eps and threshold, lambda =
     E[D] (the objective's factor and the mean constraint), are fixed once,
@@ -370,8 +397,7 @@ class _Search:
 def _result(p: float, variant: BoundVariant, nats: float, q_opt: float, mu_opt: float,
             eps: float) -> BoundResult:
     bits = nats / _LOG2
-    return BoundResult(p, variant, nats, bits, q_opt, mu_opt, eps,
-                       feasible=True, clamped_to_one=bits > 1.0)
+    return BoundResult(p, variant, nats, bits, q_opt, mu_opt, eps, clamped_to_one=bits > 1.0)
 
 
 def _optimize(p: float, variant: BoundVariant) -> BoundResult:
@@ -409,10 +435,7 @@ def objective_curve(p: float, variant, q_values) -> list[float]:
     closed-form elementary bound.
     """
     p = _validate_p(p)
-    variant = as_bound_variant(variant)
-    if variant is None or variant is BoundVariant.GEOMDEL_ELEMENTARY:
-        raise ValueError("objective_curve needs a single optimized variant")
-    search = _Search(p, variant)
+    search = _Search(p, _single_variant(variant, "objective_curve"))
     return [search.objective(float(q)) for q in q_values]
 
 

@@ -22,24 +22,20 @@ import sys
 import numpy as np
 
 from repeatcap.bounds import (
-    _CONSTRUCTIONS,
-    _NEWTON_REL,
-    _Q_OPT_TOL,
     DELTA_RULES,
+    SOLVER_TOLERANCES,
     TABLE_SELECTORS,
     SweepFailure,
     as_bound_variant,
     best_bound,
     compute_bound,
     constructions,
-    deletion_delta,
     evaluate_points,
+    gap_profile,
     objective_curve,
     verify_tables,
 )
 from repeatcap.channels import Family
-from repeatcap.duals import _delta_rule, gap_scan
-from repeatcap.numerics import _SERIES_REL_TOL
 from repeatcap import records
 from repeatcap.simulate import INPUT_SOURCES, SimConfig, run_monte_carlo
 
@@ -193,9 +189,7 @@ def _cmd_bound(params: dict) -> int:
     _require(params, "family", "p")
     family = _family(params)
     result = compute_bound(family, as_bound_variant(params["variant"]), params["p"])
-    meta = None if params["no_meta"] else records.run_metadata(
-        {"q_opt": _Q_OPT_TOL, "newton_log_q": _NEWTON_REL, "series_rel": _SERIES_REL_TOL}
-    )
+    meta = None if params["no_meta"] else records.run_metadata(SOLVER_TOLERANCES)
     sys.stdout.write(records.dump_json(records.bound_json(result, meta=meta)))
     if params["nats"]:
         print(f"{result.variant.value}: {result.bound_nats:.6f} nats", file=sys.stderr)
@@ -294,26 +288,16 @@ def _cmd_verify(params: dict) -> int:
 def _cmd_klgap(params: dict) -> int:
     _require(params, "family", "p")
     family = _family(params)
-    p, q, x_max = params["p"], params["q"], params["x_max"]
+    q = params["q"]
     if q is not None and not 0.0 < q < 1.0:
         raise ValueError(f"q must be in (0, 1), got {q}")
-    if x_max < 1:
-        raise ValueError(f"x_max must be >= 1, got {x_max}")
-    rule = params["delta_rule"]
     if family is Family.GEOMETRIC_DELETION:
-        variant = as_bound_variant(params["variant"] or "conv")
-        delta = deletion_delta(p, variant, rule or "recommended")
+        variant = params["variant"] or "conv"
     else:
         if params["variant"] is not None:
             raise ValueError("--variant only applies to the geomdel family")
-        if rule not in (None, "one"):
-            raise ValueError("delta rules only apply to deletion duals")
         (variant,) = constructions(family)
-        delta = 1.0
-    # The gaps and their limit depend on neither q nor the dual's series,
-    # so no dual is built: the CSV is the q-free scan under the delta rule.
-    dual = _CONSTRUCTIONS[variant].dual
-    gaps, limit = _delta_rule(dual, gap_scan(dual, p, x_max), p, delta)
+    gaps, limit = gap_profile(params["p"], variant, params["x_max"], params["delta_rule"])
     rows = [(str(x), repr(g)) for x, g in enumerate(gaps.tolist(), start=1)]
     rows.append(("limit", repr(limit)))
     _write_csv(params, records.KLGAP_CSV_HEADER, rows)

@@ -15,7 +15,7 @@ import dataclasses
 import datetime
 import io
 import json
-import math
+import operator
 
 from repeatcap import __version__
 from repeatcap.bounds import BoundResult, SweepFailure
@@ -34,44 +34,28 @@ def run_metadata(tolerances: dict | None = None) -> dict:
     return meta
 
 
-def _bits_str(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.6f}"
-
-
 def _bool_str(b: bool) -> str:
     return "true" if b else "false"
 
 
-# The bound CSV's fields in column order, each with its cell formatter.
-_BOUND_CSV_FORMAT = {
-    "p": repr,
-    "variant": str,
-    "bound_bits": _bits_str,
-    "bound_nats": repr,
-    "q_opt": repr,
-    "mu_opt": repr,
-    "epsilon_used": repr,
-    "feasible": _bool_str,
-    "clamped": _bool_str,
+# The bound record's fields in column order: each key's BoundResult
+# attribute (an operator.attrgetter path) and CSV cell formatter.
+_BOUND_FIELDS = {
+    "p": ("p", repr),
+    "variant": ("variant.value", str),
+    "bound_bits": ("bound_bits", "{:.6f}".format),
+    "bound_nats": ("bound_nats", repr),
+    "q_opt": ("q_opt", repr),
+    "mu_opt": ("mu_opt", repr),
+    "epsilon_used": ("epsilon_used", repr),
+    "clamped": ("clamped_to_one", _bool_str),
 }
-BOUND_CSV_HEADER = tuple(_BOUND_CSV_FORMAT)
+BOUND_CSV_HEADER = tuple(_BOUND_FIELDS)
 
 
 def bound_record(result: BoundResult) -> dict:
     """Ordered field dict for one bound result; keys match BOUND_CSV_HEADER."""
-    return {
-        "p": result.p,
-        "variant": result.variant.value,
-        "bound_bits": result.bound_bits,
-        "bound_nats": result.bound_nats,
-        "q_opt": result.q_opt,
-        "mu_opt": result.mu_opt,
-        "epsilon_used": result.epsilon_used,
-        "feasible": result.feasible,
-        "clamped": result.clamped_to_one,
-    }
+    return {key: operator.attrgetter(attr)(result) for key, (attr, _) in _BOUND_FIELDS.items()}
 
 
 def bound_csv_row(result: BoundResult | SweepFailure, *, variant_label: str | None = None,
@@ -83,7 +67,7 @@ def bound_csv_row(result: BoundResult | SweepFailure, *, variant_label: str | No
     else:
         rec = bound_record(result)
         rec["variant"] = variant_label or rec["variant"]
-        row = [fmt(rec[key]) for key, fmt in _BOUND_CSV_FORMAT.items()]
+        row = [fmt(rec[key]) for key, (_, fmt) in _BOUND_FIELDS.items()]
         error = ""
     return row + [error] if with_error else row
 
@@ -95,7 +79,7 @@ def write_csv(stream, header, rows) -> None:
 
 
 def _parse_cell(key: str, value: str):
-    fmt = _BOUND_CSV_FORMAT.get(key, str)  # the error column is text
+    fmt = _BOUND_FIELDS.get(key, (None, str))[1]  # the error column is text
     if fmt is str:
         return value
     if value == "":

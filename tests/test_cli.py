@@ -77,7 +77,7 @@ def test_sweep_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == [
         "p", "variant", "bound_bits", "bound_nats", "q_opt",
-        "mu_opt", "epsilon_used", "feasible", "clamped",
+        "mu_opt", "epsilon_used", "clamped",
     ]
     assert len(rows) == 4
     assert [r[0] for r in rows[1:]] == ["0.1", "0.2", "0.3"]
@@ -104,6 +104,47 @@ def test_sweep_geomdel_emits_min_rows(capsys):
     assert by_label["min"] == min(
         by_label["GeomDelConv"], by_label["GeomDelTrunc"], by_label["GeomDelDeltaD"]
     )
+
+
+def test_geomdel_sweep_where_every_construction_fails(capsys, monkeypatch):
+    # Each construction's row carries its own error, and each p's min row
+    # says that none was left to take the minimum of.
+    def fail(p, variant):
+        raise bounds.BoundComputationError(f"no bound for {variant.value}")
+
+    monkeypatch.setenv("REPEATCAP_THREADS", "1")
+    monkeypatch.setattr(bounds, "_optimize", fail)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--family", "geomdel",
+        "--p-start", "0.3", "--p-end", "0.5", "--steps", "2",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][-1] == "error"
+    labels = ["GeomDelConv", "GeomDelTrunc", "GeomDelDeltaD"]
+    assert [(r[0], r[1]) for r in rows[1:]] == [
+        (p, label) for p in ("0.3", "0.5") for label in labels + ["min"]
+    ]
+    for r in rows[1:]:
+        assert r[2:-1] == [""] * (len(rows[0]) - 3)
+        want = "all variants failed" if r[1] == "min" else (
+            f"BoundComputationError: no bound for {r[1]}"
+        )
+        assert r[-1] == want
+
+
+def test_bound_exits_3_on_a_quadrature_failure(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise numerics.QuadratureError("did not converge")
+
+    monkeypatch.setattr(bounds, "build_dual", fail)
+    message = "quadrature failure at q = 0.825 (p = 0.3, StickyExact): did not converge"
+    with pytest.raises(bounds.BoundComputationError) as exc:
+        bounds.compute_bound("geometric-sticky", None, 0.3)
+    assert str(exc.value) == message
+    code, out, err = run_cli(capsys, "bound", "--family", "sticky", "--p", "0.3", "--no-meta")
+    assert code == 3 and out == ""
+    assert err == f"numerical failure: {message}\n"
 
 
 def test_geomdel_sweep_csv_same_with_and_without_workers(capsys, monkeypatch):
@@ -172,7 +213,6 @@ def test_sweep_out_file(tmp_path, capsys):
     assert out == ""
     parsed = parse_bound_csv(path.read_text())
     assert [rec["p"] for rec in parsed] == [0.2, 0.4]
-    assert all(rec["feasible"] is True for rec in parsed)
 
 
 def test_sweep_emit_inner(capsys):
@@ -188,6 +228,19 @@ def test_sweep_emit_inner(capsys):
     # interior of the curve beats the endpoints
     assert max(values[1:-1]) > values[0]
     assert max(values[1:-1]) > values[-1]
+
+
+def test_sweep_emit_inner_in_nats_is_the_objective_curve(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--family", "duplication", "--p", "0.3",
+        "--emit-inner", "--q-points", "5", "--nats",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["q", "objective_nats"]
+    qs = [float(r[0]) for r in rows[1:]]
+    assert len(qs) == 5
+    assert [float(r[1]) for r in rows[1:]] == bounds.objective_curve(0.3, "duplication", qs)
 
 
 def test_sweep_emit_inner_geomdel_needs_variant(capsys):
@@ -319,7 +372,9 @@ def test_klgap_builds_no_dual(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("build_dual called")
 
+    # bounds binds build_dual at import, so both names are patched
     monkeypatch.setattr(duals, "build_dual", refuse)
+    monkeypatch.setattr(bounds, "build_dual", refuse)
     for family in ("geomdel", "sticky"):
         code, out, _ = run_cli(capsys, "klgap", "--family", family, "--p", "0.6", "--x-max", "4")
         assert code == 0
@@ -373,6 +428,19 @@ def test_klgap_sticky_rejects_delta_rule(capsys):
     )
     assert code == 2
     assert err.strip() != ""
+
+
+def test_klgap_rejects_x_max_zero_before_any_delta(capsys, monkeypatch):
+    def no_delta(*args):
+        raise AssertionError("delta computed before the x_max check")
+
+    monkeypatch.setattr(bounds, "_delta", no_delta)
+    for family in ("sticky", "geomdel"):
+        code, out, err = run_cli(
+            capsys, "klgap", "--family", family, "--p", "0.3", "--x-max", "0"
+        )
+        assert code == 2 and out == ""
+        assert "x_max must be an integer >= 1, got 0" in err
 
 
 def test_klgap_out_file(tmp_path, capsys):
@@ -564,7 +632,7 @@ def test_bound_metadata_reads_the_solver_tolerances(capsys):
     assert json.loads(out)["meta"]["tolerances"] == {
         "q_opt": bounds._Q_OPT_TOL, "newton_log_q": bounds._NEWTON_REL,
         "series_rel": numerics._SERIES_REL_TOL,
-    }
+    } == bounds.SOLVER_TOLERANCES
 
 
 def test_repeated_flag_replaces_a_config_list(tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""Every name a module exports through __all__ resolves, and importing the
-package stays light."""
+"""Every name a module exports through __all__ resolves, importing the
+package stays light, and the CLI imports only public names."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -40,3 +41,17 @@ def test_cold_import_loads_no_scipy_mpmath_or_process_pool():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_the_cli_imports_only_public_names():
+    # The CLI is a client of the package's public interface: a private
+    # name it needs is a sign that a rule lives in the wrong module.
+    tree = ast.parse((ROOT / "src" / "repeatcap" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repeatcap")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -35,7 +35,7 @@ from repeatcap.simulate import SimConfig, run_monte_carlo
 
 def test_headers():
     assert BOUND_CSV_HEADER[0] == "p"
-    assert BOUND_CSV_HEADER[-2:] == ("feasible", "clamped")
+    assert BOUND_CSV_HEADER[-2:] == ("epsilon_used", "clamped")
     assert KLGAP_CSV_HEADER == ("x", "gap_nats")
 
 
@@ -46,7 +46,7 @@ def test_bound_csv_row_success_shape():
     assert row[1] == "StickyExact"
     # bits column fixed at 6 decimals
     assert row[2] == f"{result.bound_bits:.6f}"
-    assert row[7] == "true"
+    assert row[7] == "false"
 
 
 def test_bound_csv_row_failure_shape():
@@ -55,7 +55,7 @@ def test_bound_csv_row_failure_shape():
     assert len(row) == len(BOUND_CSV_HEADER) + 1
     assert row[0] == repr(1.7)
     assert row[1] == "auto"
-    assert row[2:9] == [""] * 7
+    assert row[2:8] == [""] * 6
     assert "p must lie" in row[-1]
 
 
@@ -74,7 +74,6 @@ def test_csv_round_trip():
         assert rec["bound_nats"] == result.bound_nats
         assert rec["q_opt"] == result.q_opt
         assert rec["mu_opt"] == result.mu_opt
-        assert rec["feasible"] is True
         assert rec["clamped"] is False
         # bits go through 6-decimal formatting, everything else exact
         assert abs(rec["bound_bits"] - result.bound_bits) < 5e-7
@@ -85,15 +84,15 @@ def test_parse_cell_typing():
     write_csv(
         buf,
         BOUND_CSV_HEADER + ("error",),
-        [["0.2", "StickyExact", "0.583611", "0.404536", "0.5", "2.0", "0.0", "true", "false", ""],
-         ["1.7", "auto", "", "", "", "", "", "", "", "bad p"]],
+        [["0.2", "StickyExact", "0.583611", "0.404536", "0.5", "2.0", "0.0", "false", ""],
+         ["1.7", "auto", "", "", "", "", "", "", "bad p"]],
     )
     good, bad = parse_bound_csv(buf.getvalue())
-    assert good["feasible"] is True and good["clamped"] is False
+    assert good["clamped"] is False
     assert isinstance(good["q_opt"], float)
     assert good["error"] == ""
     assert bad["bound_bits"] is None
-    assert bad["feasible"] is None
+    assert bad["clamped"] is None
     assert bad["error"] == "bad p"
 
 
