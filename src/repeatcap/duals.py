@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -419,27 +418,25 @@ class _STable:
     estimate (_interpolate) is at most half the chunk's _quad_tol, which
     leaves the other half to the quadrature error it carries over from its
     nodes; the classes that fail take a second quadrature call at all their
-    y.  Growth is serialized by a lock so DualDistribution instances can be
-    shared across threads.
+    y.  Growth takes no lock: racing growths compute the same bits, and each
+    caller slices its own local array, which no shorter store can cut.
     """
 
     def __init__(self, variant: DualVariant, p: float):
         self.variant = variant
         self.p = p
-        self._lock = threading.Lock()
         self._vals = np.empty(0, dtype=float)
 
     def upto(self, ymax: int) -> np.ndarray:
         """S values for y = 1..ymax as a slice (do not mutate)."""
-        if ymax > self._vals.size:
-            with self._lock:
-                if ymax > self._vals.size:
-                    units, end = [self._vals], self._vals.size
-                    while end < ymax:
-                        lo, end = end + 1, max(_TABLE_STEP, 2 * end)
-                        units.append(self._compute(np.arange(lo, end + 1, dtype=float)))
-                    self._vals = np.concatenate(units)
-        return self._vals[:ymax]
+        vals = self._vals
+        if ymax > vals.size:
+            units, end = [vals], vals.size
+            while end < ymax:
+                lo, end = end + 1, max(_TABLE_STEP, 2 * end)
+                units.append(self._compute(np.arange(lo, end + 1, dtype=float)))
+            self._vals = vals = np.concatenate(units)
+        return vals[:ymax]
 
     def _compute(self, ys: np.ndarray) -> np.ndarray:
         spec, p = _SPECS[self.variant], self.p
@@ -473,21 +470,14 @@ _TABLES: dict[tuple[DualVariant, float], _STable] = {}
 # Each deletion dual's gap scan at delta = 1, by (dual, p).  bounds fills it
 # through _memo; it lives here so clear_caches empties it too.
 _DELTA_SCANS: dict[tuple[DualVariant, float], np.ndarray] = {}
-_TABLES_LOCK = threading.Lock()
 
 
 def _memo(store: dict, key, build: Callable[[], object]):
-    """store[key], made by build() on first use: the one get-or-build of
-    the q-free caches.  The build runs outside _TABLES_LOCK, so a slow one
-    for one key does not hold up lookups of every other; every caller gets
-    the first value stored."""
-    with _TABLES_LOCK:
-        value = store.get(key)
-    if value is None:
-        value = build()
-        with _TABLES_LOCK:
-            value = store.setdefault(key, value)
-    return value
+    """store[key], made by build() on first use: the one get-or-build of the
+    q-free caches.  Racing callers may each build, and setdefault hands every
+    one of them the first value stored."""
+    value = store.get(key)
+    return store.setdefault(key, build()) if value is None else value
 
 
 def _get_table(variant: DualVariant, p: float) -> _STable:
@@ -496,11 +486,9 @@ def _get_table(variant: DualVariant, p: float) -> _STable:
 
 
 def clear_caches() -> None:
-    """Empty every q-free cache: the S-tables and the gap scans, so the
-    next bound at any p starts cold."""
-    with _TABLES_LOCK:
-        _TABLES.clear()
-        _DELTA_SCANS.clear()
+    """Empty the S-tables and the gap scans, so the next bound starts cold."""
+    _TABLES.clear()
+    _DELTA_SCANS.clear()
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,15 @@ def test_channel_param_validation():
             RepeatChannel(fam, 1.0)
     with pytest.raises(ValueError):
         RepeatChannel("poisson-repeat", 0.5)
+    with pytest.raises(ValueError, match="lam_bar must be >= lam"):
+        ReductionParams(2.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"p_nonzero must be in \(0, 1\]"):
+        ReductionParams(1.0, 1.0, 0.0)
+    sticky = RepeatChannel(Family.GEOMETRIC_STICKY, 0.3)
+    with pytest.raises(ValueError, match="channel input x must be a positive integer, got 0"):
+        output_log_pmf(sticky, 0, 1)
+    with pytest.raises(ValueError, match="y must be nonnegative"):
+        output_log_pmf(sticky, 1, -1)
 
 
 def test_log_pmf_trivial_values():

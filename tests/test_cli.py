@@ -278,6 +278,19 @@ def test_verify_strict_tolerance_fails(capsys):
     assert any(l.startswith("FAIL") for l in out.splitlines())
 
 
+def test_verify_text_notes_a_failed_computation(capsys, monkeypatch):
+    def fail(p, variant):
+        raise bounds.BoundComputationError(f"no bound at p = {p}")
+
+    monkeypatch.setenv("REPEATCAP_THREADS", "1")
+    monkeypatch.setattr(bounds, "_optimize", fail)
+    code, out, _ = run_cli(capsys, "verify", "--only", "T1")
+    assert code == 1
+    fails = [l for l in out.splitlines() if l.startswith("FAIL")]
+    assert len(fails) == 20
+    assert fails[0].endswith("  [BoundComputationError: no bound at p = 0.05]")
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "T2", "--json", "--no-meta")
     assert code == 0
@@ -475,6 +488,10 @@ def test_simulate_json_and_determinism(capsys):
     assert "success_rate" in err
     code2, out2, _ = run_cli(capsys, *args)
     assert out2 == out
+    code3, out3, _ = run_cli(capsys, *args[:-1])
+    meta = json.loads(out3).pop("meta")
+    assert code3 == 0 and meta["tool"] == "repeatcap"
+    assert "version" in meta and "timestamp" in meta
 
 
 def test_simulate_verbose_reports(capsys):
@@ -558,6 +575,29 @@ def test_threads_env_not_a_positive_integer_exits_2(capsys, monkeypatch, threads
     code, out, err = run_cli(capsys, "verify", "--only", "T2")
     assert code == 2 and out == ""
     assert err == "error: REPEATCAP_THREADS must be a positive integer\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--family", "sticky", "--p-start", "0.1", "--p-end", "0.3", "--steps", "1"),
+     "steps must be >= 2, got 1"),
+    (("sweep", "--family", "sticky", "--p", "0.3", "--emit-inner", "--q-points", "1"),
+     "q_points must be >= 2, got 1"),
+    (("klgap", "--family", "sticky", "--p", "0.3", "--variant", "conv"),
+     "--variant only applies to the geomdel family"),
+])
+def test_out_of_range_options_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_config_family_outside_the_choices_exits_2(tmp_path, capsys):
+    # argparse checks choices on flags only, not on config defaults
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"family": "bogus", "p": 0.3}))
+    code, out, err = run_cli(capsys, "bound", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "unknown family 'bogus' (choose from [" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

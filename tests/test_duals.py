@@ -123,6 +123,16 @@ def test_dual_rejects_non_integer_y():
         assert method(3.0) == method(3)
 
 
+def test_sticky_dual_has_no_mass_at_zero():
+    dual = build_dual(DualVariant.STICKY_ZERO_GAP, 0.3, 0.5)
+    assert dual.support_start == 1
+    assert dual.log_pmf(0) == -math.inf
+    lp = dual.log_pmf([0, 1])
+    assert lp[0] == -math.inf and lp[1] == dual.log_pmf(1)
+    with pytest.raises(ValueError, match="y below the dual's support"):
+        dual.log_weight(0)
+
+
 def test_lambda_sticky_asymptotics():
     # Lambda_1(y) - log Gamma(y(1-p)) and Lambda_2(y) - log Gamma(1+yp)
     # stay in a fixed band as y grows
@@ -376,7 +386,10 @@ def test_kl_divergence_nonnegative():
 def test_kl_divergence_family_mismatch():
     channel = RepeatChannel(Family.GEOMETRIC_STICKY, 0.4)
     dual = build_dual(DualVariant.GEOMDEL_CONVEXITY, 0.4, 0.6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match channel family"):
+        kl_divergence(channel, 1, dual)
+    dual = build_dual(DualVariant.STICKY_ZERO_GAP, 0.3, 0.6)
+    with pytest.raises(ValueError, match="channel and dual disagree on p"):
         kl_divergence(channel, 1, dual)
 
 
@@ -1050,8 +1063,8 @@ def test_clear_caches_empties_gap_scans():
 
 
 def test_memo_gives_every_caller_the_first_value_stored():
-    # _memo builds outside its lock, so racing callers may each build; all
-    # of them must get the one value the store keeps.
+    # _memo takes no lock, so racing callers may each build; all of them
+    # must get the one value the store keeps.
     def build():
         return [object() for _ in range(200)]
 
@@ -1076,3 +1089,35 @@ def test_memo_gives_every_caller_the_first_value_stored():
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 8
         assert all(r is store["key"] for r in results)
+
+
+@pytest.mark.parametrize("variant, p", (
+    (DualVariant.STICKY_ZERO_GAP, 0.3),
+    (DualVariant.GEOMDEL_TRUNCATED, 0.6),  # even and odd interpolation classes
+))
+def test_s_table_grown_from_racing_threads_matches_one_grown_alone(variant, p):
+    # upto takes no lock: racing growths may store tables of any length in
+    # any order, but each caller must get its full prefix of the same bits.
+    alone = duals._STable(variant, p).upto(4096)
+    table, sizes = duals._STable(variant, p), (1, 1024, 1025, 2048, 3000, 4096) * 2
+    start, results = threading.Barrier(len(sizes)), []
+
+    def worker(size):
+        start.wait(timeout=10)
+        results.append((size, table.upto(size)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in sizes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(n for n, _ in results) == sorted(sizes)
+    for size, got in results:
+        np.testing.assert_array_equal(got, alone[:size], strict=True)
+    np.testing.assert_array_equal(table.upto(4096), alone, strict=True)

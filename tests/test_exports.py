@@ -1,5 +1,6 @@
 """Every name a module exports through __all__ resolves, importing the
-package stays light, and the CLI imports only public names."""
+package stays light, the CLI imports only public names, and no module
+imports a thread library."""
 
 from __future__ import annotations
 
@@ -55,3 +56,21 @@ def test_the_cli_imports_only_public_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_no_module_imports_a_thread_library():
+    # The package starts no thread (its pool uses processes), and its q-free
+    # caches hold values that do not depend on the order they were filled
+    # in, so a lock would guard traffic that no caller produces.
+    found = []
+    for path in sorted((ROOT / "src" / "repeatcap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names
+                      if n.split(".")[0] in ("threading", "_thread")]
+    assert found == []

@@ -370,6 +370,12 @@ def test_integrate_interval_validation():
     assert abs(val - 11.25) <= max(err, 1e-13)
 
 
+def test_quadrature_problem_rejects_a_tolerance_of_zero():
+    for tolerances in ({"abs_tol": 0.0}, {"groups": ((1, 1e-10), (2, 0.0))}):
+        with pytest.raises(ValueError, match="abs_tol must be positive"):
+            QuadratureProblem(lambda t: t, (0.0, 1.0), **tolerances)
+
+
 def test_integrate_against_simpson_oracle():
     # production quadrature of the raw sticky f1 integrand at y = 5,
     # p = 0.3, compared with a one-million-panel Simpson rule on the

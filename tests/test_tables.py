@@ -40,6 +40,16 @@ def test_t3_parentheticals_present_only_for_large_p():
     assert with_dd == [0.9, 0.95, 0.99]
 
 
+def test_reference_table_rejects_malformed_rows():
+    with pytest.raises(ValueError, match="p values must be strictly increasing"):
+        dataclasses.replace(T1_STICKY, rows=T1_STICKY.rows[1::-1])
+    with pytest.raises(ValueError, match="row width does not match columns"):
+        dataclasses.replace(T1_STICKY, rows=(T1_STICKY.rows[0][:3],))
+    assert T1_STICKY.value(0.05, "ours") == 0.814464
+    with pytest.raises(KeyError, match="no row for p = 0.06"):
+        T1_STICKY.value(0.06, "ours")
+
+
 def test_checksum_matches_frozen():
     assert checksum() == TABLES_SHA256
     assert verify_integrity()
