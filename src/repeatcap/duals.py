@@ -26,8 +26,9 @@ Everything q-independent (the Lambda values, hence the shifted log-weights
 S(y) = g(y) - y * rate) is cached per (variant, p) for the many q a bound
 evaluates, in tables grown by whole units of one lattice, [1, 1024] and
 then (2^k, 2^(k+1)], so S(y) depends on (variant, p, y) alone (_STable).
-Each unit is one quadrature call seeded down to v = 1e-9, the first (y at
-most 1024) only down to its own floor (_FLOOR_KAPPA).  A unit takes the
+Each unit is one quadrature call on one fixed rule whose log-graded panels
+start at v = 1e-9, the first unit's (y at most 1024) at its own floor
+(_FLOOR_KAPPA).  A unit takes the
 Lambdas, analytic in y, by quadrature at y below 64 and at rounded
 Chebyshev nodes of each larger scale chunk, and from Chebyshev
 interpolants in y elsewhere: one per chunk, or one per parity for the
@@ -132,21 +133,6 @@ def _trunc_base(v: np.ndarray, p: float, which: int) -> _Base:
     log_w = [math.log1p(-c * x) if wi > 0.0 else math.log(-wi) if wi < 0.0 else -800.0
              for x, wi in zip(tev, w)]
     return _Base(log_w, 1.0, -c, -(c + c * c) / 2.0, [not wi > 0.0 for wi in w])
-
-
-def _trunc_breaks(p: float) -> np.ndarray:
-    # Seed panels clustered geometrically at both ends.  At v = 0 sits the
-    # t -> 0 limit: 50 seeds from v = 1e-9 (a call whose y are all at most
-    # _TABLE_STEP drops those below its floor, _FLOOR_KAPPA).  At v_t,
-    # w2 = -1, so w2^y e^v is a spike of width about p / ((1+2p) y), which
-    # no node of a wide last panel sees (it took 3.5e-4 off Lambda_2(3000)
-    # at p = 0.3); seven breakpoints approaching v_t give it a panel of its
-    # own width for any y up to ~1e6.  Past that the spike is narrower than
-    # the last seed panel, v_t / 8^7 (2.5e-8 against 3.3e-7 at y = 1e7 and
-    # p = 0.5).
-    v_t = math.log1p(2.0 * p)
-    right = v_t * (1.0 - 8.0 ** -np.arange(1.0, 8.0))
-    return np.unique(np.concatenate(([0.0], np.geomspace(1e-9, v_t, 50), right)))
 
 
 @dataclass(frozen=True)
@@ -261,17 +247,18 @@ def _as_int_y(y, name: str) -> tuple[np.ndarray, bool]:
 
 
 def _quad_tol(ys: np.ndarray) -> float:
-    # Lambda(y) grows like y log y; an absolute tolerance independent of y
-    # would be unattainable in doubles for y ~ 1e5.
+    # The Lambdas' accuracy at the largest of ys, which the interpolants
+    # must keep.  Lambda(y) grows like y log y; an absolute tolerance
+    # independent of y would be unattainable in doubles for y ~ 1e5.
     return 1e-10 * max(1.0, float(ys[-1]))
 
 
 def _scale_chunks(ys: np.ndarray):
     # The integrands peak near v ~ 1/y and Lambda grows like y log y, so
-    # one tolerance over a unit spanning decades of y would be too loose
-    # for its small y or unattainable for its large y.  Chunking ascending
-    # y geometrically gives each single-scale chunk its own error group and
-    # _quad_tol in the unit's one quadrature call.
+    # one interpolant or tolerance over a unit spanning decades of y would
+    # be too loose for its small y or unattainable for its large y.
+    # Chunking ascending y geometrically gives each single-scale chunk its
+    # own interpolants and _quad_tol.
     lo = 0
     while lo < ys.size:
         hi = max(lo + 1, int(np.searchsorted(ys, 4.0 * ys[lo])))
@@ -279,44 +266,56 @@ def _scale_chunks(ys: np.ndarray):
         lo = hi
 
 
-# The seed breakpoints reach down to v = 1e-9, for y up to ~1e7.  A call
-# whose every y is at most _TABLE_STEP (the first S-table unit, or a Lambda
-# view at such y) drops the seeds below h0 = _FLOOR_KAPPA / (max(1, y_max)
-# (1 + max_k |c1_k|)), the max because trunc's view takes y = 0: across
-# [0, h0] each exponent A = y log |phi| + b v moves by about _FLOOR_KAPPA,
-# so every column is a low-order polynomial there and one K15 panel
-# integrates it to rounding.  Later units keep every seed (flooring them
-# too moved sticky at p = 0.9999 by 1.6e-11 bits).
+# A Lambda's rule (numerics._log_rule) starts its log-graded panels at
+# v = 1e-9, fine enough for y up to ~1e7.  A call whose every y is at most
+# _TABLE_STEP (the first S-table unit, or a Lambda view at such y) starts
+# them at h0 = _FLOOR_KAPPA / (max(1, y_max) (1 + max_k |c1_k|)) instead,
+# the max because trunc's view takes y = 0: across [0, h0] each exponent
+# A = y log |phi| + b v moves by about _FLOOR_KAPPA, so every column is a
+# low-order polynomial there and the one panel below h0 integrates it to
+# rounding.  Later units start at 1e-9.
 _FLOOR_KAPPA = 0.1
 
+# An integrand call holds as many nodes as fit in this many values (nodes
+# times keys times y), and at least one; the cap keeps a wide unit's
+# temporaries small.
+_BATCH_VALUES = 1 << 14
 
-def _lambdas(spec: _Spec, groups: list[np.ndarray], p: float) -> np.ndarray:
-    """The variant's Lambda integrals, one row per key, at the ys of groups
-    concatenated: one quadrature of every key at every y, each group (an
-    ascending array of y on one scale) an error group with its own
-    _quad_tol."""
+
+def _lambdas(spec: _Spec, ys: np.ndarray, p: float) -> np.ndarray:
+    """The variant's Lambda integrals, one row per key, at the ys: one
+    quadrature of every key at every y on one fixed rule.  The exp tail
+    takes numerics._log_rule over [0, 60].  The truncated range [0, v_t],
+    v_t = log(1+2p), takes it from each end to the middle: at v_t, w2 = -1,
+    so w2^y e^v is a spike of width about p / ((1+2p) y), which the
+    mirrored panels, graded down to v_t 8^-7 from v_t, resolve: up to
+    y = 1e7 they agree within 1e-12 y with quarter-width panels graded down
+    to v_t 8^-12, at p in {0.05, 0.5, 0.9}."""
     keys = spec.keys(p)
-    ys = np.concatenate(groups)
     if not keys:
         return np.empty((0, ys.size))
-    stops = np.cumsum([g.size for g in groups]).tolist()
-    if spec.truncated:
-        interval, breaks = (0.0, math.log1p(2.0 * p)), _trunc_breaks(p)
-    else:
-        interval, breaks = (0.0, numerics._EXP_TAIL_SPAN), numerics._EXP_TAIL_BREAKS
+    v0 = 1e-9
     y_max = float(ys.max())
     if y_max <= _TABLE_STEP:
         c1 = max(abs(spec.base(np.empty((0, 1)), p, k).c1) for k in keys)
-        breaks = breaks[breaks >= _FLOOR_KAPPA / (max(1.0, y_max) * (1.0 + c1))]
+        v0 = max(v0, _FLOOR_KAPPA / (max(1.0, y_max) * (1.0 + c1)))
+    if spec.truncated:
+        v_t = math.log1p(2.0 * p)
+        nodes, weights = numerics._log_rule(v0, v_t / 2.0)
+        mirror, mirror_weights = numerics._log_rule(v_t * 8.0**-7, v_t / 2.0)
+        nodes = np.concatenate((nodes, v_t - mirror))
+        weights = np.concatenate((weights, mirror_weights))
+    else:
+        nodes, weights = numerics._log_rule(v0, numerics._EXP_TAIL_SPAN)
     problem = numerics.QuadratureProblem(
         lambda v: np.stack([_f(ys, v, spec.base(v, p, k)) for k in keys], axis=1),
-        interval,
-        groups=tuple((stop, _quad_tol(g)) for stop, g in zip(stops, groups)),
+        nodes,
+        weights,
+        max(1, _BATCH_VALUES // (len(keys) * ys.size)),
     )
     # numerics.integrate is looked up on the module, so a wrapper set there
     # (a trace, a test) sees every S-table unit and Lambda view
-    val, _ = numerics.integrate(problem, breakpoints=breaks)
-    return val
+    return numerics.integrate(problem)
 
 
 def _lambda_view(variant: DualVariant, y, p: float, name: str, y_min=1.0) -> tuple:
@@ -327,7 +326,7 @@ def _lambda_view(variant: DualVariant, y, p: float, name: str, y_min=1.0) -> tup
     if not np.all(np.isfinite(ys) & (ys >= y_min)):
         raise ValueError(f"{name} requires finite y >= {y_min:g}")
     uniq, back = np.unique(ys, return_inverse=True)
-    vals = [lam[back] for lam in _lambdas(_SPECS[variant], list(_scale_chunks(uniq)), p)]
+    vals = [lam[back] for lam in _lambdas(_SPECS[variant], uniq, p)]
     return tuple(float(v[0]) for v in vals) if scalar else tuple(vals)
 
 
@@ -403,15 +402,15 @@ class _STable:
     table grows by whole units of a fixed lattice: y = 1.._TABLE_STEP, then
     (n, 2n] for the table's size n.  So S(y) depends on (variant, p, y)
     alone, not on the order of requests, and growth copies linear work in
-    all.  Each unit is one quadrature call (_lambdas), its scale chunks
-    error groups of that call; a unit past the first is one chunk.  The
-    first unit's seed panels start at its own floor in v (_FLOOR_KAPPA),
-    every later unit's at v = 1e-9.  A chunk of at most 4 * _CHEB_NODES
-    entries (below y = 64, and y = 1024) is integrated at every y.  A
-    larger one is integrated at _CHEB_NODES rounded Chebyshev-Lobatto nodes
-    per interpolation class and filled from each class's Chebyshev
-    interpolant of each Lambda, which is analytic in y there and converges
-    geometrically.  The classes are the chunk itself,
+    all.  Each unit is one quadrature call (_lambdas) at the y it samples
+    from all its scale chunks; a unit past the first is one chunk.  The
+    first unit's rule starts its log panels at its own floor in v
+    (_FLOOR_KAPPA), every later unit's at v = 1e-9.  A chunk of at most
+    4 * _CHEB_NODES entries (below y = 64, and y = 1024) is integrated at
+    every y.  A larger one is integrated at _CHEB_NODES rounded
+    Chebyshev-Lobatto nodes per interpolation class and filled from each
+    class's Chebyshev interpolant of each Lambda, which is analytic in y
+    there and converges geometrically.  The classes are the chunk itself,
     or, for the truncated construction, its even and its odd y: there w2
     reaches -1, so Lambda_2 carries a (-1)^y part that is smooth within a
     parity but not across.  An interpolant is used only if its error
@@ -453,7 +452,8 @@ class _STable:
             fits = [(c, _cheb_positions(c.size)) for c in (at[r::stride] for r in range(stride))]
             sampled.append(np.sort(np.concatenate([c[k] for c, k in fits])))
             classes += fits
-        lam[:, np.concatenate(sampled)] = _lambdas(spec, [ys[at] for at in sampled], p)
+        at = np.concatenate(sampled)
+        lam[:, at] = _lambdas(spec, ys[at], p)
         redo = []
         for c, k in classes:
             vals, err = _interpolate(lam[:, c[k]], k, c.size)
@@ -462,7 +462,8 @@ class _STable:
             else:
                 redo.append(c)
         if redo:
-            lam[:, np.concatenate(redo)] = _lambdas(spec, [ys[c] for c in redo], p)
+            at = np.concatenate(redo)
+            lam[:, at] = _lambdas(spec, ys[at], p)
         return spec.g(ys, p, lam) - spec.drift(ys, p)
 
 
@@ -681,33 +682,10 @@ _CONV_PANELS = 16
 # doubling 24 panels moves no value by more than 1e-16, doubling 20 by
 # 4e-15 and doubling 16 by 2e-13.
 _R_P_PANELS = 24
-# 16-point Gauss-Legendre on [-1, 1], the positive nodes and their weights
-# (Newton on P_16 at 40 digits, rounded to nearest; numpy's leggauss gives
-# the same nodes and weights within 2 ulp).
-# Written out, not computed at import, which would load LAPACK's pages
-# into every process that imports the package.
-_GL_HALF_NODES = np.array([
-    0.9894009349916499, 0.9445750230732326, 0.8656312023878318, 0.755404408355003,
-    0.6178762444026438, 0.45801677765722737, 0.2816035507792589, 0.09501250983763744,
-])
-_GL_HALF_WEIGHTS = np.array([
-    0.027152459411754096, 0.062253523938647894, 0.09515851168249279, 0.12462897125553388,
-    0.14959598881657674, 0.16915651939500254, 0.18260341504492358, 0.1894506104550685,
-])
-_GL_NODES = np.concatenate((-_GL_HALF_NODES, _GL_HALF_NODES[::-1]))
-_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS, _GL_HALF_WEIGHTS[::-1]))
 # No temporary of the integrand holds more than this many values (128 kB):
 # a larger one is mapped afresh by the allocator on every block, and its
 # page faults cost more than the block's arithmetic.
 _GAP_BLOCK_VALUES = 1 << 14
-
-
-def _gl_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The composite 16-point Gauss-Legendre rule in u over the panels
-    between consecutive edges: its nodes as e^u, and its weights in u."""
-    half = 0.5 * np.diff(edges)[:, None]
-    nodes = np.exp((edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel())
-    return nodes, (half * _GL_WEIGHTS).ravel()
 
 
 def _expm1_minus_id(s: np.ndarray) -> np.ndarray:
@@ -738,7 +716,7 @@ def _conv_columns(p: float) -> np.ndarray:
     d1 = log1p((phi(t) + p phi(-t/p)) / (1 - p e^(-t/p))),
     d2 = log1p((phi(-t) - p phi(-t/p)) / (1 - p)), phi(s) = e^s - 1 - s."""
     tail = math.log(1e-8)
-    t, w = _gl_rule(np.concatenate((
+    t, w = numerics._gl_rule(np.concatenate((
         np.linspace(math.log(1e-22), tail, _CONV_TAIL_PANELS + 1)[:-1],
         np.linspace(tail, math.log(80.0 * max(1.0, p / (1.0 - p))), _CONV_PANELS + 1),
     )))
@@ -764,7 +742,7 @@ def _r_p_nodes(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R_p's rule from v_t = log(1+2p): its nodes v, its weights times the
     factor 1 / (t v) that the integrands of R_p and I_p share, and
     t = 1 - e^-v."""
-    s, w = _gl_rule(np.linspace(math.log(1e-22), math.log(60.0), _R_P_PANELS + 1))
+    s, w = numerics._gl_rule(np.linspace(math.log(1e-22), math.log(60.0), _R_P_PANELS + 1))
     v = math.log1p(2.0 * p) + s
     t = -np.expm1(-v)
     return v, w * s / (t * v), t

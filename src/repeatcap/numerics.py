@@ -1,36 +1,26 @@
 """Numerical substrate: quadrature, special functions, series and 1-D
 search.
 
-Every adaptive integral in this package (the Lambdas and
-log_gamma_via_integral) is, after a change of variables, of the form
+Every integral in this package (the Lambdas, log_gamma_via_integral and
+the two KL-gap integrals in duals) is a sum over one fixed rule: composite
+16-point Gauss-Legendre in a log variable (_gl_rule).  The Lambda
+integrands arrive with removable 0/0 singularities (both the numerator and
+t*log(1-t) vanish at t = 0) and a slowly dying 1/log(1-t) factor at t = 1.
+Direct quadrature in t loses 4+ digits near both ends, so callers
+substitute v = -log(1-t), which turns log(1-t) into -v exactly and gives
+the integrand an exp(-v) tail; the semi-infinite range is cut at
+v = _EXP_TAIL_SPAN = 60.  There each integrand varies on the scale of v
+itself, so _log_rule takes equal panels in u = log v from a small v0 up,
+and one panel on [0, v0], where it is a low-order polynomial.
 
-    I = int_a^b F(v) dv,    F smooth on (a, b) with finite endpoint limits,
-
-but the raw integrands arrive with removable 0/0 singularities (both the
-numerator and t*log(1-t) vanish at t = 0) and a slowly dying 1/log(1-t)
-factor at t = 1.  Direct quadrature in t loses 4+ digits near both ends, so
-callers substitute v = -log(1-t), which turns log(1-t) into -v exactly and
-gives the integrand an exp(-v) tail; the semi-infinite range is cut at
-v = _EXP_TAIL_SPAN = 60, every such integral from v = 0.  The engine here
-then only has to integrate smooth functions over finite intervals.  The
-two KL-gap integrals (the convexity gap and R_p, in duals) take one fixed
-Gauss-Legendre rule each instead.
-
-The quadrature rule is the 7-point Gauss / 15-point Kronrod pair with
-adaptive bisection.  Every integrand takes the 15 nodes of each of several
-panels at once, as one (n, 1) column with n a multiple of 15, and returns
-one row per node.  The seed panels go in batches of up to _BATCH_VALUES
-values and the two halves of a bisection in one call when both fit, so a
-call's overhead is shared by many panels.  All nodes are interior, so the
-integrand is never evaluated at panel endpoints, but a node can come
-arbitrarily close to one: each integrand returns its own analytic limit where its closed form
-runs out of mantissa, and a row that is not finite is a QuadratureError.
-
-One adaptive loop serves every problem.  A stack of integrals may be split
-into column groups, each with its own tolerance: the groups share one
-panel set, the loop bisects the panel whose error is largest relative to
-its group's tolerance, and it stops once every group meets its own.  A
-problem without groups is one group under abs_tol.
+integrate sums a rule's weights times an integrand that takes a block of
+nodes at once, as one (k, 1) column, and returns one row per node.  All
+nodes are interior, so the integrand is never evaluated at panel
+endpoints, but a node can come arbitrarily close to one: each integrand
+returns its own analytic limit where its closed form runs out of mantissa,
+and a row that is not finite is a QuadratureError.  The rule carries no
+error estimate: its accuracy is a property of the rule per (variant, p),
+measured against the same rule with narrower panels (_PANEL_DU).
 
 Series are summed in linear space, each on one scale (its largest term),
 and stop at the first term Y whose geometric tail estimate term(Y) r/(1-r),
@@ -48,8 +38,6 @@ and odd y (21 % at p = 0.1).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -70,196 +58,87 @@ __all__ = [
     "maximize_concave",
 ]
 
-# 7-point Gauss / 15-point Kronrod pair on [-1, 1] (QUADPACK dqk15 data).
-_XGK = np.array(
-    [
-        0.9914553711208126,
-        0.9491079123427585,
-        0.8648644233597691,
-        0.7415311855993944,
-        0.5860872354676911,
-        0.4058451513773972,
-        0.2077849550078985,
-        0.0,
-    ]
-)
-_WGK = np.array(
-    [
-        0.02293532201052922,
-        0.06309209262997855,
-        0.10479001032225018,
-        0.14065325971552592,
-        0.16900472663926790,
-        0.19035057806478541,
-        0.20443294007529889,
-        0.20948214108472783,
-    ]
-)
-_WG = np.array(
-    [
-        0.12948496616886969,
-        0.27970539148927664,
-        0.38183005050511894,
-        0.41795918367346938,
-    ]
-)
+# 16-point Gauss-Legendre on [-1, 1], the positive nodes and their weights
+# (Newton on P_16 at 40 digits, rounded to nearest; numpy's leggauss gives
+# the same nodes and weights within 2 ulp).
+# Written out, not computed at import, which would load LAPACK's pages
+# into every process that imports the package.
+_GL_HALF_NODES = np.array([
+    0.9894009349916499, 0.9445750230732326, 0.8656312023878318, 0.755404408355003,
+    0.6178762444026438, 0.45801677765722737, 0.2816035507792589, 0.09501250983763744,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.027152459411754096, 0.062253523938647894, 0.09515851168249279, 0.12462897125553388,
+    0.14959598881657674, 0.16915651939500254, 0.18260341504492358, 0.1894506104550685,
+])
+_GL_NODES = np.concatenate((-_GL_HALF_NODES, _GL_HALF_NODES[::-1]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS, _GL_HALF_WEIGHTS[::-1]))
 
-# Full 15-node layout: -xgk[0..6], 0, +xgk[6..0].
-_NODES15 = np.concatenate((-_XGK[:-1], _XGK[::-1]))
-_WEIGHTS15 = np.concatenate((_WGK[:-1], _WGK[::-1]))
-_WEIGHTS7 = np.zeros(15)
-_WEIGHTS7[[1, 3, 5]] = _WG[:3]
-_WEIGHTS7[7] = _WG[3]
-_WEIGHTS7[[9, 11, 13]] = _WG[2::-1]
-# Rows: Kronrod (K15) and Gauss (G7) weights, applied in one product.
-_KG_WEIGHTS = np.stack((_WEIGHTS15, _WEIGHTS7))
 
-# Below this request, absolute tolerances are capped by the floating-point
-# resolution of the accumulated integral magnitude (about 100 ulp).
-_EPS = float(np.finfo(float).eps)
-_REL_FLOOR = 100.0 * _EPS
+def _gl_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The composite 16-point Gauss-Legendre rule in u over the panels
+    between consecutive edges: its nodes as e^u, and its weights in u."""
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1, None] + edges[1:, None])
+    return np.exp((mid + half * _GL_NODES).ravel()), (half * _GL_WEIGHTS).ravel()
+
+
+# An exp(-v) factor is below 9e-27 past v = 60, far below every tolerance
+# used in this package, so an exp-tail integral stops there.  _log_rule's
+# panels are at most _PANEL_DU wide in u = log v.  Sticky's S-table near
+# p = 1, the hardest case, stays within 3 % of a tenth of its tolerance
+# (duals._quad_tol) of the same rule with panels a quarter as wide, up to
+# y = 16 384 at p = 0.9999; panels of 0.96 miss that by up to 14x.
+_EXP_TAIL_SPAN = 60.0
+_PANEL_DU = 0.64
+
+
+def _log_rule(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rule for an integrand over [0, hi] in v that varies on the scale
+    of v itself: one 16-point panel on [0, lo], then equal panels of at
+    most _PANEL_DU in u = log v over [lo, hi], their weights times v."""
+    half = 0.5 * lo
+    n = math.ceil(math.log(hi / lo) / _PANEL_DU)
+    nodes, weights = _gl_rule(np.linspace(math.log(lo), math.log(hi), n + 1))
+    return (np.concatenate((half + half * _GL_NODES, nodes)),
+            np.concatenate((half * _GL_WEIGHTS, weights * nodes)))
 
 
 class QuadratureError(RuntimeError):
-    """Raised when an integrand is not finite at a node, or when the panel
-    budget runs out before every tolerance is met."""
+    """Raised when an integrand is not finite at a node."""
 
 
 @dataclass(frozen=True)
 class QuadratureProblem:
-    """An integral over a finite interval (lo, hi), lo < hi.
+    """The sum over nodes of weights times integrand.
 
-    integrand(v) receives the 15 Kronrod nodes of each of k panels, one
-    panel after another, as a (15k, 1) column and returns one row per node:
-    shape (15k,) for a scalar integral, or (15k, ..., m) for a stack of
-    integrals sharing the same variable (integrated componentwise).  A row
-    that depends on its node alone makes the result independent of how the
-    panels are batched.  The integrand must be finite at every node; a row
-    that is not is a QuadratureError naming the node.
-
-    Without groups the whole stack is one group under abs_tol, and its
-    error estimate is the worst component.  groups, as ((stop, abs_tol),
-    ...) with ascending stops ending at m, splits the stack's last axis
-    into column groups [previous stop, stop) with their own tolerances
-    (abs_tol is then unused); a group's error estimate is the sum over
-    panels of the worst |K15 - G7| among its columns.
+    integrand(v) receives consecutive blocks of at most `block` nodes, from
+    the first, each as a (k, 1) column, and returns one row per node: shape
+    (k,) for a scalar integral, or (k, ...) for a stack of integrals sharing
+    the same variable (summed componentwise).  The integrand must be finite
+    at every node; a row that is not is a QuadratureError naming the node.
     """
 
     integrand: Callable
-    interval: tuple[float, float]
-    abs_tol: float = 1e-10
-    groups: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self):
-        lo, hi = self.interval
-        if not (lo < hi and math.isfinite(hi - lo)):
-            raise ValueError(f"interval must be finite with lo < hi, got {self.interval}")
-        if not all(tol > 0.0 for tol in (self.abs_tol, *(tol for _, tol in self.groups))):
-            raise ValueError("abs_tol must be positive")
+    nodes: np.ndarray
+    weights: np.ndarray
+    block: int
 
 
-# A call holds as many panels as fit in this many values (nodes times the
-# stack's width, read off the first call, which holds two), and at least
-# one; the cap keeps a wide stack's temporaries small.
-_BATCH_VALUES = 1 << 14
-
-# integrate's panel budget.  A result does not depend on it unless it is
-# reached: no call of the T1/T2/T3 bounds ends with more than 60 panels.
-_MAX_PANELS = 1024
-
-
-def _eval_column(problem: QuadratureProblem, nodes: np.ndarray) -> np.ndarray:
-    """The integrand at the node column; every row must be finite."""
-    n = nodes.size
-    vals = np.asarray(problem.integrand(nodes[:, None]), dtype=float)
-    if vals.ndim < 1 or vals.shape[0] != n:
-        raise ValueError(
-            f"an integrand takes a ({n}, 1) node column and returns shape ({n},) "
-            f"or ({n}, ..., m); got shape {vals.shape}"
-        )
-    bad = np.flatnonzero(~np.isfinite(vals.reshape(n, -1)).all(axis=1))
-    if bad.size:
-        node = float(nodes[bad[0]])
-        raise QuadratureError(f"integrand returned a non-finite value at node {node!r}")
-    return vals
-
-
-def _panels(problem: QuadratureProblem, spans: Sequence[tuple[float, float]]):
-    """Per panel (a, b) of spans, from one integrand call: its K15 value,
-    and per group its worst |K15 - G7| and |K15|."""
-    a, b = np.array(spans).T[..., None]  # (k, 1) columns
-    half = 0.5 * (b - a)
-    stack = _eval_column(problem, (0.5 * (a + b) + half * _NODES15).reshape(-1))
-    k = len(spans)
-    kg = half[..., None] * (_KG_WEIGHTS @ stack.reshape(k, 15, -1))
-    k15 = kg[:, 0].reshape((k, *stack.shape[1:])).copy()  # not a view pinning kg
-    kg[:, 1] -= kg[:, 0]
-    np.abs(kg, out=kg)  # rows |K15|, |K15 - G7|
-    # Groups split the stack's last axis; without groups one row holds it all.
-    width = stack.shape[-1] if problem.groups else kg.shape[2]
-    starts = [0] + [stop for stop, _ in problem.groups[:-1]]
-    worst = np.maximum.reduceat(kg.reshape(k, 2, -1, width), starts, axis=3).max(axis=2).tolist()
-    return [(v, tuple(err), tuple(mag)) for v, (mag, err) in zip(k15, worst)]
-
-
-def integrate(
-    problem: QuadratureProblem,
-    *,
-    breakpoints: Sequence[float] | None = None,
-):
-    """Adaptively integrate the problem; returns (value, error estimate).
-
-    Bisects the panel with the worst Gauss/Kronrod discrepancy, relative to
-    its group's tolerance, until every group's summed estimate falls below
-    max(its abs_tol, 100 ulp of its magnitude).  breakpoints seed the
-    initial subdivision (useful when the caller knows where the integrand
-    concentrates).  The error estimate is a float, or a list with one entry
-    per group.  Raises QuadratureError once _MAX_PANELS panels do not suffice.
-    """
-    lo, hi = problem.interval
-    inner = [float(x) for x in (() if breakpoints is None else breakpoints) if lo < x < hi]
-    edges = sorted({lo, hi, *inner})
-    tols = [tol for _, tol in problem.groups] or [problem.abs_tol]
-    heap = []
-    counter = itertools.count()
-
-    def push(spans):
-        for lo in range(0, len(spans), size):
-            batch = spans[lo:lo + size]
-            for (a, b), (k15, err, mag) in zip(batch, _panels(problem, batch)):
-                rank = max(e / tol for e, tol in zip(err, tols))
-                heapq.heappush(heap, (-rank, next(counter), a, b, k15, err, mag))
-
-    seeds = list(zip(edges[:-1], edges[1:]))
-    size = 2  # until the first call gives the stack's width
-    push(seeds[:2])
-    size = max(1, _BATCH_VALUES // (15 * heap[0][4].size))
-    push(seeds[2:])
-    while True:
-        errs = [math.fsum(col) for col in zip(*(item[5] for item in heap))]
-        mags = [math.fsum(col) for col in zip(*(item[6] for item in heap))]
-        over = [(e, tol) for e, tol, m in zip(errs, tols, mags) if not e <= max(tol, _REL_FLOOR * m)]
-        if not over:
-            break
-        if len(heap) >= _MAX_PANELS:
-            raise QuadratureError(
-                f"quadrature did not converge within {_MAX_PANELS} panels: "
-                f"err {over[0][0]:.3e} > tol {over[0][1]:.3e}"
-            )
-        _, _, a, b, *_ = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        push([(a, m), (m, b)])
-    return np.sum([item[4] for item in heap], axis=0), errs if problem.groups else errs[0]
-
-
-# An exp(-v) factor is below 9e-27 past v = 60, far below every tolerance
-# used in this package.  The seed panels of an exp-tail integral cluster
-# geometrically at v = 0, where the v = -log(1-t) substitution parks the
-# removable t = 0 singularity; from v = 1e-9, fine enough for a Lambda at
-# y up to ~1e7.  A Lambda call whose y are all at most duals._TABLE_STEP
-# drops the seeds below its own floor (duals._FLOOR_KAPPA).
-_EXP_TAIL_SPAN = 60.0
-_EXP_TAIL_BREAKS = np.geomspace(1e-9, _EXP_TAIL_SPAN, 40)[:-1]
+def integrate(problem: QuadratureProblem):
+    """The problem's weighted sum: each block's rows reduced against its
+    weights by einsum, which calls no BLAS, so the bits do not depend on the
+    BLAS thread count, and the blocks' sums added in order."""
+    total, step = 0.0, problem.block
+    for lo in range(0, problem.nodes.size, step):
+        v = problem.nodes[lo:lo + step]
+        vals = np.asarray(problem.integrand(v[:, None]), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(vals.reshape(v.size, -1)).all(axis=1))
+        if bad.size:
+            node = float(v[bad[0]])
+            raise QuadratureError(f"integrand returned a non-finite value at node {node!r}")
+        total = total + np.einsum("n,n...->...", problem.weights[lo:lo + step], vals)
+    return total
 
 
 # A numerator t*lin - expm1(A), t = 1 - e^-v, with A and lin linear in a
@@ -283,8 +162,7 @@ _LIMIT_VC = 2e-8
 # y: numpy's vectorized expm1/log1p/exp round differently from libm on a few
 # percent of inputs, and whether numpy takes its vector or its scalar route
 # depends on the array's length and layout; with math a node's value does
-# not depend on which other nodes, of its own panel or of the panels batched
-# with it, share its column.
+# not depend on which other nodes share its block.
 
 
 class _Base(NamedTuple):
@@ -429,8 +307,9 @@ def log_gamma_via_integral(z: float) -> float:
 
     After v = -log(1-t) this is the Lambda integrand _f with base
     phi = 1 - t = e^-v, b = 0, c1 = -1 and c2 = 0 at y = z, integrated
-    over [0, _EXP_TAIL_SPAN].  At an absolute tolerance of 1e-12 it stays
-    within 1e-13 of log_gamma for z up to 100.
+    over [0, _EXP_TAIL_SPAN] by _log_rule from 0.05 / (1 + z), where the
+    integrand starts to vary.  It stays within 1e-13 of log_gamma for z up
+    to 100.
     """
     z = float(z)
     if not 0.0 <= z < math.inf:
@@ -441,9 +320,8 @@ def log_gamma_via_integral(z: float) -> float:
     def fv(v: np.ndarray) -> np.ndarray:
         return _f(np.array([z]), v, _Base((-v[:, 0]).tolist(), 0.0, -1.0, 0.0))[:, 0]
 
-    problem = QuadratureProblem(fv, (0.0, _EXP_TAIL_SPAN), abs_tol=1e-12)
-    value, _ = integrate(problem, breakpoints=_EXP_TAIL_BREAKS)
-    return float(value)
+    nodes, weights = _log_rule(0.05 / (1.0 + z), _EXP_TAIL_SPAN)
+    return float(integrate(QuadratureProblem(fv, nodes, weights, nodes.size)))
 
 
 def binary_entropy(p: float) -> float:

@@ -7,7 +7,7 @@ segment lists [0, 0.02, 0.2, 1, 5, 15, 40, 80] (full-line integrals) or
 [0, vT/50, vT/5, vT] (truncated ones).  Each value was cross-checked
 against scipy QUADPACK and a 4 million point longdouble Simpson rule;
 the three routes agree to at least 1e-15.  None of them share code with
-the package's float64 adaptive Gauss-Kronrod route.
+the package's float64 Gauss-Legendre rule.
 
 The large-y Lambda values (LAMBDAS_*_LARGE_Y) were generated the same
 way at 50 digits, on segments split at (1, 2, 5) * 10^k / (c y) for
@@ -23,8 +23,8 @@ Live helpers: a composite Simpson rule in longdouble and a textbook
 dynamic-programming edit distance, both written independently of the
 package implementations they check; the Monte Carlo run as a plain
 per-trial loop over the simulator's single-trial functions, the reference
-for its batched run; and R_p and I_p by the package's adaptive
-Gauss-Kronrod engine, the reference for their fixed Gauss-Legendre rule.
+for its batched run; and R_p and I_p by scipy's adaptive quad_vec, the
+reference for their fixed Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ import math
 
 import numpy as np
 
-from repeatcap import numerics, simulate
+from scipy import integrate
+
+from repeatcap import simulate
 
 # integral of f1(y, t) over t in [0, 1] for the sticky construction,
 # f1 = (1 + t - t y (1-p) - (1-t)^(y-1) / (1-pt)^y) / (t log(1-t))
@@ -265,32 +267,33 @@ def monte_carlo_reference(config):
 
 
 def _exp_tail_adaptive(fv, lo: float):
-    """int fv over [lo, lo + 60] by numerics.integrate, from 16 equal seed
-    panels, to an absolute 1e-12."""
-    problem = numerics.QuadratureProblem(fv, (lo, lo + 60.0), abs_tol=1e-12)
-    value, _ = numerics.integrate(problem, breakpoints=lo + np.linspace(0.0, 60.0, 17)[1:-1])
+    """int fv over [lo, lo + 60] by scipy's adaptive quad_vec, from breakpoints
+    graded geometrically away from lo, to an absolute 1e-14 in every
+    component."""
+    points = lo + np.geomspace(1e-9, 60.0, 20)[:-1]
+    value, _ = integrate.quad_vec(fv, lo, lo + 60.0, epsabs=1e-14, epsrel=0.0, norm="max",
+                                  points=points)
     return value
 
 
 def r_p_adaptive(xs: np.ndarray, p: float) -> np.ndarray:
-    """R_p(x) at the floats xs, as r_p computed it before its fixed rule:
-    exp(-x v) (1 - ratio^x) / (t v) on [v_t, v_t + 60], v_t = log(1+2p),
-    by the adaptive engine, every per-node scalar from math."""
+    """R_p(x) at the floats xs: exp(-x v) (1 - ratio^x) / (t v) on
+    [v_t, v_t + 60], v_t = log(1+2p), by scipy's adaptive engine, every
+    per-node scalar from math."""
     log_d = math.log1p(-p)
 
     def fv(v):
-        nodes = v[:, 0].tolist()
-        log_ratio = np.array([log_d - math.log1p(-p * math.exp(-x)) for x in nodes])[:, None]
-        tv = np.array([-math.expm1(-x) * x for x in nodes])[:, None]
-        return np.exp(-xs * v) * -np.expm1(xs * log_ratio) / tv
+        log_ratio = log_d - math.log1p(-p * math.exp(-v))
+        return np.exp(-xs * v) * -np.expm1(xs * log_ratio) / (-math.expm1(-v) * v)
 
     return _exp_tail_adaptive(fv, math.log1p(2.0 * p))
 
 
 def i_p_adaptive(p: float) -> float:
-    """I_p = int exp(-v) / (t v) dv on [v_t, v_t + 60] by the adaptive engine."""
+    """I_p = int exp(-v) / (t v) dv on [v_t, v_t + 60] by scipy's adaptive
+    engine."""
 
     def fv(v):
-        return np.array([math.exp(-x) / (-math.expm1(-x) * x) for x in v[:, 0].tolist()])
+        return math.exp(-v) / (-math.expm1(-v) * v)
 
     return float(_exp_tail_adaptive(fv, math.log1p(2.0 * p)))

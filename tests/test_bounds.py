@@ -371,19 +371,22 @@ def test_objective_never_exceeds_the_reported_bound(variant, p):
 
 
 # Each T1/T2 row with half a unit of its printed last digit: T1 prints six
-# decimals, T2 four.
+# decimals, T2 four.  T3 publishes no lower bound, but capacity is at least
+# 0, so each T3 row takes 0 with no slack.
 _PRIOR_LOWER_ROWS = [
     (table.family, row[0], row[1], slack)
     for table, slack in ((tables.T1_STICKY, 5e-7), (tables.T2_DUPLICATION, 5e-5))
     for row in table.rows
-]
+] + [(tables.T3_GEOMDEL.family, row[0], 0.0, 0.0) for row in tables.T3_GEOMDEL.rows]
 
 
 @pytest.mark.parametrize("family, p, prior_lower, slack", _PRIOR_LOWER_ROWS)
 def test_no_upper_bound_sits_below_the_published_lower_bound(family, p, prior_lower, slack):
-    # An upper bound below a lower bound on the same capacity is wrong.  The
-    # closest rows (T1 at p = 0.05, T2 at p = 0.2) clear it by about 7e-6 bits.
-    assert compute_bound(family, None, p).bound_bits >= prior_lower - slack
+    # An upper bound below a lower bound on the same capacity is wrong, for
+    # every construction.  The closest rows (T1 at p = 0.05, T2 at p = 0.2)
+    # clear it by about 7e-6 bits.
+    for variant in bounds.constructions(family):
+        assert compute_bound(family, variant, p).bound_bits >= prior_lower - slack, variant
 
 
 # Every table construction at both ends of its table, at p = 0.6, and at

@@ -41,9 +41,9 @@ import oracles
 
 def test_lambda_sticky_oracle_values():
     for (y, p), want in oracles.LAMBDA1_STICKY.items():
-        assert abs(lambda1_sticky(y, p) - want) <= 2e-9 * max(1.0, y), (y, p)
+        assert abs(lambda1_sticky(y, p) - want) <= 1e-12 * max(1.0, y), (y, p)
     for (y, p), want in oracles.LAMBDA2_STICKY.items():
-        assert abs(lambda2_sticky(y, p) - want) <= 2e-9 * max(1.0, y), (y, p)
+        assert abs(lambda2_sticky(y, p) - want) <= 1e-12 * max(1.0, y), (y, p)
 
 
 def test_g_sticky_oracle_values():
@@ -55,14 +55,14 @@ def test_lambda_duplication_oracle_values():
     for (y, p), wants in oracles.LAMBDAS_DUPLICATION.items():
         got = lambdas_duplication(y, p)
         for g, w in zip(got, wants):
-            assert abs(g - w) <= 2e-9 * max(1.0, y), (y, p)
+            assert abs(g - w) <= 1e-12 * max(1.0, y), (y, p)
 
 
 def test_lambda_trunc_oracle_values():
     for (y, p), wants in oracles.LAMBDA_TRUNC_GEOMDEL.items():
         got = lambda_trunc_geomdel(y, p)
         for g, w in zip(got, wants):
-            assert abs(g - w) <= 2e-9 * max(1.0, y), (y, p)
+            assert abs(g - w) <= 1e-12 * max(1.0, y), (y, p)
 
 
 def test_lambda_domain_checks():
@@ -186,9 +186,10 @@ _VIEWS = {
 @pytest.mark.parametrize("p", (0.3, 0.9))
 @pytest.mark.parametrize("name", tuple(_VIEWS))
 def test_lambda_views_do_not_depend_on_the_other_ys(name, p):
-    # The ys of one view span decades; each scale chunk is an error group of
-    # its own, so a y's value moves by less than its own tolerance with the
-    # other ys that share the call.
+    # The ys of one view span decades and share one rule, whose first panel
+    # follows the largest y (duals._FLOOR_KAPPA) and whose blocks follow
+    # their count, so a y's value moves by less than its own tolerance with
+    # the other ys that share the call.
     view = _VIEWS[name][0]
     ys = np.array([1.0, 5.0, 100.0, 3000.0, 10000.0])
     if name == "trunc":
@@ -217,7 +218,7 @@ def test_large_y_lambdas_match_the_oracles(name, p):
         want = wants[(int(y), p)]
         tol = duals._quad_tol(ys[i:i + 1])
         for k, w in enumerate(want):
-            assert abs(got[k][i] - w) <= tol, (y, k)
+            assert abs(got[k][i] - w) <= 1e-12 * y, (y, k)
         s_want = spec.g(ys[i:i + 1], p, [np.array([w]) for w in want]) - spec.drift(ys[i:i + 1], p)
         assert abs(table.upto(10240)[int(y) - 1] - s_want[0]) <= tol, y
 
@@ -245,8 +246,8 @@ _R_P_GRID = sorted(
 
 
 def test_r_p_matches_the_adaptive_reference(monkeypatch):
-    # The fixed rule against the adaptive engine it replaced (x <= 500),
-    # and neither r_p nor r_p_envelope calls that engine.
+    # The fixed rule against scipy's adaptive quad_vec (x <= 500), and
+    # neither r_p nor r_p_envelope goes through numerics.integrate.
     xs = np.arange(1.0, 501.0)
     want = {p: oracles.r_p_adaptive(xs, p) for p in _R_P_GRID}
     envelopes = {p: oracles.i_p_adaptive(p) for p in (0.05, 0.3, 1.5)}
@@ -785,9 +786,9 @@ def test_integrand_limit_meets_the_direct_form_at_the_switch(variant, p):
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
 @pytest.mark.parametrize("p", (0.3, 0.9))
 def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
-    # The unit y = 1025..2048 keeps the seeds down to v = 1e-9 and so reaches
-    # nodes below _LIMIT_VC, where the Taylor limits blend in (the first
-    # unit's floored seeds stop short of them).  Both routes must give the
+    # The unit y = 1025..2048 starts its rule's log panels at v = 1e-9 and so
+    # reaches nodes below _LIMIT_VC, where the Taylor limits blend in (the
+    # first unit's floored rule stops short of them).  Both routes must give the
     # same bits over both units, build after build.
     batched = [duals._STable(variant, p).upto(2048).copy() for _ in range(2)]
     assert np.array_equal(batched[0], batched[1])
@@ -813,13 +814,13 @@ def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
 @pytest.mark.parametrize("p", (0.3, 0.9))
 def test_s_table_block_is_one_quadrature_call(monkeypatch, variant, p):
-    # The first unit spans six scale chunks; they are error groups of one
-    # call over one shared panel set, not one call each.  Its integrand
-    # calls take the panels in batches: the seed batches and the bisection
-    # pairs hold at least two panels each, so calls are at most half the
-    # panels, rounded up.  The unit's seeds start at its own floor
-    # (duals._FLOOR_KAPPA), which holds it to 22-36 panels here; seeds
-    # down to v = 1e-9 take 40 for sticky and duplication, 59-61 for trunc.
+    # The first unit spans six scale chunks; they share one call over one
+    # rule, not one call each.  Its integrand calls take the nodes in blocks
+    # of at most duals._BATCH_VALUES values, which here hold more than 32
+    # nodes each, so calls are at most half the 16-node panels, rounded up.
+    # The unit's rule starts its log panels at its own floor
+    # (duals._FLOOR_KAPPA), which holds it to 23 panels for sticky and
+    # duplication and 39 for trunc; from v = 1e-9 they take 40 and 60.
     integrate = numerics.integrate
     panels, calls = [], []
 
@@ -828,12 +829,14 @@ def test_s_table_block_is_one_quadrature_call(monkeypatch, variant, p):
         panels.append(0)
         calls.append(0)
 
-        def per_batch(t):
-            panels[-1] += len(t) // 15
+        def per_block(t):
+            out = inner(t)
+            assert out.size <= duals._BATCH_VALUES
+            panels[-1] += len(t) / 16
             calls[-1] += 1
-            return inner(t)
+            return out
 
-        return integrate(dataclasses.replace(problem, integrand=per_batch), **kwargs)
+        return integrate(dataclasses.replace(problem, integrand=per_block), **kwargs)
 
     monkeypatch.setattr(numerics, "integrate", counted)
     duals._STable(variant, p).upto(1024)
@@ -844,10 +847,10 @@ def test_s_table_block_is_one_quadrature_call(monkeypatch, variant, p):
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
 @pytest.mark.parametrize("p", (1e-3, 0.05, 0.5, 0.99))
 def test_first_unit_seed_floor_keeps_values_within_tolerance(monkeypatch, variant, p):
-    # The first unit drops its seeds below v = _FLOOR_KAPPA / (y_max (1 +
-    # max |c1|)); with the constant 0 it keeps every seed down to 1e-9.  Its
+    # The first unit starts its rule's log panels at v = _FLOOR_KAPPA /
+    # (y_max (1 + max |c1|)); with the constant 0 they start at 1e-9.  Its
     # values move by well under its quadrature tolerance, and the units past
-    # it, which keep every seed either way, do not move at all.
+    # it, which start at 1e-9 either way, do not move at all.
     floored = duals._STable(variant, p).upto(8192).copy()
     monkeypatch.setattr(duals, "_FLOOR_KAPPA", 0.0)
     reference = duals._STable(variant, p).upto(8192)
@@ -859,8 +862,8 @@ def test_first_unit_seed_floor_keeps_values_within_tolerance(monkeypatch, varian
 
 
 def _one_panel_per_call(monkeypatch) -> list[int]:
-    # Sets numerics.integrate to a wrapper that hands the integrand 15 nodes
-    # (one panel) per call; returns the row counts of the engine's calls.
+    # Sets numerics.integrate to a wrapper that hands the integrand 16 nodes
+    # (one panel) per call; returns the row counts of the sum's calls.
     integrate = numerics.integrate
     rows = []
 
@@ -869,7 +872,7 @@ def _one_panel_per_call(monkeypatch) -> list[int]:
 
         def split(t):
             rows.append(len(t))
-            return np.concatenate([inner(t[i : i + 15]) for i in range(0, len(t), 15)])
+            return np.concatenate([inner(t[i : i + 16]) for i in range(0, len(t), 16)])
 
         return integrate(dataclasses.replace(problem, integrand=split), **kwargs)
 
@@ -882,7 +885,26 @@ def test_log_gamma_via_integral_batched_matches_one_panel_per_call(monkeypatch, 
     batched = numerics.log_gamma_via_integral(z)
     rows = _one_panel_per_call(monkeypatch)
     assert numerics.log_gamma_via_integral(z) == batched
-    assert max(rows) > 15
+    assert max(rows) > 16
+
+
+@pytest.mark.parametrize(
+    "variant, p",
+    ((DualVariant.STICKY_ZERO_GAP, 0.999), (DualVariant.STICKY_ZERO_GAP, 0.9999),
+     (DualVariant.DUPLICATION_ZERO_GAP, 0.999)),
+)
+def test_s_table_rule_is_resolved(monkeypatch, variant, p):
+    # The fixed rule has no error estimate of its own; in its place, S up
+    # to y = 16 384 is within a tenth of _quad_tol of the same rule with
+    # panels a quarter as wide in log v.  Sticky near p = 1, whose phi1
+    # turns at v ~ log(1/(1-p)), is the hardest case: panels of 0.96
+    # instead of 0.64 miss it by up to 14x at p = 0.9999.
+    ys = np.arange(1.0, 16385.0)
+    tol = 1e-11 * ys  # _quad_tol([y]) / 10
+    table = duals._STable(variant, p).upto(ys.size).copy()
+    monkeypatch.setattr(numerics, "_PANEL_DU", numerics._PANEL_DU / 4.0)
+    fine = duals._STable(variant, p).upto(ys.size)
+    assert np.all(np.abs(table - fine) <= tol), float(np.max(np.abs(table - fine) / tol))
 
 
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
@@ -967,7 +989,7 @@ def _integrand_widths(monkeypatch) -> list[list[int]]:
 
 def _direct_s(variant, ys, p):
     spec = duals._SPECS[variant]
-    lam = duals._lambdas(spec, list(duals._scale_chunks(ys)), p)
+    lam = duals._lambdas(spec, ys, p)
     return spec.g(ys, p, lam) - spec.drift(ys, p)
 
 

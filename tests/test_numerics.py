@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -198,182 +199,105 @@ def test_eta_integral():
     assert abs(eta(1e-9)) <= 1e-8
 
 
-def test_integrate_constant_and_linear():
-    val, err = integrate(QuadratureProblem(lambda t: np.ones(len(t)), (0.0, 1.0)))
-    assert abs(val - 1.0) <= max(1e-14, err)
-    val, err = integrate(QuadratureProblem(lambda t: t[:, 0], (0.0, 1.0)))
-    assert abs(val - 0.5) <= max(1e-14, err)
-
-
-def test_integrate_calls_once_per_batch_with_a_node_column():
-    # Both seed panels go in the first call; sqrt's singular end then takes
-    # bisections, each one call with both halves.
-    shapes = []
-
-    def integrand(t):
-        shapes.append(t.shape)
-        return np.ones(len(t))
-
-    val, _ = integrate(QuadratureProblem(integrand, (0.0, 1.0)), breakpoints=[0.5])
-    assert abs(val - 1.0) <= 1e-14
-    assert shapes == [(30, 1)]
-
-    def root(t):
-        shapes.append(t.shape)
-        return np.sqrt(t[:, 0])
-
-    shapes.clear()
-    val, _ = integrate(QuadratureProblem(root, (0.0, 1.0)))
-    assert abs(val - 2.0 / 3.0) <= 1e-10
-    assert shapes[0] == (15, 1) and len(shapes) > 5 and set(shapes[1:]) == {(30, 1)}
-
-
-def test_integrate_batches_seed_panels_within_the_value_budget():
-    # 300 seed panels of an 8-wide stack: the first call holds two panels
-    # and gives the width, each later one as many as fit in the budget, and
-    # the calls hold every panel's nodes once, in push order.
-    width = 8
-    columns = []
-
-    def integrand(t):
-        columns.append(t[:, 0].copy())
-        return t * np.arange(1.0, width + 1.0)
-
-    edges = np.linspace(0.0, 1.0, 301)
-    val, _ = integrate(QuadratureProblem(integrand, (0.0, 1.0)), breakpoints=edges[1:-1])
-    assert np.allclose(val, np.arange(1.0, width + 1.0) / 2.0, rtol=0.0, atol=1e-14)
-    per_call = numerics._BATCH_VALUES // (15 * width)
-    assert [c.size // 15 for c in columns] == [2, per_call, per_call, 300 - 2 - 2 * per_call]
-    assert all(c.size * width <= numerics._BATCH_VALUES for c in columns)
-    a, b = edges[:-1, None], edges[1:, None]
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * numerics._NODES15
-    assert np.array_equal(np.concatenate(columns), nodes.reshape(-1))
-
-
-def test_integrate_holds_one_panel_per_call_when_two_exceed_the_budget():
-    # A 1 000-wide stack: one panel is 15 000 values and two are over the
-    # budget, so after the first call (two seed panels, before the width is
-    # known) every seed panel and every bisection half takes a call of its
-    # own.
-    width = 1000
-    panels = []
-
-    def integrand(t):
-        panels.append(t.size // 15)
-        return np.sqrt(t) * np.ones(width)
-
-    val, _ = integrate(QuadratureProblem(integrand, (0.0, 1.0)), breakpoints=[0.25, 0.5, 0.75])
-    assert np.allclose(val, 2.0 / 3.0, rtol=0.0, atol=1e-10)
-    assert panels[0] == 2 and len(panels) > 5 and set(panels[1:]) == {1}
-
-
-def test_integrate_rejects_a_per_node_integrand():
-    with pytest.raises(ValueError, match="column"):
-        integrate(QuadratureProblem(lambda t: 1.0, (0.0, 1.0)))
-    # the message names the node count of the call that failed
-    with pytest.raises(ValueError, match=r"takes a \(30, 1\) node column .* got shape \(15,\)$"):
-        integrate(QuadratureProblem(lambda t: np.ones(15), (0.0, 1.0)), breakpoints=[0.5])
+def _one_panel(lo: float, hi: float):
+    """The 16-point Gauss-Legendre rule on [lo, hi] in the variable itself:
+    one _gl_rule panel in u = log v, taken back to u."""
+    nodes, weights = numerics._gl_rule(np.array([lo, hi]))
+    return np.log(nodes), weights
 
 
 def test_integrate_polynomials_exact():
-    # degree <= 5 polynomials are inside the Gauss-Kronrod exactness range
+    # 16 Gauss-Legendre nodes integrate every polynomial of degree at most
+    # 31 exactly: each monomial, and random polynomials, on one panel.
+    u, w = _one_panel(-1.0, 2.0)
+    for k in range(32):
+        val = integrate(QuadratureProblem(lambda t: t[:, 0] ** k, u, w, u.size))
+        exact = (2.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        assert abs(val - exact) <= 1e-14 * max(1.0, abs(exact)), k
     rng = np.random.default_rng(7)
+    u, w = _one_panel(0.0, 1.0)
     for _ in range(10):
-        coeffs = rng.uniform(-2.0, 2.0, size=6)
+        coeffs = rng.uniform(-2.0, 2.0, size=32)
         exact = sum(c / (k + 1.0) for k, c in enumerate(coeffs))
-        val, err = integrate(
-            QuadratureProblem(lambda t: sum(c * t**k for k, c in enumerate(coeffs)), (0.0, 1.0))
-        )
-        assert abs(val - exact) <= max(err, 1e-13)
+        val = integrate(QuadratureProblem(lambda t: np.polynomial.polynomial.polyval(t[:, 0], coeffs),
+                                          u, w, u.size))
+        assert abs(val - exact) <= 1e-13
+
+
+@pytest.mark.parametrize("k", (0, 0.5, 1, 2, 5, 10))
+def test_log_rule_integrates_powers_times_exp(k):
+    # The exp-tail rule from v = 1e-9: int_0^60 v^k e^-v dv = Gamma(k + 1),
+    # the tail past 60 below 1e-16 of it.
+    v, w = numerics._log_rule(1e-9, numerics._EXP_TAIL_SPAN)
+    assert v.size == 16 * (1 + math.ceil(math.log(60e9) / numerics._PANEL_DU))
+    assert np.all(np.diff(v) > 0.0) and v[0] > 0.0 and v[-1] < numerics._EXP_TAIL_SPAN
+    val = integrate(QuadratureProblem(lambda t: t[:, 0] ** k * np.exp(-t[:, 0]), v, w, v.size))
+    assert abs(val - math.gamma(k + 1.0)) <= 1e-14 * math.gamma(k + 1.0), k
+
+
+def test_integrate_calls_blocks_of_at_most_block_nodes():
+    # Consecutive blocks from node 0, each a node column of `block` rows but
+    # the last, which holds the rest; together they hold every node once.
+    v, w = numerics._log_rule(1e-3, 1.0)
+    columns = []
+
+    def integrand(t):
+        columns.append(t.copy())
+        return np.ones(len(t))
+
+    val = integrate(QuadratureProblem(integrand, v, w, 40))
+    assert abs(val - 1.0) <= 1e-14
+    assert [c.shape for c in columns] == [(40, 1)] * (v.size // 40) + [(v.size % 40, 1)]
+    assert np.array_equal(np.concatenate(columns)[:, 0], v)
 
 
 def test_integrate_vector_integrand():
-    val, err = integrate(
-        QuadratureProblem(lambda t: np.hstack([np.ones_like(t), t, t * t]), (0.0, 1.0))
-    )
-    assert np.allclose(val, [1.0, 0.5, 1.0 / 3.0], atol=1e-12)
-    assert err <= 1e-10
+    # A stack of integrals sharing the nodes is summed componentwise: the
+    # result has the shape of one row.
+    v, w = numerics._log_rule(1e-6, 1.0)
+    powers = np.arange(6.0).reshape(2, 3)
+    val = integrate(QuadratureProblem(lambda t: t[:, :, None] ** powers, v, w, 50))
+    assert val.shape == (2, 3)
+    assert np.allclose(val, 1.0 / (powers + 1.0), rtol=0.0, atol=1e-14)
+    scalar = integrate(QuadratureProblem(lambda t: t[:, 0], v, w, 50))
+    assert np.shape(scalar) == () and abs(scalar - 0.5) <= 1e-14
 
 
-def test_integrate_meets_each_group_tolerance():
-    # Two column groups share the panels but not the stopping rule: a small
-    # smooth pair held to 1e-13 and a large peaked Lorentzian held to 1e-6.
-    def integrand(t):
-        small = 1e-2 * np.sqrt(t + 0.01) * np.array([1.0, 2.0])
-        return np.hstack([small, 1.0 / (1e-6 + (t - 0.3) ** 2)])
-
-    problem = QuadratureProblem(integrand, (0.0, 1.0), groups=((2, 1e-13), (3, 1e-6)))
-    val, errs = integrate(problem)
-    small = 1e-2 * 2.0 / 3.0 * (1.01**1.5 - 0.01**1.5) * np.array([1.0, 2.0])
-    peak = 1e3 * (math.atan(0.7e3) + math.atan(0.3e3))
-    assert len(errs) == 2 and errs[0] <= 1e-13 and errs[1] <= 1e-6
-    assert np.max(np.abs(val[:2] - small)) <= 1e-13
-    assert abs(val[2] - peak) <= 1e-6
+def test_integrate_rejects_a_per_node_integrand():
+    v, w = numerics._log_rule(1e-3, 1.0)
+    with pytest.raises(ValueError):
+        integrate(QuadratureProblem(lambda t: 1.0, v, w, v.size))
 
 
-def _column_calls(integrand):
-    """integrand plus a list recording whether each call got a node column."""
+def test_integrate_raises_at_a_non_finite_node_near_zero():
+    # NaN at the nodes next to v = 0 (the first panel is [0, 1e-12], its
+    # first node 5e-13 (1 - 0.98940) = 5.30e-15): the sum substitutes
+    # nothing, the integrand must return its own limit
+    v, w = numerics._log_rule(1e-12, 1.0)
     calls = []
 
-    def recorded(t):
-        calls.append(np.ndim(t) > 0)
-        return integrand(t)
+    def integrand(t):
+        calls.append(t.shape)
+        return np.where(t < 1e-13, np.nan, np.cos(t)) * np.array([1.0, 2.0])
 
-    return recorded, calls
-
-
-def test_integrate_batched_endpoint_limit():
-    # NaN at the nodes next to t = 0 (the first panel is [0, 1e-12], its
-    # first node 5e-13 (1 - 0.99146) = 4.27e-15): the engine substitutes
-    # nothing, the integrand must return its own limit
-    integrand, calls = _column_calls(
-        lambda t: np.where(t < 1e-13, np.nan, np.cos(t)) * np.array([1.0, 2.0])
-    )
-    problem = QuadratureProblem(integrand, (0.0, 1.0))
-    with pytest.raises(QuadratureError, match=r"non-finite value at node 4\.27\d*e-15$"):
-        integrate(problem, breakpoints=[1e-12])
-    assert calls == [True]
+    with pytest.raises(QuadratureError, match=r"non-finite value at node 5\.29\d*e-15$"):
+        integrate(QuadratureProblem(integrand, v, w, v.size))
+    assert calls == [(v.size, 1)]
 
     def with_limit(t):
         return np.where(t < 1e-13, 1.0, np.cos(t)) * np.array([1.0, 2.0])
 
-    val, err = integrate(QuadratureProblem(with_limit, (0.0, 1.0)), breakpoints=[1e-12])
-    assert np.allclose(val, [math.sin(1.0), 2.0 * math.sin(1.0)], rtol=0.0, atol=max(err, 1e-13))
+    val = integrate(QuadratureProblem(with_limit, v, w, v.size))
+    assert np.allclose(val, [math.sin(1.0), 2.0 * math.sin(1.0)], rtol=0.0, atol=1e-14)
 
 
-def test_integrate_batched_interior_nan_raises():
-    integrand, calls = _column_calls(
-        lambda t: np.where(np.abs(t - 0.75) < 0.05, np.nan, np.cos(t)) * np.array([1.0, 2.0])
-    )
-    problem = QuadratureProblem(integrand, (0.0, 1.0))
-    with pytest.raises(QuadratureError, match="non-finite"):
-        integrate(problem)
-    assert any(calls)
-
-
-def test_integrate_raises_at_its_panel_budget():
-    # a square wave with 63 jumps: a panel holding a jump keeps an error near
-    # its width, so 1e-12 would take about 40 bisections at each jump, far
-    # more panels than the budget
-    square = QuadratureProblem(lambda t: np.sign(np.sin(200.0 * t)), (0.0, 1.0), abs_tol=1e-12)
-    with pytest.raises(QuadratureError, match=r"did not converge within 1024 panels: err "):
-        integrate(square)
-
-
-def test_integrate_interval_validation():
-    for interval in ((0.5, 0.2), (0.3, 0.3), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
-        with pytest.raises(ValueError, match="finite with lo < hi"):
-            QuadratureProblem(lambda t: t[:, 0], interval)
-    # any finite interval: int_-1^2 (1 - 2t + 3t^3) dt = 3 - 3 + 45/4, exactly
-    cubic = lambda t: 1.0 - 2.0 * t[:, 0] + 3.0 * t[:, 0] ** 3
-    val, err = integrate(QuadratureProblem(cubic, (-1.0, 2.0)))
-    assert abs(val - 11.25) <= max(err, 1e-13)
-
-
-def test_quadrature_problem_rejects_a_tolerance_of_zero():
-    for tolerances in ({"abs_tol": 0.0}, {"groups": ((1, 1e-10), (2, 0.0))}):
-        with pytest.raises(ValueError, match="abs_tol must be positive"):
-            QuadratureProblem(lambda t: t, (0.0, 1.0), **tolerances)
+def test_integrate_raises_at_an_interior_nan():
+    # The NaNs sit in the last blocks of 16; the message names the first.
+    v, w = numerics._log_rule(1e-3, 1.0)
+    bad = float(v[(v > 0.7) & (v < 0.8)][0])
+    with pytest.raises(QuadratureError, match=re.escape(f"non-finite value at node {bad!r}") + "$"):
+        integrate(QuadratureProblem(
+            lambda t: np.where((t > 0.7) & (t < 0.8), np.nan, np.cos(t)), v, w, 16))
 
 
 def test_integrate_against_simpson_oracle():
