@@ -23,8 +23,9 @@ Live helpers: a composite Simpson rule in longdouble and a textbook
 dynamic-programming edit distance, both written independently of the
 package implementations they check; the Monte Carlo run as a plain
 per-trial loop over the simulator's single-trial functions, the reference
-for its batched run; and R_p and I_p by scipy's adaptive quad_vec, the
-reference for their fixed Gauss-Legendre rule.
+for its batched run; R_p and I_p by scipy's adaptive quad_vec, the
+reference for their fixed Gauss-Legendre rule; and the gap integrals'
+per-x kernel (gap_direct), the reference for the package's factored one.
 """
 
 from __future__ import annotations
@@ -160,6 +161,20 @@ EPSILON_CONV_HALF = 0.5844038221104629
 # outward from the mode until a term and its mass fall under 1e-50.  The
 # summed mass is 1 within 1e-40 at every key.
 CONV_GAP = {
+    0.001: {
+        1: 0.00691436290694650538562176695467,
+        2: 0.0124426017478567426608943981438,
+        7: 0.0347957634553152119947754819819,
+        20: 0.0785789682838323412984352348204,
+        64: 0.178858719305584917634762624136,
+    },
+    0.01: {
+        1: 0.0464859952557168812253141106063,
+        2: 0.0791264353740498215595351431423,
+        7: 0.190838880861511694703272449941,
+        20: 0.350560810674381029202195123111,
+        64: 0.537945276349844219139796680872,
+    },
     0.3: {
         1: 0.482337912113862695650605115731,
         7: 0.557204348343315838077308022814,
@@ -297,3 +312,28 @@ def i_p_adaptive(p: float) -> float:
         return math.exp(-v) / (-math.expm1(-v) * v)
 
     return float(_exp_tail_adaptive(fv, math.log1p(2.0 * p)))
+
+
+def gap_direct(cols: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """A gap integral at each x of xs (floats) from the rows of its rule:
+    the sum over nodes of w (e^(x a2) expm1(x d2) - e^(x a1) expm1(x e1))
+    for the rows (a1, e1, a2, d2, w) of _conv_columns, and of
+    -w e^(x a1) expm1(x e1) for the rows (a1, e1, w) of r_p.  Elementwise
+    over (x, node), each x's row summed by np.sum: the package's kernel
+    before it factored each exponential over x = h + l, kept as the
+    reference for that factorization."""
+    *rows, w = cols
+    xs = xs[:, None]
+    with np.errstate(under="ignore"):
+        neg = np.exp(xs * rows[0])
+        tmp = np.expm1(xs * rows[1])
+        neg *= tmp
+        if len(rows) == 2:
+            out = np.negative(neg, out=neg)
+        else:
+            out = np.exp(xs * rows[2])
+            np.multiply(xs, rows[3], out=tmp)
+            out *= np.expm1(tmp, out=tmp)
+            out -= neg
+    out *= w
+    return out.sum(axis=1)

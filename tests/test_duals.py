@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -632,24 +633,109 @@ def test_convexity_gap_rule_is_resolved(monkeypatch, p):
     assert np.max(np.abs(convexity_gap_scan(p, 7) - gaps)) <= 1e-13
 
 
-def test_convexity_gap_cost_in_integrand_values(monkeypatch):
-    # A count-based cost guard: convexity_gap_scan(p, 500) evaluates the
-    # integrand at 288 nodes for each x, 144 000 values, in blocks of at
-    # most 2^14 values (128 kB a temporary), and does not read a window.
-    sizes = []
-    block = duals._gap_block
+class _CountedNumpy:
+    """numpy for duals, recording the values of every exp and expm1 call and
+    the largest array any exp, expm1 or einsum call takes or returns."""
 
-    def counted(cols, xs):
-        sizes.append(cols.shape[1] * xs.size)
-        return block(cols, xs)
+    def __init__(self):
+        self.values = []
+        self.largest = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _seen(self, *arrays):
+        self.largest = max([self.largest] + [np.size(a) for a in arrays])
+
+    def exp(self, a, *args, **kwargs):
+        out = np.exp(a, *args, **kwargs)
+        self.values.append(np.size(a))
+        self._seen(a, out)
+        return out
+
+    def expm1(self, a, *args, **kwargs):
+        out = np.expm1(a, *args, **kwargs)
+        self.values.append(np.size(a))
+        self._seen(a, out)
+        return out
+
+    def einsum(self, spec, *operands, **kwargs):
+        out = np.einsum(spec, *operands, **kwargs)
+        self._seen(*operands, out)
+        return out
+
+
+def test_convexity_gap_cost_in_exponential_rows(monkeypatch):
+    # A count-based cost guard: convexity_gap_scan(p, 500) takes each of its
+    # ten exponential factors (five for each of its two terms) at no more
+    # than 16 + 32 rows of its 288 nodes, never at an (x, node) grid (a
+    # per-x kernel takes four factors at 500 rows); no exp, expm1 or einsum
+    # array holds more than 2^14 values (128 kB); it reads no window.
+    counted = _CountedNumpy()
 
     def no_window(*args):
         raise AssertionError("the convexity gap read a support window")
 
-    monkeypatch.setattr(duals, "_gap_block", counted)
+    monkeypatch.setattr(duals, "np", counted)
     monkeypatch.setattr(channels, "_windows", no_window)
     convexity_gap_scan(0.999, 500)
-    assert sum(sizes) <= 144_000 and max(sizes) <= 1 << 14
+    assert max(counted.values) <= 48 * 288
+    assert sum(counted.values) <= 10 * 48 * 288
+    assert counted.largest <= 1 << 14
+
+
+def _direct_gap(cols, xs):
+    # The per-x kernel in blocks of at most 2^14 (x, node) values.
+    step = max(1, (1 << 14) // cols.shape[1])
+    return np.concatenate([oracles.gap_direct(cols, xs[i:i + step])
+                           for i in range(0, xs.size, step)])
+
+
+def _r_p_columns(p):
+    v, w, t = duals._r_p_nodes(p)
+    return np.stack((-v, np.log1p(-p * t / (1.0 - p * np.exp(-v))), w))
+
+
+# Real x on both sides of the split x = h + l at h = 0, 32 and 480, and past
+# the scans.
+_ODD_X = np.array([1.5, 31.999, 32.0, 32.5, 499.25, 1000.5])
+
+
+@pytest.mark.parametrize("p", sorted({row[0] for row in tables.T3_GEOMDEL.rows} | {1e-9, 1e-3, 0.9999}))
+def test_r_p_matches_the_direct_kernel(p):
+    # The factored kernel against the per-x one on the same rule, at every
+    # integer x <= 20 000 and at real x, within 1e-13 relative where R_p is
+    # above the subnormal range (past it both are noise or 0).
+    xs = np.concatenate((np.arange(1.0, 20001.0), _ODD_X))
+    want = _direct_gap(_r_p_columns(p), xs)
+    got = r_p(xs, p)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-290)
+
+
+@pytest.mark.parametrize("p", (0.05, 0.3, 0.6, 0.9, 0.99, 0.999))
+def test_convexity_gap_matches_the_direct_kernel(p):
+    # The factored kernel against the per-x one on the same rule, at every
+    # integer x <= 500 (the scan) and at real x (the kernel itself).
+    cols = duals._conv_columns(p)
+    xs = np.arange(1.0, 501.0)
+    assert np.max(np.abs(convexity_gap_scan(p, 500) - _direct_gap(cols, xs))) <= 1e-13
+    assert np.max(np.abs(duals._gap_integral(cols, _ODD_X) - _direct_gap(cols, _ODD_X))) <= 1e-13
+
+
+def test_gap_scans_hold_no_x_by_node_grid():
+    # 200 000 values of x: the output is 1.6 MB, one h-table at this x_max
+    # would be 14 MB per factor and an (x, node) grid 460 MB.  Traced peaks:
+    # 5.0 MB (conv) and 6.4 MB (r_p); the per-x kernel, in blocks of 2^14
+    # (x, node) values, peaked at 3.7 MB and 5.2 MB.
+    for call in (lambda: convexity_gap_scan(0.5, 200_000),
+                 lambda: r_p(np.arange(1, 200_001), 0.5)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
 
 
 def test_convexity_gap_does_not_depend_on_x_max():
