@@ -73,7 +73,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -288,7 +288,10 @@ _BATCH_VALUES = 1 << 14
 
 def _lambdas(spec: _Spec, ys: np.ndarray, p: float) -> np.ndarray:
     """The variant's Lambda integrals, one row per key, at the ys: one
-    quadrature of every key at every y on one fixed rule.  The exp tail
+    quadrature of every key at every y on one fixed rule.  Each integrand
+    call builds every key's base at its block of nodes and hands them all
+    to one numerics._f, which fills the (nodes, keys, y) block in one pass
+    and takes each node's factors of v alone once for all keys.  The exp tail
     takes numerics._log_rule over [0, 60].  The truncated range [0, v_t],
     v_t = log(1+2p), takes it from each end to the middle: at v_t, w2 = -1,
     so w2^y e^v is a spike of width about p / ((1+2p) y), which the
@@ -312,7 +315,7 @@ def _lambdas(spec: _Spec, ys: np.ndarray, p: float) -> np.ndarray:
     else:
         nodes, weights = numerics._log_rule(v0, numerics._EXP_TAIL_SPAN)
     problem = numerics.QuadratureProblem(
-        lambda v: np.stack([_f(ys, v, spec.base(v, p, k)) for k in keys], axis=1),
+        lambda v: _f(ys, v, [spec.base(v, p, k) for k in keys]),
         nodes,
         weights,
         max(1, _BATCH_VALUES // (len(keys) * ys.size)),
@@ -390,13 +393,30 @@ def _cheb_positions(m: int) -> np.ndarray:
     return np.unique(np.round((1.0 - x) * (m - 1) / 2.0)).astype(np.int64)
 
 
-def _interpolate(vals: np.ndarray, k: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-    """The Chebyshev interpolants through vals (one row per Lambda) at
-    positions k of m equispaced points, at all m of them, and their error
-    estimate: the magnitudes of every row's last two coefficients, summed."""
-    x = np.arange(m) * (2.0 / (m - 1)) - 1.0
-    coef = np.linalg.solve(chebvander(x[k], k.size - 1), vals.T)
-    return chebval(x, coef), float(np.abs(coef[-2:]).sum())
+def _equispaced(m: int) -> np.ndarray:
+    """m equispaced points of [-1, 1], the first and last at the ends."""
+    return np.arange(m) * (2.0 / (m - 1)) - 1.0
+
+
+@cache
+def _cheb_vander(m: int) -> np.ndarray:
+    """The Chebyshev-Vandermonde matrix at the points _cheb_positions(m) of
+    _equispaced(m): a function of m alone, so built once per chunk size for
+    every variant, p and q (read-only)."""
+    k = _cheb_positions(m)
+    vander = chebvander(_equispaced(m)[k], k.size - 1)
+    vander.flags.writeable = False
+    return vander
+
+
+def _interpolate(vals: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+    """The Chebyshev interpolants through vals (one row per Lambda) at the
+    positions _cheb_positions(m) of m equispaced points, at all m of them,
+    and their error estimate: the magnitudes of every row's last two
+    coefficients, summed.  The Vandermonde matrix of the solve depends on
+    m alone, so each chunk size's is built once (_cheb_vander)."""
+    coef = np.linalg.solve(_cheb_vander(m), vals.T)
+    return chebval(_equispaced(m), coef), float(np.abs(coef[-2:]).sum())
 
 
 class _STable:
@@ -460,7 +480,7 @@ class _STable:
         lam[:, at] = _lambdas(spec, ys[at], p)
         redo = []
         for c, k in classes:
-            vals, err = _interpolate(lam[:, c[k]], k, c.size)
+            vals, err = _interpolate(lam[:, c[k]], c.size)
             if err <= 0.5 * _quad_tol(ys[c]):
                 lam[:, c] = vals
             else:

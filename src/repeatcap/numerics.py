@@ -18,7 +18,12 @@ nodes at once, as one (k, 1) column, and returns one row per node.  All
 nodes are interior, so the integrand is never evaluated at panel
 endpoints, but a node can come arbitrarily close to one: each integrand
 returns its own analytic limit where its closed form runs out of mantissa,
-and a row that is not finite is a QuadratureError.  The rule carries no
+and a row that is not finite is a QuadratureError.  A non-finite value
+makes its block's weighted sum non-finite, so integrate reads finiteness
+off the block sums and scans a block's rows only when its sum is not
+finite.  Every Lambda's integrand is one function, _f, which takes all the
+integrals of a block (one base each) in one pass and computes each node's
+factors of v alone once for all of them.  The rule carries no
 error estimate: its accuracy is a property of the rule per (variant, p),
 measured against the same rule with narrower panels (_PANEL_DU).
 
@@ -128,16 +133,21 @@ class QuadratureProblem:
 def integrate(problem: QuadratureProblem):
     """The problem's weighted sum: each block's rows reduced against its
     weights by einsum, which calls no BLAS, so the bits do not depend on the
-    BLAS thread count, and the blocks' sums added in order."""
+    BLAS thread count, and the blocks' sums added in order.  A non-finite
+    row makes its block's sum non-finite (the weights are finite), so the
+    rows are scanned for the first bad node only when a sum is not; finite
+    rows whose sum overflows are summed as they are."""
     total, step = 0.0, problem.block
     for lo in range(0, problem.nodes.size, step):
         v = problem.nodes[lo:lo + step]
         vals = np.asarray(problem.integrand(v[:, None]), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(vals.reshape(v.size, -1)).all(axis=1))
-        if bad.size:
-            node = float(v[bad[0]])
-            raise QuadratureError(f"integrand returned a non-finite value at node {node!r}")
-        total = total + np.einsum("n,n...->...", problem.weights[lo:lo + step], vals)
+        block = np.einsum("n,n...->...", problem.weights[lo:lo + step], vals)
+        if not np.isfinite(block).all():
+            bad = np.flatnonzero(~np.isfinite(vals.reshape(v.size, -1)).all(axis=1))
+            if bad.size:
+                node = float(v[bad[0]])
+                raise QuadratureError(f"integrand returned a non-finite value at node {node!r}")
+        total = total + block
     return total
 
 
@@ -162,7 +172,12 @@ _LIMIT_VC = 2e-8
 # y: numpy's vectorized expm1/log1p/exp round differently from libm on a few
 # percent of inputs, and whether numpy takes its vector or its scalar route
 # depends on the array's length and layout; with math a node's value does
-# not depend on which other nodes share its block.
+# not depend on which other nodes share its block.  _f takes every base of
+# a block in one call, so t and e^-v / (t v) are computed once per node and
+# shared by all of them; each base is worked in place on one contiguous
+# (n, y) scratch, where np.expm1 runs as it would on a fresh array; only
+# the last product and the t -> 0 limit are written to its slot of the
+# (n, bases, y) block.
 
 
 class _Base(NamedTuple):
@@ -177,23 +192,30 @@ def _col(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def _f(ys: np.ndarray, v: np.ndarray, base: _Base) -> np.ndarray:
-    """The integrand for base at a (n, 1) node column v, as (n, len(ys))."""
+def _f(ys: np.ndarray, v: np.ndarray, bases: Sequence[_Base]) -> np.ndarray:
+    """The integrand for each base at a (n, 1) node column v, as
+    (n, len(bases), len(ys)), one slot per base in order."""
     nodes = v[:, 0].tolist()
     ts = [-math.expm1(-x) for x in nodes]
-    e = _col(base.log_abs) * ys
-    e += base.b * v  # A = y log |phi| + b v
-    np.expm1(e, out=e)
-    if any(base.nonpositive):  # there phi^y e^(bv) - 1 = -exp(A) - 1 at odd y
-        neg = np.array(base.nonpositive)
-        e[neg] = np.where(ys % 2 == 1, -2.0 - e[neg], e[neg])
-    lin = ys * base.c1 + base.b
-    e -= _col(ts) * lin
-    e *= _col([math.exp(-x) / (t * x) for x, t in zip(nodes, ts)])
-    if min(nodes) < _LIMIT_VC:
-        limit = lin * (1.0 + lin) / 2.0 + ys * base.c2
-        e = np.where(v * (1.0 + ys * abs(base.c1)) < _LIMIT_VC, limit, e)
-    return e
+    t = _col(ts)
+    scale = _col([math.exp(-x) / (tx * x) for x, tx in zip(nodes, ts)])
+    out = np.empty((len(nodes), len(bases), ys.size))
+    e, tlin = np.empty((2, len(nodes), ys.size))
+    near_zero = min(nodes) < _LIMIT_VC
+    for slot, base in zip(out.transpose(1, 0, 2), bases):
+        np.multiply(_col(base.log_abs), ys, out=e)
+        e += base.b * v  # A = y log |phi| + b v
+        np.expm1(e, out=e)
+        if any(base.nonpositive):  # there phi^y e^(bv) - 1 = -exp(A) - 1 at odd y
+            neg = np.array(base.nonpositive)
+            e[neg] = np.where(ys % 2 == 1, -2.0 - e[neg], e[neg])
+        lin = ys * base.c1 + base.b
+        e -= np.multiply(t, lin, out=tlin)
+        np.multiply(e, scale, out=slot)
+        if near_zero:
+            limit = lin * (1.0 + lin) / 2.0 + ys * base.c2
+            np.copyto(slot, limit, where=v * (1.0 + ys * abs(base.c1)) < _LIMIT_VC)
+    return out
 
 
 # _lgamma sums the Stirling series from _LG_X0 up and shifts smaller
@@ -318,7 +340,7 @@ def log_gamma_via_integral(z: float) -> float:
         return 0.0
 
     def fv(v: np.ndarray) -> np.ndarray:
-        return _f(np.array([z]), v, _Base((-v[:, 0]).tolist(), 0.0, -1.0, 0.0))[:, 0]
+        return _f(np.array([z]), v, [_Base((-v[:, 0]).tolist(), 0.0, -1.0, 0.0)])[:, 0, 0]
 
     nodes, weights = _log_rule(0.05 / (1.0 + z), _EXP_TAIL_SPAN)
     return float(integrate(QuadratureProblem(fv, nodes, weights, nodes.size)))

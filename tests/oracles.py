@@ -24,8 +24,10 @@ dynamic-programming edit distance, both written independently of the
 package implementations they check; the Monte Carlo run as a plain
 per-trial loop over the simulator's single-trial functions, the reference
 for its batched run; R_p and I_p by scipy's adaptive quad_vec, the
-reference for their fixed Gauss-Legendre rule; and the gap integrals'
-per-x kernel (gap_direct), the reference for the package's factored one.
+reference for their fixed Gauss-Legendre rule; the gap integrals' per-x
+kernel (gap_direct), the reference for the package's factored one; and the
+Lambda integrand one key at a time (lambda_integrand_stacked), the
+reference for numerics._f's one pass over all keys.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 from scipy import integrate
 
 from repeatcap import simulate
+from repeatcap.numerics import _LIMIT_VC, _col
 
 # integral of f1(y, t) over t in [0, 1] for the sticky construction,
 # f1 = (1 + t - t y (1-p) - (1-t)^(y-1) / (1-pt)^y) / (t log(1-t))
@@ -337,3 +340,31 @@ def gap_direct(cols: np.ndarray, xs: np.ndarray) -> np.ndarray:
             out -= neg
     out *= w
     return out.sum(axis=1)
+
+
+def lambda_integrand_per_key(ys: np.ndarray, v: np.ndarray, base) -> np.ndarray:
+    """The Lambda integrand for one base at a (n, 1) node column v, as
+    (n, len(ys)): numerics._f as it was written for one key per call, each
+    node's t and e^-v / (t v) taken afresh for every key."""
+    nodes = v[:, 0].tolist()
+    ts = [-math.expm1(-x) for x in nodes]
+    e = _col(base.log_abs) * ys
+    e += base.b * v  # A = y log |phi| + b v
+    np.expm1(e, out=e)
+    if any(base.nonpositive):  # there phi^y e^(bv) - 1 = -exp(A) - 1 at odd y
+        neg = np.array(base.nonpositive)
+        e[neg] = np.where(ys % 2 == 1, -2.0 - e[neg], e[neg])
+    lin = ys * base.c1 + base.b
+    e -= _col(ts) * lin
+    e *= _col([math.exp(-x) / (t * x) for x, t in zip(nodes, ts)])
+    if min(nodes) < _LIMIT_VC:
+        limit = lin * (1.0 + lin) / 2.0 + ys * base.c2
+        e = np.where(v * (1.0 + ys * abs(base.c1)) < _LIMIT_VC, limit, e)
+    return e
+
+
+def lambda_integrand_stacked(ys: np.ndarray, v: np.ndarray, bases) -> np.ndarray:
+    """numerics._f's (n, len(bases), len(ys)) block, one key at a time by
+    lambda_integrand_per_key and stacked along axis 1: the reference its
+    single pass must equal bit for bit."""
+    return np.stack([lambda_integrand_per_key(ys, v, base) for base in bases], axis=1)

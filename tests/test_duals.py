@@ -862,7 +862,7 @@ def test_integrand_limit_meets_the_direct_form_at_the_switch(variant, p):
         for y in (1.0, 2.0, 7.0, 100.0):
             switch = numerics._LIMIT_VC / (1.0 + y * abs(c1))
             below, above = (
-                numerics._f(np.array([y]), v, spec.base(v, p, key))[0, 0]
+                numerics._f(np.array([y]), v, [spec.base(v, p, key)])[0, 0, 0]
                 for v in np.array([[[1.0 - 1e-6]], [[1.0 + 1e-6]]]) * switch
             )
             m = 1.0 + y * max(1.0, abs(c1))
@@ -895,6 +895,71 @@ def test_s_table_batched_matches_per_node(monkeypatch, variant, p):
     reference = duals._STable(variant, p).upto(2048)
     assert min(nodes) < numerics._LIMIT_VC
     assert np.array_equal(batched[0], reference)
+
+
+@pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
+@pytest.mark.parametrize("p", (1e-3, 0.3, 0.9, 0.99))
+def test_one_pass_integrand_matches_the_per_key_reference(monkeypatch, variant, p):
+    # numerics._f takes every key of a block in one pass and shares each
+    # node's t and e^-v / (t v) among them; the per-key integrand stacked
+    # key by key (oracles) must give the same bits.  The first unit, and
+    # the unit (1024, 2048], whose rule starts at v = 1e-9 and so reaches
+    # the Taylor limit below _LIMIT_VC.
+    table = duals._STable(variant, p)
+    units = (np.arange(1.0, 1025.0), np.arange(1025.0, 2049.0))
+    fused = [table._compute(ys) for ys in units]
+    nodes = []
+
+    def per_key(ys, v, bases):
+        nodes.extend(v[:, 0])
+        return oracles.lambda_integrand_stacked(ys, v, bases)
+
+    monkeypatch.setattr(duals, "_f", per_key)
+    for ys, got in zip(units, fused):
+        assert np.array_equal(got, table._compute(ys))
+    assert min(nodes) < numerics._LIMIT_VC
+
+
+@pytest.mark.parametrize("p", (0.3, 0.9))
+def test_one_pass_integrand_takes_each_node_factor_once(monkeypatch, p):
+    # One duplication first unit: each node's t = 1 - e^-v and e^-v are taken
+    # once per block for all three keys, so the bases' one expm1 per key and
+    # the integrand's one make at most keys + 1 expm1 calls and one exp call
+    # per node; taken per key, they would be 2 and 1 per key.  integrate
+    # reads finiteness off each block's weighted sum, one value per (key, y),
+    # and scans no block of integrand values while every sum is finite.
+    calls = {"expm1": 0, "exp": 0}
+
+    class CountingMath:
+        def __getattr__(self, name):
+            fn = getattr(math, name)
+            if name not in calls:
+                return fn
+
+            def counted(x):
+                calls[name] += 1
+                return fn(x)
+
+            return counted
+
+    monkeypatch.setattr(numerics, "math", CountingMath())
+    monkeypatch.setattr(duals, "math", CountingMath())
+    integrate, nodes, sums = numerics.integrate, [], []
+
+    def counted(problem):
+        nodes.append(problem.nodes.size)
+        total = integrate(problem)
+        sums.append(total.size)
+        return total
+
+    monkeypatch.setattr(numerics, "integrate", counted)
+    isfinite, checked = np.isfinite, []
+    monkeypatch.setattr(np, "isfinite", lambda x: (checked.append(np.size(x)), isfinite(x))[1])
+    keys = duals._SPECS[DualVariant.DUPLICATION_ZERO_GAP].keys(p)
+    duals._STable(DualVariant.DUPLICATION_ZERO_GAP, p)._compute(np.arange(1.0, 1025.0))
+    assert calls["expm1"] <= (len(keys) + 1) * sum(nodes), (calls, nodes)
+    assert calls["exp"] <= sum(nodes), (calls, nodes)
+    assert checked and max(checked) <= max(sums), (max(checked), sums)
 
 
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)

@@ -80,6 +80,15 @@ def test_log_gamma_via_integral_matches_direct():
         assert abs(log_gamma_via_integral(z) - log_gamma(1.0 + z)) <= 1e-8
 
 
+def test_log_gamma_via_integral_matches_the_per_key_integrand(monkeypatch):
+    # Its one base through numerics._f's one pass and through the per-key
+    # reference integrand give the same bits.
+    zs = (1e-3, 0.5, 3.5, 100.0)
+    fused = [log_gamma_via_integral(z) for z in zs]
+    monkeypatch.setattr(numerics, "_f", oracles.lambda_integrand_stacked)
+    assert fused == [log_gamma_via_integral(z) for z in zs]
+
+
 def test_log_gamma_via_integral_frozen_value():
     assert abs(log_gamma_via_integral(3.5) - oracles.LOG_GAMMA_4_5) <= 1e-8
 
@@ -298,6 +307,31 @@ def test_integrate_raises_at_an_interior_nan():
     with pytest.raises(QuadratureError, match=re.escape(f"non-finite value at node {bad!r}") + "$"):
         integrate(QuadratureProblem(
             lambda t: np.where((t > 0.7) & (t < 0.8), np.nan, np.cos(t)), v, w, 16))
+
+
+def test_integrate_raises_at_a_nan_in_one_keys_column():
+    # integrate reads finiteness off each block's weighted sum.  A NaN at one
+    # node in one key's column, the other keys finite there, still makes
+    # that sum non-finite, and the error names the node.
+    v, w = numerics._log_rule(1e-3, 1.0)
+    at = v.size // 2 + 3
+
+    def integrand(t):
+        out = np.ones((len(t), 3, 4))
+        out[np.flatnonzero(t[:, 0] == v[at]), 1, 2] = np.nan
+        return out
+
+    with pytest.raises(QuadratureError, match=re.escape(f"non-finite value at node {float(v[at])!r}") + "$"):
+        integrate(QuadratureProblem(integrand, v, w, 16))
+
+
+def test_integrate_returns_inf_when_finite_values_overflow_their_sum():
+    # Every value is finite, so no node is at fault: the block's sum
+    # overflows to inf and is returned as it is.
+    v, w = numerics._log_rule(1e-3, 10.0)
+    assert w.sum() > 2.0
+    val = integrate(QuadratureProblem(lambda t: np.full((len(t), 2), 1e308), v, w, v.size))
+    assert np.array_equal(val, [math.inf, math.inf])
 
 
 def test_integrate_against_simpson_oracle():

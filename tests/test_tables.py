@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import importlib.util
+import pathlib
 
 import pytest
 
+from repeatcap import bounds, duals
 from repeatcap.channels import Family
 from repeatcap.tables import (
     T1_STICKY,
@@ -71,3 +75,24 @@ def test_checksum_detects_tampering(monkeypatch):
 def test_serialization_is_stable():
     assert canonical_serialization() == canonical_serialization()
     assert "T1" in canonical_serialization()
+
+
+def test_value_digest_tool_on_one_row():
+    # tools/value_digest.py, the parent-vs-change check of every table
+    # construction's values, on the first T1 row: the repr of each field of
+    # the cold bound, and the hash of the one S-table it built.
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "value_digest.py"
+    spec = importlib.util.spec_from_file_location("value_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert len(tool.rows()) == 89
+    row = tool.rows()[0]
+    assert row == (T1_STICKY, bounds.BoundVariant.STICKY_EXACT, 0.05)
+    (key, entry), = tool.digest([row]).items()
+    assert key == "T1_sticky/StickyExact/0.05"
+    result = bounds.compute_bound(Family.GEOMETRIC_STICKY, None, 0.05)
+    assert {name: entry[name] for name in tool.FIELDS} == {
+        name: repr(getattr(result, name)) for name in tool.FIELDS}
+    table = duals._get_table(duals.DualVariant.STICKY_ZERO_GAP, 0.05)
+    assert entry["s_tables"] == {
+        f"sticky-zero-gap/0.05/{table._vals.size}": hashlib.sha256(table._vals.tobytes()).hexdigest()}
