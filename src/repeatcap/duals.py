@@ -92,17 +92,17 @@ class DualVariant(enum.Enum):
     INVERSE_BINOMIAL = "inverse-binomial"
 
 
-# Each base takes a (n, 1) column of nodes v and gives log |phi| at each,
-# computed the cancellation-free way for that phi, with b, c1 and c2
-# (numerics._Base); _Spec lists what each phi is.
+# Each variant's bases are built once per p (numerics._Base): log_phi takes
+# the nodes v and their t = 1 - e^-v and gives log |phi| at each, computed
+# the cancellation-free way for that phi; _Spec lists what each phi is.
 
 
-def _sticky_base(v: np.ndarray, p: float, which: int) -> _Base:
-    nodes = v[:, 0].tolist()
-    if which == 1:  # 1 - pt = 1 + p expm1(-v)
-        return _Base([-x - math.log1p(p * math.expm1(-x)) for x in nodes],
-                     1.0, p - 1.0, -p * (1.0 - p) / 2.0)
-    return _Base([-math.log1p(p * -math.expm1(-x)) for x in nodes], 0.0, -p, p * (1.0 + p) / 2.0)
+def _sticky_bases(p: float) -> tuple:
+    # 1 - pt and 1 + pt from the t that numerics._f takes once per node
+    # (-p t = p expm1(-v) exactly)
+    return (_Base(lambda xs, ts: ([-x - math.log1p(-p * t) for x, t in zip(xs, ts)], ()),
+                  1.0, p - 1.0, -p * (1.0 - p) / 2.0),
+            _Base(lambda xs, ts: ([-math.log1p(p * t) for t in ts], ()), 0.0, -p, p * (1.0 + p) / 2.0))
 
 
 def _dup_log_w(t: float, p: float, k: float) -> float:
@@ -120,23 +120,24 @@ def _dup_log_w(t: float, p: float, k: float) -> float:
     return math.log(w) if w > 0.0 else -math.inf
 
 
-def _dup_base(v: np.ndarray, p: float, k: float) -> _Base:
+def _dup_base(p: float, k: float) -> _Base:
     a = k / (1.0 + p)
-    return _Base([_dup_log_w(-math.expm1(-x), p, k) for x in v[:, 0].tolist()],
+    return _Base(lambda xs, ts: ([_dup_log_w(t, p, k) for t in ts], ()),
                  0.0, -a, a / 2.0 - a * a / 2.0 - a * a * p / (1.0 + p))
 
 
-def _trunc_base(v: np.ndarray, p: float, which: int) -> _Base:
+def _trunc_base(c: float) -> _Base:
     # phi lives in [-1, 1] on the domain (phi2 hits -1 exactly at its right
     # end) and phi1 crosses zero inside it when p < 1/2; log phi comes from
     # log1p where phi > 0.
-    c = (1.0 - p) / p if which == 1 else 1.0 / p
-    tev = [math.expm1(x) for x in v[:, 0].tolist()]  # t * e^v
-    w = [1.0 - c * x for x in tev]
-    # At w = 0, w^y e^v is e^v at y = 0 and exp(-800 y + v) = 0 past it.
-    log_w = [math.log1p(-c * x) if wi > 0.0 else math.log(-wi) if wi < 0.0 else -800.0
-             for x, wi in zip(tev, w)]
-    return _Base(log_w, 1.0, -c, -(c + c * c) / 2.0, [not wi > 0.0 for wi in w])
+    def log_phi(xs, ts):
+        tev = [math.expm1(x) for x in xs]  # t * e^v
+        w = [1.0 - c * x for x in tev]
+        # At w = 0, w^y e^v is e^v at y = 0 and exp(-800 y + v) = 0 past it.
+        return ([math.log1p(-c * x) if wi > 0.0 else math.log(-wi) if wi < 0.0 else -800.0
+                 for x, wi in zip(tev, w)], [not wi > 0.0 for wi in w])
+
+    return _Base(log_phi, 1.0, -c, -(c + c * c) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,10 @@ class _Spec:
 
     S(y) = g(ys, p, lambdas) - drift(ys, p), each written in the operation
     order the tables are built with.  The lambdas are the integrals over v
-    of numerics._f for base(v, p, key), one per key in keys(p): over the
-    exp tail [0, 60], or over [0, log(1+2p)] for the truncated construction,
-    every key at every y a unit samples in one quadrature (_lambdas).  The
-    bases phi, each with its b and the c1, c2 of its log (numerics._Base):
+    of numerics._f, one per base of bases(p): over the exp tail [0, 60], or
+    over [0, log(1+2p)] for the truncated construction, every base at every
+    y a unit samples in one quadrature (_lambdas).  The bases phi, each with
+    its b and the c1, c2 of its log (numerics._Base), in order:
 
       sticky 1       (1-t)/(1-pt) = G^-1(1 - t), G(z) = z(1-p)/(1-pz)    b = 1
       sticky 2       1/(1+pt)                                            b = 0
@@ -166,8 +167,7 @@ class _Spec:
     g: Callable
     drift: Callable
     gap_limit: Callable[[float], float]
-    base: Callable | None = None
-    keys: Callable[[float], tuple] = lambda p: ()
+    bases: Callable[[float], tuple] = lambda p: ()
     truncated: bool = False
     weight_shift: Callable[[float], float] = lambda p: 0.0
     s_table: DualVariant | None = None
@@ -193,16 +193,14 @@ _SPECS = {
         g=lambda ys, p, lam: _lgamma(ys) - lam[0] - lam[1],
         drift=lambda ys, p: ys * binary_entropy(p),
         gap_limit=lambda p: 0.0,
-        base=_sticky_base,
-        keys=lambda p: (1, 2),
+        bases=_sticky_bases,
     ),
     DualVariant.DUPLICATION_ZERO_GAP: _Spec(
         Family.ELEMENTARY_DUPLICATION,
         g=lambda ys, p, lam: lam[0] - lam[1] - lam[2],
         drift=lambda ys, p: ys * binary_entropy(p) / (1.0 + p),
         gap_limit=lambda p: 0.0,
-        base=_dup_base,
-        keys=lambda p: (1.0, p, 1.0 - p),
+        bases=lambda p: tuple(_dup_base(p, k) for k in (1.0, p, 1.0 - p)),
     ),
     DualVariant.GEOMDEL_CONVEXITY: _CONVEXITY_SPEC,
     DualVariant.GEOMDEL_TRUNCATED: _Spec(
@@ -210,8 +208,7 @@ _SPECS = {
         g=lambda ys, p, lam: lam[1] - lam[0] - _lgamma(ys + 1.0),
         drift=lambda ys, p: ys * (log_integral_li(1.0 / (1.0 + 2.0 * p)) + binary_entropy(p) / p),
         gap_limit=lambda p: 0.0,
-        base=_trunc_base,
-        keys=lambda p: (1, 2),
+        bases=lambda p: (_trunc_base((1.0 - p) / p), _trunc_base(1.0 / p)),
         truncated=True,
     ),
     # C(y/p - 1, y) = (1-p) C(y/p, y): the convexity table shifted by -log(1-p).
@@ -281,30 +278,29 @@ def _scale_chunks(ys: np.ndarray):
 _FLOOR_KAPPA = 0.1
 
 # An integrand call holds as many nodes as fit in this many values (nodes
-# times keys times y), and at least one; the cap keeps a wide unit's
+# times bases times y), and at least one; the cap keeps a wide unit's
 # temporaries small.
 _BATCH_VALUES = 1 << 14
 
 
-def _lambdas(spec: _Spec, ys: np.ndarray, p: float) -> np.ndarray:
-    """The variant's Lambda integrals, one row per key, at the ys: one
-    quadrature of every key at every y on one fixed rule.  Each integrand
-    call builds every key's base at its block of nodes and hands them all
-    to one numerics._f, which fills the (nodes, keys, y) block in one pass
-    and takes each node's factors of v alone once for all keys.  The exp tail
+def _lambdas(spec: _Spec, ys: np.ndarray, p: float, bases: tuple) -> np.ndarray:
+    """The variant's Lambda integrals at the ys, one row per base of
+    spec.bases(p), built once by the caller: one quadrature of every base at
+    every y on one fixed rule.  Each integrand call hands the bases to one
+    numerics._f, which fills the (nodes, bases, y) block in one pass and
+    takes each node's factors of v alone once for all of them.  The exp tail
     takes numerics._log_rule over [0, 60].  The truncated range [0, v_t],
     v_t = log(1+2p), takes it from each end to the middle: at v_t, w2 = -1,
     so w2^y e^v is a spike of width about p / ((1+2p) y), which the
     mirrored panels, graded down to v_t 8^-7 from v_t, resolve: up to
     y = 1e7 they agree within 1e-12 y with quarter-width panels graded down
     to v_t 8^-12, at p in {0.05, 0.5, 0.9}."""
-    keys = spec.keys(p)
-    if not keys:
+    if not bases:
         return np.empty((0, ys.size))
     v0 = 1e-9
     y_max = float(ys.max())
     if y_max <= _TABLE_STEP:
-        c1 = max(abs(spec.base(np.empty((0, 1)), p, k).c1) for k in keys)
+        c1 = max(abs(base.c1) for base in bases)
         v0 = max(v0, _FLOOR_KAPPA / (max(1.0, y_max) * (1.0 + c1)))
     if spec.truncated:
         v_t = math.log1p(2.0 * p)
@@ -315,10 +311,10 @@ def _lambdas(spec: _Spec, ys: np.ndarray, p: float) -> np.ndarray:
     else:
         nodes, weights = numerics._log_rule(v0, numerics._EXP_TAIL_SPAN)
     problem = numerics.QuadratureProblem(
-        lambda v: _f(ys, v, [spec.base(v, p, k) for k in keys]),
+        lambda v: _f(ys, v, bases),
         nodes,
         weights,
-        max(1, _BATCH_VALUES // (len(keys) * ys.size)),
+        max(1, _BATCH_VALUES // (len(bases) * ys.size)),
     )
     # numerics.integrate is looked up on the module, so a wrapper set there
     # (a trace, a test) sees every S-table unit and Lambda view
@@ -327,13 +323,14 @@ def _lambdas(spec: _Spec, ys: np.ndarray, p: float) -> np.ndarray:
 
 def _lambda_view(variant: DualVariant, y, p: float, name: str, y_min=1.0) -> tuple:
     """The variant's Lambda integrals at y (a scalar, or an array in any
-    order), one per key, through the same quadrature as an S-table unit."""
+    order), one per base, through the same quadrature as an S-table unit."""
     p = _validate_p(p)
     ys, scalar = _as_y_array(y)
     if not np.all(np.isfinite(ys) & (ys >= y_min)):
         raise ValueError(f"{name} requires finite y >= {y_min:g}")
     uniq, back = np.unique(ys, return_inverse=True)
-    vals = [lam[back] for lam in _lambdas(_SPECS[variant], uniq, p)]
+    spec = _SPECS[variant]
+    vals = [lam[back] for lam in _lambdas(spec, uniq, p, spec.bases(p))]
     return tuple(float(v[0]) for v in vals) if scalar else tuple(vals)
 
 
@@ -463,21 +460,21 @@ class _STable:
 
     def _compute(self, ys: np.ndarray) -> np.ndarray:
         spec, p = _SPECS[self.variant], self.p
-        keys, stride = spec.keys(p), 2 if spec.truncated else 1
-        lam = np.empty((len(keys), ys.size))
+        bases, stride = spec.bases(p), 2 if spec.truncated else 1
+        lam = np.empty((len(bases), ys.size))
         # Index arrays into ys: the quadrature's y, one group per chunk, and
         # each interpolation class with its node positions.
         sampled, classes = [], []
         cuts = np.cumsum([chunk.size for chunk in _scale_chunks(ys)])[:-1]
         for at in np.split(np.arange(ys.size), cuts):
-            if not keys or at.size <= 4 * _CHEB_NODES:
+            if not bases or at.size <= 4 * _CHEB_NODES:
                 sampled.append(at)
                 continue
             fits = [(c, _cheb_positions(c.size)) for c in (at[r::stride] for r in range(stride))]
             sampled.append(np.sort(np.concatenate([c[k] for c, k in fits])))
             classes += fits
         at = np.concatenate(sampled)
-        lam[:, at] = _lambdas(spec, ys[at], p)
+        lam[:, at] = _lambdas(spec, ys[at], p, bases)
         redo = []
         for c, k in classes:
             vals, err = _interpolate(lam[:, c[k]], c.size)
@@ -487,7 +484,7 @@ class _STable:
                 redo.append(c)
         if redo:
             at = np.concatenate(redo)
-            lam[:, at] = _lambdas(spec, ys[at], p)
+            lam[:, at] = _lambdas(spec, ys[at], p, bases)
         return spec.g(ys, p, lam) - spec.drift(ys, p)
 
 

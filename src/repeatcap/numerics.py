@@ -22,8 +22,9 @@ and a row that is not finite is a QuadratureError.  A non-finite value
 makes its block's weighted sum non-finite, so integrate reads finiteness
 off the block sums and scans a block's rows only when its sum is not
 finite.  Every Lambda's integrand is one function, _f, which takes all the
-integrals of a block (one base each) in one pass and computes each node's
-factors of v alone once for all of them.  The rule carries no
+integrals of a block in one pass, one base each, built once per integral
+as data (_Base): it computes each node's factors of v alone once for all
+of them and hands each base the nodes' t.  The rule carries no
 error estimate: its accuracy is a property of the rule per (variant, p),
 measured against the same rule with narrower panels (_PANEL_DU).
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -172,20 +174,22 @@ _LIMIT_VC = 2e-8
 # y: numpy's vectorized expm1/log1p/exp round differently from libm on a few
 # percent of inputs, and whether numpy takes its vector or its scalar route
 # depends on the array's length and layout; with math a node's value does
-# not depend on which other nodes share its block.  _f takes every base of
-# a block in one call, so t and e^-v / (t v) are computed once per node and
-# shared by all of them; each base is worked in place on one contiguous
-# (n, y) scratch, where np.expm1 runs as it would on a fresh array; only
-# the last product and the t -> 0 limit are written to its slot of the
-# (n, bases, y) block.
+# not depend on which other nodes share its block.  A base is data built
+# once per integral: its log_phi(nodes, ts) takes the block's nodes v and
+# their t, both lists, and returns log |phi| per node and which nodes have
+# phi <= 0 (empty unless phi can be).  _f takes every base of a block in
+# one call, so t and e^-v / (t v) are computed once per node and shared by
+# all of them; each base is worked in place on one contiguous (n, y)
+# scratch, where np.expm1 runs as it would on a fresh array; only the last
+# product and the t -> 0 limit are written to its slot of the (n, bases, y)
+# block.
 
 
 class _Base(NamedTuple):
-    log_abs: list  # log |phi| per node
+    log_phi: Callable  # (nodes, ts) -> (log |phi| per node, whether phi <= 0 per node)
     b: float
     c1: float
     c2: float
-    nonpositive: Sequence = ()  # per node, whether phi <= 0 (trunc only)
 
 
 def _col(values) -> np.ndarray:
@@ -203,11 +207,13 @@ def _f(ys: np.ndarray, v: np.ndarray, bases: Sequence[_Base]) -> np.ndarray:
     e, tlin = np.empty((2, len(nodes), ys.size))
     near_zero = min(nodes) < _LIMIT_VC
     for slot, base in zip(out.transpose(1, 0, 2), bases):
-        np.multiply(_col(base.log_abs), ys, out=e)
-        e += base.b * v  # A = y log |phi| + b v
+        log_abs, nonpositive = base.log_phi(nodes, ts)
+        np.multiply(_col(log_abs), ys, out=e)
+        if base.b:
+            e += base.b * v  # A = y log |phi| + b v
         np.expm1(e, out=e)
-        if any(base.nonpositive):  # there phi^y e^(bv) - 1 = -exp(A) - 1 at odd y
-            neg = np.array(base.nonpositive)
+        if any(nonpositive):  # there phi^y e^(bv) - 1 = -exp(A) - 1 at odd y
+            neg = np.array(nonpositive)
             e[neg] = np.where(ys % 2 == 1, -2.0 - e[neg], e[neg])
         lin = ys * base.c1 + base.b
         e -= np.multiply(t, lin, out=tlin)
@@ -338,12 +344,10 @@ def log_gamma_via_integral(z: float) -> float:
         raise ValueError(f"log_gamma_via_integral requires finite z >= 0, got {z}")
     if z == 0.0:
         return 0.0
-
-    def fv(v: np.ndarray) -> np.ndarray:
-        return _f(np.array([z]), v, [_Base((-v[:, 0]).tolist(), 0.0, -1.0, 0.0)])[:, 0, 0]
-
+    base = _Base(lambda xs, ts: ([-x for x in xs], ()), 0.0, -1.0, 0.0)
     nodes, weights = _log_rule(0.05 / (1.0 + z), _EXP_TAIL_SPAN)
-    return float(integrate(QuadratureProblem(fv, nodes, weights, nodes.size)))
+    problem = QuadratureProblem(partial(_f, np.array([z]), bases=(base,)), nodes, weights, nodes.size)
+    return float(integrate(problem)[0, 0])
 
 
 def binary_entropy(p: float) -> float:

@@ -345,14 +345,16 @@ def gap_direct(cols: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def lambda_integrand_per_key(ys: np.ndarray, v: np.ndarray, base) -> np.ndarray:
     """The Lambda integrand for one base at a (n, 1) node column v, as
     (n, len(ys)): numerics._f as it was written for one key per call, each
-    node's t and e^-v / (t v) taken afresh for every key."""
+    node's t and e^-v / (t v) taken afresh for every key, and b v added
+    whatever b."""
     nodes = v[:, 0].tolist()
     ts = [-math.expm1(-x) for x in nodes]
-    e = _col(base.log_abs) * ys
+    log_abs, nonpositive = base.log_phi(nodes, ts)
+    e = _col(log_abs) * ys
     e += base.b * v  # A = y log |phi| + b v
     np.expm1(e, out=e)
-    if any(base.nonpositive):  # there phi^y e^(bv) - 1 = -exp(A) - 1 at odd y
-        neg = np.array(base.nonpositive)
+    if any(nonpositive):  # there phi^y e^(bv) - 1 = -exp(A) - 1 at odd y
+        neg = np.array(nonpositive)
         e[neg] = np.where(ys % 2 == 1, -2.0 - e[neg], e[neg])
     lin = ys * base.c1 + base.b
     e -= _col(ts) * lin

@@ -30,7 +30,7 @@ from repeatcap.bounds import (
 )
 from repeatcap.channels import Family
 from repeatcap.duals import DualVariant, r_p
-from repeatcap.numerics import maximize_concave
+from repeatcap.numerics import OptimizeResult, maximize_concave
 
 import oracles
 
@@ -152,6 +152,40 @@ def test_infeasible_q_opt_is_a_bound_error_not_a_bound(variant, cold_tables):
         rf"{numerics._SERIES_HARD_CAP} terms",
     ):
         compute_bound(family, variant, 0.99995)
+
+
+def test_newton_step_cap_is_a_bound_error(monkeypatch):
+    # The root's Newton iteration gives up after _NEWTON_MAX_STEPS steps
+    # rather than loop; one step never reaches sticky's q* at p = 0.3.
+    monkeypatch.setattr(bounds, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(bounds.BoundComputationError) as exc:
+        bounds._optimize(0.3, BoundVariant.STICKY_EXACT)
+    assert str(exc.value) == (
+        "Newton's method on the first-order condition took more than 1 steps "
+        "(p = 0.3, StickyExact)"
+    )
+
+
+def test_infeasible_scanned_q_opt_is_a_bound_error(monkeypatch):
+    # A q_opt whose dual mean stays below the threshold after the scan is
+    # not a bound: a root and a scan that both land at q = 1e-3 raise.
+    monkeypatch.setattr(bounds._Search, "root", lambda self: 1e-3)
+    monkeypatch.setattr(
+        bounds, "maximize_concave", lambda f, lo, hi, grid, tol: OptimizeResult(1e-3, 0.0, True, 1)
+    )
+    with pytest.raises(bounds.BoundComputationError) as exc:
+        bounds._optimize(0.3, BoundVariant.STICKY_EXACT)
+    assert str(exc.value) == (
+        "q_opt = 0.001 is infeasible (p = 0.3, StickyExact): the sup lies past "
+        f"the series cap of {numerics._SERIES_HARD_CAP} terms, or no q is feasible"
+    )
+
+
+def test_verify_tables_refuses_tables_that_fail_their_checksum(monkeypatch):
+    monkeypatch.setattr(tables, "verify_integrity", lambda: False)
+    with pytest.raises(RuntimeError) as exc:
+        verify_tables(only=("T1",))
+    assert str(exc.value) == "embedded reference tables failed their checksum"
 
 
 @pytest.mark.parametrize(

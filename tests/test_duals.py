@@ -378,6 +378,19 @@ def test_kl_divergence_self_is_zero():
     assert abs(kl_divergence(channel, 1, fake)) <= 1e-12
 
 
+def test_kl_divergence_is_inf_where_the_dual_has_no_mass():
+    # Y_1 of the sticky channel has mass at every y >= 1; a stub dual with
+    # none at y = 2 gives inf, not a number.
+    p = 0.4
+    channel = RepeatChannel(Family.GEOMETRIC_STICKY, p)
+
+    def log_pmf(ys):
+        return np.where(np.asarray(ys) == 2, -math.inf, -1.0)
+
+    stub = SimpleNamespace(variant=DualVariant.STICKY_ZERO_GAP, p=p, log_pmf=log_pmf)
+    assert kl_divergence(channel, 1, stub) == math.inf
+
+
 def test_kl_divergence_nonnegative():
     channel = RepeatChannel(Family.GEOMETRIC_DELETION, 0.5)
     dual = build_dual(DualVariant.GEOMDEL_CONVEXITY, 0.5, 0.7)
@@ -856,16 +869,14 @@ def test_integrand_limit_meets_the_direct_form_at_the_switch(variant, p):
     # there is about eps m^2 / _LIMIT_VC ~ 1e-8 m^2 and its distance from the
     # limit about _LIMIT_VC m^2, so 1e-6 m^2 holds both, and a c2 off by a
     # relative 1e-3 breaks it.
-    spec = duals._SPECS[variant]
-    for key in spec.keys(p):
-        c1 = spec.base(np.array([[1.0]]), p, key).c1
+    for key, base in enumerate(duals._SPECS[variant].bases(p)):
         for y in (1.0, 2.0, 7.0, 100.0):
-            switch = numerics._LIMIT_VC / (1.0 + y * abs(c1))
+            switch = numerics._LIMIT_VC / (1.0 + y * abs(base.c1))
             below, above = (
-                numerics._f(np.array([y]), v, [spec.base(v, p, key)])[0, 0, 0]
+                numerics._f(np.array([y]), v, [base])[0, 0, 0]
                 for v in np.array([[[1.0 - 1e-6]], [[1.0 + 1e-6]]]) * switch
             )
-            m = 1.0 + y * max(1.0, abs(c1))
+            m = 1.0 + y * max(1.0, abs(base.c1))
             assert abs(below - above) <= 1e-6 * m * m, (key, y, below, above)
 
 
@@ -920,14 +931,15 @@ def test_one_pass_integrand_matches_the_per_key_reference(monkeypatch, variant, 
     assert min(nodes) < numerics._LIMIT_VC
 
 
+@pytest.mark.parametrize("variant", (DualVariant.STICKY_ZERO_GAP, DualVariant.DUPLICATION_ZERO_GAP))
 @pytest.mark.parametrize("p", (0.3, 0.9))
-def test_one_pass_integrand_takes_each_node_factor_once(monkeypatch, p):
-    # One duplication first unit: each node's t = 1 - e^-v and e^-v are taken
-    # once per block for all three keys, so the bases' one expm1 per key and
-    # the integrand's one make at most keys + 1 expm1 calls and one exp call
-    # per node; taken per key, they would be 2 and 1 per key.  integrate
-    # reads finiteness off each block's weighted sum, one value per (key, y),
-    # and scans no block of integrand values while every sum is finite.
+def test_one_pass_integrand_takes_each_node_factor_once(monkeypatch, variant, p):
+    # One sticky or duplication first unit: each node's t = 1 - e^-v and
+    # e^-v are taken once per block for all keys, and the bases read that t,
+    # so there is one expm1 and one exp call per node; taken per key, they
+    # would be 2 and 1 per key.  integrate reads finiteness off each block's
+    # weighted sum, one value per (key, y), and scans no block of integrand
+    # values while every sum is finite.
     calls = {"expm1": 0, "exp": 0}
 
     class CountingMath:
@@ -955,11 +967,30 @@ def test_one_pass_integrand_takes_each_node_factor_once(monkeypatch, p):
     monkeypatch.setattr(numerics, "integrate", counted)
     isfinite, checked = np.isfinite, []
     monkeypatch.setattr(np, "isfinite", lambda x: (checked.append(np.size(x)), isfinite(x))[1])
-    keys = duals._SPECS[DualVariant.DUPLICATION_ZERO_GAP].keys(p)
-    duals._STable(DualVariant.DUPLICATION_ZERO_GAP, p)._compute(np.arange(1.0, 1025.0))
-    assert calls["expm1"] <= (len(keys) + 1) * sum(nodes), (calls, nodes)
+    duals._STable(variant, p)._compute(np.arange(1.0, 1025.0))
+    assert calls["expm1"] <= sum(nodes), (calls, nodes)
     assert calls["exp"] <= sum(nodes), (calls, nodes)
     assert checked and max(checked) <= max(sums), (max(checked), sums)
+
+
+@pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
+def test_bases_are_built_once_per_quadrature_call(monkeypatch, variant):
+    # A first unit integrates its bases over several blocks of nodes; the
+    # bases are data built once per (variant, p), not once per block.
+    spec, built, integrate, blocks = duals._SPECS[variant], [], numerics.integrate, []
+
+    def bases(p):
+        built.append(p)
+        return spec.bases(p)
+
+    def counted(problem):
+        blocks.append(-(-problem.nodes.size // problem.block))
+        return integrate(problem)
+
+    monkeypatch.setitem(duals._SPECS, variant, dataclasses.replace(spec, bases=bases))
+    monkeypatch.setattr(numerics, "integrate", counted)
+    duals._STable(variant, 0.3).upto(1024)
+    assert built == [0.3] and len(blocks) == 1 and blocks[0] > 1, (built, blocks)
 
 
 @pytest.mark.parametrize("variant", _QUADRATURE_VARIANTS)
@@ -1140,7 +1171,7 @@ def _integrand_widths(monkeypatch) -> list[list[int]]:
 
 def _direct_s(variant, ys, p):
     spec = duals._SPECS[variant]
-    lam = duals._lambdas(spec, ys, p)
+    lam = duals._lambdas(spec, ys, p, spec.bases(p))
     return spec.g(ys, p, lam) - spec.drift(ys, p)
 
 

@@ -6,10 +6,11 @@ import dataclasses
 import hashlib
 import importlib.util
 import pathlib
+import time
 
 import pytest
 
-from repeatcap import bounds, duals
+from repeatcap import bounds, duals, numerics
 from repeatcap.channels import Family
 from repeatcap.tables import (
     T1_STICKY,
@@ -96,3 +97,15 @@ def test_value_digest_tool_on_one_row():
     table = duals._get_table(duals.DualVariant.STICKY_ZERO_GAP, 0.05)
     assert entry["s_tables"] == {
         f"sticky-zero-gap/0.05/{table._vals.size}": hashlib.sha256(table._vals.tobytes()).hexdigest()}
+    # Past the tables: the near-one pins, and every Lambda view and
+    # log_gamma_via_integral, whose section stays under 1 s.
+    assert tool.NEAR_ONE == ((Family.GEOMETRIC_STICKY, 0.9999), (Family.GEOMETRIC_DELETION, 0.999))
+    start = time.perf_counter()
+    views = tool.views()
+    assert time.perf_counter() - start < 1.0
+    assert len(views) == 6 * 3 + 1
+    assert views["log_gamma_via_integral"] == [
+        repr(numerics.log_gamma_via_integral(z)) for z in (1e-3, 0.5, 3.5, 100.0)]
+    assert 0.0 in tool.TRUNC_YS and any(y % 1 for y in tool.TRUNC_YS)
+    trunc = duals.lambda_trunc_geomdel(list(tool.TRUNC_YS), 0.3)
+    assert views["view/lambda_trunc_geomdel/0.3"] == [[repr(x) for x in row.tolist()] for row in trunc]
