@@ -19,11 +19,12 @@ give the same decode from that output); the decode comes with the cost of
 one explicit alignment, which bounds the trial's edit distance.  Then
 _edit_distances measures all of the chunk's trials at once on the
 diagonals that an alignment within that bound can use (Ukkonen's cutoff
-from both corners), by Myers' O(ND) greedy when they are few and by a
-Myers bit-parallel lockstep over both halves of each trial's text
-otherwise.  edit_distance stays the single-pair function for any symbols;
-for one pair it is faster than the lockstep (at n = 4000 on a 2-vCPU x86
-machine, about 10-14 ms against 45-70 ms).
+from both corners), by Myers' O(ND) greedy when they are few and
+otherwise by a Myers bit-parallel lockstep that steps along both halves
+of each trial's input, with the decode as the bit-parallel pattern.
+edit_distance stays the single-pair function for any symbols; for one
+pair it is faster than the lockstep (at n = 4000 on a 2-vCPU x86 machine,
+about 7-13 ms against 23-48 ms).
 """
 
 from __future__ import annotations
@@ -43,17 +44,20 @@ _CHUNK = 128
 # held at once stay small (under 0.5 MB for a 1 500-row band).
 _READ = 4
 
-# Text steps whose symbols _deltas gathers, as sel masks, at once.
-_BLOCK = 32
-
 # A chunk whose diagonal range is narrower than this goes to _greedy, a
 # wider one to _lockstep: about where the two take equal time on 100
-# trials at n = 4000 (measured on a 2-vCPU x86 machine).
-_GREEDY_WIDTH = 180
+# trials at n = 4000 (lambda = 30, ranges of 156-162 diagonals; measured
+# on a 2-vCPU x86 machine).
+_GREEDY_WIDTH = 160
 
 # 64-bit windows a cell that _greedy's first pass left matching compares
 # per round.
 _SLIDE = 16
+
+# Carry rounds of _deltas' sum that run on every step; a chunk whose
+# decodes hold longer runs of all-0 or all-1 words tests for a carry left
+# before each further round.
+_CARRY_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,9 @@ def validate_config(config: SimConfig) -> None:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    seed = config.seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _validate_lambda(config.lam, config.n)
     if not 0.0 < config.epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {config.epsilon}")
@@ -241,15 +248,17 @@ def _edit_distances(xs, decoded, bands=None) -> np.ndarray:
     at a time go to _greedy when their diagonal range [kmin, kmax] (below)
     has kmax - kmin < _GREEDY_WIDTH, and to _lockstep otherwise.
 
-    _lockstep splits each trial at the middle column of its text
-    (Hirschberg, CACM 18(6), 1975), c = len(decoded[i]) // 2, into two
-    lanes that each read about half of it: the first half forward (pattern
-    x, text decoded[:c]) and the second reversed (x[::-1],
-    decoded[c:][::-1]).  With F and B their final columns, the distance is
-    min over r of F(r) + B(n - r).  Every alignment crosses column c at
-    some row r, so the minimum is the distance when both columns are
-    exact there; and each F(r) + B(n - r) is the cost of a real
-    alignment, one through (r, c), so it never reads low.
+    _lockstep takes each trial's decode as the bit-parallel pattern and x
+    as the text, and splits x at its middle column (Hirschberg, CACM
+    18(6), 1975), c = n // 2, into two lanes that each read half of it:
+    the first half forward (pattern decoded[i], text x[:c]) and the second
+    reversed (decoded[i][::-1], x[c:][::-1]).  Every lane of a chunk so
+    steps c or n - c columns together.  With F and B their final columns
+    and len = len(decoded[i]), the distance is min over r of
+    F(r) + B(len - r).  Every alignment crosses column c at some decode
+    row r, so the minimum is the distance when both columns are exact
+    there; and each F(r) + B(len - r) is the cost of a real alignment, one
+    through (r, c), so it never reads low.
 
     bands[i] >= the distance of pair i makes it exact, whichever kernel
     runs.  Reaching a cell (i, j) costs at least |i - j| and leaving it
@@ -260,12 +269,12 @@ def _edit_distances(xs, decoded, bands=None) -> np.ndarray:
     [(delta - D) / 2, (delta + D) / 2].  In the reversed lane the same
     cell lies on diagonal delta - k, which meets the same inequality, so
     one range serves both lanes.  A chunk steps the union of its trials'
-    ranges, [kmin, kmax]; the lockstep reads F and B only at the rows
-    where an optimal alignment can cross column c, r - c in [kmin, kmax].
-    The default band, max(n, len(decoded[i])), is at least every
-    distance.  A distance above its band comes back too high, never too
-    low.  Memory is O(_CHUNK * (n + longest text)) for any number of
-    trials.
+    ranges, [kmin, kmax]; the lockstep reads F and B only at the decode
+    rows where an optimal alignment can cross x's column c,
+    c - r in [kmin, kmax].  The default band, max(n, len(decoded[i])), is
+    at least every distance.  A distance above its band comes back too
+    high, never too low.  Memory is O(_CHUNK * (n + longest decode)) for
+    any number of trials.
     """
     if bands is None:
         bands = [max(len(x), len(d)) for x, d in zip(xs, decoded)]
@@ -404,28 +413,30 @@ def _slide(xw, tw, rows, last, xstart, tstart, t, c):
 
 
 def _lanes(xs, decoded):
-    """The two lanes of every trial, trial i's forward half as lane 2i and
-    its reversed second half as lane 2i + 1.
+    """The two lanes of every trial: with T trials, trial t's forward half
+    as lane t and its reversed second half as lane T + t.
 
-    Returns (p0, text, start, step, lengths): p0, (2k, ceil(n / 64)) words
-    marking each lane pattern's zeros; text, the trials' texts joined end
-    to end; and lane l's text is text[start[l] + step[l] * j] for
-    j < lengths[l].
+    Returns (p0, text, lengths).  p0, (words, 2T) uint64, marks the zeros
+    of each lane's pattern, decoded[t] in lane t and decoded[t][::-1] in
+    lane T + t, word w holding positions 64w .. 64w + 63; words is
+    ceil(longest decode / 64), at least 1.  text, (8 * ceil((n - n // 2) /
+    64), 2T) bytes, holds each lane's text little-endian down axis 0:
+    x[t][:n // 2] in lane t and x[t][::-1][:n - n // 2] in lane T + t.
+    lengths is each trial's decode length.  Bits past a lane's pattern or
+    text are padding.  Each half is packed on its own, so no array of one
+    byte per symbol is made.
     """
-    zeros = np.asarray(xs, dtype=np.uint8) == 0
-    trials, n = zeros.shape
-    p0 = np.zeros((trials, 2, 8 * -(-n // 64)), dtype=np.uint8)
-    p0[:, 0, : -(-n // 8)] = np.packbits(zeros, axis=1, bitorder="little")
-    p0[:, 1, : -(-n // 8)] = np.packbits(zeros[:, ::-1], axis=1, bitorder="little")
+    n, trials = len(xs[0]), len(xs)
     lengths = np.array([len(d) for d in decoded], dtype=np.int64)
-    ends = np.cumsum(lengths)
-    return (
-        p0.reshape(2 * trials, -1).view("<u8"),
-        np.concatenate([np.zeros(0, np.uint8), *decoded]),
-        np.stack([ends - lengths, ends - 1], axis=1).reshape(-1),
-        np.tile(np.array([1, -1]), trials),
-        np.stack([lengths // 2, lengths - lengths // 2], axis=1).reshape(-1),
-    )
+    p0 = np.zeros((2 * trials, 8 * max(-(-int(lengths.max()) // 64), 1)), dtype=np.uint8)
+    text = np.zeros((2 * trials, 8 * -(-(n - n // 2) // 64)), dtype=np.uint8)
+    for t, (x, d) in enumerate(zip(xs, decoded)):
+        for lane, pattern, half in (t, d, x[:n // 2]), (trials + t, d[::-1], x[::-1][:n - n // 2]):
+            packed = np.packbits(pattern, bitorder="little")
+            np.invert(packed, out=p0[lane, :packed.size])
+            packed = np.packbits(half, bitorder="little")
+            text[lane, :packed.size] = packed
+    return np.ascontiguousarray(p0.view("<u8").T), np.ascontiguousarray(text.T), lengths
 
 
 def _lockstep(xs, decoded, kmin, kmax):
@@ -434,34 +445,38 @@ def _lockstep(xs, decoded, kmin, kmax):
     rows where the two halves can meet.
 
     Yields, for each group of _READ trials in order, (forward, backward):
-    two int32 arrays of kmax - kmin + 1 columns.  With c trial i's middle
-    column and r_t = c + kmin + t clipped to [0, n], row i holds its
-    forward lane's final column at row r_t, F(r_t), and its reversed
-    lane's at row n - r_t, B(n - r_t).  An alignment on those diagonals
-    crosses column c only at such a row; a clipped r_t repeats row 0 or
-    n, so every crossing row in range is read and none outside it.
+    two int32 arrays of kmax - kmin + 1 columns.  With c = n // 2 and
+    r_t = c - kmax + t clipped to [0, len(decoded[i])], row i holds its
+    forward lane's final column at decode row r_t, F(r_t), and its
+    reversed lane's at row len(decoded[i]) - r_t, B(len - r_t).  An
+    alignment on those diagonals crosses x's column c only at such a row;
+    a clipped r_t repeats row 0 or len, so every crossing row in range is
+    read and none outside it.
 
     A column is read from the deltas: D[r][J] = J + the number of pv bits
-    minus the number of mv bits among rows 0..r - 1.  The whole words
-    below a lane's first crossing row are counted by popcount, and only
-    the words from there on are unpacked.
+    minus the number of mv bits among rows 0..r - 1, with J = c in the
+    forward lanes and n - c in the reversed ones.  The whole words below a
+    lane's first crossing row are counted by popcount, and only the words
+    from there on are unpacked.
     """
-    n = len(xs[0])
-    lengths, column, (pv, mv) = _deltas(xs, decoded, kmin, kmax)
+    n, trials = len(xs[0]), len(xs)
+    lengths, (pv, mv) = _deltas(xs, decoded, kmin, kmax)
     words = pv.shape[0]
-    # below[w, column] = pv bits minus mv bits in the words under word w
+    # below[w, lane] = pv bits minus mv bits in the words under word w
     below = np.zeros((words + 1, pv.shape[1]), dtype=np.int32)
     below[1:] = np.bitwise_count(pv)
     below[1:] -= np.bitwise_count(mv)
     np.cumsum(below, axis=0, out=below)
     # a lane's crossing rows span kmax - kmin + 1 rows, so their prefixes
     # lie within reach words from the one holding its first
-    crossing = np.arange(kmax - kmin + 1)
+    crossing = np.arange(n // 2 - kmax, n // 2 - kmin + 1)
     reach = np.arange(-(-(kmax - kmin + 63) // 64))
-    for lo in range(0, lengths.size, 2 * _READ):
-        rows = np.clip(lengths[lo:lo + 2 * _READ:2, None] + kmin + crossing, 0, n)
-        rows = np.stack([rows, n - rows], axis=1).reshape(-1, crossing.size)
-        cols = column[lo:lo + 2 * _READ, None]
+    for lo in range(0, trials, _READ):
+        group = np.arange(lo, min(lo + _READ, trials))
+        ends = lengths[group, None]
+        rows = np.clip(crossing, 0, ends)
+        rows = np.concatenate([rows, ends - rows])
+        cols = np.concatenate([group, trials + group])[:, None]
         first = rows.min(axis=1, keepdims=True) // 64
         at = np.minimum(first + reach, words - 1), cols
         bits = [np.unpackbits(np.ascontiguousarray(v[at], dtype="<u8").view(np.uint8),
@@ -473,90 +488,124 @@ def _lockstep(xs, decoded, kmin, kmax):
         rows -= 64 * first
         rows += np.arange(0, read.size, read.shape[1])[:, None]
         values = read.ravel().take(rows)
-        values += lengths[lo:lo + 2 * _READ, None] + below[first, cols]
-        yield values[0::2], values[1::2]
+        values += below[first, cols]
+        values[:group.size] += n // 2
+        values[group.size:] += n - n // 2
+        yield values[:group.size], values[group.size:]
+
+
+def _longest_run(flags):
+    """The longest run of True down axis 0 of flags, in any column."""
+    run = 0
+    while flags.any():
+        run += 1
+        flags = flags[1:] & flags[:-1]
+    return run
 
 
 def _deltas(xs, decoded, kmin, kmax):
     """Every lane of _lanes stepped to the end of its text by Myers'
     bit-parallel recurrence (J. ACM 46(3), 1999), on the diagonals
-    kmin <= i - j <= kmax.
+    kmin <= i - j <= kmax of x's position i and the decode's j.
 
-    Returns (lengths, column, deltas): each lane's text length, the
-    column that holds lane l, and deltas, a (2, ceil(n / 64), lanes)
-    uint64 array of the final pv and mv vectors, word 0 holding positions
-    0-63.
+    Returns (lengths, deltas): each trial's decode length, and a
+    (2, words, 2T) uint64 array of every lane's final pv and mv vectors
+    down its pattern, word 0 holding positions 0-63.
 
-    One pass of the step loop (a few dozen numpy calls) advances every
-    lane by one text symbol.  Columns run longest text first, so the lanes
-    still reading text are the first k columns, and k only shrinks.  A
-    lane's match mask is P0 ^ sel, where P0 marks the pattern's zeros and
-    sel is all ones if its symbol is 1; the sel masks of the next _BLOCK
-    steps are made at once.
+    One pass of the step loop (about two dozen numpy calls) advances every
+    lane by one column of x.  Every lane's text is half of an n-symbol x,
+    so all 2T lanes step the first n // 2 columns together, and for odd n
+    the reversed lanes take one more.  A lane's match mask is P0 ^ sel,
+    where P0 marks the pattern's zeros and sel is all ones if its symbol
+    is 1; the sel masks of 64 steps are unpacked at once.
 
-    At text column j only the words [lo, hi) holding a row i with
-    kmin <= i - j <= kmax are stepped: a block whose inner axis is
-    contiguous, both of whose ends only slide up.  Additions carry across
-    its words through a ripple loop that stops once no carry is left;
-    shifts carry each word's top bit into the next.  Words below the
-    window stay frozen.  The lowest stepped word takes Myers' block rule
-    for a +1 horizontal delta at its top: no carry enters, ph shifts in 1
-    and mh 0 (carry_in's first row, reset when the window moves).  A word
-    joins in its initial state.  So every value is the cost of a real
-    alignment path: it grows by one per column along each row of a frozen
-    word, and by one per row through a word yet to join.  Such +1 edges
-    are a legal DP boundary, on which Myers' formulas stay exact, so no
-    value falls below the true D[r][J].  If an optimal path to (r, J)
+    At column j of x only the words [lo, hi) holding a decode row r with
+    kmin <= j - r <= kmax are stepped: a block whose inner axis is
+    contiguous, both of whose ends only slide up.  The steps are cut into
+    segments of one window and one sel block, and each segment binds its
+    views once.  Shifts carry each word's top bit into the next.  The sum
+    (eq & pv) + pv carries across words in rounds: round one adds each
+    word's overflow to the next, and a later round carries only out of a
+    word that the last round's carry wrapped to 0.  Such a word held
+    a + b = 2**64 - 1 with a = eq & pv a subset of b = pv, so eq = 0 and
+    pv was all ones: its pattern word matches neither the text symbol.  So
+    a chunk needs at most one round more than its longest run of whole
+    pattern words that are all 0s or all 1s (padding above a lane's length
+    never carries down), and a decode with none needs one.  Up to
+    _CARRY_ROUNDS of these run on every step without a test; any further
+    round runs only while the last one left a carry.  Words
+    below the window stay frozen.  The lowest stepped word takes Myers'
+    block rule for a +1 horizontal delta at its top: no carry enters, ph
+    shifts in 1 and mh 0 (carry_in's first row, reset with every window).
+    A word joins in its initial state.  So every value is the cost of a
+    real alignment path: it grows by one per column along each row of a
+    frozen word, and by one per row through a word yet to join.  Such +1
+    edges are a legal DP boundary, on which Myers' formulas stay exact, so
+    no value falls below the true D[r][J].  If an optimal path to (r, J)
     keeps to the diagonals kmin..kmax, it is stepped throughout, and
-    D[r][J] is exact.  Carries and shifts only move up, so bits above
-    n - 1 never reach the rows below them.
+    D[r][J] is exact.  Carries and shifts only move up, so bits above a
+    lane's length never reach the rows below them.
     """
-    n = len(xs[0])
-    p0, text, start, step, lengths = _lanes(xs, decoded)
-    lanes, words = p0.shape
-    order = np.argsort(-lengths, kind="stable")
-    start, step, steps = start[order], step[order], np.append(lengths[order], 0)
-    p0 = np.ascontiguousarray(p0[order].T)
-    block = np.arange(_BLOCK)[:, None]
+    n, trials = len(xs[0]), len(xs)
+    p0, text, lengths = _lanes(xs, decoded)
+    words, lanes = p0.shape
+    whole = np.arange(words)[:, None] < np.tile(lengths // 64, 2)
+    rounds = 1 + max(_longest_run((p0 == 0) & whole), _longest_run((p0 == ~np.uint64(0)) & whole))
+
+    # window of each step: decode rows j - kmax .. j - kmin of column j + 1,
+    # cut also where a sel block starts and where only the reversed lanes
+    # step on
+    j = np.arange(n - n // 2)
+    top = max(int(lengths.max()), 1) - 1
+    low = np.clip(j - kmax, 0, top) // 64
+    high = np.clip(j - kmin, 0, top) // 64 + 1
+    cuts = (np.diff(low) != 0) | (np.diff(high) != 0) | (j[1:] % 64 == 0) | (j[1:] == n // 2)
+    ends = np.append(np.flatnonzero(cuts) + 1, j.size)
 
     # xv, eq then ph, xh then mh: ph and mh take the slots of eq and xh
     # once those are spent, and lie next to each other for the shifts
     work = np.zeros((3, words, lanes), dtype=np.uint64)
     deltas = np.zeros((2, words, lanes), dtype=np.uint64)
     deltas[0] = ~np.uint64(0)
+    # the shifts' carries, and before them the sum's
     carry_in = np.zeros((2, words + 1, lanes), dtype=np.uint64)
-    carry = np.empty((words, lanes), dtype=bool)
-    for k in range(lanes, 0, -1):
-        window = None
-        for j in range(steps[k], steps[k - 1]):
-            if j % _BLOCK == 0:  # clipped: past its end a lane's symbols go unread
-                sel = np.negative(text.take(start[:k] + step[:k] * (block + j), mode="clip"),
-                                  dtype=np.uint64)
-            # bit rows j + kmin .. j + kmax of text column j + 1
-            lo = min(max(j + kmin, 0), n - 1) // 64
-            hi = min(max(j + kmax, 0), n - 1) // 64 + 1
-            if window != (lo, hi):
-                window = lo, hi
-                xv, eq, xh = work[:, lo:hi, :k]
-                h = work[1:, lo:hi, :k]
-                ph, mh = h
-                pv, mv = deltas[:, lo:hi, :k]
-                p0_w, carry_w = p0[lo:hi, :k], carry[: hi - lo - 1, :k]
-                cin = carry_in[:, lo:hi + 1, :k]
-                cin[0, 0], cin[1, 0] = 1, 0
-            np.bitwise_xor(p0_w, sel[j % _BLOCK, :k], out=eq)
+    sel = np.empty((64, lanes), dtype=np.uint64)
+    start = 0
+    for end in ends.tolist():
+        lo, hi = int(low[start]), int(high[start])
+        first = 0 if start < n // 2 else trials
+        xv, eq, xh = work[:, lo:hi, first:]
+        h = work[1:, lo:hi, first:]
+        ph, mh = h
+        pv, mv = deltas[:, lo:hi, first:]
+        p0_w = p0[lo:hi, first:]
+        cin = carry_in[:, lo:hi + 1, first:]
+        cin[0, 0], cin[1, 0] = 1, 0
+        shifted_out, shifted_in = cin[:, 1:], cin[:, :-1]
+        # round r takes the carries out of words r - 1 .. hi - lo - 2
+        # into the next ones, from round r - 1's carries in the other slot
+        ripple = []
+        for r in range(1, min(rounds, hi - lo - 1) + 1):
+            added = pv[:-1] if r == 1 else cin[r % 2, r - 1:hi - lo - 1]
+            ripple.append((xh[r - 1:-1], added, cin[1 - r % 2, r:hi - lo], xh[r:]))
+        fixed, tested = ripple[:_CARRY_ROUNDS], ripple[_CARRY_ROUNDS:]
+        if start % 64 == 0:
+            block = np.unpackbits(text[start // 8:start // 8 + 8], axis=0, bitorder="little")
+            np.negative(block, dtype=np.uint64, out=sel)
+        for s in sel[start % 64:start % 64 + end - start, first:]:
+            np.bitwise_xor(p0_w, s, out=eq)
             np.bitwise_or(eq, mv, out=xv)
             # xh = (((eq & pv) + pv) ^ pv) | eq, the sum carried across words
             np.bitwise_and(eq, pv, out=xh)
             np.add(xh, pv, out=xh)
-            if hi - lo > 1:
-                c = np.less(xh[:-1], pv[:-1], out=carry_w)
-                for w in range(1, hi - lo):
-                    upper = xh[w:]
-                    upper += c
-                    c = (c & (upper == 0))[:-1]
-                    if not c.any():
-                        break
+            for lower, added, carry, upper in fixed:
+                np.less(lower, added, out=carry)
+                np.add(upper, carry, out=upper)
+            for lower, added, carry, upper in tested:
+                np.less(lower, added, out=carry)
+                if not carry.any():
+                    break
+                np.add(upper, carry, out=upper)
             np.bitwise_xor(xh, pv, out=xh)
             np.bitwise_or(xh, eq, out=xh)
             # ph = mv | ~(xh | pv), mh = pv & xh
@@ -565,17 +614,16 @@ def _deltas(xs, decoded, kmin, kmax):
             np.bitwise_or(ph, mv, out=ph)
             np.bitwise_and(pv, xh, out=mh)
             # ph = (ph << 1) | carry, mh = (mh << 1) | carry
-            np.right_shift(h, 63, out=cin[:, 1:])
+            np.right_shift(h, 63, out=shifted_out)
             np.left_shift(h, 1, out=h)
-            np.bitwise_or(h, cin[:, :-1], out=h)
+            np.bitwise_or(h, shifted_in, out=h)
             # pv = mh | ~(xv | ph), mv = ph & xv
             np.bitwise_or(xv, ph, out=pv)
             np.invert(pv, out=pv)
             np.bitwise_or(pv, mh, out=pv)
             np.bitwise_and(ph, xv, out=mv)
-    column = np.empty(lanes, dtype=np.intp)
-    column[order] = np.arange(lanes)
-    return lengths, column, deltas
+        start = end
+    return lengths, deltas
 
 
 def _input_bits(config: SimConfig, rng) -> np.ndarray:

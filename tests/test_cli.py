@@ -513,6 +513,15 @@ def test_simulate_bad_lambda_exits_2(capsys):
     assert "lambda" in err
 
 
+def test_simulate_negative_seed_names_the_field(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "10", "--lambda", "5", "--trials", "1",
+        "--seed", "-1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_config_file_supplies_values(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"family": "sticky", "p": 0.05}))

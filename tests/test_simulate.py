@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import math
+import pathlib
+import time
 import tracemalloc
 from unittest import mock
 
@@ -185,11 +189,19 @@ def test_input_bits_accept_exact_bits_of_any_dtype():
 @pytest.mark.parametrize("field, value", [
     ("lam", math.inf), ("lam", 1e19), ("lam", math.nan),
     ("n", True), ("n", 5.0), ("trials", 2.5), ("trials", False),
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "7"),
 ])
 def test_validate_config_names_the_bad_field(field, value):
     config = SimConfig(**{**dict(n=4, lam=2.0, epsilon=0.1, trials=1, seed=0), field: value})
     with pytest.raises(ValueError, match=field):
         validate_config(config)
+    with pytest.raises(ValueError, match=field):
+        run_monte_carlo(config)
+
+
+def test_seed_zero_and_numpy_integers_are_valid():
+    for seed in (0, np.int64(3), 2**70):
+        validate_config(SimConfig(n=4, lam=2.0, epsilon=0.1, trials=1, seed=seed))
 
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan, 1e19, 0.0, -2.0])
@@ -431,33 +443,107 @@ def _diagonals(n, texts, bands):
     return int(((delta - bands) // 2).min()), int(((delta + bands) // 2).max())
 
 
-@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
-def test_lockstep_columns_are_the_dp_columns_of_both_halves(m):
-    # The combine reads both lanes' final columns at the crossing rows
-    # r = c + kmin .. c + kmax, clipped to [0, m], and at no others: each
-    # position holds its own row, so with the whole matrix stepped it is
-    # the DP's value there, and with a narrow band none is below it (every
-    # value is the cost of a real alignment).
-    xs, texts = _pairs_for(m, np.random.default_rng(m))
-    want = []
-    for x, text in zip(xs, texts):
-        half = len(text) // 2
-        want.append((half, dp_last_column(x, text[:half]),
-                     dp_last_column(x[::-1], text[half:][::-1])))
-    for band in (2 * m + 3, 0, 2):
-        kmin, kmax = _diagonals(m, texts, [band] * len(texts))
+def _lockstep_columns(xs, texts, bands):
+    """For each band of bands, pairs (got, want), one per trial: _lockstep's
+    final columns of both halves, forward then reversed, with every band
+    equal to it, and the DP's at the same rows.
+
+    The lanes split the n-bit pattern x at its middle column c = n // 2
+    (the reversed lanes read one column more at odd n), and the combine
+    reads both lanes' final columns at the decode rows r = c - kmax ..
+    c - kmin, clipped to [0, len], and len - r, and at no others."""
+    n = len(xs[0])
+    half = n // 2
+    columns = [(np.array(dp_last_column(text, x[:half])),
+                np.array(dp_last_column(text[::-1], x[half:][::-1]))) for x, text in zip(xs, texts)]
+    for band in bands:
+        kmin, kmax = _diagonals(n, texts, [band] * len(texts))
         forward, backward = (np.concatenate(halves) for halves in
                              zip(*simulate._lockstep(xs, texts, kmin, kmax)))
         assert forward.shape == backward.shape == (len(xs), kmax - kmin + 1)
-        for i, (half, want_forward, want_backward) in enumerate(want):
-            rows = [min(max(half + k, 0), m) for k in range(kmin, kmax + 1)]
-            at_rows = np.array(want_forward)[rows], np.array(want_backward)[[m - r for r in rows]]
+        pairs = []
+        for text, (dp_forward, dp_backward), got in zip(
+                texts, columns, np.concatenate([forward, backward], axis=1)):
+            rows = np.clip(np.arange(half - kmax, half - kmin + 1), 0, len(text))
+            pairs.append((got, np.concatenate([dp_forward[rows], dp_backward[len(text) - rows]])))
+        yield band, pairs
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
+def test_lockstep_columns_are_the_dp_columns_of_both_halves(m):
+    # Each position holds its own row, so with the whole matrix stepped it
+    # is the DP's value there, and with a narrow band none is below it
+    # (every value is the cost of a real alignment).
+    xs, texts = _pairs_for(m, np.random.default_rng(m))
+    for band, pairs in _lockstep_columns(xs, texts, (2 * m + 3, 0, 2)):
+        for got, want in pairs:
             if band == 2 * m + 3:
-                assert forward[i].tolist() == at_rows[0].tolist()
-                assert backward[i].tolist() == at_rows[1].tolist()
+                assert got.tolist() == want.tolist()
             else:
-                assert (forward[i] >= at_rows[0]).all()
-                assert (backward[i] >= at_rows[1]).all()
+                assert (got >= want).all()
+
+
+def _lockstep_matches_dp(xs, texts, band):
+    """_lockstep's columns equal the DP's with the whole matrix stepped, and
+    _edit_distances routed to it equals dp_edit_distance with the default
+    bands; with every band equal to band, it is exact where the band
+    covers the distance and never low elsewhere."""
+    whole = len(xs[0]) + max(len(t) for t in texts)
+    (_, pairs), = _lockstep_columns(xs, texts, [whole])
+    for got, want in pairs:
+        assert got.tolist() == want.tolist()
+    want = [dp_edit_distance(x, t) for x, t in zip(xs, texts)]
+    with _routed("_lockstep"):
+        assert simulate._edit_distances(xs, texts).tolist() == want
+        got = simulate._edit_distances(xs, texts, [band] * len(texts)).tolist()
+    for dist, right in zip(got, want):
+        assert dist == right if band >= right else dist >= right
+
+
+@pytest.mark.parametrize("n", [1, 3, 65, 127])
+def test_lockstep_at_odd_n(n):
+    # the reversed lanes step n // 2 + 1 columns of x, the forward ones n // 2
+    rng = np.random.default_rng(n)
+    x = rng.integers(0, 2, n, dtype=np.uint8)
+    texts = [rng.integers(0, 2, length, dtype=np.uint8) for length in (0, 1, n // 2, n, n + 2, 2 * n)]
+    texts += [np.resize(x, n - 1), np.resize(x, n + 1), x[::-1].copy()]
+    _lockstep_matches_dp([x] * len(texts), texts, 1)
+
+
+def test_lockstep_chunk_of_decodes_over_several_word_counts():
+    # One chunk whose patterns, the decodes, take 0, 1, 1, 2 and 3 words:
+    # each lane reads its own words, and the padding above a shorter
+    # decode never reaches its rows.
+    rng = np.random.default_rng(5)
+    xs = [rng.integers(0, 2, 100, dtype=np.uint8) for _ in range(5)]
+    texts = [rng.integers(0, 2, length, dtype=np.uint8) for length in (0, 63, 64, 65, 129)]
+    texts += [np.resize(x, length) for x, length in zip(xs, (0, 63, 64, 65, 129))]
+    xs += xs
+    _lockstep_matches_dp(xs, texts, 40)
+
+
+def test_lockstep_carries_through_runs_of_uniform_words():
+    # A carry of (eq & pv) + pv passes through a word only where the
+    # pattern word matches neither symbol and pv is all ones.  In these
+    # decodes, 4 and 5 whole words of 0s or 1s (in the forward and the
+    # reversed patterns) lie between words that match: in the first
+    # columns of x, where pv is still all ones, a carry out of the word
+    # below a run must pass through all of it, one round per word (the
+    # rounds past _CARRY_ROUNDS run only while a carry is left).  x is a
+    # few bits long, so its final columns still show those first steps.
+    rng = np.random.default_rng(8)
+
+    def run(bit, words):
+        return np.full(64 * words, bit, dtype=np.uint8)
+
+    texts = [
+        np.concatenate([rng.integers(0, 2, 64), run(0, 5), rng.integers(0, 2, 64)]).astype(np.uint8),
+        np.concatenate([rng.integers(0, 2, 100), run(1, 4), rng.integers(0, 2, 80)]).astype(np.uint8),
+        np.concatenate([[0], run(1, 5)]).astype(np.uint8),
+    ]
+    for n in (2, 7):
+        for x in np.zeros(n, np.uint8), np.ones(n, np.uint8), rng.integers(0, 2, n, dtype=np.uint8):
+            _lockstep_matches_dp([x] * len(texts), texts, 60)
 
 
 @st.composite
@@ -558,3 +644,23 @@ def test_kernel_peak_memory_is_no_more_than_the_full_column_reads(lam):
     else:
         with _routed("_lockstep"):
             assert peak <= _traced_peak(lambda: simulate._edit_distances(xs, decoded, bands))
+
+
+def test_value_digest_tool_covers_the_decoder():
+    # tools/value_digest.py's simulate section: the benchmark's seven runs,
+    # and for each the hash of its (edit_distance, output_length) list and
+    # its success rate, here on one small run.
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "value_digest.py"
+    spec = importlib.util.spec_from_file_location("value_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert [(c.n, c.lam, c.epsilon, c.trials, c.seed) for c in tool.SIM_CONFIGS] == [
+        (4000, lam, 0.1, 100, seed) for lam, seed in zip((2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0), range(7, 14))]
+    config = SimConfig(n=300, lam=5.0, epsilon=0.1, trials=20, seed=3)
+    start = time.perf_counter()
+    entries = tool.simulations([config])
+    assert time.perf_counter() - start < 0.5
+    rate, reports = run_monte_carlo(config)
+    pairs = [(r.edit_distance, r.output_length) for r in reports]
+    assert entries == {"simulate/300/5.0/3": {
+        "reports": hashlib.sha256(repr(pairs).encode()).hexdigest(), "success_rate": repr(rate)}}

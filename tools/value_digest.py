@@ -11,8 +11,12 @@ bytes of every S-table built for it.  The two near-one bounds that the
 tests pin (sticky at p = 0.9999, deletion's best at p = 0.999) follow the
 same way.  Last come the reprs of every Lambda view at fixed y (trunc's
 at y = 0 and at non-integer y too) and of log_gamma_via_integral at four
-z.  Two checkouts that compute the same values bit for bit print the same
-text, so comparing them is one diff of two runs.
+z.  Then the decoder: for each of the seven benchmark runs of the
+simulator (n = 4000, epsilon = 0.1, 100 trials, lambda in SIM_LAMBDAS
+with seeds 7-13), the SHA-256 of the repr of its (edit_distance,
+output_length) list and the repr of its success rate.  Two checkouts that
+compute the same values bit for bit print the same text, so comparing them
+is one diff of two runs.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import hashlib
 import json
 import sys
 
-from repeatcap import bounds, duals, numerics, tables
+from repeatcap import bounds, duals, numerics, simulate, tables
 from repeatcap.channels import Family
 
 FIELDS = ("bound_nats", "q_opt", "mu_opt", "epsilon_used")
@@ -32,6 +36,9 @@ VIEW_PS = (1e-3, 0.3, 0.9)
 VIEW_YS = (1.0, 2.0, 7.0, 100.0, 1024.0, 5000.0)
 TRUNC_YS = (0.0, 0.5, 2.5) + VIEW_YS
 LOG_GAMMA_ZS = (1e-3, 0.5, 3.5, 100.0)
+SIM_LAMBDAS = (2, 5, 10, 20, 50, 100, 200)
+SIM_CONFIGS = tuple(simulate.SimConfig(n=4000, lam=float(lam), epsilon=0.1, trials=100, seed=7 + i)
+                    for i, lam in enumerate(SIM_LAMBDAS))
 
 
 def rows() -> list[tuple[tables.ReferenceTable, bounds.BoundVariant, float]]:
@@ -84,8 +91,24 @@ def views() -> dict:
     return out
 
 
+def simulations(configs) -> dict:
+    """The entry of each simulator run of configs, by
+    'simulate/n/lambda/seed': the SHA-256 of the repr of its
+    (edit_distance, output_length) list and the repr of its success rate."""
+    out = {}
+    for config in configs:
+        rate, reports = simulate.run_monte_carlo(config)
+        pairs = [(r.edit_distance, r.output_length) for r in reports]
+        out[f"simulate/{config.n}/{config.lam!r}/{config.seed}"] = {
+            "reports": hashlib.sha256(repr(pairs).encode()).hexdigest(),
+            "success_rate": repr(rate),
+        }
+    return out
+
+
 def main() -> int:
-    json.dump({**digest(rows()), **near_one(), **views()}, sys.stdout, indent=1, sort_keys=True)
+    json.dump({**digest(rows()), **near_one(), **views(), **simulations(SIM_CONFIGS)},
+              sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
 
